@@ -1,12 +1,11 @@
-//! Criterion: cold vs. warm-cache routing on a hot-spot workload across
-//! network sizes (1k / 4k / 16k regions), plus the greedy next-hop
-//! primitive — the per-message costs behind the O(2√N) hop figure.
+//! Criterion: routing on a hot-spot workload across network sizes
+//! (1k / 4k / 16k regions), plus the greedy next-hop primitive — the
+//! per-message costs behind the O(2√N) hop figure.
 //!
-//! *Cold* is [`routing::route_uncached`]: the original per-query
-//! `HashSet` + `Vec` implementation, no state carried between queries.
-//! *Warm* is a greedy [`Router::route`] through one persistent
-//! [`Router`], so repeated queries toward the hot cell resolve their
-//! next hops from the epoch-validated cache.
+//! *Reference* is [`routing::route_uncached`]: the original per-query
+//! `HashSet` + `Vec` implementation. *Greedy* and *express* are
+//! [`Router::route`] through one persistent [`Router`] (recycled stamp
+//! and hop buffers; routing keeps nothing else between queries).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use geogrid_bench::common::build_network;
@@ -48,7 +47,7 @@ fn bench_routing(c: &mut Criterion) {
         .map(|&n| build_network(&config, Mode::Basic, n, 0))
         .collect();
 
-    let mut group = c.benchmark_group("route_cold");
+    let mut group = c.benchmark_group("route_reference");
     for topo in &networks {
         let sources: Vec<RegionId> = topo.region_ids().collect();
         group.bench_with_input(
@@ -66,36 +65,33 @@ fn bench_routing(c: &mut Criterion) {
     }
     group.finish();
 
-    let mut group = c.benchmark_group("route_warm");
-    for topo in &networks {
-        let sources: Vec<RegionId> = topo.region_ids().collect();
-        group.bench_with_input(
-            BenchmarkId::from_parameter(topo.region_count()),
-            topo,
-            |b, topo| {
-                let mut router = Router::new();
-                let greedy = RouteOptions::greedy();
-                // Warm the next-hop cache over one pass of the stream.
-                for i in 1..=4_096u64 {
-                    let from = sources[(i as usize).wrapping_mul(7) % sources.len()];
-                    router
-                        .route(topo, from, hotspot_target(i), &greedy)
-                        .unwrap();
-                }
-                let mut i = 0u64;
-                b.iter(|| {
-                    i = i.wrapping_add(1);
-                    let from = sources[(i as usize).wrapping_mul(7) % sources.len()];
-                    black_box(
-                        router
-                            .route(topo, from, hotspot_target(i), &greedy)
-                            .unwrap(),
-                    )
-                })
-            },
-        );
+    for (name, options) in [
+        ("route_greedy", RouteOptions::greedy()),
+        ("route_express", RouteOptions::express()),
+    ] {
+        let mut group = c.benchmark_group(name);
+        for topo in &networks {
+            let sources: Vec<RegionId> = topo.region_ids().collect();
+            group.bench_with_input(
+                BenchmarkId::from_parameter(topo.region_count()),
+                topo,
+                |b, topo| {
+                    let mut router = Router::new();
+                    let mut i = 0u64;
+                    b.iter(|| {
+                        i = i.wrapping_add(1);
+                        let from = sources[(i as usize).wrapping_mul(7) % sources.len()];
+                        black_box(
+                            router
+                                .route(topo, from, hotspot_target(i), &options)
+                                .unwrap(),
+                        )
+                    })
+                },
+            );
+        }
+        group.finish();
     }
-    group.finish();
 
     let topo = &networks[1]; // 4,096 regions
     let from = topo.first_region().unwrap();

@@ -1,5 +1,5 @@
-//! Machine-readable routing baseline: cold vs. warm-cache ns/route on a
-//! hot-spot workload, for both the greedy mesh walk and the two-phase
+//! Machine-readable routing baseline: ns/route on a hot-spot workload
+//! for the allocating reference, the greedy mesh walk and the two-phase
 //! express engine, written to `BENCH_routing.json`.
 //!
 //! Regenerate with exactly one command (from the repo root):
@@ -13,15 +13,16 @@
 //! regions; `GEOGRID_BENCH_ROUTES` overrides the per-size query count
 //! (default 20,000). A non-numeric argument names the output file.
 //!
-//! *Cold* routes through `routing::route_uncached` (per-query `HashSet`
-//! and `Vec`s, nothing shared between queries); *warm* routes the same
-//! query stream through one persistent `Router` — once with the
-//! paper-faithful greedy `RouteOptions::greedy()` (hop-for-hop identical
-//! to cold, so the ratio isolates engine overhead) and once with
-//! `RouteOptions::express()`, whose express-finger descent shortens
-//! long paths to O(log N) hops before handing off to the same greedy
-//! walk. Each variant's hops-vs-N scaling exponent is fitted by
-//! least squares on the log-log sweep.
+//! Each size routes one query stream three times, each in a single
+//! timed pass: `reference_ns` through `routing::route_uncached`
+//! (per-query `HashSet` and `Vec`s), `greedy_ns` through one persistent
+//! `Router` with `RouteOptions::greedy()` (hop-for-hop identical to the
+//! reference, so the ratio isolates the recycled buffers), and
+//! `express_ns` with `RouteOptions::express()`, whose express-finger
+//! descent shortens long paths to O(log N) hops before handing off to
+//! the same greedy walk. Routing keeps nothing between queries, so
+//! there is no warm-up pass. Each engine's hops-vs-N scaling exponent
+//! is fitted by least squares on the log-log sweep.
 
 use std::time::Instant;
 
@@ -61,61 +62,40 @@ fn hotspot_target(i: u64) -> Point {
 
 struct Row {
     regions: usize,
-    variant: &'static str,
-    express: bool,
-    cold_ns_per_route: f64,
-    warm_ns_per_route: f64,
-    hops_mean: f64,
-    cache_hit_rate: f64,
+    reference_ns: f64,
+    greedy_ns: f64,
+    express_ns: f64,
+    greedy_hops_mean: f64,
+    express_hops_mean: f64,
     express_prefix_mean: f64,
 }
 
-/// One warm pass of `routes` queries through the given engine: a full
-/// cache-warming sweep, then the timed sweep. Returns
-/// (ns/route, total hops, total express-prefix hops, hit rate).
-fn warm_pass(
+/// One timed pass of `routes` queries through a fresh `Router`. Returns
+/// (ns/route, total hops, total express-prefix hops).
+fn router_pass(
     topo: &geogrid_core::Topology,
     sources: &[RegionId],
     routes: usize,
-    express: bool,
-) -> (f64, usize, usize, f64) {
-    let pair = |i: u64| {
-        (
-            sources[(i as usize).wrapping_mul(7) % sources.len()],
-            hotspot_target(i),
-        )
-    };
+    options: RouteOptions,
+) -> (f64, usize, usize) {
     let mut router = Router::new();
-    let options = if express {
-        RouteOptions::express()
-    } else {
-        RouteOptions::greedy()
-    };
-    let run = |router: &mut Router, from, target| {
-        router
-            .route(topo, from, target, &options)
-            .expect("routable")
-    };
-    for i in 1..=routes as u64 {
-        let (from, target) = pair(i);
-        run(&mut router, from, target);
-    }
-    router.reset_stats();
     let start = Instant::now();
     let (mut hops, mut prefix) = (0usize, 0usize);
     for i in 1..=routes as u64 {
-        let (from, target) = pair(i);
-        run(&mut router, from, target);
+        let from = sources[(i as usize).wrapping_mul(7) % sources.len()];
+        router
+            .route(topo, from, hotspot_target(i), &options)
+            .expect("routable");
         hops += router.hop_count();
         prefix += router.express_prefix();
     }
     let ns = start.elapsed().as_nanos() as f64 / routes as f64;
-    (ns, hops, prefix, router.hit_rate())
+    (ns, hops, prefix)
 }
 
-/// Measures one network size: a shared cold reference pass, then a warm
-/// greedy row and a warm express row.
-fn measure(config: &ExperimentConfig, n: usize, routes: usize) -> [Row; 2] {
+/// Measures one network size: the allocating reference, then the greedy
+/// and express engines on the same query stream.
+fn measure(config: &ExperimentConfig, n: usize, routes: usize) -> Row {
     eprintln!("routing_bench: building {n}-region network...");
     let built = Instant::now();
     let topo = build_network(config, Mode::Basic, n, 0);
@@ -125,63 +105,53 @@ fn measure(config: &ExperimentConfig, n: usize, routes: usize) -> [Row; 2] {
     );
     let sources: Vec<RegionId> = topo.region_ids().collect();
 
-    // Cold: the allocating reference, nothing carried between queries.
     let start = Instant::now();
-    let mut cold_hops = 0usize;
+    let mut reference_hops = 0usize;
     for i in 1..=routes as u64 {
         let from = sources[(i as usize).wrapping_mul(7) % sources.len()];
-        cold_hops += routing::route_uncached(&topo, from, hotspot_target(i))
+        reference_hops += routing::route_uncached(&topo, from, hotspot_target(i))
             .expect("routable")
             .hop_count();
     }
-    let cold_ns = start.elapsed().as_nanos() as f64 / routes as f64;
+    let reference_ns = start.elapsed().as_nanos() as f64 / routes as f64;
 
-    let (greedy_ns, greedy_hops, _, greedy_hits) = warm_pass(&topo, &sources, routes, false);
-    assert_eq!(cold_hops, greedy_hops, "engines must walk identical paths");
-    let (express_ns, express_hops, express_prefix, express_hits) =
-        warm_pass(&topo, &sources, routes, true);
+    let (greedy_ns, greedy_hops, _) = router_pass(&topo, &sources, routes, RouteOptions::greedy());
+    assert_eq!(
+        reference_hops, greedy_hops,
+        "engines must walk identical paths"
+    );
+    let (express_ns, express_hops, express_prefix) =
+        router_pass(&topo, &sources, routes, RouteOptions::express());
     assert!(
-        express_hops <= cold_hops,
-        "express walked {express_hops} total hops vs greedy {cold_hops}"
+        express_hops <= reference_hops,
+        "express walked {express_hops} total hops vs greedy {reference_hops}"
     );
 
-    [
-        Row {
-            regions: n,
-            variant: "greedy",
-            express: false,
-            cold_ns_per_route: cold_ns,
-            warm_ns_per_route: greedy_ns,
-            hops_mean: greedy_hops as f64 / routes as f64,
-            cache_hit_rate: greedy_hits,
-            express_prefix_mean: 0.0,
-        },
-        Row {
-            regions: n,
-            variant: "express",
-            express: true,
-            cold_ns_per_route: cold_ns,
-            warm_ns_per_route: express_ns,
-            hops_mean: express_hops as f64 / routes as f64,
-            cache_hit_rate: express_hits,
-            express_prefix_mean: express_prefix as f64 / routes as f64,
-        },
-    ]
+    Row {
+        regions: n,
+        reference_ns,
+        greedy_ns,
+        express_ns,
+        greedy_hops_mean: greedy_hops as f64 / routes as f64,
+        express_hops_mean: express_hops as f64 / routes as f64,
+        express_prefix_mean: express_prefix as f64 / routes as f64,
+    }
 }
 
-/// Least-squares slope of ln(hops_mean) against ln(regions): the fitted
-/// exponent b of hops ≈ a·N^b. Needs ≥ 2 sizes; NaN otherwise.
-fn scaling_exponent(rows: &[&Row]) -> f64 {
-    let pts: Vec<(f64, f64)> = rows
-        .iter()
-        .map(|r| ((r.regions as f64).ln(), r.hops_mean.ln()))
-        .collect();
+/// Least-squares slope of ln(hops) against ln(regions) over
+/// `(regions, hops_mean)` points: the fitted exponent b of hops ≈ a·N^b.
+/// `null` with fewer than two sizes.
+fn scaling_exponent(points: impl Iterator<Item = (usize, f64)>) -> String {
+    let pts: Vec<(f64, f64)> = points.map(|(n, h)| ((n as f64).ln(), h.ln())).collect();
+    if pts.len() < 2 {
+        return "null".to_string();
+    }
     let k = pts.len() as f64;
     let (sx, sy): (f64, f64) = pts.iter().fold((0.0, 0.0), |(a, b), p| (a + p.0, b + p.1));
     let (sxx, sxy) = pts
         .iter()
         .fold((0.0, 0.0), |(a, b), p| (a + p.0 * p.0, b + p.0 * p.1));
-    (k * sxy - sx * sy) / (k * sxx - sx * sx)
+    format!("{:.4}", (k * sxy - sx * sy) / (k * sxx - sx * sx))
 }
 
 /// Sizes from `GEOGRID_BENCH_SIZES` / numeric CLI args; output path from
@@ -215,63 +185,48 @@ fn parse_config() -> (Vec<usize>, usize, String) {
 fn main() {
     let (sizes, routes, path) = parse_config();
     let config = ExperimentConfig::default();
-    let rows: Vec<Row> = sizes
-        .iter()
-        .flat_map(|&n| measure(&config, n, routes))
-        .collect();
+    let rows: Vec<Row> = sizes.iter().map(|&n| measure(&config, n, routes)).collect();
 
     println!(
-        "{:>8} {:>8} {:>14} {:>14} {:>9} {:>10} {:>11} {:>9}",
+        "{:>8} {:>13} {:>10} {:>11} {:>12} {:>13} {:>11}",
         "regions",
-        "variant",
-        "cold_ns/route",
-        "warm_ns/route",
-        "speedup",
-        "hops_mean",
-        "expr_prefix",
-        "hit_rate"
+        "reference_ns",
+        "greedy_ns",
+        "express_ns",
+        "greedy_hops",
+        "express_hops",
+        "expr_prefix"
     );
     let mut entries = Vec::new();
     for r in &rows {
-        let speedup = r.cold_ns_per_route / r.warm_ns_per_route;
         println!(
-            "{:>8} {:>8} {:>14.0} {:>14.0} {:>8.1}x {:>10.2} {:>11.2} {:>9.3}",
+            "{:>8} {:>13.0} {:>10.0} {:>11.0} {:>12.2} {:>13.2} {:>11.2}",
             r.regions,
-            r.variant,
-            r.cold_ns_per_route,
-            r.warm_ns_per_route,
-            speedup,
-            r.hops_mean,
-            r.express_prefix_mean,
-            r.cache_hit_rate
+            r.reference_ns,
+            r.greedy_ns,
+            r.express_ns,
+            r.greedy_hops_mean,
+            r.express_hops_mean,
+            r.express_prefix_mean
         );
         entries.push(format!(
-            "    {{\n      \"regions\": {},\n      \"variant\": \"{}\",\n      \"express\": {},\n      \"cold_ns_per_route\": {:.1},\n      \"warm_ns_per_route\": {:.1},\n      \"speedup\": {:.2},\n      \"hops_mean\": {:.3},\n      \"express_prefix_mean\": {:.3},\n      \"cache_hit_rate\": {:.4}\n    }}",
+            "    {{\n      \"regions\": {},\n      \"reference_ns\": {:.1},\n      \"greedy_ns\": {:.1},\n      \"express_ns\": {:.1},\n      \"greedy_hops_mean\": {:.3},\n      \"express_hops_mean\": {:.3},\n      \"express_prefix_mean\": {:.3}\n    }}",
             r.regions,
-            r.variant,
-            r.express,
-            r.cold_ns_per_route,
-            r.warm_ns_per_route,
-            speedup,
-            r.hops_mean,
-            r.express_prefix_mean,
-            r.cache_hit_rate
+            r.reference_ns,
+            r.greedy_ns,
+            r.express_ns,
+            r.greedy_hops_mean,
+            r.express_hops_mean,
+            r.express_prefix_mean
         ));
     }
 
-    let fit = |variant: &str| {
-        let picked: Vec<&Row> = rows.iter().filter(|r| r.variant == variant).collect();
-        if picked.len() < 2 {
-            "null".to_string()
-        } else {
-            format!("{:.4}", scaling_exponent(&picked))
-        }
-    };
-    let (greedy_fit, express_fit) = (fit("greedy"), fit("express"));
+    let greedy_fit = scaling_exponent(rows.iter().map(|r| (r.regions, r.greedy_hops_mean)));
+    let express_fit = scaling_exponent(rows.iter().map(|r| (r.regions, r.express_hops_mean)));
     println!("scaling exponent (hops ~ N^b): greedy b={greedy_fit}, express b={express_fit}");
 
     let json = format!(
-        "{{\n  \"bench\": \"routing\",\n  \"command\": \"cargo run --release -p geogrid-bench --bin routing_bench\",\n  \"workload\": \"hot-spot stream: 80% of queries target one of 64 fixed hot points in a 2-mile square, 20% uniform, {routes} routes per size, basic-mode networks; variants: greedy mesh walk vs two-phase express-finger routing\",\n  \"scaling_exponent\": {{\n    \"greedy\": {greedy_fit},\n    \"express\": {express_fit}\n  }},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"routing\",\n  \"command\": \"cargo run --release -p geogrid-bench --bin routing_bench\",\n  \"workload\": \"hot-spot stream: 80% of queries target one of 64 fixed hot points in a 2-mile square, 20% uniform, {routes} routes per size in one timed pass per engine (no warm-up: routing keeps no state between queries), basic-mode networks; reference = route_uncached, greedy = Router mesh walk, express = two-phase express-finger routing; ns are per route\",\n  \"scaling_exponent\": {{\n    \"greedy\": {greedy_fit},\n    \"express\": {express_fit}\n  }},\n  \"results\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")
     );
     std::fs::write(&path, json).expect("write BENCH_routing.json");

@@ -16,7 +16,7 @@
 //!
 //! Each trial pins T reader threads on one shared [`SnapshotCell`]: every
 //! reader holds its own `SnapshotReader` (steady state: one atomic
-//! version load per query) and `Router` (private scratch + caches) and
+//! version load per query) and `Router` (private scratch) and
 //! routes a deterministic hot-spot stream for the whole window, while the
 //! writer splits and merges regions at a fixed pace so snapshots actually
 //! change hands mid-trial. Every 512th query is verified hop-for-hop
@@ -57,11 +57,9 @@ const PARITY_EVERY: u64 = 512;
 
 /// Pause between writer mutations: churn at a realistic overlay pace
 /// (~6 splits+merges/sec — node arrivals/departures, not a routing-rate
-/// event) instead of saturating the core the readers need. Every publish
-/// invalidates each reader's epoch-keyed route cache, so the churn rate
-/// directly sets how often T threads pay T re-warms; pathological churn
-/// is the stress test's job (`concurrent_routing.rs`), while this bench
-/// measures the steady lock-free read path with live invalidation.
+/// event) instead of saturating the core the readers need. Pathological
+/// churn is the stress test's job (`concurrent_routing.rs`); this bench
+/// measures the steady lock-free read path while snapshots change hands.
 const WRITER_PACE: Duration = Duration::from_millis(160);
 
 /// Deterministic per-thread query stream (Weyl sequence): 80% of queries
@@ -313,7 +311,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"routing_mt\",\n  \"command\": \"cargo run --release -p geogrid-bench --bin routing_mt_bench\",\n  \"workload\": \"{regions}-region basic network; T reader threads route the hot-spot stream lock-free on epoch-published snapshots (every {PARITY_EVERY}th query verified hop-for-hop vs route_uncached on the same snapshot) while one writer splits/merges at ~25 ops/sec\",\n  \"host_cores\": {host_cores},\n  \"note\": \"speedup is raw routes/sec vs the 1-thread trial; efficiency_vs_ideal divides speedup by min(threads, host_cores) — the attainable ideal on this host\",\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"routing_mt\",\n  \"command\": \"cargo run --release -p geogrid-bench --bin routing_mt_bench\",\n  \"workload\": \"{regions}-region basic network; T reader threads route the hot-spot stream lock-free on epoch-published snapshots (every {PARITY_EVERY}th query verified hop-for-hop vs route_uncached on the same snapshot) while one writer splits/merges at ~6 ops/sec\",\n  \"host_cores\": {host_cores},\n  \"note\": \"speedup is raw routes/sec vs the 1-thread trial; efficiency_vs_ideal divides speedup by min(threads, host_cores) — the attainable ideal on this host\",\n  \"results\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")
     );
     std::fs::write(&path, json).expect("write BENCH_routing_mt.json");

@@ -18,7 +18,7 @@
 //! rule as `geogrid_core::routing` (each node scans its own neighbor
 //! table with precomputed distance keys); fail-over promotions are
 //! ownership changes only, which at the topology level leave the routing
-//! epoch — and therefore any warmed route caches — intact.
+//! epoch intact.
 
 use geogrid_core::engine::sim::SimHarness;
 use geogrid_core::engine::{ClientEvent, EngineConfig, EngineMode, Input};

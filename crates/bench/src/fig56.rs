@@ -9,8 +9,7 @@
 //!
 //! The thousands of routed join requests each trial's [`build_network`]
 //! issues go through the builder's reusable `RouteScratch`
-//! (`geogrid_core::routing`): no per-join allocation, and next hops come
-//! from the epoch-validated route cache.
+//! (`geogrid_core::routing`): no per-join allocation.
 
 use geogrid_core::builder::Mode;
 use geogrid_core::load::LoadMap;

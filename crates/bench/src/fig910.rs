@@ -7,9 +7,8 @@
 //!
 //! Each trial's [`build_network`] routes every join through the
 //! builder's reusable `RouteScratch` (`geogrid_core::routing`); the
-//! per-operation adaptation loop then mutates geometry freely — each
-//! split/merge bumps the topology epoch, so any cached next hops are
-//! dropped rather than served stale.
+//! per-operation adaptation loop then mutates geometry freely — routing
+//! keeps no state between queries, so nothing can be served stale.
 
 use geogrid_core::balance::{AdaptationEngine, BalanceConfig};
 use geogrid_core::builder::Mode;

@@ -38,7 +38,7 @@ pub fn run_population(config: &ExperimentConfig, nodes: usize) -> HopRow {
     let mut rng = config.rng(22, nodes as u64);
     let pairs = sample_routing_pairs(&topo, &mut rng, SAMPLES);
     // One router for the whole sweep: the 1,000 sampled routes share
-    // buffers and the epoch-validated next-hop cache.
+    // its stamp and hop buffers.
     let mut router = Router::new();
     let hops = Summary::from_values(pairs.iter().map(|(from, target)| {
         router

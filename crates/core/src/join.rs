@@ -134,8 +134,7 @@ pub fn join_basic(
 }
 
 /// [`join_basic`] with a caller-provided routing scratch: repeated joins
-/// (network builds) reuse its buffers and next-hop cache instead of
-/// allocating per join.
+/// (network builds) reuse its buffers instead of allocating per join.
 ///
 /// # Errors
 ///

@@ -103,9 +103,8 @@ impl LoadMap {
         let ids: Vec<RegionId> = topo.region_ids().collect();
         let mut generator = QueryGenerator::new(topo.space()).hotspot_bias(bias);
         let per_query = 1.0 / samples as f64;
-        // One scratch for the whole sample batch: hot-spot-biased targets
-        // hit the next-hop cache heavily, and no per-query buffers are
-        // allocated.
+        // One scratch for the whole sample batch: no per-query buffers
+        // are allocated.
         let mut scratch = routing::RouteScratch::new();
         for _ in 0..samples {
             let q = generator.generate(rng, field);

@@ -59,9 +59,8 @@ pub trait TopologyView {
 
     /// Process-unique identity of the underlying topology instance (see
     /// [`Topology::instance_id`](crate::Topology::instance_id)). A
-    /// snapshot inherits its source's id, so route caches keyed by
-    /// `(instance_id, epoch)` stay warm across republications of the
-    /// same unchanged geometry and flush on any real change.
+    /// snapshot inherits its source's id, so `(instance_id, epoch)`
+    /// names one immutable geometry.
     fn instance_id(&self) -> u64;
 
     /// The geometry epoch this view describes (see
@@ -93,15 +92,6 @@ pub trait TopologyView {
     /// The smallest finger distance scale (see
     /// [`Topology::finger_base`](crate::Topology::finger_base)).
     fn finger_base(&self) -> f64;
-
-    /// Row-major grid-index cell containing `p` (0 when uninitialised).
-    fn grid_cell_of(&self, p: Point) -> u32;
-
-    /// Number of grid-index cells (0 until initialised).
-    fn grid_cell_count(&self) -> usize;
-
-    /// Closed rectangle of grid cell `cell`; `None` until initialised.
-    fn grid_cell_rect(&self, cell: u32) -> Option<Region>;
 
     /// The region covering `p`, via the spatial index.
     ///
@@ -267,37 +257,12 @@ impl TopologyView for TopologySnapshot {
         self.finger_base
     }
 
-    #[inline]
-    fn grid_cell_of(&self, p: Point) -> u32 {
-        if self.cell_off.len() <= 1 {
-            return 0;
-        }
-        (self.row(p.y) * GRID_DIM + self.col(p.x)) as u32
-    }
-
-    fn grid_cell_count(&self) -> usize {
-        self.cell_off.len().saturating_sub(1)
-    }
-
-    fn grid_cell_rect(&self, cell: u32) -> Option<Region> {
-        if self.cell_off.len() <= 1 {
-            return None;
-        }
-        let (row, col) = (cell as usize / GRID_DIM, cell as usize % GRID_DIM);
-        Some(Region::new(
-            self.grid_origin_x + col as f64 * self.grid_cell_w,
-            self.grid_origin_y + row as f64 * self.grid_cell_h,
-            self.grid_cell_w,
-            self.grid_cell_h,
-        ))
-    }
-
     fn locate(&self, p: Point) -> Result<RegionId, CoreError> {
         if !self.space.covers(p) {
             return Err(CoreError::OutOfSpace { x: p.x, y: p.y });
         }
         if self.cell_off.len() > 1 {
-            let cell = self.grid_cell_of(p) as usize;
+            let cell = self.row(p.y) * GRID_DIM + self.col(p.x);
             let lo = self.cell_off[cell] as usize;
             let hi = self.cell_off[cell + 1] as usize;
             for &rid in &self.cell_ids[lo..hi] {

@@ -144,21 +144,6 @@ impl GridIndex {
         (((y - self.origin_y) / self.cell_h) as usize).min(GRID_DIM - 1)
     }
 
-    /// Closed rectangle of cell `i` (row-major, as numbered by
-    /// [`Self::cell_of`]). Every point mapping into the cell lies within
-    /// this rectangle (boundary points map to an adjacent cell whose
-    /// rectangle also touches them), which is what lets the routing
-    /// cache bound neighbor distances over a whole destination cell.
-    fn cell_rect(&self, i: usize) -> Region {
-        let (row, col) = (i / GRID_DIM, i % GRID_DIM);
-        Region::new(
-            self.origin_x + col as f64 * self.cell_w,
-            self.origin_y + row as f64 * self.cell_h,
-            self.cell_w,
-            self.cell_h,
-        )
-    }
-
     /// Inclusive `(col_lo, col_hi, row_lo, row_hi)` span of the closed
     /// rectangle of `r`.
     fn span(&self, r: &Region) -> (usize, usize, usize, usize) {
@@ -267,9 +252,8 @@ fn unpack_finger_ref(packed: u64) -> (u32, usize) {
 }
 
 /// Source of unique [`Topology::instance_id`] values. Every constructed or
-/// cloned topology gets a fresh id so route caches keyed by
-/// `(instance_id, epoch)` can never confuse two instances whose epoch
-/// counters happen to coincide.
+/// cloned topology gets a fresh id so `(instance_id, epoch)` can never
+/// confuse two instances whose epoch counters happen to coincide.
 static NEXT_TOPOLOGY_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 fn next_topology_id() -> u64 {
@@ -340,8 +324,8 @@ pub(crate) struct SlotGeo {
 }
 
 // Hand-written (not derived) so every clone gets a fresh `id`: a clone
-// starts diverging from the original immediately, and route caches keyed
-// by `(instance_id, epoch)` must not treat the two as interchangeable.
+// starts diverging from the original immediately, so `(instance_id,
+// epoch)` must not name both.
 impl Clone for Topology {
     fn clone(&self) -> Self {
         Self {
@@ -472,8 +456,8 @@ impl Topology {
     /// the grid index — [`Self::bootstrap`], [`Self::split_region`] and
     /// [`Self::merge_regions`]. Ownership operations (secondary placement,
     /// primary swaps, fail-over promotion, node removal) move nodes, not
-    /// rectangles, and leave the epoch alone — so routing caches keyed by
-    /// `(instance_id, epoch)` stay warm across them.
+    /// rectangles, and leave the epoch alone — so they never force a
+    /// snapshot republication.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -525,32 +509,6 @@ impl Topology {
     pub fn finger_base(&self) -> f64 {
         let b = self.space().bounds();
         b.width().max(b.height()) / 1024.0
-    }
-
-    /// Row-major index (in `[0, 128²)`) of the spatial-index cell
-    /// containing `p` — the destination key of the per-source route cache.
-    /// Returns 0 when the topology has no space yet.
-    #[inline]
-    #[hot_path]
-    pub fn grid_cell_of(&self, p: Point) -> u32 {
-        if self.grid.cells.is_empty() {
-            return 0;
-        }
-        self.grid.cell_of(p) as u32
-    }
-
-    /// Number of grid-index cells (0 until the grid is initialised).
-    pub fn grid_cell_count(&self) -> usize {
-        self.grid.cells.len()
-    }
-
-    /// Closed rectangle of grid cell `cell` (as numbered by
-    /// [`Self::grid_cell_of`]); `None` until the grid is initialised.
-    pub fn grid_cell_rect(&self, cell: u32) -> Option<Region> {
-        if self.grid.cells.is_empty() {
-            return None;
-        }
-        Some(self.grid.cell_rect(cell as usize))
     }
 
     /// Number of registered nodes (assigned or not).
@@ -735,7 +693,7 @@ impl Topology {
             };
 
         let old_neighbors = self.entry(rid)?.neighbors.clone();
-        // Geometry changes from here on: invalidate epoch-keyed caches.
+        // Geometry changes from here on.
         self.bump_epoch();
         // Rewrite the kept slot (and its grid cells: the kept half covers a
         // subset of the old rectangle's cells).
@@ -837,7 +795,7 @@ impl Topology {
             }
         }
 
-        // Geometry changes from here on: invalidate epoch-keyed caches.
+        // Geometry changes from here on.
         self.bump_epoch();
         // Displace all owners, then install the named ones.
         let mut displaced = Vec::new();
@@ -1882,19 +1840,6 @@ impl TopologyView for Topology {
     #[inline]
     fn finger_base(&self) -> f64 {
         Topology::finger_base(self)
-    }
-
-    #[inline]
-    fn grid_cell_of(&self, p: Point) -> u32 {
-        Topology::grid_cell_of(self, p)
-    }
-
-    fn grid_cell_count(&self) -> usize {
-        Topology::grid_cell_count(self)
-    }
-
-    fn grid_cell_rect(&self, cell: u32) -> Option<Region> {
-        Topology::grid_cell_rect(self, cell)
     }
 
     fn locate(&self, p: Point) -> Result<RegionId, CoreError> {

@@ -3,7 +3,7 @@
 //! live [`Topology`] with splits and merges.
 //!
 //! Each reader holds its own [`SnapshotReader`] (steady state: one atomic
-//! load per query) and [`Router`] (per-thread scratch + caches), and on
+//! load per query) and [`Router`] (per-thread scratch), and on
 //! every iteration checks the two properties the RCU design promises:
 //!
 //! 1. **Epoch coherence** — the snapshots a reader observes come from the
@@ -44,7 +44,7 @@ fn grow(t: &mut Topology, at: Point) {
 }
 
 /// Merges the region covering `at` with its first rectangle-compatible
-/// neighbor, if any (same driver as the route-cache property test).
+/// neighbor, if any (same driver as the route-parity property test).
 fn shrink(t: &mut Topology, at: Point) {
     let Ok(rid) = t.locate_scan(at) else { return };
     let entry = t.region(rid).expect("live");

@@ -1,15 +1,16 @@
-//! Property test for the cached routing engine: after every structural
-//! mutation in an arbitrary sequence — splits, merges, secondary
+//! Property test for the zero-allocation routing engine: after every
+//! structural mutation in an arbitrary sequence — splits, merges, secondary
 //! placement/removal, role swaps, primary departures with fail-over or
 //! orphan repair — a greedy [`Router::route`] through one long-lived
 //! [`Router`] must be hop-for-hop identical to the uncached reference
 //! [`routing::route_uncached`].
 //!
 //! The router (and the scratch it owns) is deliberately *not* reset
-//! between mutations: its next-hop cache carries entries from every
-//! earlier geometry epoch, and the queries repeatedly target one hot
-//! point so those entries are actually consulted. Any stale entry that
-//! leaked across an epoch bump (or a missing bump at a mutation site)
+//! between mutations: its visited stamps and hop buffers carry over
+//! from every earlier geometry epoch (slots are recycled by merges and
+//! re-filled by splits), and the queries repeatedly target one hot
+//! point. Routing must be a pure function of `(view, region, target)`:
+//! any state leaking from one query or one geometry into the next
 //! shows up as a diverging path.
 //!
 //! Every query additionally runs through the two-phase express engine
@@ -78,7 +79,7 @@ fn apply_op(t: &mut Topology, op: u8, x: f64, y: f64) {
             }
         },
         // Within-region role swap, or a primary swap with a neighbor
-        // (ownership handoffs: must NOT invalidate the route cache).
+        // (ownership handoffs: geometry, and so routing, is untouched).
         5 => {
             if secondary.is_some() {
                 t.swap_roles(rid).expect("region was full");
@@ -121,16 +122,16 @@ fn divergence(t: &Topology, router: &mut Router, from: RegionId, target: Point) 
     let reference = routing::route_uncached(t, from, target).expect("reference route");
     let executor = router
         .route(t, from, target, &RouteOptions::greedy())
-        .expect("cached route");
+        .expect("router route");
     if executor != reference.executor {
         return Some(format!(
-            "executor diverged: cached {executor} vs reference {} ({from} -> {target:?})",
+            "executor diverged: router {executor} vs reference {} ({from} -> {target:?})",
             reference.executor
         ));
     }
     if router.hops() != &reference.hops[..] {
         return Some(format!(
-            "hops diverged: cached {:?} vs reference {:?} ({from} -> {target:?})",
+            "hops diverged: router {:?} vs reference {:?} ({from} -> {target:?})",
             router.hops(),
             reference.hops
         ));
@@ -184,24 +185,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn cached_routing_never_diverges_from_uncached_reference(
+    fn router_never_diverges_from_uncached_reference(
         ops in prop::collection::vec((any::<u8>(), 0.0..=64.0, 0.0..=64.0), 1..40),
         (hx, hy) in (0.0..=64.0, 0.0..=64.0),
     ) {
         let mut t = Topology::new(space());
         let n0 = t.register_node(Point::new(1.0, 1.0), 10.0);
         t.bootstrap(n0).expect("fresh network");
-        // The hot destination every interleaved query batch targets: its
-        // cache entries are re-consulted across every geometry epoch.
+        // The hot destination every interleaved query batch targets,
+        // across every geometry epoch.
         let hot = probe(hx, hy);
         let mut router = Router::new();
         for &(op, x, y) in &ops {
             apply_op(&mut t, op, x, y);
             let from_a = t.first_region().expect("non-empty");
             let from_b = t.locate_scan(probe(x, y)).expect("in space");
-            // Twice toward the hot point from the same source: the second
-            // query must hit the cache warmed by the first, then queries
-            // from/to the mutation site stress the just-changed geometry.
+            // Twice toward the hot point from the same source (a repeat
+            // must answer the same), then queries from/to the mutation
+            // site stress the just-changed geometry.
             for (from, target) in [
                 (from_a, hot),
                 (from_a, hot),
@@ -212,10 +213,9 @@ proptest! {
                 if let Some(d) = divergence(&t, &mut router, from, target) {
                     prop_assert!(false, "after op {} at ({}, {}): {}", op, x, y, d);
                 }
-                // The express engine shares the router's scratch (and its
-                // cached express slabs) with the greedy queries above, so
-                // every mutation's finger rewiring is exercised while
-                // stale express entries from earlier epochs are resident.
+                // The express engine shares the router's scratch with
+                // the greedy queries above, so every mutation's finger
+                // rewiring is exercised between greedy walks.
                 if let Some(d) = express_divergence(&t, &mut router, from, target) {
                     prop_assert!(false, "after op {} at ({}, {}): {}", op, x, y, d);
                 }

@@ -52,7 +52,7 @@ fn visited_stamps_survive_generation_wraparound() {
         if q % 2 == 0 {
             let executor = router
                 .route(&t, from, target, &RouteOptions::greedy())
-                .expect("cached");
+                .expect("greedy");
             assert_eq!(executor, reference.executor, "query {q}");
             assert_eq!(router.hops(), &reference.hops[..], "query {q}");
         } else {

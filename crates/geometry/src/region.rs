@@ -276,19 +276,6 @@ impl Region {
     pub fn distance_to_point(&self, p: Point) -> f64 {
         self.closest_point_to(p).distance(p)
     }
-
-    /// Smallest Euclidean distance between any point of `self` and any
-    /// point of `other` (0 when they intersect or touch). This is the
-    /// lower bound of `self.distance_to_point(p)` over all `p` in
-    /// `other` — the routing cache uses it to prove a neighbor can never
-    /// be the greedy choice for any target inside a destination cell.
-    pub fn distance_to_region(&self, other: &Region) -> f64 {
-        let dx = (other.x - self.east()).max(self.x - other.east()).max(0.0);
-        let dy = (other.y - self.north())
-            .max(self.y - other.north())
-            .max(0.0);
-        (dx * dx + dy * dy).sqrt()
-    }
 }
 
 impl fmt::Display for Region {
@@ -411,28 +398,6 @@ mod tests {
         assert!((r.distance_to_point(Point::new(2.0, 0.5)) - 1.0).abs() < 1e-12);
         // Diagonal case.
         assert!((r.distance_to_point(Point::new(4.0, 5.0)) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn region_distance_is_the_infimum_over_the_other_rect() {
-        let a = Region::new(0.0, 0.0, 1.0, 1.0);
-        // Overlapping and touching rectangles are at distance zero.
-        assert_eq!(a.distance_to_region(&Region::new(0.5, 0.5, 2.0, 2.0)), 0.0);
-        assert_eq!(a.distance_to_region(&Region::new(1.0, 0.0, 1.0, 1.0)), 0.0);
-        // Axis-aligned gap.
-        assert!((a.distance_to_region(&Region::new(3.0, 0.0, 1.0, 1.0)) - 2.0).abs() < 1e-12);
-        // Diagonal gap: closest corners are (1,1) and (4,5).
-        let far = Region::new(4.0, 5.0, 1.0, 1.0);
-        assert!((a.distance_to_region(&far) - 5.0).abs() < 1e-12);
-        assert!((far.distance_to_region(&a) - 5.0).abs() < 1e-12);
-        // Never exceeds the point distance for any point of `other`.
-        for p in [
-            Point::new(4.0, 5.0),
-            Point::new(4.5, 5.5),
-            Point::new(5.0, 6.0),
-        ] {
-            assert!(a.distance_to_region(&far) <= a.distance_to_point(p) + 1e-12);
-        }
     }
 
     #[test]

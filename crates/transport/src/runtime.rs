@@ -15,7 +15,7 @@
 //! drops the message, which the protocol already tolerates (heartbeats
 //! re-announce state).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -356,8 +356,18 @@ impl Actor {
     }
 
     async fn apply(&mut self, effects: Vec<Effect>) {
-        for effect in effects {
+        let me = self.engine.info().id();
+        let mut queue = VecDeque::from(effects);
+        while let Some(effect) = queue.pop_front() {
             match effect {
+                // A message to ourselves (e.g. our own partial of a fanned
+                // out query) never touches the network: `learn` keeps our
+                // id out of the address book, so it would park forever.
+                Effect::Send { to, message } if to == me => {
+                    let now = self.now();
+                    let input = Input::Message { from: me, message };
+                    queue.extend(self.engine.handle(now, input));
+                }
                 Effect::Send { to, message } => {
                     if self.book.contains_key(&to) {
                         self.transmit(to, message).await;

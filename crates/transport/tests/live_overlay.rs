@@ -101,6 +101,81 @@ async fn four_node_overlay_forms_and_serves_queries() {
     }
 }
 
+/// A client whose own region overlaps the query range without covering
+/// its centre is one of the fan-out targets: its partial result is a
+/// message to itself, which must be delivered like any other.
+#[tokio::test]
+async fn client_receives_its_own_fanout_partial() {
+    let space = Space::paper_evaluation();
+    let mut handles = Vec::new();
+    for (i, c) in [Point::new(10.0, 10.0), Point::new(50.0, 10.0)]
+        .into_iter()
+        .enumerate()
+    {
+        let h = NodeRuntime::start(
+            NodeId::new(i as u64),
+            c,
+            10.0,
+            space,
+            config(EngineMode::Basic),
+        )
+        .await
+        .expect("start node");
+        handles.push(h);
+    }
+    handles[0].bootstrap().await;
+    settle().await;
+    handles[1]
+        .join(handles[0].info().id(), handles[0].local_addr())
+        .await;
+    settle().await;
+    let executor_region = handles[0].owner_view().await.expect("owner view").region;
+    let client_region = handles[1].owner_view().await.expect("owner view").region;
+
+    // The record sits just inside the client's region; the query is
+    // centred just across the shared edge, in the other node's region.
+    let edge = client_region.closest_point_to(executor_region.center());
+    let inward = client_region.center();
+    let spot = Point::new(
+        edge.x + 0.5 * (inward.x - edge.x).signum(),
+        edge.y + 0.5 * (inward.y - edge.y).signum(),
+    );
+    let centre = Point::new(2.0 * edge.x - spot.x, 2.0 * edge.y - spot.y);
+    assert!(client_region.contains(spot) && !client_region.contains_closed(centre));
+    assert!(executor_region.contains(centre));
+
+    let client = &mut handles[1];
+    client
+        .publish(LocationRecord::new(7, "traffic", spot, b"jam".to_vec()))
+        .await;
+    settle().await;
+    client
+        .query(LocationQuery::new(
+            Region::new(centre.x - 2.0, centre.y - 2.0, 4.0, 4.0),
+            client.info().id(),
+        ))
+        .await;
+    let mut found = false;
+    while let Some(event) = client
+        .next_event_timeout(Duration::from_millis(1_000))
+        .await
+    {
+        if let ClientEvent::QueryResults { records, .. } = event {
+            if records.iter().any(|r| r.id() == 7) {
+                found = true;
+                break;
+            }
+        }
+    }
+    assert!(
+        found,
+        "the client never received the record it holds itself"
+    );
+    for h in &handles {
+        h.shutdown().await;
+    }
+}
+
 #[tokio::test]
 async fn dual_peer_overlay_pairs_and_fails_over() {
     let space = Space::paper_evaluation();

@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Route a few location queries and observe the O(2*sqrt(N)) hops.
-    //    One Router carries the next-hop cache across all three queries.
+    //    One Router recycles its buffers across all three queries.
     let entry = topo.first_region()?;
     let mut router = Router::new();
     for target in [
