@@ -20,12 +20,10 @@
 //! | [`ablation`] | design-choice ablations (trigger, TTL, α, variants) |
 //! | [`failover`] | §2.3 claim — dual peer's fault resilience, quantified |
 //!
-//! Two further binaries support protocol work: `simulate` runs a full
+//! One further binary supports protocol work: `simulate` runs a full
 //! message-level deployment (joins, heartbeats, adaptation, optional
 //! crash storm) and reports traffic statistics, coverage, and any
-//! ownership forks; `debug_validate` and `debug_fork` are maintenance
-//! diagnostics that sweep builder validity and hunt the first ownership
-//! fork under load.
+//! ownership forks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

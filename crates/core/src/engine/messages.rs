@@ -4,6 +4,11 @@
 //! routing-table maintenance) from application messages (queries,
 //! publications, notifications) — both appear here; the application ones
 //! carry the geographic coordinates GeoGrid routing requires.
+//!
+//! Four kinds are routed hop by hop toward a coordinate and carry a hop
+//! count: [`Message::JoinRequest`], [`Message::Query`],
+//! [`Message::Publish`] and [`Message::Subscribe`]. Ownership of a region
+//! changes hands through exactly one kind, [`Message::Install`].
 
 use geogrid_geometry::Region;
 
@@ -49,36 +54,25 @@ pub enum Message {
         /// The joining node.
         joiner: NodeInfo,
     },
-    /// "You now own this region" — sent to a joiner after a split, with
-    /// the neighbor list and the partition of the store.
-    JoinSplit {
-        /// The joiner's new region.
+    /// The one ownership hand-off (§2.3): "you now own `region`, with
+    /// these owners, neighbors and data". Sent to a joiner given half of a
+    /// split or the free seat of a half-full region, to a secondary given
+    /// the other half of its region's split or the whole of it when its
+    /// primary departs, to a stolen secondary made primary of an
+    /// overloaded region (§2.4 (a)/(e)), and by a freshly seated primary
+    /// to the secondary it inherited. The receiver takes whichever seat
+    /// names it.
+    Install {
+        /// The region to own.
         region: Region,
-        /// Neighbor entries relevant to that region.
-        neighbors: Vec<NeighborInfo>,
-        /// Records/subscriptions belonging to the region.
-        store: Box<RegionStore>,
-    },
-    /// "You are now the secondary owner of my region."
-    JoinAsSecondary {
-        /// The shared region.
-        region: Region,
-        /// The primary owner (the sender).
+        /// The region's primary owner.
         primary: NodeInfo,
-        /// Replica of the primary's store.
-        store: Box<RegionStore>,
-        /// The primary's neighbor table, replicated so a promoted
-        /// secondary can take over routing immediately.
+        /// The region's secondary owner, if it is full.
+        secondary: Option<NodeInfo>,
+        /// Neighbor entries for the region — replicated to a secondary so
+        /// that, once promoted, it can take over routing immediately.
         neighbors: Vec<NeighborInfo>,
-    },
-    /// Split hand-off to the region's own secondary: it becomes the
-    /// primary of the other half.
-    SplitTakeover {
-        /// The half the secondary now owns.
-        region: Region,
-        /// Neighbor entries relevant to that half.
-        neighbors: Vec<NeighborInfo>,
-        /// The store partition for that half.
+        /// The region's records and subscriptions (a secondary's replica).
         store: Box<RegionStore>,
     },
     /// Routing-table maintenance: upsert this region entry (keyed by
@@ -165,7 +159,7 @@ pub enum Message {
     /// The donor grants the steal: it has detached its secondary.
     StealSecondaryGrant {
         /// The detached node (the requester must now hand its region's
-        /// primaryship to it).
+        /// primaryship to it with [`Message::Install`]).
         secondary: NodeInfo,
         /// The donor's region (for `swap = true`, the requester becomes
         /// this region's secondary).
@@ -191,8 +185,9 @@ pub enum Message {
     },
     /// From a primary to its secondary: "you have been granted away to an
     /// overloaded region; stop considering yourself my secondary and wait
-    /// for the hand-off." Without this, the detached secondary would time
-    /// out its silent ex-primary and promote itself — forking ownership.
+    /// for the [`Message::Install`]." Without this, the detached secondary
+    /// would time out its silent ex-primary and promote itself — forking
+    /// ownership.
     Detached,
     /// Coverage ring-check: "does anyone know a live owner of this
     /// region?" Sent to all neighbors before a silent region is absorbed,
@@ -209,19 +204,6 @@ pub enum Message {
         /// The known owner entry.
         info: NeighborInfo,
     },
-    /// Hand-off of a region's primaryship to a (just stolen) node: the
-    /// receiver becomes the primary of `region`.
-    TakeOverRegion {
-        /// The region to own.
-        region: Region,
-        /// The region's store.
-        store: Box<RegionStore>,
-        /// The region's neighbor table.
-        neighbors: Vec<NeighborInfo>,
-        /// The new secondary serving under the receiver, if any (for
-        /// mechanism (a), the retiring requester).
-        new_secondary: Option<NodeInfo>,
-    },
     /// Primary → secondary state replication.
     SyncState {
         /// Full store snapshot.
@@ -237,9 +219,7 @@ impl Message {
         match self {
             Message::JoinRequest { .. } => "join_request",
             Message::JoinDirected { .. } => "join_directed",
-            Message::JoinSplit { .. } => "join_split",
-            Message::JoinAsSecondary { .. } => "join_as_secondary",
-            Message::SplitTakeover { .. } => "split_takeover",
+            Message::Install { .. } => "install",
             Message::NeighborUpdate { .. } => "neighbor_update",
             Message::Query { .. } => "query",
             Message::QueryReply { .. } => "query_reply",
@@ -251,7 +231,6 @@ impl Message {
             Message::StealSecondaryRequest { .. } => "steal_secondary_request",
             Message::StealSecondaryGrant { .. } => "steal_secondary_grant",
             Message::StealSecondaryDeny => "steal_secondary_deny",
-            Message::TakeOverRegion { .. } => "take_over_region",
             Message::LeaveNotice => "leave_notice",
             Message::MergeRegions { .. } => "merge_regions",
             Message::Detached => "detached",

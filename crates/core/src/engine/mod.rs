@@ -13,6 +13,16 @@
 //! region split, dual-peer placement, greedy query routing with fan-out,
 //! publish/subscribe delivery, primary→secondary replication, heartbeats,
 //! and fail-over promotion.
+//!
+//! It has one of each moving part. Every routed request — join, query,
+//! publication, subscription — takes the same forwarding step, which
+//! picks the next hop with the central model's `(rectangle distance,
+//! center distance, id)` key. Every region split, Basic or dual-peer, is
+//! the same split. Every ownership change is one message,
+//! [`Message::Install`], seated by one handler that holds the fork-free
+//! hand-off rules (DESIGN.md §3). Each owner keeps one neighbor table,
+//! whose rows carry the entry, when it was last heard from, and its last
+//! reported workload index.
 
 pub mod messages;
 mod node;

@@ -7,6 +7,18 @@ use crate::service::{LocationQuery, LocationRecord, RegionStore, Subscription};
 use crate::topology::Role;
 use crate::{NodeId, NodeInfo};
 
+/// Ticks per workload-statistics window: the served-request count is
+/// folded into the node's workload index at this cadence, and the
+/// adaptation trigger is evaluated.
+const STATS_WINDOW_TICKS: u64 = 5;
+
+/// Adaptation trigger: adapt when own index exceeds this multiple of the
+/// lowest neighbor index (√2 in the paper).
+const TRIGGER_RATIO: f64 = std::f64::consts::SQRT_2;
+
+/// Hop budget for greedy forwarding and fan-out floods (loop guard).
+const MAX_HOPS: u32 = 256;
+
 /// Which join protocol the engine speaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
@@ -31,19 +43,10 @@ pub struct EngineConfig {
     /// A neighbor primary silent for this long is dropped from the
     /// routing table.
     pub neighbor_timeout: u64,
-    /// Hop budget for greedy forwarding (loop guard).
-    pub max_hops: u32,
     /// Whether the engine runs the message-level load-balance adaptation
     /// (mechanisms (a)/(e) of §2.4; the remote and merge/split mechanisms
     /// are exercised through the topology model).
     pub balance_enabled: bool,
-    /// Ticks per workload-statistics window: the served-query count is
-    /// folded into the node's workload index at this cadence, and the
-    /// adaptation trigger is evaluated.
-    pub stats_window_ticks: u64,
-    /// Adaptation trigger: adapt when own index exceeds this multiple of
-    /// the lowest neighbor index (√2 in the paper).
-    pub trigger_ratio: f64,
 }
 
 impl Default for EngineConfig {
@@ -53,10 +56,7 @@ impl Default for EngineConfig {
             heartbeat_interval: 100,
             peer_timeout: 350,
             neighbor_timeout: 1_000,
-            max_hops: 256,
             balance_enabled: true,
-            stats_window_ticks: 5,
-            trigger_ratio: std::f64::consts::SQRT_2,
         }
     }
 }
@@ -184,9 +184,32 @@ enum State {
     Idle,
     Joining,
     // Boxed: Owner is two orders of magnitude larger than the other
-    // variants (store, neighbor tables), and engines move between states
+    // variants (store, neighbor table), and engines move between states
     // rarely.
     Owner(Box<Owner>),
+}
+
+/// One row of an owner's neighbor table.
+#[derive(Debug, Clone, PartialEq)]
+struct Neighbor {
+    info: NeighborInfo,
+    /// Tick at which the entry was last refreshed; silence is measured
+    /// from here.
+    last_seen: u64,
+    /// Workload index from its primary's latest heartbeat, once one came.
+    index: Option<f64>,
+}
+
+impl Neighbor {
+    /// A freshly received entry: it counts as heard from at `now`, with no
+    /// workload index reported yet.
+    fn new(info: NeighborInfo, now: u64) -> Self {
+        Self {
+            info,
+            last_seen: now,
+            index: None,
+        }
+    }
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -194,16 +217,13 @@ struct Owner {
     region: Region,
     role: Role,
     peer: Option<NodeInfo>,
-    neighbors: Vec<NeighborInfo>,
+    neighbors: Vec<Neighbor>,
     store: RegionStore,
     last_peer_seen: u64,
-    last_neighbor_seen: Vec<(NodeId, u64)>,
     /// Queries/publications served since the last statistics window.
     served: f64,
     /// Workload index measured over the last window (served / capacity).
     my_index: f64,
-    /// Latest workload indexes reported by neighbor primaries.
-    neighbor_indexes: Vec<(NodeId, f64)>,
     /// An adaptation request is outstanding (avoid concurrent attempts).
     steal_in_flight: bool,
     /// Ticks seen (drives the statistics window).
@@ -226,6 +246,37 @@ impl From<Owner> for State {
     }
 }
 
+/// Outcome of the forwarding step for one routed request.
+enum Route {
+    /// Our region covers the target: the request is executed here.
+    Execute,
+    /// Not ours: pass it on to this node with this hop count — or drop it
+    /// when there is none (hop budget spent, or no neighbor known).
+    Forward(Option<(NodeId, u32)>),
+}
+
+/// The effects of [`Route::Forward`]: the request re-wrapped with its new
+/// hop count and sent to the next node, or nothing.
+fn forward(next: Option<(NodeId, u32)>, wrap: impl FnOnce(u32) -> Message) -> Vec<Effect> {
+    match next {
+        Some((to, hops)) => vec![Effect::Send {
+            to,
+            message: wrap(hops),
+        }],
+        None => Vec::new(),
+    }
+}
+
+/// Whether the owner of `mine` absorbs the silent region `gone`: only as
+/// its congruent *west* sibling. Merge compatibility already forces equal
+/// y/height for a west-east pair, and at most one region can sit flush to
+/// the dead region's west edge with its exact extent — so the claimant is
+/// globally unique without coordination. (A south sibling could also
+/// merge; letting both claim could overlap, so it does not.)
+fn claims_as_west_sibling(mine: &Region, gone: &Region) -> bool {
+    gone.merge(mine).is_some() && (mine.y() - gone.y()).abs() < 1e-9 && mine.x() < gone.x()
+}
+
 impl Owner {
     fn new(
         node: NodeId,
@@ -240,18 +291,15 @@ impl Owner {
         // published here must carry this owner's id so hand-off
         // last-write-wins is totally ordered across owners.
         store.set_node(node.as_u64());
-        let last_neighbor_seen = neighbors.iter().map(|n| (n.primary.id(), now)).collect();
         Self {
             region,
             role,
             peer,
-            neighbors,
+            neighbors: Self::table(neighbors, now),
             store,
             last_peer_seen: now,
-            last_neighbor_seen,
             served: 0.0,
             my_index: 0.0,
-            neighbor_indexes: Vec::new(),
             steal_in_flight: false,
             ticks: 0,
             pending_claims: Vec::new(),
@@ -260,18 +308,165 @@ impl Owner {
         }
     }
 
-    fn upsert_neighbor(&mut self, own_region: Region, info: NeighborInfo, now: u64) {
+    /// A neighbor table out of freshly received entries.
+    fn table(infos: Vec<NeighborInfo>, now: u64) -> Vec<Neighbor> {
+        infos
+            .into_iter()
+            .map(|info| Neighbor::new(info, now))
+            .collect()
+    }
+
+    /// The table's entries, as hand-off and replication messages carry
+    /// them.
+    fn neighbor_infos(&self) -> Vec<NeighborInfo> {
+        self.neighbors.iter().map(|n| n.info.clone()).collect()
+    }
+
+    /// This region's routing entry as its owners stand now (`me` is the
+    /// node this state belongs to).
+    fn self_entry(&self, me: NodeInfo) -> NeighborInfo {
+        let (primary, secondary) = match (self.role, self.peer) {
+            (Role::Secondary, Some(primary)) => (primary, Some(me)),
+            _ => (me, self.peer),
+        };
+        NeighborInfo {
+            primary,
+            secondary,
+            region: self.region,
+        }
+    }
+
+    /// Routing-table maintenance: sends our current entry to every
+    /// neighbor primary.
+    fn announce(&self, me: NodeInfo, effects: &mut Vec<Effect>) {
+        let info = self.self_entry(me);
+        effects.extend(self.neighbors.iter().map(|n| Effect::Send {
+            to: n.info.primary.id(),
+            message: Message::NeighborUpdate { info: info.clone() },
+        }));
+    }
+
+    /// The hand-off that seats `primary` and `secondary` in this region,
+    /// with our neighbor table and a copy of our store.
+    fn handoff(&self, primary: NodeInfo, secondary: Option<NodeInfo>) -> Message {
+        Message::Install {
+            region: self.region,
+            primary,
+            secondary,
+            neighbors: self.neighbor_infos(),
+            store: Box::new(self.store.clone()),
+        }
+    }
+
+    /// Upserts a neighbor entry (keyed by node and by rectangle), keeping
+    /// the node's last reported workload index unless `index` brings a
+    /// newer one; entries no longer adjacent to us are dropped.
+    fn upsert_neighbor(&mut self, info: NeighborInfo, now: u64, mut index: Option<f64>) {
         // Fresh knowledge about the area cancels any pending absorption
         // overlapping it (the region is not dead after all).
         self.pending_claims
             .retain(|(gone, _)| !gone.region.intersects(&info.region));
-        self.neighbors
-            .retain(|n| n.primary.id() != info.primary.id() && n.region != info.region);
-        self.last_neighbor_seen
-            .retain(|(id, _)| *id != info.primary.id());
-        if info.region.touches_edge(&own_region) {
-            self.last_neighbor_seen.push((info.primary.id(), now));
-            self.neighbors.push(info);
+        self.neighbors.retain(|n| {
+            let same_node = n.info.primary.id() == info.primary.id();
+            if same_node {
+                index = index.or(n.index);
+            }
+            !same_node && n.info.region != info.region
+        });
+        if info.region.touches_edge(&self.region) {
+            self.neighbors.push(Neighbor {
+                info,
+                last_seen: now,
+                index,
+            });
+        }
+    }
+
+    /// Greedy next hop toward `target` (§2.2): the neighbor whose
+    /// rectangle is closest, ties broken by center distance, then node id
+    /// — the key of the central model's `routing::next_hop`. The model
+    /// also keeps a visited set; a message cannot, so a neighbor that
+    /// *covers* the target goes first: a target exactly on a shared corner
+    /// is at distance zero from every rectangle around it, and the center
+    /// tie-break alone can bounce it between two that do not own it.
+    fn next_hop(&self, space: &Space, target: Point) -> Option<NodeId> {
+        // Forwarding is the engine's hot path and exact ties are rare: the
+        // cover test and the center distance (with its sqrt) are worked
+        // out only for the two sides of one.
+        let tie_break = |n: &Neighbor| {
+            let rect = &n.info.region;
+            (
+                !space.region_covers(rect, target),
+                rect.center().distance(target),
+                n.info.primary.id(),
+            )
+        };
+        let mut best: Option<(f64, &Neighbor)> = None;
+        for n in &self.neighbors {
+            let d = n.info.region.distance_to_point(target);
+            let closer = best.is_none_or(|(best_d, b)| {
+                d < best_d || (d == best_d && tie_break(n) < tie_break(b))
+            });
+            if closer {
+                best = Some((d, n));
+            }
+        }
+        best.map(|(_, n)| n.info.primary.id())
+    }
+
+    /// The forwarding step every routed request takes (§2.2): join
+    /// requests, queries, publications and subscriptions all come through
+    /// here, toward the coordinate each is addressed to. `to_primary`
+    /// says the request is served by primaries only.
+    fn route(&self, space: &Space, target: Point, hops: u32, to_primary: bool) -> Route {
+        // A secondary hands the request to its primary — the primary
+        // "handles all the requests" (§2.3) — whether or not the region
+        // covers the target; the hand-over is not an overlay hop.
+        if to_primary && self.role == Role::Secondary {
+            if let Some(primary) = self.peer {
+                return Route::Forward(Some((primary.id(), hops)));
+            }
+        }
+        if space.region_covers(&self.region, target) {
+            return Route::Execute;
+        }
+        if hops >= MAX_HOPS {
+            return Route::Forward(None);
+        }
+        Route::Forward(self.next_hop(space, target).map(|next| (next, hops + 1)))
+    }
+
+    /// Serves `query` from the local store, counting it toward the
+    /// workload index.
+    fn answer(&mut self, query: &LocationQuery, now: u64) -> Vec<LocationRecord> {
+        self.served += 1.0;
+        self.store.query(query, now).into_iter().cloned().collect()
+    }
+
+    /// Query fan-out: a copy to every neighbor whose region overlaps the
+    /// query rectangle.
+    fn fan_out_query(
+        &self,
+        query: &LocationQuery,
+        query_id: u64,
+        reply_to: NodeId,
+        hops: u32,
+        effects: &mut Vec<Effect>,
+    ) {
+        let area = query.area();
+        for n in &self.neighbors {
+            if n.info.region.intersects(&area) {
+                effects.push(Effect::Send {
+                    to: n.info.primary.id(),
+                    message: Message::Query {
+                        query: query.clone(),
+                        query_id,
+                        reply_to,
+                        hops: hops + 1,
+                        fanout: true,
+                    },
+                });
+            }
         }
     }
 
@@ -287,20 +482,12 @@ impl Owner {
         true
     }
 
-    fn record_neighbor_index(&mut self, id: NodeId, index: f64) {
-        self.neighbor_indexes.retain(|(n, _)| *n != id);
-        self.neighbor_indexes.push((id, index));
-    }
-
-    /// Lowest index among *current* neighbors (stale reports for dropped
-    /// neighbors are ignored).
+    /// Lowest workload index reported by a current neighbor.
     fn lowest_neighbor_index(&self) -> Option<f64> {
-        let current: Vec<NodeId> = self.neighbors.iter().map(|n| n.primary.id()).collect();
-        self.neighbor_indexes
+        self.neighbors
             .iter()
-            .filter(|(id, _)| current.contains(id))
-            .map(|(_, v)| *v)
-            .fold(None, |acc, x| Some(acc.map_or(x, |a: f64| a.min(x))))
+            .filter_map(|n| n.index)
+            .reduce(f64::min)
     }
 }
 
@@ -351,7 +538,7 @@ impl NodeEngine {
                 region: o.region,
                 role: o.role,
                 peer: o.peer,
-                neighbors: o.neighbors.clone(),
+                neighbors: o.neighbor_infos(),
                 records: o.store.record_count(),
             }),
             _ => None,
@@ -365,10 +552,13 @@ impl NodeEngine {
             Input::Join { entry } => self.handle_join_start(entry),
             Input::Message { from, message } => self.handle_message(now, from, message),
             Input::Tick => self.handle_tick(now),
-            Input::Leave => self.handle_leave(now),
-            Input::UserQuery { query } => self.handle_user_query(now, query),
-            Input::UserPublish { record } => self.handle_user_publish(now, record),
-            Input::UserSubscribe { sub } => self.handle_user_subscribe(now, sub),
+            Input::Leave => self.handle_leave(),
+            Input::UserQuery { query } => {
+                self.next_query_id += 1;
+                self.on_query(now, query, self.next_query_id, self.info.id(), 0, false)
+            }
+            Input::UserPublish { record } => self.on_publish(now, record, 0),
+            Input::UserSubscribe { sub } => self.on_subscribe(now, sub, 0, false),
         }
     }
 
@@ -395,7 +585,7 @@ impl NodeEngine {
     /// * a sole owner hands region + store to a mergeable neighbor;
     /// * otherwise the departure is deferred (see
     ///   [`ClientEvent::LeaveDeferred`]).
-    fn handle_leave(&mut self, _now: u64) -> Vec<Effect> {
+    fn handle_leave(&mut self) -> Vec<Effect> {
         let State::Owner(owner) = &mut self.state else {
             self.state = State::Idle;
             return vec![Effect::Client(ClientEvent::Left)];
@@ -411,12 +601,7 @@ impl NodeEngine {
             (Role::Primary, Some(peer)) => {
                 effects.push(Effect::Send {
                     to: peer.id(),
-                    message: Message::TakeOverRegion {
-                        region: owner.region,
-                        store: Box::new(owner.store.clone()),
-                        neighbors: owner.neighbors.clone(),
-                        new_secondary: None,
-                    },
+                    message: owner.handoff(peer, None),
                 });
             }
             (_, None) => {
@@ -425,8 +610,8 @@ impl NodeEngine {
                 let target = owner
                     .neighbors
                     .iter()
-                    .find(|n| n.region.merge(&owner.region).is_some())
-                    .map(|n| n.primary.id());
+                    .find(|n| n.info.region.merge(&owner.region).is_some())
+                    .map(|n| n.info.primary.id());
                 match target {
                     Some(absorber) => {
                         effects.push(Effect::Send {
@@ -434,7 +619,7 @@ impl NodeEngine {
                             message: Message::MergeRegions {
                                 region: owner.region,
                                 store: Box::new(owner.store.clone()),
-                                neighbors: owner.neighbors.clone(),
+                                neighbors: owner.neighbor_infos(),
                             },
                         });
                     }
@@ -456,39 +641,19 @@ impl NodeEngine {
         let State::Owner(owner) = &self.state else {
             return Vec::new();
         };
-        let mut effects = Vec::new();
-        if owner.region.intersects(&region) {
-            let me = NeighborInfo {
-                primary: if owner.role == Role::Primary {
-                    self.info
-                } else {
-                    owner.peer.unwrap_or(self.info)
-                },
-                secondary: if owner.role == Role::Primary {
-                    owner.peer
-                } else {
-                    Some(self.info)
-                },
-                region: owner.region,
-            };
-            effects.push(Effect::Send {
+        std::iter::once(owner.self_entry(self.info))
+            .chain(owner.neighbors.iter().map(|n| n.info.clone()))
+            .filter(|info| info.region.intersects(&region))
+            .map(|info| Effect::Send {
                 to: from,
-                message: Message::OwnerIs { info: me },
-            });
-        }
-        for n in &owner.neighbors {
-            if n.region.intersects(&region) {
-                effects.push(Effect::Send {
-                    to: from,
-                    message: Message::OwnerIs { info: n.clone() },
-                });
-            }
-        }
-        effects
+                message: Message::OwnerIs { info },
+            })
+            .collect()
     }
 
     /// Our primary granted us away (§2.4 steal): give up the secondary
-    /// role and wait for the TakeOverRegion hand-off (or a re-placement).
+    /// role and wait for the [`Message::Install`] hand-off (or a
+    /// re-placement).
     fn on_detached(&mut self, from: NodeId) -> Vec<Effect> {
         if let State::Owner(owner) = &self.state {
             if owner.role == Role::Secondary && owner.peer.is_some_and(|p| p.id() == from) {
@@ -500,24 +665,14 @@ impl NodeEngine {
 
     /// A secondary announced its departure: the region is half-full.
     fn on_leave_notice(&mut self, from: NodeId) -> Vec<Effect> {
-        let State::Owner(owner) = &mut self.state else {
-            return Vec::new();
-        };
-        if owner.peer.is_some_and(|p| p.id() == from) {
-            owner.peer = None;
-            let entry = NeighborInfo::new(self.info, owner.region);
-            return owner
-                .neighbors
-                .iter()
-                .map(|n| Effect::Send {
-                    to: n.primary.id(),
-                    message: Message::NeighborUpdate {
-                        info: entry.clone(),
-                    },
-                })
-                .collect();
+        let mut effects = Vec::new();
+        if let State::Owner(owner) = &mut self.state {
+            if owner.peer.is_some_and(|p| p.id() == from) {
+                owner.peer = None;
+                owner.announce(self.info, &mut effects);
+            }
         }
-        Vec::new()
+        effects
     }
 
     /// A departing sole-owner neighbor handed us its region: absorb it.
@@ -537,35 +692,24 @@ impl NodeEngine {
         };
         owner.region = merged;
         owner.store.absorb(store);
-        // Union the departed node's neighbor table with ours; entries are
-        // re-filtered against the merged rectangle.
-        let mut candidates = std::mem::take(&mut owner.neighbors);
-        candidates.extend(neighbors);
-        owner.last_neighbor_seen.clear();
-        let mut effects = Vec::new();
-        let me = self.info.id();
-        let entry = NeighborInfo {
-            primary: self.info,
-            secondary: owner.peer,
-            region: merged,
-        };
-        let mut seen = Vec::new();
-        for n in candidates {
-            if n.primary.id() == me || seen.contains(&n.primary.id()) {
-                continue;
-            }
-            if n.region.touches_edge(&merged) {
-                seen.push(n.primary.id());
-                owner.last_neighbor_seen.push((n.primary.id(), now));
-                effects.push(Effect::Send {
-                    to: n.primary.id(),
-                    message: Message::NeighborUpdate {
-                        info: entry.clone(),
-                    },
+        // Union the departed node's neighbor table with ours (first entry
+        // per node wins); entries are re-filtered against the merged
+        // rectangle.
+        let ours = std::mem::take(&mut owner.neighbors);
+        for n in ours.into_iter().chain(Owner::table(neighbors, now)) {
+            let id = n.info.primary.id();
+            if id != self.info.id()
+                && n.info.region.touches_edge(&merged)
+                && !owner.neighbors.iter().any(|k| k.info.primary.id() == id)
+            {
+                owner.neighbors.push(Neighbor {
+                    last_seen: now,
+                    ..n
                 });
-                owner.neighbors.push(n);
             }
         }
+        let mut effects = Vec::new();
+        owner.announce(self.info, &mut effects);
         effects
     }
 
@@ -589,35 +733,20 @@ impl NodeEngine {
         // statistics-window cadence (§2.4: nodes periodically exchange
         // workload statistics).
         owner.ticks += 1;
-        if owner
-            .ticks
-            .is_multiple_of(self.config.stats_window_ticks.max(1))
-        {
+        let window_closed = owner.ticks.is_multiple_of(STATS_WINDOW_TICKS);
+        if window_closed {
             owner.my_index = owner.served / self.info.capacity();
             owner.served = 0.0;
         }
-        let my_index = owner.my_index;
-        let self_entry = NeighborInfo {
-            primary: if owner.role == Role::Primary {
-                self.info
-            } else {
-                owner.peer.unwrap_or(self.info)
-            },
-            secondary: if owner.role == Role::Primary {
-                owner.peer
-            } else {
-                Some(self.info)
-            },
-            region: owner.region,
+        let heartbeat = Message::Heartbeat {
+            info: owner.self_entry(self.info),
+            index: owner.my_index,
         };
         // Heartbeat the dual peer (both directions, high frequency).
         if let Some(peer) = owner.peer {
             effects.push(Effect::Send {
                 to: peer.id(),
-                message: Message::Heartbeat {
-                    info: self_entry.clone(),
-                    index: my_index,
-                },
+                message: heartbeat.clone(),
             });
             if now.saturating_sub(owner.last_peer_seen) > self.config.peer_timeout {
                 // Peer declared failed.
@@ -631,198 +760,123 @@ impl NodeEngine {
                     // (neighbors heartbeat the primary, not the secondary);
                     // restart the silence clocks or the fresh primary would
                     // immediately drop its whole table.
-                    for (_, seen) in owner.last_neighbor_seen.iter_mut() {
-                        *seen = now;
+                    for n in &mut owner.neighbors {
+                        n.last_seen = now;
                     }
                     effects.push(Effect::Client(ClientEvent::PromotedToPrimary { region }));
                     // Tell neighbors the primary changed.
-                    let entry = NeighborInfo::new(self.info, region);
-                    for n in &owner.neighbors {
-                        effects.push(Effect::Send {
-                            to: n.primary.id(),
-                            message: Message::NeighborUpdate {
-                                info: entry.clone(),
-                            },
-                        });
-                    }
+                    owner.announce(self.info, &mut effects);
                 } else {
                     effects.push(Effect::Client(ClientEvent::PeerLost { region }));
                 }
             }
         }
+        if owner.role != Role::Primary {
+            return effects;
+        }
         // Primaries periodically refresh the dual peer's replica (store +
         // neighbor table) so a promoted secondary starts from fresh state.
-        if owner.role == Role::Primary {
-            if let Some(peer) = owner.peer {
-                let period = self.config.heartbeat_interval.max(1);
-                if (now / period).is_multiple_of(5) {
-                    effects.push(Effect::Send {
-                        to: peer.id(),
-                        message: Message::SyncState {
-                            store: Box::new(owner.store.clone()),
-                            neighbors: owner.neighbors.clone(),
-                        },
-                    });
-                }
+        if let Some(peer) = owner.peer {
+            let period = self.config.heartbeat_interval.max(1);
+            if (now / period).is_multiple_of(5) {
+                effects.push(Effect::Send {
+                    to: peer.id(),
+                    message: Message::SyncState {
+                        store: Box::new(owner.store.clone()),
+                        neighbors: owner.neighbor_infos(),
+                    },
+                });
             }
         }
         // Primaries heartbeat neighbor primaries (lower frequency is the
         // driver's choice of tick cadence; every tick here).
-        if owner.role == Role::Primary {
-            for n in &owner.neighbors {
-                effects.push(Effect::Send {
-                    to: n.primary.id(),
-                    message: Message::Heartbeat {
-                        info: self_entry.clone(),
-                        index: my_index,
-                    },
-                });
+        effects.extend(owner.neighbors.iter().map(|n| Effect::Send {
+            to: n.info.primary.id(),
+            message: heartbeat.clone(),
+        }));
+        // Drop neighbors that went silent (their secondary will
+        // re-announce via its own promotion update).
+        let timeout = self.config.neighbor_timeout;
+        let mut dead = Vec::new();
+        owner.neighbors.retain(|n| {
+            let silent = n.last_seen > 0 && now.saturating_sub(n.last_seen) > timeout;
+            if silent {
+                dead.push(n.info.clone());
             }
-            // Drop neighbors that went silent (their secondary will
-            // re-announce via its own promotion update).
-            let timeout = self.config.neighbor_timeout;
-            let silent: Vec<NodeId> = owner
-                .last_neighbor_seen
-                .iter()
-                .filter(|(_, seen)| now.saturating_sub(*seen) > timeout && *seen > 0)
-                .map(|(id, _)| *id)
-                .collect();
-            if !silent.is_empty() {
-                // Coverage repair: a silent region whose owners (primary
-                // *and* any secondary -- a live secondary would have
-                // promoted and re-announced within the timeout) are gone
-                // leaves a hole in the space. If the dead region is our
-                // congruent sibling -- merging yields a rectangle -- and
-                // we are the south/west sibling (a deterministic, purely
-                // local tie-break so at most one claimant exists), absorb
-                // it. Its data is lost (that is what the failover
-                // experiment measures); coverage is restored.
-                let dead: Vec<NeighborInfo> = owner
-                    .neighbors
-                    .iter()
-                    .filter(|n| silent.contains(&n.primary.id()))
-                    .cloned()
-                    .collect();
-                owner
-                    .neighbors
-                    .retain(|n| !silent.contains(&n.primary.id()));
-                owner
-                    .last_neighbor_seen
-                    .retain(|(id, _)| !silent.contains(id));
-                for gone in dead {
-                    let mine = owner.region;
-                    // Claim only as the *west* sibling: merge compatibility
-                    // already forces equal y/height for a west-east pair,
-                    // and at most one region can sit flush to the dead
-                    // region's west edge with its exact extent -- so the
-                    // claimant is globally unique without coordination. (A
-                    // south sibling could also merge; letting both claim
-                    // could overlap, so it does not.)
-                    let claims = gone.region.merge(&mine).is_some()
-                        && (mine.y() - gone.region.y()).abs() < 1e-9
-                        && mine.x() < gone.region.x();
-                    if !claims {
-                        continue;
-                    }
-                    // Ring-check before absorbing: a promoted secondary we
-                    // never learned about may own the region. Ask every
-                    // current neighbor; absorb only if nobody knows a live
-                    // owner by the deadline.
-                    for n in &owner.neighbors {
-                        effects.push(Effect::Send {
-                            to: n.primary.id(),
-                            message: Message::WhoOwns {
-                                region: gone.region,
-                            },
-                        });
-                    }
-                    owner
-                        .pending_claims
-                        .push((gone, now + self.config.neighbor_timeout));
-                }
+            !silent
+        });
+        // Coverage repair: a silent region whose owners (primary *and* any
+        // secondary -- a live secondary would have promoted and
+        // re-announced within the timeout) are gone leaves a hole in the
+        // space. If the dead region is our congruent sibling -- merging
+        // yields a rectangle -- and we are the west sibling (a
+        // deterministic, purely local tie-break so at most one claimant
+        // exists), absorb it. Its data is lost (that is what the failover
+        // experiment measures); coverage is restored.
+        for gone in dead {
+            if !claims_as_west_sibling(&owner.region, &gone.region) {
+                continue;
             }
+            // Ring-check before absorbing: a promoted secondary we never
+            // learned about may own the region. Ask every current
+            // neighbor; absorb only if nobody knows a live owner by the
+            // deadline.
+            effects.extend(owner.neighbors.iter().map(|n| Effect::Send {
+                to: n.info.primary.id(),
+                message: Message::WhoOwns {
+                    region: gone.region,
+                },
+            }));
+            owner
+                .pending_claims
+                .push((gone, now + self.config.neighbor_timeout));
         }
         // Absorb pending claims whose ring-check came back empty.
-        if owner.role == Role::Primary {
-            let due: Vec<NeighborInfo> = owner
-                .pending_claims
-                .iter()
-                .filter(|(_, deadline)| now >= *deadline)
-                .map(|(gone, _)| gone.clone())
-                .collect();
-            owner.pending_claims.retain(|(_, deadline)| now < *deadline);
-            for gone in due {
-                let mine = owner.region;
-                // Re-verify: shapes may have changed while waiting, and a
-                // live overlapping entry means the region is owned.
-                let still_claimable = gone.region.merge(&mine).is_some()
-                    && (mine.y() - gone.region.y()).abs() < 1e-9
-                    && mine.x() < gone.region.x()
-                    && !owner
-                        .neighbors
-                        .iter()
-                        .any(|n| n.region.intersects(&gone.region));
-                if !still_claimable {
-                    continue;
-                }
-                let merged = mine
-                    .merge(&gone.region)
-                    .expect("invariant: still_claimable re-verified the rectangles merge");
-                owner.region = merged;
-                let entry = NeighborInfo {
-                    primary: self.info,
-                    secondary: owner.peer,
-                    region: merged,
-                };
-                // Growing the region only gains edge contact, so the
-                // existing entries stay valid; announce the new shape.
-                for n in &owner.neighbors {
-                    effects.push(Effect::Send {
-                        to: n.primary.id(),
-                        message: Message::NeighborUpdate {
-                            info: entry.clone(),
-                        },
-                    });
-                }
+        let mut due = Vec::new();
+        owner.pending_claims.retain(|(gone, deadline)| {
+            if now >= *deadline {
+                due.push(gone.region);
             }
+            now < *deadline
+        });
+        for gone in due {
+            // Re-verify: shapes may have changed while waiting, and a live
+            // overlapping entry means the region is owned.
+            let still_claimable = claims_as_west_sibling(&owner.region, &gone)
+                && !owner
+                    .neighbors
+                    .iter()
+                    .any(|n| n.info.region.intersects(&gone));
+            if !still_claimable {
+                continue;
+            }
+            owner.region = owner
+                .region
+                .merge(&gone)
+                .expect("invariant: still_claimable re-verified the rectangles merge");
+            // Growing the region only gains edge contact, so the existing
+            // entries stay valid; announce the new shape.
+            owner.announce(self.info, &mut effects);
         }
         // Adaptation trigger (§2.4): a primary whose index exceeds √2×
         // the lowest neighbor index tries the cheapest applicable
         // mechanism — (a) steal a neighbor's stronger secondary when
         // half-full, (e) switch places with one when full.
-        if self.config.balance_enabled
-            && owner.role == Role::Primary
-            && !owner.steal_in_flight
-            && owner
-                .ticks
-                .is_multiple_of(self.config.stats_window_ticks.max(1))
-        {
+        if self.config.balance_enabled && !owner.steal_in_flight && window_closed {
             if let Some(lowest) = owner.lowest_neighbor_index() {
-                if owner.my_index > self.config.trigger_ratio * lowest && owner.my_index > 0.0 {
+                if owner.my_index > TRIGGER_RATIO * lowest && owner.my_index > 0.0 {
                     let my_cap = self.info.capacity();
                     let donor = owner
                         .neighbors
                         .iter()
-                        .filter(|n| n.secondary.is_some_and(|s| s.capacity() > my_cap))
+                        .filter(|n| n.info.secondary.is_some_and(|s| s.capacity() > my_cap))
+                        .map(|n| (n.index.unwrap_or(f64::INFINITY), n.info.primary.id()))
                         .min_by(|a, b| {
-                            let ia = owner
-                                .neighbor_indexes
-                                .iter()
-                                .find(|(id, _)| *id == a.primary.id())
-                                .map(|(_, v)| *v)
-                                .unwrap_or(f64::INFINITY);
-                            let ib = owner
-                                .neighbor_indexes
-                                .iter()
-                                .find(|(id, _)| *id == b.primary.id())
-                                .map(|(_, v)| *v)
-                                .unwrap_or(f64::INFINITY);
-                            ia.partial_cmp(&ib)
-                                .expect("invariant: workload indexes are finite (capacities are positive and finite)")
-                                .then_with(|| a.primary.id().cmp(&b.primary.id()))
-                        })
-                        .map(|n| n.primary.id());
-                    if let Some(donor) = donor {
+                            a.partial_cmp(b).expect(
+                                "invariant: workload indexes are validated on receipt, never NaN",
+                            )
+                        });
+                    if let Some((_, donor)) = donor {
                         owner.steal_in_flight = true;
                         effects.push(Effect::Send {
                             to: donor,
@@ -852,30 +906,23 @@ impl NodeEngine {
         let State::Owner(owner) = &mut self.state else {
             return Vec::new();
         };
-        let deny = |from: NodeId| {
-            vec![Effect::Send {
-                to: from,
-                message: Message::StealSecondaryDeny,
-            }]
-        };
-        if owner.role != Role::Primary {
-            return deny(from);
-        }
-        let Some(secondary) = owner.peer else {
-            return deny(from);
-        };
         // Only give up a secondary that actually helps (stronger than the
         // requester's primary), only if we are less loaded ourselves, and
         // only if the secondary has confirmed itself since installation —
         // granting away a peer that is still settling a hand-off of its
         // own forks region ownership.
-        if secondary.capacity() <= requester.capacity()
-            || owner.my_index >= index
-            || !owner.peer_confirmed
-        {
-            return deny(from);
-        }
-        let donor_region = owner.region;
+        let secondary = owner.peer.filter(|secondary| {
+            owner.role == Role::Primary
+                && secondary.capacity() > requester.capacity()
+                && owner.my_index < index
+                && owner.peer_confirmed
+        });
+        let Some(secondary) = secondary else {
+            return vec![Effect::Send {
+                to: from,
+                message: Message::StealSecondaryDeny,
+            }];
+        };
         if swap {
             // Mechanism (e): the requester becomes our new secondary.
             owner.peer = Some(requester);
@@ -890,7 +937,7 @@ impl NodeEngine {
                 to: from,
                 message: Message::StealSecondaryGrant {
                     secondary,
-                    donor_region,
+                    donor_region: owner.region,
                     swap,
                 },
             },
@@ -902,19 +949,7 @@ impl NodeEngine {
             },
         ];
         // Routing-table maintenance: our entry changed.
-        let entry = NeighborInfo {
-            primary: self.info,
-            secondary: owner.peer,
-            region: donor_region,
-        };
-        for n in &owner.neighbors {
-            effects.push(Effect::Send {
-                to: n.primary.id(),
-                message: Message::NeighborUpdate {
-                    info: entry.clone(),
-                },
-            });
-        }
+        owner.announce(self.info, &mut effects);
         effects
     }
 
@@ -931,9 +966,16 @@ impl NodeEngine {
             return Vec::new();
         };
         owner.steal_in_flight = false;
+        // Mechanism (e) seats us under the donor, so it must still be a
+        // neighbor we know.
+        let donor = owner
+            .neighbors
+            .iter()
+            .find(|n| n.info.primary.id() == from)
+            .map(|n| n.info.primary);
         let premise_holds = owner.role == Role::Primary
             && if swap {
-                owner.peer.is_some()
+                owner.peer.is_some() && donor.is_some()
             } else {
                 owner.peer.is_none()
             };
@@ -945,109 +987,89 @@ impl NodeEngine {
             // normal dual-peer placement as if it were a fresh joiner.
             return self.dual_peer_place(now, secondary);
         }
-        let my_region = owner.region;
-        let my_store = owner.store.clone();
-        let my_neighbors = owner.neighbors.clone();
-        let old_peer = owner.peer;
-        let mut effects = Vec::new();
-        let new_secondary = if swap { old_peer } else { Some(self.info) };
-        effects.push(Effect::Send {
-            to: secondary.id(),
-            message: Message::TakeOverRegion {
-                region: my_region,
-                store: Box::new(my_store),
-                neighbors: my_neighbors.clone(),
-                new_secondary,
+        let new_secondary = if swap { owner.peer } else { Some(self.info) };
+        let effects = vec![
+            Effect::Send {
+                to: secondary.id(),
+                message: owner.handoff(secondary, new_secondary),
             },
-        });
-        effects.push(Effect::Client(ClientEvent::AdaptationExecuted {
-            mechanism: if swap { 'e' } else { 'a' },
-        }));
-        if swap {
+            Effect::Client(ClientEvent::AdaptationExecuted {
+                mechanism: if swap { 'e' } else { 'a' },
+            }),
+        ];
+        match donor.filter(|_| swap) {
             // Mechanism (e): we take the stolen node's old place as the
             // donor's secondary.
-            let donor_info = owner
-                .neighbors
-                .iter()
-                .find(|n| n.primary.id() == from)
-                .map(|n| n.primary)
-                .unwrap_or(NodeInfo::new(
-                    from,
-                    donor_region.center(),
-                    f64::MIN_POSITIVE,
+            Some(donor) => {
+                self.state = State::from(Owner::new(
+                    self.info.id(),
+                    donor_region,
+                    Role::Secondary,
+                    Some(donor),
+                    Vec::new(), // refreshed by the donor's periodic SyncState
+                    RegionStore::new(),
+                    now,
                 ));
-            self.state = State::from(Owner::new(
-                self.info.id(),
-                donor_region,
-                Role::Secondary,
-                Some(donor_info),
-                Vec::new(), // refreshed by the donor's periodic SyncState
-                RegionStore::new(),
-                now,
-            ));
-        } else {
+            }
             // Mechanism (a): we retire to secondary of our own region
             // under the stronger stolen node.
-            owner.role = Role::Secondary;
-            owner.peer = Some(secondary);
-            owner.last_peer_seen = now;
+            None => {
+                owner.role = Role::Secondary;
+                owner.peer = Some(secondary);
+                owner.last_peer_seen = now;
+            }
         }
         effects
     }
 
-    /// The stolen node becomes the primary of the requester's region.
-    fn on_take_over_region(
+    /// "You now own `region`" (§2.3): the one way a node is seated in a
+    /// region, whichever of join, split, steal or departure put it there.
+    #[allow(clippy::too_many_arguments)]
+    fn on_install(
         &mut self,
         now: u64,
+        from: NodeId,
         region: Region,
-        store: RegionStore,
+        primary: NodeInfo,
+        secondary: Option<NodeInfo>,
         neighbors: Vec<NeighborInfo>,
-        new_secondary: Option<NodeInfo>,
+        store: RegionStore,
     ) -> Vec<Effect> {
-        let mut effects = Vec::new();
-        let entry = NeighborInfo {
-            primary: self.info,
-            secondary: new_secondary,
-            region,
+        let me = self.info.id();
+        let (role, peer) = if primary.id() == me {
+            (Role::Primary, secondary)
+        } else if secondary.is_some_and(|s| s.id() == me) {
+            (Role::Secondary, Some(primary))
+        } else {
+            return Vec::new(); // names us in neither seat
         };
-        for n in &neighbors {
-            effects.push(Effect::Send {
-                to: n.primary.id(),
-                message: Message::NeighborUpdate {
-                    info: entry.clone(),
-                },
-            });
+        // Stale-placement guard: a primary owns its region exclusively, so
+        // a reordered or repeated placement must never re-seat it (the
+        // region would be orphaned). A secondary may be re-seated — its
+        // old region stays with its old primary — and so may a primary by
+        // its own dual peer, who keeps the rest of the region they shared.
+        if let State::Owner(owner) = &self.state {
+            if owner.role == Role::Primary && owner.peer.is_none_or(|p| p.id() != from) {
+                return Vec::new();
+            }
         }
-        // Re-seat the inherited secondary under us. Without this, a
-        // secondary inherited from the displaced primary keeps pointing
-        // its peer link at the departed node, times it out, and promotes
-        // into an ownership fork.
-        if let Some(sec) = new_secondary {
-            if sec.id() != self.info.id() {
+        let owner = Owner::new(me, region, role, peer, neighbors, store, now);
+        let mut effects = vec![Effect::Client(ClientEvent::Joined { region, role })];
+        if role == Role::Primary {
+            owner.announce(self.info, &mut effects);
+            // Re-seat an inherited secondary under us. Without this, a
+            // secondary inherited from the displaced primary keeps
+            // pointing its peer link at the departed node, times it out,
+            // and promotes into an ownership fork. (The sender needs no
+            // telling: it built this placement.)
+            if let Some(inherited) = peer.filter(|s| s.id() != from) {
                 effects.push(Effect::Send {
-                    to: sec.id(),
-                    message: Message::JoinAsSecondary {
-                        region,
-                        primary: self.info,
-                        store: Box::new(store.clone()),
-                        neighbors: neighbors.clone(),
-                    },
+                    to: inherited.id(),
+                    message: owner.handoff(self.info, peer),
                 });
             }
         }
-        self.state = State::from(Owner::new(
-            self.info.id(),
-            region,
-            Role::Primary,
-            new_secondary,
-            neighbors,
-            store,
-            now,
-        ));
-        effects.push(Effect::Client(ClientEvent::Joined {
-            region,
-            role: Role::Primary,
-        }));
+        self.state = State::from(owner);
         effects
     }
 
@@ -1055,23 +1077,16 @@ impl NodeEngine {
         match message {
             Message::JoinRequest { joiner, hops } => self.on_join_request(now, joiner, hops),
             Message::JoinDirected { joiner } => self.on_join_directed(now, joiner),
-            Message::JoinSplit {
-                region,
-                neighbors,
-                store,
-            } => self.on_join_split(now, region, neighbors, *store),
-            Message::JoinAsSecondary {
+            Message::Install {
                 region,
                 primary,
-                store,
-                neighbors,
-            } => self.on_join_as_secondary(now, from, region, primary, *store, neighbors),
-            Message::SplitTakeover {
-                region,
+                secondary,
                 neighbors,
                 store,
-            } => self.on_split_takeover(now, region, neighbors, *store),
-            Message::NeighborUpdate { info } => self.on_neighbor_update(now, info),
+            } => self.on_install(now, from, region, primary, secondary, neighbors, *store),
+            Message::NeighborUpdate { info } | Message::OwnerIs { info } => {
+                self.on_neighbor_update(now, info)
+            }
             Message::Query {
                 query,
                 query_id,
@@ -1107,16 +1122,9 @@ impl NodeEngine {
                 }
                 Vec::new()
             }
-            Message::TakeOverRegion {
-                region,
-                store,
-                neighbors,
-                new_secondary,
-            } => self.on_take_over_region(now, region, *store, neighbors, new_secondary),
             Message::LeaveNotice => self.on_leave_notice(from),
             Message::Detached => self.on_detached(from),
             Message::WhoOwns { region } => self.on_who_owns(from, region),
-            Message::OwnerIs { info } => self.on_neighbor_update(now, info),
             Message::MergeRegions {
                 region,
                 store,
@@ -1126,55 +1134,18 @@ impl NodeEngine {
         }
     }
 
-    /// Greedy next hop toward `target` from this owner's neighbor table.
-    fn greedy_next(owner: &Owner, target: Point) -> Option<NodeId> {
-        // Compute each neighbor's sort key once up front; a comparator
-        // that recomputes both sides' distances evaluates each key about
-        // twice, and the center distance (with its sqrt) is the expensive
-        // part.
-        owner
-            .neighbors
-            .iter()
-            .map(|n| {
-                (
-                    n.region.distance_to_point(target),
-                    n.region.center().distance(target),
-                    n.primary.id(),
-                )
-            })
-            .min_by(|a, b| {
-                a.partial_cmp(b)
-                    .expect("invariant: distances are finite (regions and coords are finite)")
-            })
-            .map(|(_, _, id)| id)
-    }
-
-    fn covers(&self, owner: &Owner, p: Point) -> bool {
-        self.space.region_covers(&owner.region, p)
-    }
-
     fn on_join_request(&mut self, now: u64, joiner: NodeInfo, hops: u32) -> Vec<Effect> {
         let State::Owner(owner) = &self.state else {
             return Vec::new(); // not an owner: drop (bootstrap servers
                                // hand out owner nodes as entries)
         };
-        if !self.covers(owner, joiner.coord()) {
-            if hops >= self.config.max_hops {
-                return Vec::new();
-            }
-            return match Self::greedy_next(owner, joiner.coord()) {
-                Some(next) => vec![Effect::Send {
-                    to: next,
-                    message: Message::JoinRequest {
-                        joiner,
-                        hops: hops + 1,
-                    },
-                }],
-                None => Vec::new(),
-            };
+        // Either dual peer places a joiner: both hold the neighbor table
+        // the placement probe reads.
+        if let Route::Forward(next) = owner.route(&self.space, joiner.coord(), hops, false) {
+            return forward(next, |hops| Message::JoinRequest { joiner, hops });
         }
         match self.config.mode {
-            EngineMode::Basic => self.accept_join_by_split(now, joiner),
+            EngineMode::Basic => self.split_and_place(now, joiner),
             EngineMode::DualPeer => self.dual_peer_place(now, joiner),
         }
     }
@@ -1190,7 +1161,7 @@ impl NodeEngine {
             self.accept_join_as_peer(now, joiner)
         } else if owner.peer.is_some() {
             // Filled up since the referral: split ourselves.
-            self.split_with_peer_and_place(now, Some(joiner))
+            self.split_and_place(now, joiner)
         } else {
             // Steal in flight: place the joiner like a fresh request so it
             // lands on a stable owner.
@@ -1198,10 +1169,13 @@ impl NodeEngine {
         }
     }
 
-    /// Basic-mode acceptance: split the covering region, keep the half
-    /// containing our coordinate, hand the other to the joiner.
+    /// Splits the region to place `joiner` (§2.3), keeping the half that
+    /// contains our coordinate. A sole owner hands the other half to the
+    /// joiner; a full region splits between its dual peers — leaving both
+    /// halves half-full — and the joiner is then paired with the weaker
+    /// half-owner.
     // audit: store-handoff
-    fn accept_join_by_split(&mut self, now: u64, joiner: NodeInfo) -> Vec<Effect> {
+    fn split_and_place(&mut self, now: u64, joiner: NodeInfo) -> Vec<Effect> {
         let State::Owner(owner) = &mut self.state else {
             return Vec::new();
         };
@@ -1215,54 +1189,56 @@ impl NodeEngine {
             low.contains(self.info.coord()) || self.space.region_covers(&low, self.info.coord());
         let (kept, given) = if keep_low { (low, high) } else { (high, low) };
         let given_store = owner.store.split_for(&kept, &given);
-        let old_neighbors = std::mem::take(&mut owner.neighbors);
+        let heir = owner.peer.take().unwrap_or(joiner);
         owner.region = kept;
-        owner.last_neighbor_seen.clear();
+        owner.role = Role::Primary;
+        owner.last_peer_seen = 0;
 
-        let mut joiner_neighbors = vec![NeighborInfo {
-            primary: self.info,
-            secondary: owner.peer,
-            region: kept,
-        }];
-        let joiner_entry = NeighborInfo::new(joiner, given);
+        let my_entry = owner.self_entry(self.info);
+        let heir_entry = NeighborInfo::new(heir, given);
+        let mut heir_neighbors = vec![my_entry.clone()];
         let mut effects = Vec::new();
-        for n in old_neighbors {
-            if n.region.touches_edge(&given) {
-                joiner_neighbors.push(n.clone());
+        for n in std::mem::take(&mut owner.neighbors) {
+            if n.info.region.touches_edge(&given) {
+                heir_neighbors.push(n.info.clone());
             }
             // Tell every old neighbor about both new rectangles; they
             // upsert/drop by their own touch test.
-            effects.push(Effect::Send {
-                to: n.primary.id(),
-                message: Message::NeighborUpdate {
-                    info: NeighborInfo {
-                        primary: self.info,
-                        secondary: owner.peer,
-                        region: kept,
-                    },
-                },
-            });
-            effects.push(Effect::Send {
-                to: n.primary.id(),
-                message: Message::NeighborUpdate {
-                    info: joiner_entry.clone(),
-                },
-            });
-            if n.region.touches_edge(&kept) {
-                owner.last_neighbor_seen.push((n.primary.id(), now));
-                owner.neighbors.push(n);
+            for info in [&my_entry, &heir_entry] {
+                effects.push(Effect::Send {
+                    to: n.info.primary.id(),
+                    message: Message::NeighborUpdate { info: info.clone() },
+                });
+            }
+            if n.info.region.touches_edge(&kept) {
+                owner.neighbors.push(Neighbor {
+                    last_seen: now,
+                    ..n
+                });
             }
         }
-        owner.last_neighbor_seen.push((joiner.id(), now));
-        owner.neighbors.push(joiner_entry);
+        owner.neighbors.push(Neighbor::new(heir_entry, now));
         effects.push(Effect::Send {
-            to: joiner.id(),
-            message: Message::JoinSplit {
+            to: heir.id(),
+            message: Message::Install {
                 region: given,
-                neighbors: joiner_neighbors,
+                primary: heir,
+                secondary: None,
+                neighbors: heir_neighbors,
                 store: Box::new(given_store),
             },
         });
+        if heir.id() != joiner.id() {
+            // Pair the joiner with the weaker half-owner.
+            if self.info.capacity() <= heir.capacity() {
+                effects.extend(self.accept_join_as_peer(now, joiner));
+            } else {
+                effects.push(Effect::Send {
+                    to: heir.id(),
+                    message: Message::JoinDirected { joiner },
+                });
+            }
+        }
         effects
     }
 
@@ -1280,7 +1256,7 @@ impl NodeEngine {
         if owner.peer.is_none() && !owner.steal_in_flight {
             best_half = Some((self.info.capacity(), None));
         }
-        for n in &owner.neighbors {
+        for n in owner.neighbors.iter().map(|n| &n.info) {
             if n.secondary.is_none() {
                 let cap = n.primary.capacity();
                 if best_half.as_ref().is_none_or(|(c, _)| cap < *c) {
@@ -1299,14 +1275,17 @@ impl NodeEngine {
         }
         // All full: split where the primary is weakest.
         let mut victim: Option<(f64, Option<NodeId>)> = Some((self.info.capacity(), None));
-        for n in &owner.neighbors {
+        for n in owner.neighbors.iter().map(|n| &n.info) {
             let cap = n.primary.capacity();
             if victim.as_ref().is_none_or(|(c, _)| cap < *c) {
                 victim = Some((cap, Some(n.primary.id())));
             }
         }
         match victim.expect("invariant: victim starts as Some(self) and is only replaced") {
-            (_, None) => self.split_with_peer_and_place(now, Some(joiner)),
+            // Half-full ourselves with a steal in flight: nobody to split
+            // with, and the grant under way needs us as we are.
+            (_, None) if owner.peer.is_none() => Vec::new(),
+            (_, None) => self.split_and_place(now, joiner),
             (_, Some(target)) => vec![Effect::Send {
                 to: target,
                 message: Message::JoinDirected { joiner },
@@ -1323,240 +1302,23 @@ impl NodeEngine {
         owner.peer = Some(joiner);
         owner.last_peer_seen = now;
         owner.peer_confirmed = false;
-        let joiner_is_primary = joiner.capacity() > self.info.capacity();
-        if joiner_is_primary {
+        if joiner.capacity() > self.info.capacity() {
             owner.role = Role::Secondary;
         }
-        let (primary_info, secondary_info) = if joiner_is_primary {
-            (joiner, self.info)
-        } else {
-            (self.info, joiner)
-        };
-        let entry = NeighborInfo {
-            primary: primary_info,
-            secondary: Some(secondary_info),
-            region: owner.region,
-        };
+        let seats = owner.self_entry(self.info);
         let mut effects = vec![Effect::Send {
             to: joiner.id(),
-            message: Message::JoinAsSecondary {
-                region: owner.region,
-                primary: primary_info,
-                store: Box::new(owner.store.clone()),
-                neighbors: owner.neighbors.clone(),
-            },
+            message: owner.handoff(seats.primary, seats.secondary),
         }];
-        for n in &owner.neighbors {
-            effects.push(Effect::Send {
-                to: n.primary.id(),
-                message: Message::NeighborUpdate {
-                    info: entry.clone(),
-                },
-            });
-        }
-        effects
-    }
-
-    /// Splits a full region between its dual peers; if `joiner` is given,
-    /// it is then directed to the weaker half's owner as secondary.
-    // audit: store-handoff
-    fn split_with_peer_and_place(&mut self, now: u64, joiner: Option<NodeInfo>) -> Vec<Effect> {
-        let State::Owner(owner) = &mut self.state else {
-            return Vec::new();
-        };
-        let Some(peer) = owner.peer else {
-            return Vec::new(); // nothing to split with
-        };
-        if !crate::join::is_splittable(&owner.region) {
-            return Vec::new(); // at the extent floor: refuse
-        }
-        let (low, high) = owner.region.split_preferred();
-        let keep_low =
-            low.contains(self.info.coord()) || self.space.region_covers(&low, self.info.coord());
-        let (kept, given) = if keep_low { (low, high) } else { (high, low) };
-        let given_store = owner.store.split_for(&kept, &given);
-        let old_neighbors = std::mem::take(&mut owner.neighbors);
-        owner.region = kept;
-        owner.peer = None;
-        owner.role = Role::Primary;
-        owner.last_peer_seen = 0;
-        owner.last_neighbor_seen.clear();
-
-        let mut peer_neighbors = vec![NeighborInfo::new(self.info, kept)];
-        let peer_entry = NeighborInfo::new(peer, given);
-        let my_entry = NeighborInfo::new(self.info, kept);
-        let mut effects = Vec::new();
-        for n in old_neighbors {
-            if n.region.touches_edge(&given) {
-                peer_neighbors.push(n.clone());
-            }
-            effects.push(Effect::Send {
-                to: n.primary.id(),
-                message: Message::NeighborUpdate {
-                    info: my_entry.clone(),
-                },
-            });
-            effects.push(Effect::Send {
-                to: n.primary.id(),
-                message: Message::NeighborUpdate {
-                    info: peer_entry.clone(),
-                },
-            });
-            if n.region.touches_edge(&kept) {
-                owner.last_neighbor_seen.push((n.primary.id(), now));
-                owner.neighbors.push(n);
-            }
-        }
-        owner.last_neighbor_seen.push((peer.id(), now));
-        owner.neighbors.push(peer_entry);
-        effects.push(Effect::Send {
-            to: peer.id(),
-            message: Message::SplitTakeover {
-                region: given,
-                neighbors: peer_neighbors,
-                store: Box::new(given_store),
-            },
-        });
-        if let Some(joiner) = joiner {
-            // Pair the joiner with the weaker half-owner.
-            let weaker_is_me = self.info.capacity() <= peer.capacity();
-            if weaker_is_me {
-                effects.extend(self.accept_join_as_peer(now, joiner));
-            } else {
-                effects.push(Effect::Send {
-                    to: peer.id(),
-                    message: Message::JoinDirected { joiner },
-                });
-            }
-        }
-        effects
-    }
-
-    fn on_join_split(
-        &mut self,
-        now: u64,
-        region: Region,
-        neighbors: Vec<NeighborInfo>,
-        store: RegionStore,
-    ) -> Vec<Effect> {
-        if let State::Owner(owner) = &self.state {
-            if owner.role == Role::Primary {
-                // Stale placement: we already own a region exclusively; a
-                // reordered join reply must not silently orphan it.
-                return Vec::new();
-            }
-        }
-        self.state = State::from(Owner::new(
-            self.info.id(),
-            region,
-            Role::Primary,
-            None,
-            neighbors,
-            store,
-            now,
-        ));
-        vec![Effect::Client(ClientEvent::Joined {
-            region,
-            role: Role::Primary,
-        })]
-    }
-
-    fn on_join_as_secondary(
-        &mut self,
-        now: u64,
-        from: NodeId,
-        region: Region,
-        primary: NodeInfo,
-        store: RegionStore,
-        neighbors: Vec<NeighborInfo>,
-    ) -> Vec<Effect> {
-        if let State::Owner(owner) = &self.state {
-            if owner.role == Role::Primary {
-                // Stale placement: a primary must never be re-seated by a
-                // reordered join reply (its region would be orphaned). A
-                // secondary may be re-seated — its old region stays with
-                // its old primary.
-                return Vec::new();
-            }
-        }
-        // If `primary` names us, the sender handed us the primary role
-        // (we were the stronger joiner); otherwise we are the secondary.
-        let we_are_primary = primary.id() == self.info.id();
-        let peer = if we_are_primary {
-            // The sender (previous owner) is our secondary now.
-            neighbors
-                .iter()
-                .find(|n| n.primary.id() == from)
-                .map(|n| n.primary)
-        } else {
-            Some(primary)
-        };
-        let role = if we_are_primary {
-            Role::Primary
-        } else {
-            Role::Secondary
-        };
-        // Fall back to reconstructing the peer from the sender id if the
-        // neighbor list does not carry it (normal case for the
-        // stronger-joiner path: the sender built the list before the
-        // swap). The driver only needs the id for addressing.
-        let peer = peer.or(Some(NodeInfo::new(
-            from,
-            region.center(),
-            f64::MIN_POSITIVE,
-        )));
-        self.state = State::from(Owner::new(
-            self.info.id(),
-            region,
-            role,
-            peer,
-            neighbors,
-            store,
-            now,
-        ));
-        vec![Effect::Client(ClientEvent::Joined { region, role })]
-    }
-
-    fn on_split_takeover(
-        &mut self,
-        now: u64,
-        region: Region,
-        neighbors: Vec<NeighborInfo>,
-        store: RegionStore,
-    ) -> Vec<Effect> {
-        let mut effects = Vec::new();
-        let entry = NeighborInfo::new(self.info, region);
-        for n in &neighbors {
-            effects.push(Effect::Send {
-                to: n.primary.id(),
-                message: Message::NeighborUpdate {
-                    info: entry.clone(),
-                },
-            });
-        }
-        self.state = State::from(Owner::new(
-            self.info.id(),
-            region,
-            Role::Primary,
-            None,
-            neighbors,
-            store,
-            now,
-        ));
-        effects.push(Effect::Client(ClientEvent::Joined {
-            region,
-            role: Role::Primary,
-        }));
+        owner.announce(self.info, &mut effects);
         effects
     }
 
     fn on_neighbor_update(&mut self, now: u64, info: NeighborInfo) -> Vec<Effect> {
-        if info.primary.id() == self.info.id() {
-            return Vec::new();
-        }
         if let State::Owner(owner) = &mut self.state {
-            let region = owner.region;
-            owner.upsert_neighbor(region, info, now);
+            if info.primary.id() != self.info.id() {
+                owner.upsert_neighbor(info, now, None);
+            }
         }
         Vec::new()
     }
@@ -1574,40 +1336,26 @@ impl NodeEngine {
         if owner.peer.is_some_and(|p| p.id() == from) {
             owner.last_peer_seen = now;
             owner.peer_confirmed = true;
-            return Vec::new();
-        }
-        if info.primary.id() != self.info.id() {
-            let region = owner.region;
-            owner.upsert_neighbor(region, info, now);
-            if index.is_finite() && index >= 0.0 {
-                owner.record_neighbor_index(from, index);
-            }
+        } else if info.primary.id() != self.info.id() {
+            let index = Some(index).filter(|i| i.is_finite() && *i >= 0.0);
+            owner.upsert_neighbor(info, now, index);
         }
         Vec::new()
     }
 
     fn on_sync_state(
         &mut self,
-        _now: u64,
+        now: u64,
         store: RegionStore,
         neighbors: Vec<NeighborInfo>,
     ) -> Vec<Effect> {
         if let State::Owner(owner) = &mut self.state {
             if owner.role == Role::Secondary {
                 owner.store = store;
-                owner.last_neighbor_seen =
-                    neighbors.iter().map(|n| (n.primary.id(), _now)).collect();
-                owner.neighbors = neighbors;
+                owner.neighbors = Owner::table(neighbors, now);
             }
         }
         Vec::new()
-    }
-
-    fn handle_user_query(&mut self, now: u64, query: LocationQuery) -> Vec<Effect> {
-        let me = self.info.id();
-        self.next_query_id += 1;
-        let query_id = self.next_query_id;
-        self.route_or_execute_query(now, query, query_id, me, 0)
     }
 
     fn on_query(
@@ -1619,130 +1367,41 @@ impl NodeEngine {
         hops: u32,
         fanout: bool,
     ) -> Vec<Effect> {
+        let State::Owner(owner) = &mut self.state else {
+            return Vec::new();
+        };
         if fanout {
             // Flood delivery over the regions overlapping the query
             // rectangle: answer locally, then re-forward to overlapping
             // neighbors. The (issuer, query id) dedup key keeps the flood
             // from looping; hops bound its depth.
-            let State::Owner(owner) = &mut self.state else {
-                return Vec::new();
-            };
             if !owner.first_sight((reply_to, query_id)) {
                 return Vec::new();
             }
-            let records: Vec<LocationRecord> = owner
-                .store
-                .query(&query, now)
-                .into_iter()
-                .cloned()
-                .collect();
-            owner.served += 1.0;
+            let records = owner.answer(&query, now);
             let mut effects = vec![Effect::Send {
                 to: reply_to,
                 message: Message::QueryReply { query_id, records },
             }];
-            if hops < self.config.max_hops {
-                let area = query.area();
-                for n in &owner.neighbors {
-                    if n.region.intersects(&area) {
-                        effects.push(Effect::Send {
-                            to: n.primary.id(),
-                            message: Message::Query {
-                                query: query.clone(),
-                                query_id,
-                                reply_to,
-                                hops: hops + 1,
-                                fanout: true,
-                            },
-                        });
-                    }
-                }
+            if hops < MAX_HOPS {
+                owner.fan_out_query(&query, query_id, reply_to, hops, &mut effects);
             }
             return effects;
         }
-        self.route_or_execute_query(now, query, query_id, reply_to, hops)
-    }
-
-    fn route_or_execute_query(
-        &mut self,
-        now: u64,
-        query: LocationQuery,
-        query_id: u64,
-        reply_to: NodeId,
-        hops: u32,
-    ) -> Vec<Effect> {
-        let State::Owner(owner) = &mut self.state else {
-            return Vec::new();
-        };
-        let target = query.target();
-        // A secondary covering the target hands the request to its
-        // primary — the primary "handles all the requests" (§2.3).
-        if owner.role == Role::Secondary {
-            if let Some(peer) = owner.peer {
-                return vec![Effect::Send {
-                    to: peer.id(),
-                    message: Message::Query {
-                        query,
-                        query_id,
-                        reply_to,
-                        hops,
-                        fanout: false,
-                    },
-                }];
-            }
-        }
-        if !self.space.region_covers(&owner.region, target) {
-            if hops >= self.config.max_hops {
-                return Vec::new();
-            }
-            let next = owner
-                .neighbors
-                .iter()
-                .map(|n| (n.region.distance_to_point(target), n.primary.id()))
-                .min_by(|a, b| {
-                    a.partial_cmp(b)
-                        .expect("invariant: distances are finite (regions and coords are finite)")
-                })
-                .map(|(_, id)| id);
-            return match next {
-                Some(next) => vec![Effect::Send {
-                    to: next,
-                    message: Message::Query {
-                        query,
-                        query_id,
-                        reply_to,
-                        hops: hops + 1,
-                        fanout: false,
-                    },
-                }],
-                None => Vec::new(),
-            };
+        if let Route::Forward(next) = owner.route(&self.space, query.target(), hops, true) {
+            return forward(next, |hops| Message::Query {
+                query,
+                query_id,
+                reply_to,
+                hops,
+                fanout: false,
+            });
         }
         // Executor: answer locally and fan out to overlapping neighbors.
         owner.first_sight((reply_to, query_id));
-        let records: Vec<LocationRecord> = owner
-            .store
-            .query(&query, now)
-            .into_iter()
-            .cloned()
-            .collect();
-        owner.served += 1.0;
+        let records = owner.answer(&query, now);
         let mut effects = Vec::new();
-        let area = query.area();
-        for n in &owner.neighbors {
-            if n.region.intersects(&area) {
-                effects.push(Effect::Send {
-                    to: n.primary.id(),
-                    message: Message::Query {
-                        query: query.clone(),
-                        query_id,
-                        reply_to,
-                        hops: hops + 1,
-                        fanout: true,
-                    },
-                });
-            }
-        }
+        owner.fan_out_query(&query, query_id, reply_to, hops, &mut effects);
         if reply_to == self.info.id() {
             effects.push(Effect::Client(ClientEvent::QueryResults {
                 query_id,
@@ -1757,47 +1416,12 @@ impl NodeEngine {
         effects
     }
 
-    fn handle_user_publish(&mut self, now: u64, record: LocationRecord) -> Vec<Effect> {
-        self.on_publish(now, record, 0)
-    }
-
     fn on_publish(&mut self, now: u64, record: LocationRecord, hops: u32) -> Vec<Effect> {
         let State::Owner(owner) = &mut self.state else {
             return Vec::new();
         };
-        // Secondaries hand requests to their primary (§2.3).
-        if owner.role == Role::Secondary {
-            if let Some(peer) = owner.peer {
-                return vec![Effect::Send {
-                    to: peer.id(),
-                    message: Message::Publish { record, hops },
-                }];
-            }
-        }
-        let target = record.position();
-        if !self.space.region_covers(&owner.region, target) {
-            if hops >= self.config.max_hops {
-                return Vec::new();
-            }
-            let next = owner
-                .neighbors
-                .iter()
-                .map(|n| (n.region.distance_to_point(target), n.primary.id()))
-                .min_by(|a, b| {
-                    a.partial_cmp(b)
-                        .expect("invariant: distances are finite (regions and coords are finite)")
-                })
-                .map(|(_, id)| id);
-            return match next {
-                Some(next) => vec![Effect::Send {
-                    to: next,
-                    message: Message::Publish {
-                        record,
-                        hops: hops + 1,
-                    },
-                }],
-                None => Vec::new(),
-            };
+        if let Route::Forward(next) = owner.route(&self.space, record.position(), hops, true) {
+            return forward(next, |hops| Message::Publish { record, hops });
         }
         let me = self.info.id();
         let notified = owner.store.publish(record.clone(), now);
@@ -1824,16 +1448,12 @@ impl NodeEngine {
                     to: peer.id(),
                     message: Message::SyncState {
                         store: Box::new(owner.store.clone()),
-                        neighbors: owner.neighbors.clone(),
+                        neighbors: owner.neighbor_infos(),
                     },
                 });
             }
         }
         effects
-    }
-
-    fn handle_user_subscribe(&mut self, now: u64, sub: Subscription) -> Vec<Effect> {
-        self.on_subscribe(now, sub, 0, false)
     }
 
     fn on_subscribe(
@@ -1846,58 +1466,42 @@ impl NodeEngine {
         let State::Owner(owner) = &mut self.state else {
             return Vec::new();
         };
-        // Secondaries hand requests to their primary (§2.3). Fan-out
-        // copies are addressed to primaries, so only the non-fanout path
-        // needs the redirect.
-        if owner.role == Role::Secondary && !fanout {
-            if let Some(peer) = owner.peer {
-                return vec![Effect::Send {
-                    to: peer.id(),
-                    message: Message::Subscribe { sub, hops, fanout },
-                }];
+        // Fan-out copies are addressed to the primaries of overlapping
+        // regions, so only the routed copy takes the forwarding step.
+        if !fanout {
+            if let Route::Forward(next) = owner.route(&self.space, sub.area().center(), hops, true)
+            {
+                return forward(next, |hops| Message::Subscribe {
+                    sub,
+                    hops,
+                    fanout: false,
+                });
             }
         }
-        let target = sub.area().center();
-        if fanout || self.space.region_covers(&owner.region, target) {
-            // Flood the subscription over every region overlapping its
-            // area (the paper's region-2-and-3 example, generalized), with
-            // the same dedup discipline as query fan-out.
-            if !owner.first_sight((sub.subscriber(), sub.id())) {
-                return Vec::new();
-            }
-            owner.store.subscribe(sub.clone(), now);
-            let mut effects = Vec::new();
-            if hops < self.config.max_hops {
-                let area = sub.area();
-                for n in &owner.neighbors {
-                    if n.region.intersects(&area) {
-                        effects.push(Effect::Send {
-                            to: n.primary.id(),
-                            message: Message::Subscribe {
-                                sub: sub.clone(),
-                                hops: hops + 1,
-                                fanout: true,
-                            },
-                        });
-                    }
-                }
-            }
-            return effects;
-        }
-        if hops >= self.config.max_hops {
+        // Flood the subscription over every region overlapping its area
+        // (the paper's region-2-and-3 example, generalized), with the same
+        // dedup discipline as query fan-out.
+        if !owner.first_sight((sub.subscriber(), sub.id())) {
             return Vec::new();
         }
-        match Self::greedy_next(owner, target) {
-            Some(next) => vec![Effect::Send {
-                to: next,
-                message: Message::Subscribe {
-                    sub,
-                    hops: hops + 1,
-                    fanout: false,
-                },
-            }],
-            None => Vec::new(),
+        owner.store.subscribe(sub.clone(), now);
+        let mut effects = Vec::new();
+        if hops < MAX_HOPS {
+            let area = sub.area();
+            for n in &owner.neighbors {
+                if n.info.region.intersects(&area) {
+                    effects.push(Effect::Send {
+                        to: n.info.primary.id(),
+                        message: Message::Subscribe {
+                            sub: sub.clone(),
+                            hops: hops + 1,
+                            fanout: true,
+                        },
+                    });
+                }
+            }
         }
+        effects
     }
 }
 
@@ -1957,7 +1561,7 @@ mod tests {
         let split = sent
             .iter()
             .find_map(|(to, m)| match m {
-                Message::JoinSplit { region, .. } if *to == joiner.id() => Some(*region),
+                Message::Install { region, .. } if *to == joiner.id() => Some(*region),
                 _ => None,
             })
             .expect("join split sent");
@@ -1984,8 +1588,10 @@ mod tests {
             1,
             Input::Message {
                 from: NodeId::new(1),
-                message: Message::JoinSplit {
+                message: Message::Install {
                     region,
+                    primary: j.info(),
+                    secondary: None,
                     neighbors: vec![NeighborInfo::new(
                         node(1, 10.0, 10.0, 10.0),
                         Region::new(0.0, 0.0, 64.0, 32.0),
@@ -2014,7 +1620,7 @@ mod tests {
         let sent = sends(&fx);
         assert!(sent.iter().any(|(to, m)| {
             *to == joiner.id()
-                && matches!(m, Message::JoinAsSecondary { primary, .. } if primary.id() == NodeId::new(1))
+                && matches!(m, Message::Install { primary, .. } if primary.id() == NodeId::new(1))
         }));
         let view = first.owner_view().unwrap();
         assert_eq!(view.role, Role::Primary);
@@ -2037,8 +1643,134 @@ mod tests {
         let sent = sends(&fx);
         assert!(sent.iter().any(|(to, m)| {
             *to == joiner.id()
-                && matches!(m, Message::JoinAsSecondary { primary, .. } if primary.id() == joiner.id())
+                && matches!(m, Message::Install { primary, .. } if primary.id() == joiner.id())
         }));
+    }
+
+    #[test]
+    fn stronger_dual_joiner_learns_its_real_peer() {
+        // Regression: the hand-off that gave a stronger joiner the primary
+        // role did not name the old owner, so the joiner made one up — a
+        // peer at the region's center with the smallest positive capacity,
+        // which then rode every heartbeat's `secondary` field and switched
+        // mechanisms (a)/(e) off for the region.
+        let old_owner = node(1, 10.0, 10.0, 10.0);
+        let joiner = node(2, 50.0, 50.0, 1000.0);
+        let mut first = engine(old_owner, EngineMode::DualPeer);
+        first.handle(0, Input::BootstrapAsFirst);
+        let fx = first.handle(
+            1,
+            Input::Message {
+                from: joiner.id(),
+                message: Message::JoinRequest { joiner, hops: 0 },
+            },
+        );
+        let handoff = sends(&fx)
+            .into_iter()
+            .find_map(|(to, m)| (to == joiner.id()).then(|| m.clone()))
+            .expect("hand-off sent to the joiner");
+        let mut second = engine(joiner, EngineMode::DualPeer);
+        second.handle(
+            0,
+            Input::Join {
+                entry: old_owner.id(),
+            },
+        );
+        second.handle(
+            2,
+            Input::Message {
+                from: old_owner.id(),
+                message: handoff,
+            },
+        );
+        let view = second.owner_view().unwrap();
+        assert_eq!(view.role, Role::Primary);
+        assert_eq!(view.peer, Some(old_owner));
+    }
+
+    #[test]
+    fn every_routed_kind_takes_the_same_next_hop() {
+        // We own the south-west quarter, under `north` and beside two
+        // eastern neighbors stacked on each other.
+        let entry =
+            |id, x, y, w, h| NeighborInfo::new(node(id, 1.0, 1.0, 10.0), Region::new(x, y, w, h));
+        let north = entry(2, 0.0, 32.0, 32.0, 32.0);
+        let east_top = entry(3, 32.0, 16.0, 16.0, 16.0);
+        let east_low = entry(7, 32.0, 0.0, 16.0, 16.0);
+        let mut e = engine(node(1, 10.0, 10.0, 10.0), EngineMode::Basic);
+        e.handle(
+            0,
+            Input::Message {
+                from: NodeId::new(99),
+                message: Message::Install {
+                    region: Region::new(0.0, 0.0, 32.0, 32.0),
+                    primary: e.info(),
+                    secondary: None,
+                    neighbors: vec![north, east_top.clone(), east_low.clone()],
+                    store: Box::new(RegionStore::new()),
+                },
+            },
+        );
+        let cases = [
+            // `north` and `east_top` are both exactly 13 away: east_top has
+            // the closer center, north the lower node id.
+            (Point::new(45.0, 45.0), &east_top),
+            // On the edge the eastern two share, so zero away from both,
+            // and their centers tie too: east_top has the lower id, but
+            // east_low owns the point (regions are closed to the north).
+            (Point::new(40.0, 16.0), &east_low),
+        ];
+        for (target, expected) in cases {
+            let area = Region::new(target.x - 1.0, target.y - 1.0, 2.0, 2.0);
+            let asker = NodeId::new(50);
+            let routed = [
+                Message::JoinRequest {
+                    joiner: NodeInfo::new(asker, target, 10.0),
+                    hops: 4,
+                },
+                Message::Query {
+                    query: LocationQuery::new(area, asker),
+                    query_id: 1,
+                    reply_to: asker,
+                    hops: 4,
+                    fanout: false,
+                },
+                Message::Publish {
+                    record: LocationRecord::new(1, "traffic", target, vec![]),
+                    hops: 4,
+                },
+                Message::Subscribe {
+                    sub: Subscription::new(1, area, asker, 1_000),
+                    hops: 4,
+                    fanout: false,
+                },
+            ];
+            for message in routed {
+                let kind = message.kind();
+                let fx = e.handle(
+                    1,
+                    Input::Message {
+                        from: asker,
+                        message,
+                    },
+                );
+                let sent = sends(&fx);
+                assert_eq!(sent.len(), 1, "{kind} toward {target:?}: {fx:?}");
+                let (to, forwarded) = sent[0];
+                assert_eq!(to, expected.primary.id(), "{kind} toward {target:?}");
+                assert_eq!(forwarded.kind(), kind);
+                assert!(
+                    matches!(
+                        forwarded,
+                        Message::JoinRequest { hops: 5, .. }
+                            | Message::Query { hops: 5, .. }
+                            | Message::Publish { hops: 5, .. }
+                            | Message::Subscribe { hops: 5, .. }
+                    ),
+                    "{kind}: hop count not advanced in {forwarded:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -2071,7 +1803,7 @@ mod tests {
         // The peer receives the other half.
         assert!(sent
             .iter()
-            .any(|(to, m)| *to == second.id() && matches!(m, Message::SplitTakeover { .. })));
+            .any(|(to, m)| *to == second.id() && matches!(m, Message::Install { .. })));
         // The region shrank.
         let view = first.owner_view().unwrap();
         assert!(view.region.area() < Space::paper_evaluation().bounds().area());
@@ -2094,8 +1826,10 @@ mod tests {
             1,
             Input::Message {
                 from: neighbor.id(),
-                message: Message::JoinSplit {
+                message: Message::Install {
                     region: Region::new(0.0, 0.0, 64.0, 32.0),
+                    primary: e.info(),
+                    secondary: None,
                     neighbors: vec![NeighborInfo::new(neighbor, north)],
                     store: Box::new(RegionStore::new()),
                 },
@@ -2153,11 +1887,12 @@ mod tests {
             0,
             Input::Message {
                 from: NodeId::new(1),
-                message: Message::JoinAsSecondary {
+                message: Message::Install {
                     region: Space::paper_evaluation().bounds(),
                     primary: node(1, 10.0, 10.0, 10.0),
-                    store: Box::new(RegionStore::new()),
+                    secondary: Some(e.info()),
                     neighbors: Vec::new(),
+                    store: Box::new(RegionStore::new()),
                 },
             },
         );
@@ -2198,7 +1933,7 @@ mod tests {
     #[test]
     fn neighbor_updates_upsert_and_drop_by_touch() {
         let mut e = engine(node(1, 10.0, 10.0, 10.0), EngineMode::Basic);
-        // Install as owner of the south half via JoinSplit while joining.
+        // Install as owner of the south half while joining.
         e.handle(
             0,
             Input::Join {
@@ -2209,8 +1944,10 @@ mod tests {
             1,
             Input::Message {
                 from: NodeId::new(99),
-                message: Message::JoinSplit {
+                message: Message::Install {
                     region: Region::new(0.0, 0.0, 64.0, 32.0),
+                    primary: e.info(),
+                    secondary: None,
                     neighbors: Vec::new(),
                     store: Box::new(RegionStore::new()),
                 },
@@ -2249,8 +1986,10 @@ mod tests {
             0,
             Input::Message {
                 from: NodeId::new(99),
-                message: Message::JoinSplit {
+                message: Message::Install {
                     region: Region::new(0.0, 0.0, 64.0, 32.0),
+                    primary: e.info(),
+                    secondary: None,
                     neighbors: vec![neighbor],
                     store: Box::new(RegionStore::new()),
                 },
@@ -2293,7 +2032,7 @@ mod tests {
         let peer = view.peer;
         let region = view.region;
         let mut out = Vec::new();
-        for k in 1..=e.config().stats_window_ticks {
+        for k in 1..=STATS_WINDOW_TICKS {
             let now = from_tick + k * interval;
             for n in &neighbors {
                 e.handle(
@@ -2509,7 +2248,7 @@ mod tests {
         // The stolen node receives the region with us as its secondary.
         let handed = sends(&fx).iter().any(|(to, m)| {
             *to == stolen.id()
-                && matches!(m, Message::TakeOverRegion { new_secondary: Some(s), .. } if s.id() == NodeId::new(1))
+                && matches!(m, Message::Install { secondary: Some(s), .. } if s.id() == NodeId::new(1))
         });
         assert!(handed, "no hand-off in {fx:?}");
         let view = e.owner_view().unwrap();
@@ -2530,11 +2269,12 @@ mod tests {
             5,
             Input::Message {
                 from: NodeId::new(1),
-                message: Message::TakeOverRegion {
+                message: Message::Install {
                     region,
-                    store: Box::new(RegionStore::new()),
+                    primary: e.info(),
+                    secondary: Some(node(1, 10.0, 10.0, 1.0)),
                     neighbors,
-                    new_secondary: Some(node(1, 10.0, 10.0, 1.0)),
+                    store: Box::new(RegionStore::new()),
                 },
             },
         );

@@ -129,6 +129,29 @@ fn balance_can_be_disabled() {
     assert!(!adapted, "adaptation ran despite being disabled");
 }
 
+/// The first pair of primaries owning overlapping regions, if any.
+fn first_fork(h: &SimHarness) -> Option<String> {
+    let views = h.owner_views();
+    let primaries: Vec<_> = views
+        .iter()
+        .filter(|(_, v)| v.role == Role::Primary)
+        .collect();
+    for (i, (ida, va)) in primaries.iter().enumerate() {
+        for (idb, vb) in primaries.iter().skip(i + 1) {
+            if va.region.intersects(&vb.region) {
+                return Some(format!(
+                    "{ida} {} (peer {:?}) vs {idb} {} (peer {:?})",
+                    va.region,
+                    va.peer.map(|p| p.id()),
+                    vb.region,
+                    vb.peer.map(|p| p.id())
+                ));
+            }
+        }
+    }
+    None
+}
+
 #[test]
 fn sustained_load_never_forks_ownership() {
     // Regression for three hand-off races found under load: (1) a
@@ -139,7 +162,19 @@ fn sustained_load_never_forks_ownership() {
     // overlapping regions.
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-    for seed in [4002u64, 7777, 31] {
+    // (nodes, capacity cycle, queries): the original three overlays, and
+    // the larger, more mixed ones the fork hunt was run on by hand.
+    let small = (60, &[1.0, 10.0, 100.0, 1000.0, 10.0][..], 60);
+    let large = (
+        150,
+        &[1.0, 10.0, 10.0, 100.0, 10.0, 1.0, 10.0, 100.0, 1000.0, 10.0][..],
+        100,
+    );
+    let scenarios = [4002u64, 7777, 31]
+        .map(|seed| (seed, small))
+        .into_iter()
+        .chain([4002, 1, 2, 3, 4, 5, 6, 7, 8].map(|seed| (seed, large)));
+    for (seed, (nodes, caps, queries)) in scenarios {
         let space = Space::paper_evaluation();
         let mut h = SimHarness::new(
             space,
@@ -151,15 +186,19 @@ fn sustained_load_never_forks_ownership() {
         );
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut coord = || Point::new(rng.random_range(0.2..63.8), rng.random_range(0.2..63.8));
-        let caps = [1.0, 10.0, 100.0, 1000.0, 10.0];
         h.bootstrap(coord(), 10.0);
-        for i in 1..60 {
+        for i in 1..nodes {
             h.join(coord(), caps[i % caps.len()]);
             h.run_for(250);
         }
         h.settle();
+        assert_eq!(
+            first_fork(&h),
+            None,
+            "seed {seed} x {nodes}: fork after set-up"
+        );
         let asker = NodeId::new(0);
-        for _ in 0..60 {
+        for q in 0..queries {
             let p = coord();
             h.inject(
                 asker,
@@ -168,29 +207,25 @@ fn sustained_load_never_forks_ownership() {
                 },
             );
             h.run_for(60);
+            assert_eq!(
+                first_fork(&h),
+                None,
+                "seed {seed} x {nodes}: fork after query {q}"
+            );
         }
         h.run_for(2_000);
         // Primaries must tile without overlap.
-        let views = h.owner_views();
-        let primaries: Vec<_> = views
+        assert_eq!(first_fork(&h), None, "seed {seed} x {nodes}: fork at rest");
+        let area: f64 = h
+            .owner_views()
             .iter()
             .filter(|(_, v)| v.role == Role::Primary)
-            .collect();
-        let area: f64 = primaries.iter().map(|(_, v)| v.region.area()).sum();
+            .map(|(_, v)| v.region.area())
+            .sum();
         assert!(
             (area - 64.0 * 64.0).abs() < 1e-6,
-            "seed {seed}: coverage {area}"
+            "seed {seed} x {nodes}: coverage {area}"
         );
-        for (i, (ida, va)) in primaries.iter().enumerate() {
-            for (idb, vb) in primaries.iter().skip(i + 1) {
-                assert!(
-                    !va.region.intersects(&vb.region),
-                    "seed {seed}: fork {ida} {} vs {idb} {}",
-                    va.region,
-                    vb.region
-                );
-            }
-        }
     }
 }
 

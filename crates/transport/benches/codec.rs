@@ -25,7 +25,7 @@ fn heartbeat_envelope() -> Envelope {
     }
 }
 
-fn join_split_envelope(neighbors: usize, records: usize) -> Envelope {
+fn install_envelope(neighbors: usize, records: usize) -> Envelope {
     let region = Region::new(0.0, 0.0, 32.0, 32.0);
     let mut store = RegionStore::new();
     for i in 0..records {
@@ -43,8 +43,10 @@ fn join_split_envelope(neighbors: usize, records: usize) -> Envelope {
         sender: node(1),
         sender_addr: "127.0.0.1:9000".parse().unwrap(),
         addrs: Vec::new(),
-        message: Message::JoinSplit {
+        message: Message::Install {
             region,
+            primary: node(2),
+            secondary: None,
             neighbors: (0..neighbors)
                 .map(|i| NeighborInfo::new(node(10 + i as u64), region))
                 .collect(),
@@ -63,13 +65,13 @@ fn bench_codec(c: &mut Criterion) {
         b.iter(|| black_box(Envelope::decode(&hb_bytes).unwrap()))
     });
 
-    let split = join_split_envelope(8, 100);
-    c.bench_function("encode_join_split_8n_100r", |b| {
-        b.iter(|| black_box(split.encode()))
+    let install = install_envelope(8, 100);
+    c.bench_function("encode_install_8n_100r", |b| {
+        b.iter(|| black_box(install.encode()))
     });
-    let split_bytes = split.encode();
-    c.bench_function("decode_join_split_8n_100r", |b| {
-        b.iter(|| black_box(Envelope::decode(&split_bytes).unwrap()))
+    let install_bytes = install.encode();
+    c.bench_function("decode_install_8n_100r", |b| {
+        b.iter(|| black_box(Envelope::decode(&install_bytes).unwrap()))
     });
 }
 

@@ -16,7 +16,7 @@ use geogrid_core::{NodeId, NodeInfo};
 use geogrid_geometry::{Point, Region};
 
 /// Current wire protocol version.
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 /// Maximum accepted string/blob length (16 MiB) — guards against corrupt
 /// or hostile length prefixes.
@@ -368,11 +368,10 @@ fn get_query(r: &mut Reader<'_>) -> Result<LocationQuery, WireError> {
 // Message encoding
 // ---------------------------------------------------------------------
 
+// Tags 3, 4, 5 and 17 belonged to the four version-1 hand-off messages
+// that `Install` replaced; they are not reused.
 const TAG_JOIN_REQUEST: u8 = 1;
 const TAG_JOIN_DIRECTED: u8 = 2;
-const TAG_JOIN_SPLIT: u8 = 3;
-const TAG_JOIN_AS_SECONDARY: u8 = 4;
-const TAG_SPLIT_TAKEOVER: u8 = 5;
 const TAG_NEIGHBOR_UPDATE: u8 = 6;
 const TAG_QUERY: u8 = 7;
 const TAG_QUERY_REPLY: u8 = 8;
@@ -384,12 +383,12 @@ const TAG_SYNC_STATE: u8 = 13;
 const TAG_STEAL_REQUEST: u8 = 14;
 const TAG_STEAL_GRANT: u8 = 15;
 const TAG_STEAL_DENY: u8 = 16;
-const TAG_TAKE_OVER: u8 = 17;
 const TAG_LEAVE_NOTICE: u8 = 18;
 const TAG_MERGE_REGIONS: u8 = 19;
 const TAG_WHO_OWNS: u8 = 20;
 const TAG_OWNER_IS: u8 = 21;
 const TAG_DETACHED: u8 = 22;
+const TAG_INSTALL: u8 = 23;
 
 fn put_message(buf: &mut BytesMut, message: &Message) {
     match message {
@@ -402,35 +401,17 @@ fn put_message(buf: &mut BytesMut, message: &Message) {
             buf.put_u8(TAG_JOIN_DIRECTED);
             put_node_info(buf, *joiner);
         }
-        Message::JoinSplit {
-            region,
-            neighbors,
-            store,
-        } => {
-            buf.put_u8(TAG_JOIN_SPLIT);
-            put_region(buf, *region);
-            put_neighbors(buf, neighbors);
-            put_store(buf, store);
-        }
-        Message::JoinAsSecondary {
+        Message::Install {
             region,
             primary,
-            store,
+            secondary,
             neighbors,
+            store,
         } => {
-            buf.put_u8(TAG_JOIN_AS_SECONDARY);
+            buf.put_u8(TAG_INSTALL);
             put_region(buf, *region);
             put_node_info(buf, *primary);
-            put_store(buf, store);
-            put_neighbors(buf, neighbors);
-        }
-        Message::SplitTakeover {
-            region,
-            neighbors,
-            store,
-        } => {
-            buf.put_u8(TAG_SPLIT_TAKEOVER);
-            put_region(buf, *region);
+            put_opt_node_info(buf, *secondary);
             put_neighbors(buf, neighbors);
             put_store(buf, store);
         }
@@ -508,18 +489,6 @@ fn put_message(buf: &mut BytesMut, message: &Message) {
         Message::StealSecondaryDeny => {
             buf.put_u8(TAG_STEAL_DENY);
         }
-        Message::TakeOverRegion {
-            region,
-            store,
-            neighbors,
-            new_secondary,
-        } => {
-            buf.put_u8(TAG_TAKE_OVER);
-            put_region(buf, *region);
-            put_store(buf, store);
-            put_neighbors(buf, neighbors);
-            put_opt_node_info(buf, *new_secondary);
-        }
         Message::LeaveNotice => {
             buf.put_u8(TAG_LEAVE_NOTICE);
         }
@@ -564,19 +533,10 @@ fn get_message(r: &mut Reader<'_>) -> Result<Message, WireError> {
         TAG_JOIN_DIRECTED => Ok(Message::JoinDirected {
             joiner: get_node_info(r)?,
         }),
-        TAG_JOIN_SPLIT => Ok(Message::JoinSplit {
-            region: get_region(r)?,
-            neighbors: get_neighbors(r)?,
-            store: Box::new(get_store(r)?),
-        }),
-        TAG_JOIN_AS_SECONDARY => Ok(Message::JoinAsSecondary {
+        TAG_INSTALL => Ok(Message::Install {
             region: get_region(r)?,
             primary: get_node_info(r)?,
-            store: Box::new(get_store(r)?),
-            neighbors: get_neighbors(r)?,
-        }),
-        TAG_SPLIT_TAKEOVER => Ok(Message::SplitTakeover {
-            region: get_region(r)?,
+            secondary: get_opt_node_info(r)?,
             neighbors: get_neighbors(r)?,
             store: Box::new(get_store(r)?),
         }),
@@ -644,12 +604,6 @@ fn get_message(r: &mut Reader<'_>) -> Result<Message, WireError> {
             swap: get_bool(r)?,
         }),
         TAG_STEAL_DENY => Ok(Message::StealSecondaryDeny),
-        TAG_TAKE_OVER => Ok(Message::TakeOverRegion {
-            region: get_region(r)?,
-            store: Box::new(get_store(r)?),
-            neighbors: get_neighbors(r)?,
-            new_secondary: get_opt_node_info(r)?,
-        }),
         TAG_LEAVE_NOTICE => Ok(Message::LeaveNotice),
         TAG_MERGE_REGIONS => Ok(Message::MergeRegions {
             region: get_region(r)?,
@@ -725,80 +679,41 @@ impl Envelope {
 /// attach addresses for so the receiver can reach them.
 pub fn referenced_nodes(message: &Message) -> Vec<NodeId> {
     let mut out = Vec::new();
-    let mut push_info = |i: &NodeInfo| out.push(i.id());
+    let mut push_entry = |n: &NeighborInfo| {
+        out.push(n.primary.id());
+        out.extend(n.secondary.map(|s| s.id()));
+    };
     match message {
-        Message::JoinRequest { joiner, .. } | Message::JoinDirected { joiner } => push_info(joiner),
-        Message::JoinSplit { neighbors, .. } | Message::SplitTakeover { neighbors, .. } => {
-            for n in neighbors {
-                push_info(&n.primary);
-                if let Some(s) = &n.secondary {
-                    push_info(s);
-                }
-            }
+        Message::JoinRequest { joiner, .. } | Message::JoinDirected { joiner } => {
+            out.push(joiner.id())
         }
-        Message::JoinAsSecondary {
-            primary, neighbors, ..
+        Message::Install {
+            primary,
+            secondary,
+            neighbors,
+            ..
         } => {
-            push_info(primary);
-            for n in neighbors {
-                push_info(&n.primary);
-                if let Some(s) = &n.secondary {
-                    push_info(s);
-                }
-            }
+            neighbors.iter().for_each(push_entry);
+            out.push(primary.id());
+            out.extend(secondary.map(|s| s.id()));
         }
-        Message::NeighborUpdate { info } | Message::Heartbeat { info, .. } => {
-            push_info(&info.primary);
-            if let Some(s) = &info.secondary {
-                push_info(s);
-            }
+        Message::NeighborUpdate { info }
+        | Message::Heartbeat { info, .. }
+        | Message::OwnerIs { info } => push_entry(info),
+        Message::MergeRegions { neighbors, .. } | Message::SyncState { neighbors, .. } => {
+            neighbors.iter().for_each(push_entry)
         }
-        Message::StealSecondaryRequest { requester, .. } => push_info(requester),
-        Message::StealSecondaryGrant { secondary, .. } => push_info(secondary),
+        Message::StealSecondaryRequest { requester, .. } => out.push(requester.id()),
+        Message::StealSecondaryGrant { secondary, .. } => out.push(secondary.id()),
+        Message::Query { reply_to, .. } => out.push(*reply_to),
+        Message::Subscribe { sub, .. } => out.push(sub.subscriber()),
         Message::StealSecondaryDeny
         | Message::LeaveNotice
         | Message::Detached
-        | Message::WhoOwns { .. } => {}
-        Message::OwnerIs { info } => {
-            push_info(&info.primary);
-            if let Some(sec) = &info.secondary {
-                push_info(sec);
-            }
-        }
-        Message::MergeRegions { neighbors, .. } => {
-            for n in neighbors {
-                push_info(&n.primary);
-                if let Some(s) = &n.secondary {
-                    push_info(s);
-                }
-            }
-        }
-        Message::TakeOverRegion {
-            neighbors,
-            new_secondary,
-            ..
-        } => {
-            for n in neighbors {
-                push_info(&n.primary);
-                if let Some(s) = &n.secondary {
-                    push_info(s);
-                }
-            }
-            if let Some(s) = new_secondary {
-                push_info(s);
-            }
-        }
-        Message::Query { reply_to, .. } => out.push(*reply_to),
-        Message::Subscribe { sub, .. } => out.push(sub.subscriber()),
-        Message::SyncState { neighbors, .. } => {
-            for n in neighbors {
-                push_info(&n.primary);
-                if let Some(s) = &n.secondary {
-                    push_info(s);
-                }
-            }
-        }
-        Message::QueryReply { .. } | Message::Publish { .. } | Message::Notify { .. } => {}
+        | Message::WhoOwns { .. }
+        | Message::QueryReply { .. }
+        | Message::Publish { .. }
+        | Message::Notify { .. } => {}
     }
     out.sort();
     out.dedup();
@@ -829,8 +744,11 @@ mod tests {
         assert_eq!(back, env);
     }
 
-    #[test]
-    fn round_trips_every_message_kind() {
+    /// The sample after `m` in a walk over every message kind, `None`
+    /// after the last. The match has no wildcard on purpose: a new
+    /// `Message` variant does not compile until it is given a place in
+    /// the walk, and so a round-trip case.
+    fn next_sample(m: &Message) -> Option<Message> {
         let region = Region::new(0.0, 0.0, 32.0, 16.0);
         let neighbor = NeighborInfo {
             primary: node(3),
@@ -843,94 +761,97 @@ mod tests {
         let mut store = RegionStore::new();
         store.subscribe(sub.clone(), 0);
         store.publish(record.clone(), 0);
-        let query = LocationQuery::new(region, NodeId::new(7)).with_topic("traffic");
-
-        let messages = vec![
-            Message::JoinRequest {
-                joiner: node(2),
-                hops: 3,
-            },
-            Message::JoinDirected { joiner: node(2) },
-            Message::JoinSplit {
-                region,
-                neighbors: vec![neighbor.clone()],
-                store: Box::new(store.clone()),
-            },
-            Message::JoinAsSecondary {
+        let store = Box::new(store);
+        Some(match m {
+            Message::JoinRequest { .. } => Message::JoinDirected { joiner: node(2) },
+            Message::JoinDirected { .. } => Message::Install {
                 region,
                 primary: node(1),
-                store: Box::new(store.clone()),
-                neighbors: vec![neighbor.clone()],
+                secondary: Some(node(9)),
+                neighbors: vec![neighbor],
+                store,
             },
-            Message::SplitTakeover {
-                region,
-                neighbors: vec![neighbor.clone()],
-                store: Box::new(store.clone()),
-            },
-            Message::NeighborUpdate {
-                info: neighbor.clone(),
-            },
-            Message::Query {
-                query: query.clone(),
+            Message::Install { .. } => Message::NeighborUpdate { info: neighbor },
+            Message::NeighborUpdate { .. } => Message::Query {
+                query: LocationQuery::new(region, NodeId::new(7)).with_topic("traffic"),
                 query_id: 77,
                 reply_to: NodeId::new(8),
                 hops: 2,
                 fanout: true,
             },
-            Message::QueryReply {
+            Message::Query { .. } => Message::QueryReply {
                 query_id: 77,
-                records: vec![record.clone()],
+                records: vec![record],
             },
-            Message::Publish {
-                record: record.clone(),
-                hops: 1,
-            },
-            Message::Subscribe {
+            Message::QueryReply { .. } => Message::Publish { record, hops: 1 },
+            Message::Publish { .. } => Message::Subscribe {
                 sub,
                 hops: 0,
                 fanout: false,
             },
-            Message::Notify { record },
-            Message::Heartbeat {
-                info: neighbor.clone(),
+            Message::Subscribe { .. } => Message::Notify { record },
+            Message::Notify { .. } => Message::Heartbeat {
+                info: neighbor,
                 index: 0.25,
             },
-            Message::SyncState {
-                store: Box::new(store.clone()),
+            Message::Heartbeat { .. } => Message::SyncState {
+                store,
                 neighbors: Vec::new(),
             },
-            Message::StealSecondaryRequest {
+            Message::SyncState { .. } => Message::StealSecondaryRequest {
                 requester: node(2),
                 index: 1.5,
                 swap: true,
             },
-            Message::StealSecondaryGrant {
+            Message::StealSecondaryRequest { .. } => Message::StealSecondaryGrant {
                 secondary: node(4),
                 donor_region: region,
                 swap: false,
             },
-            Message::StealSecondaryDeny,
-            Message::LeaveNotice,
-            Message::Detached,
-            Message::WhoOwns { region },
-            Message::OwnerIs {
-                info: neighbor.clone(),
-            },
-            Message::MergeRegions {
+            Message::StealSecondaryGrant { .. } => Message::StealSecondaryDeny,
+            Message::StealSecondaryDeny => Message::LeaveNotice,
+            Message::LeaveNotice => Message::Detached,
+            Message::Detached => Message::WhoOwns { region },
+            Message::WhoOwns { .. } => Message::OwnerIs { info: neighbor },
+            Message::OwnerIs { .. } => Message::MergeRegions {
                 region,
-                store: Box::new(store.clone()),
-                neighbors: vec![neighbor.clone()],
-            },
-            Message::TakeOverRegion {
-                region,
-                store: Box::new(store),
+                store,
                 neighbors: vec![neighbor],
-                new_secondary: Some(node(9)),
             },
-        ];
-        for m in messages {
+            Message::MergeRegions { .. } => return None,
+        })
+    }
+
+    #[test]
+    fn round_trips_every_message_kind() {
+        let mut next = Some(Message::JoinRequest {
+            joiner: node(2),
+            hops: 3,
+        });
+        let mut kinds = Vec::new();
+        while let Some(m) = next {
+            next = next_sample(&m);
+            kinds.push(m.kind());
             round_trip(m);
         }
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds.len(), 19, "the walk skipped or repeated a kind");
+    }
+
+    #[test]
+    fn rejects_retired_tags_and_version_1() {
+        // The four version-1 hand-off messages (tags 3, 4, 5, 17) are gone:
+        // a peer still speaking them is refused, not misread.
+        let env = envelope(Message::StealSecondaryDeny);
+        let mut bytes = env.encode().to_vec();
+        let tag_at = bytes.len() - 1; // a unit message's body is its tag
+        for retired in [3u8, 4, 5, 17] {
+            bytes[tag_at] = retired;
+            assert_eq!(Envelope::decode(&bytes), Err(WireError::BadTag(retired)));
+        }
+        bytes[0] = 1;
+        assert_eq!(Envelope::decode(&bytes), Err(WireError::BadVersion(1)));
     }
 
     #[test]
@@ -943,8 +864,10 @@ mod tests {
 
     #[test]
     fn rejects_truncation_at_every_length() {
-        let env = envelope(Message::JoinSplit {
+        let env = envelope(Message::Install {
             region: Region::new(0.0, 0.0, 1.0, 1.0),
+            primary: node(2),
+            secondary: None,
             neighbors: vec![NeighborInfo::new(node(3), Region::new(0.0, 0.0, 2.0, 2.0))],
             store: Box::new(RegionStore::new()),
         });
@@ -981,8 +904,10 @@ mod tests {
     #[test]
     fn referenced_nodes_covers_neighbors() {
         let region = Region::new(0.0, 0.0, 1.0, 1.0);
-        let m = Message::JoinSplit {
+        let m = Message::Install {
             region,
+            primary: node(6),
+            secondary: Some(node(7)),
             neighbors: vec![
                 NeighborInfo {
                     primary: node(3),
@@ -994,7 +919,8 @@ mod tests {
             store: Box::new(RegionStore::new()),
         };
         let ids = referenced_nodes(&m);
-        assert_eq!(ids, vec![NodeId::new(3), NodeId::new(4), NodeId::new(5)]);
+        let expected: Vec<NodeId> = (3..=7).map(NodeId::new).collect();
+        assert_eq!(ids, expected);
     }
 
     #[test]

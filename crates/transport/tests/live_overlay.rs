@@ -18,7 +18,6 @@ fn config(mode: EngineMode) -> RuntimeConfig {
             heartbeat_interval: 50,
             peer_timeout: 250,
             neighbor_timeout: 1_000,
-            max_hops: 64,
             ..EngineConfig::default()
         },
         listen: "127.0.0.1:0".parse().unwrap(),

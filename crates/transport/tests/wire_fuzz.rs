@@ -111,26 +111,18 @@ fn arb_message() -> impl Strategy<Value = Message> {
         arb_node_info().prop_map(|joiner| Message::JoinDirected { joiner }),
         (
             arb_region(),
+            arb_node_info(),
+            proptest::option::of(arb_node_info()),
             proptest::collection::vec(arb_neighbor(), 0..4),
             arb_store()
         )
-            .prop_map(|(region, neighbors, store)| Message::JoinSplit {
-                region,
-                neighbors,
-                store
-            }),
-        (
-            arb_region(),
-            arb_node_info(),
-            arb_store(),
-            proptest::collection::vec(arb_neighbor(), 0..4)
-        )
             .prop_map(
-                |(region, primary, store, neighbors)| Message::JoinAsSecondary {
+                |(region, primary, secondary, neighbors, store)| Message::Install {
                     region,
                     primary,
-                    store,
-                    neighbors
+                    secondary,
+                    neighbors,
+                    store
                 }
             ),
         arb_neighbor().prop_map(|info| Message::NeighborUpdate { info }),
@@ -183,20 +175,6 @@ fn arb_message() -> impl Strategy<Value = Message> {
                 region,
                 store,
                 neighbors
-            }),
-        (
-            arb_region(),
-            arb_store(),
-            proptest::collection::vec(arb_neighbor(), 0..4),
-            proptest::option::of(arb_node_info())
-        )
-            .prop_map(|(region, store, neighbors, new_secondary)| {
-                Message::TakeOverRegion {
-                    region,
-                    store,
-                    neighbors,
-                    new_secondary,
-                }
             }),
     ]
 }

@@ -24,7 +24,6 @@ fn runtime_config() -> RuntimeConfig {
             heartbeat_interval: 100,
             peer_timeout: 400,
             neighbor_timeout: 2_000,
-            max_hops: 64,
             ..EngineConfig::default()
         },
         listen: "127.0.0.1:0".parse().expect("literal"),
