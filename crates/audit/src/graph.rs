@@ -1,5 +1,5 @@
-//! Approximate workspace call graph and the reachability rules
-//! GG008–GG011.
+//! Approximate workspace call graph and the reachability rules GG008,
+//! GG009 and GG011.
 //!
 //! The per-file rules in the crate root check token patterns inside one
 //! function body. The rules here need to see *through* helper calls: a
@@ -53,8 +53,8 @@ use std::ops::Range;
 use std::path::Path;
 
 use crate::{
-    collect_sources, is_hot_path_attr, lex, lint_source, match_brace, match_paren, model,
-    FileModel, Finding, Tok, Token, HOT_BANNED_MACROS, HOT_BANNED_METHODS, HOT_BANNED_TYPES,
+    collect_sources, is_hot_path_attr, lex, lint_file, match_brace, match_paren, model, FileModel,
+    Finding, Tok, Token, HOT_BANNED_MACROS, HOT_BANNED_METHODS, HOT_BANNED_TYPES,
 };
 
 // ---------------------------------------------------------------------------
@@ -99,15 +99,14 @@ pub fn analyze_files(files: &[(String, String)]) -> Analysis {
     let mut findings = Vec::new();
     let mut models = Vec::new();
     for (path, text) in files {
-        findings.extend(lint_source(path, text));
-        let lexed = lex(text);
-        models.push(model(path, &lexed));
+        let fm = model(path, &lex(text));
+        lint_file(&fm, &mut findings);
+        models.push(fm);
     }
     let graph = Graph::build(&models);
     let mut graph_findings = Vec::new();
     graph.rule_hot_transitive(&mut graph_findings);
     graph.rule_decode_panic_free(&mut graph_findings);
-    rule_message_exhaustive(&models, &mut graph_findings);
     graph.rule_async_blocking(&mut graph_findings);
     graph_findings.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.rule, a.message.as_str()).cmp(&(
@@ -1241,11 +1240,7 @@ impl Graph {
             for v in order {
                 for fact in &self.nodes[v].facts {
                     let relevant = match fact.kind {
-                        // Direct allocation in a hot fn is GG002's
-                        // finding; the graph adds only what lexical
-                        // scanning cannot see.
-                        FactKind::Alloc => !self.nodes[v].hot,
-                        FactKind::Panic | FactKind::Blocking => true,
+                        FactKind::Alloc | FactKind::Panic | FactKind::Blocking => true,
                         FactKind::Index | FactKind::Arith => false,
                     };
                     if relevant {
@@ -1344,87 +1339,6 @@ impl Graph {
     }
 }
 
-/// GG010: every `Message` variant appears at the encode, decode, and
-/// engine-handler sites. Skipped silently when the enum file is absent
-/// (fixture trees).
-fn rule_message_exhaustive(models: &[FileModel], out: &mut Vec<Finding>) {
-    const ENUM_FILE: &str = "crates/core/src/engine/messages.rs";
-    const SITES: &[(&str, &str)] = &[
-        ("crates/transport/src/wire.rs", "put_message"),
-        ("crates/transport/src/wire.rs", "get_message"),
-        ("crates/core/src/engine/node.rs", "handle_message"),
-    ];
-    let Some(enum_fm) = models.iter().find(|m| m.path == ENUM_FILE) else {
-        return;
-    };
-    let Some((enum_line, variants)) = message_variants(&enum_fm.tokens) else {
-        return;
-    };
-    for (site_path, site_fn) in SITES {
-        let site = models
-            .iter()
-            .find(|m| m.path == *site_path)
-            .and_then(|m| m.fns.iter().find(|f| f.name == *site_fn).map(|f| (m, f)));
-        let Some((fm, f)) = site else {
-            out.push(Finding {
-                rule: "GG010",
-                path: ENUM_FILE.to_string(),
-                line: enum_line,
-                message: format!(
-                    "`Message` dispatch site `{site_fn}` not found in {site_path} — \
-                     exhaustiveness cannot be checked",
-                ),
-            });
-            continue;
-        };
-        for variant in &variants {
-            let mentioned = f.body.clone().any(|k| {
-                fm.tokens[k].tok.is("Message")
-                    && fm.tokens.get(k + 1).is_some_and(|t| t.tok.is("::"))
-                    && fm.tokens.get(k + 2).is_some_and(|t| t.tok.is(variant))
-            });
-            if !mentioned {
-                out.push(Finding {
-                    rule: "GG010",
-                    path: fm.path.clone(),
-                    line: f.line,
-                    message: format!(
-                        "`Message::{variant}` never appears in `{site_fn}` — the variant \
-                         is silently undeliverable at this site",
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// Parses the variants of `enum Message { ... }`; returns the enum's line
-/// and variant names.
-fn message_variants(toks: &[Token]) -> Option<(u32, Vec<String>)> {
-    let start = (0..toks.len()).find(|&k| {
-        toks[k].tok.is("enum") && toks.get(k + 1).is_some_and(|t| t.tok.is("Message"))
-    })?;
-    let open = crate::find_from(toks, start, "{")?;
-    let close = match_brace(toks, open)?;
-    let mut variants = Vec::new();
-    let mut depth = 0i32;
-    let mut expecting = true;
-    for t in &toks[open + 1..close] {
-        match &t.tok {
-            t if t.is("{") || t.is("(") || t.is("[") => depth += 1,
-            t if t.is("}") || t.is(")") || t.is("]") => depth -= 1,
-            t if t.is(",") && depth == 0 => expecting = true,
-            t if t.is("#") => {}
-            Tok::Ident(name) if depth == 0 && expecting => {
-                variants.push(name.clone());
-                expecting = false;
-            }
-            _ => {}
-        }
-    }
-    Some((toks[start].line, variants))
-}
-
 // ---------------------------------------------------------------------------
 // Seeded-violation self-tests
 // ---------------------------------------------------------------------------
@@ -1515,6 +1429,42 @@ mod tests {
     }
 
     // ---- GG008 ----
+
+    #[test]
+    fn gg008_catches_direct_allocations_in_hot_fn() {
+        let a = analyze(&[(
+            "crates/core/src/routing.rs",
+            r#"
+            #[hot_path]
+            fn probe(&self) -> Vec<u32> {
+                let a = Vec::new();
+                let b = self.hops.clone();
+                let c: Vec<u32> = it.collect();
+                let d = vec![0u8; 4];
+                b.to_vec()
+            }
+            "#,
+        )]);
+        let rules: Vec<&str> = a.findings.iter().map(|f| f.rule).collect();
+        assert_eq!(rules, vec!["GG008"; 5], "{:?}", a.findings);
+        assert!(a.findings[0].message.contains("in #[hot_path] `probe`"));
+    }
+
+    #[test]
+    fn gg008_ignores_unreached_cold_helpers() {
+        let a = analyze(&[(
+            "crates/core/src/routing.rs",
+            r#"
+            fn cold(&self) -> Vec<u32> { self.hops.clone() }
+            #[hot_path]
+            fn hot(&self, scratch: &mut RouteScratch) -> u32 {
+                scratch.grow(self.len());
+                self.stamps[slot]
+            }
+            "#,
+        )]);
+        assert!(a.findings.is_empty(), "{:?}", a.findings);
+    }
 
     #[test]
     fn gg008_catches_alloc_reachable_through_helpers() {
@@ -1647,87 +1597,6 @@ mod tests {
         assert!(rule_findings(&a, "GG009").is_empty(), "{:?}", a.findings);
     }
 
-    // ---- GG010 ----
-
-    const FIXTURE_ENUM: &str = r#"
-        pub enum Message {
-            Ping { nonce: u64 },
-            Pong,
-        }
-    "#;
-
-    #[test]
-    fn gg010_catches_variant_missing_from_a_site() {
-        let a = analyze(&[
-            ("crates/core/src/engine/messages.rs", FIXTURE_ENUM),
-            (
-                "crates/transport/src/wire.rs",
-                r#"
-                fn put_message(m: &Message) {
-                    match m { Message::Ping { .. } => {}, Message::Pong => {} }
-                }
-                fn get_message(tag: u8) -> Message {
-                    if tag == 0 { Message::Ping { nonce: 0 } } else { Message::Pong }
-                }
-                "#,
-            ),
-            (
-                "crates/core/src/engine/node.rs",
-                r#"
-                fn handle_message(m: Message) {
-                    match m { Message::Ping { .. } => {}, _ => {} }
-                }
-                "#,
-            ),
-        ]);
-        let f = rule_findings(&a, "GG010");
-        assert_eq!(f.len(), 1, "{:?}", a.findings);
-        assert!(f[0].message.contains("Message::Pong"), "{}", f[0].message);
-        assert!(f[0].message.contains("handle_message"), "{}", f[0].message);
-    }
-
-    #[test]
-    fn gg010_catches_missing_site_and_quiet_when_complete() {
-        let missing = analyze(&[("crates/core/src/engine/messages.rs", FIXTURE_ENUM)]);
-        let f = rule_findings(&missing, "GG010");
-        assert_eq!(f.len(), 3, "{:?}", missing.findings);
-        assert!(f[0].message.contains("not found"), "{}", f[0].message);
-
-        let complete = analyze(&[
-            ("crates/core/src/engine/messages.rs", FIXTURE_ENUM),
-            (
-                "crates/transport/src/wire.rs",
-                r#"
-                fn put_message(m: &Message) {
-                    match m { Message::Ping { .. } => {}, Message::Pong => {} }
-                }
-                fn get_message(tag: u8) -> Message {
-                    if tag == 0 { Message::Ping { nonce: 0 } } else { Message::Pong }
-                }
-                "#,
-            ),
-            (
-                "crates/core/src/engine/node.rs",
-                r#"
-                fn handle_message(m: Message) {
-                    match m { Message::Ping { .. } => {}, Message::Pong => {} }
-                }
-                "#,
-            ),
-        ]);
-        assert!(
-            rule_findings(&complete, "GG010").is_empty(),
-            "{:?}",
-            complete.findings
-        );
-    }
-
-    #[test]
-    fn gg010_skips_silently_without_enum_file() {
-        let a = analyze(&[("crates/core/src/lib.rs", "#![forbid(unsafe_code)]")]);
-        assert!(rule_findings(&a, "GG010").is_empty());
-    }
-
     // ---- GG011 ----
 
     #[test]
@@ -1829,19 +1698,5 @@ mod tests {
         let impls = impl_ranges(&lexed.tokens);
         let names: Vec<&str> = impls.iter().map(|(_, n)| n.as_str()).collect();
         assert_eq!(names, vec!["Wrapper", "Thing"]);
-    }
-
-    #[test]
-    fn message_variant_parser_reads_struct_and_unit_variants() {
-        let lexed = lex(r#"
-            pub enum Message {
-                #[doc = "x"]
-                Alpha { a: Vec<(u8, u8)> },
-                Beta(u32),
-                Gamma,
-            }
-        "#);
-        let (_, variants) = message_variants(&lexed.tokens).expect("enum found");
-        assert_eq!(variants, vec!["Alpha", "Beta", "Gamma"]);
     }
 }

@@ -1,42 +1,34 @@
 //! `geogrid-audit`: an offline, dependency-light static-analysis pass over
 //! the workspace's own Rust sources, run as `cargo lint-all`.
 //!
-//! The overlay's fast paths (PRs 1–2) created *coupled* mutation sites:
-//! every geometry rewrite must update the grid spatial index, the 64-byte
-//! slot-geometry mirror, and the route-cache epoch in lockstep, and the
-//! routing hot path must stay allocation-free. Those rules are invisible
-//! to the type system, so this crate machine-checks them with a
-//! hand-rolled token scanner (no `syn` — the build environment has no
-//! registry access, and a lossy-but-honest lexer is all these rules
-//! need).
+//! It checks only what rustc, clippy, the workspace lint table and the
+//! runtime auditor (`geogrid_core::audit`) cannot express: call-site
+//! discipline for the coupled mutation primitives, and reachability
+//! properties of the routing hot path, the wire decoder and the async
+//! transport. It uses a hand-rolled token scanner (no `syn` — the build
+//! environment has no registry access, and a lossy-but-honest lexer is
+//! all these rules need).
 //!
 //! # Rule catalog
 //!
 //! | ID | Rule |
 //! |-------|------|
 //! | GG000 | marker hygiene: every `// audit:` marker uses a known family, attaches to a function, and carries required arguments |
-//! | GG001 | functions marked `// audit: geometry-rewrite` must call every required callee group (epoch bump + grid/mirror rewrite), and nothing unmarked may call those mutators |
-//! | GG002 | no allocation (`Vec::new`, `vec!`, `.clone()`, `.to_vec()`, `.collect()`, …) inside `#[hot_path]`-marked functions |
-//! | GG003 | no `.unwrap()` in non-test `crates/core` code; `.expect(...)` only with an `"invariant: ..."` message |
-//! | GG004 | `#![forbid(unsafe_code)]` present in every first-party crate root |
-//! | GG005 | the geometry epoch field is written only inside `bump_epoch` |
-//! | GG006 | the snapshot publication primitives (`publish_snapshot`, `install_snapshot`) are called only from `// audit: geometry-rewrite` / `// audit: snapshot-publish` marked functions, and every `snapshot-publish` marker is live |
-//! | GG007 | the store hand-off primitives (`split_for`, `absorb`) are called only from `// audit: store-handoff` marked functions, and every marked function actually calls one |
-//! | GG008 | `#[hot_path]` purity is transitive: no allocation, blocking, or panicking construct reachable through helper calls (escape: `// audit: hot-path-exempt(reason)`) |
+//! | GG001 | marked-site primitives ([`SITE_FAMILIES`]): geometry rewrites, snapshot publication and store hand-off are called only from functions carrying their marker, and every marked function calls what its marker requires |
+//! | GG008 | `#[hot_path]` purity, direct and transitive: no allocation, blocking, or panicking construct in a hot function or reachable through helper calls (escape: `// audit: hot-path-exempt(reason)`) |
 //! | GG009 | the wire decode surface (`decode*`/`read_frame` in `crates/transport`) reaches no indexing, unwrap, or unchecked arithmetic |
-//! | GG010 | every `Message` enum variant appears in the encode, decode, and engine-handler match sites |
 //! | GG011 | no blocking call (`std::thread::sleep`, `std::sync::Mutex::lock`, `std::fs`/`std::net` IO) reachable from an `async fn` in `crates/transport` |
 //!
-//! GG001–GG007 are *lexical* (per-function token patterns). GG008–GG011
-//! are *reachability* rules: the [`graph`] module links every function
-//! definition and call site into an approximate workspace call graph and
-//! walks it (see that module's docs for the resolution strategy and its
-//! known false-negative classes).
+//! GG000 and GG001 are *lexical* (per-function token patterns). GG008,
+//! GG009 and GG011 are *reachability* rules: the [`graph`] module links
+//! every function definition and call site into an approximate workspace
+//! call graph and walks it (see that module's docs for the resolution
+//! strategy and its known false-negative classes). The missing ids
+//! belong to retired rules whose invariants other checks now enforce;
+//! DESIGN.md §7 names the enforcer of every invariant.
 //!
 //! Every rule has a fix-it hint ([`hint`]) and seeded-violation self-tests
-//! (this file's test module) proving it catches the mistake it exists
-//! for. DESIGN.md §7 maps each structural invariant to its enforcing rule
-//! or runtime auditor check.
+//! proving it catches the mistake it exists for.
 //!
 //! The scanner is *lossy by design*: it lexes identifiers, operators,
 //! strings and comments exactly (so markers in comments and banned calls
@@ -85,60 +77,18 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "GG001",
-        summary: "geometry-rewrite three-site coherence: marked functions must \
-                  update the grid index + slot mirror and bump the epoch; \
-                  unmarked functions must not call those mutators",
-        hint: "mark the function with `// audit: geometry-rewrite` and make it \
-               call bump_epoch plus one of rewrite_geometry/alloc_slot/free_slot, \
-               or move the mutation into an already-marked site",
-    },
-    RuleInfo {
-        id: "GG002",
-        summary: "no allocation or copying calls inside #[hot_path] functions",
-        hint: "hoist the allocation into an unmarked cold-path helper or reuse \
-               a scratch buffer (see RouteScratch)",
-    },
-    RuleInfo {
-        id: "GG003",
-        summary: "no .unwrap(), and only invariant-documented .expect(), in \
-                  non-test geogrid-core code",
-        hint: "return a typed CoreError (`ok_or`/`map_err`) or document why \
-               failure is impossible: `.expect(\"invariant: ...\")`",
-    },
-    RuleInfo {
-        id: "GG004",
-        summary: "#![forbid(unsafe_code)] present in every first-party crate root",
-        hint: "add `#![forbid(unsafe_code)]` to the crate root (src/lib.rs or \
-               src/main.rs)",
-    },
-    RuleInfo {
-        id: "GG005",
-        summary: "the geometry epoch field is written only inside bump_epoch",
-        hint: "route every epoch change through Topology::bump_epoch so \
-               epoch-keyed route caches observe all geometry versions",
-    },
-    RuleInfo {
-        id: "GG006",
-        summary: "snapshot publication primitives (publish_snapshot, \
-                  install_snapshot) are called only from marked publication \
-                  sites, so readers observe one snapshot per geometry epoch",
-        hint: "publish through the geometry-rewrite sites (which call \
-               publish_snapshot beside bump_epoch), or mark a deliberate new \
-               publication site with `// audit: snapshot-publish`",
-    },
-    RuleInfo {
-        id: "GG007",
-        summary: "store hand-off primitives (split_for, absorb) are called only \
-                  from `// audit: store-handoff` marked functions, so records \
-                  and subscriptions migrate exactly once per geometry rewrite",
-        hint: "route the hand-off through a marked engine site (split/merge/\
-               join acceptance), or mark a deliberate new hand-off site with \
-               `// audit: store-handoff` and make it call split_for or absorb",
+        summary: "marked-site primitives: geometry-rewrite helpers, snapshot \
+                  publication and store hand-off are called only from functions \
+                  carrying their `// audit:` marker, and every marked function \
+                  calls what the marker requires",
+        hint: "move the call into an already-marked site, or mark the function \
+               with the family's marker (geometry-rewrite, snapshot-publish, \
+               store-handoff) and make it call the required primitives",
     },
     RuleInfo {
         id: "GG008",
-        summary: "transitive #[hot_path] purity: no allocation, blocking, or \
-                  panicking construct reachable from a hot function through \
+        summary: "#[hot_path] purity: no allocation, blocking, or panicking \
+                  construct in a hot function or reachable from it through \
                   any chain of resolved helper calls",
         hint: "hoist the offending work out of the call chain (scratch \
                buffers, precomputation), or — if the path is provably cold — \
@@ -153,16 +103,6 @@ pub const RULES: &[RuleInfo] = &[
         hint: "use length-checked Reader accessors, `get(..)`, and \
                checked_add/checked_mul — malformed peer input must surface as \
                a WireError, never a panic",
-    },
-    RuleInfo {
-        id: "GG010",
-        summary: "Message-variant exhaustiveness: every variant of the core \
-                  `Message` enum appears in the wire encode site, the wire \
-                  decode site, and the engine handler match",
-        hint: "add the variant to put_message + get_message \
-               (crates/transport/src/wire.rs) and handle_message \
-               (crates/core/src/engine/node.rs) — a variant missing from any \
-               site is silently undeliverable",
     },
     RuleInfo {
         id: "GG011",
@@ -543,29 +483,10 @@ pub struct FileModel {
     pub path: String,
     /// All code tokens.
     pub tokens: Vec<Token>,
-    /// Flattened inner attributes (`#![...]`).
-    pub inner_attrs: Vec<String>,
     /// Every recovered function.
     pub fns: Vec<FnItem>,
-    /// Token ranges of `#[cfg(test)]` items and `#[test]` fn bodies.
-    pub test_ranges: Vec<Range<usize>>,
     /// `// audit:` markers not attached to any function (GG000).
     pub stray_markers: Vec<Marker>,
-}
-
-impl FileModel {
-    /// Whether token index `idx` lies in test-only code.
-    pub fn in_test(&self, idx: usize) -> bool {
-        self.test_ranges.iter().any(|r| r.contains(&idx))
-    }
-
-    /// The innermost function whose body contains token index `idx`.
-    pub fn enclosing_fn(&self, idx: usize) -> Option<&FnItem> {
-        self.fns
-            .iter()
-            .filter(|f| f.body.contains(&idx))
-            .min_by_key(|f| f.body.end - f.body.start)
-    }
 }
 
 fn is_cfg_test(attr: &str) -> bool {
@@ -582,22 +503,14 @@ pub fn model(path: &str, lexed: &Lexed) -> FileModel {
     let mut fm = FileModel {
         path: path.to_string(),
         tokens: Vec::new(),
-        inner_attrs: Vec::new(),
         fns: Vec::new(),
-        test_ranges: Vec::new(),
         stray_markers: Vec::new(),
     };
+    // Token ranges of `#[cfg(test)] mod` bodies.
+    let mut test_ranges: Vec<Range<usize>> = Vec::new();
     let mut marker_cursor = 0usize;
     let mut i = 0usize;
     while i < toks.len() {
-        if toks[i].tok.is("#") && toks.get(i + 1).is_some_and(|t| t.tok.is("!")) {
-            // Inner attribute `#![...]`.
-            if let Some((text, end)) = collect_attr(toks, i + 2) {
-                fm.inner_attrs.push(text);
-                i = end;
-                continue;
-            }
-        }
         if toks[i].tok.is("#") && toks.get(i + 1).is_some_and(|t| t.tok.is("[")) {
             // One or more outer attributes, then the item they decorate.
             let mut attrs = Vec::new();
@@ -626,7 +539,7 @@ pub fn model(path: &str, lexed: &Lexed) -> FileModel {
                 // segmented, flagged as tests via the range).
                 if let Some(open) = find_from(toks, j, "{") {
                     if let Some(close) = match_brace(toks, open) {
-                        fm.test_ranges.push(open..close + 1);
+                        test_ranges.push(open..close + 1);
                     }
                     i = open + 1;
                     continue;
@@ -647,19 +560,11 @@ pub fn model(path: &str, lexed: &Lexed) -> FileModel {
         .extend(lexed.markers[marker_cursor..].iter().cloned());
     // Re-check test status now that all ranges are known, and keep the
     // token stream for the rules.
-    let ranges = fm.test_ranges.clone();
     for f in &mut fm.fns {
-        if ranges.iter().any(|r| r.contains(&f.body.start)) {
+        if test_ranges.iter().any(|r| r.contains(&f.body.start)) {
             f.is_test = true;
         }
     }
-    let bodies: Vec<Range<usize>> = fm
-        .fns
-        .iter()
-        .filter(|f| f.attrs.iter().any(|a| is_test_attr(a)))
-        .map(|f| f.body.clone())
-        .collect();
-    fm.test_ranges.extend(bodies);
     fm.tokens = toks.clone();
     fm
 }
@@ -851,10 +756,8 @@ fn detect_async(toks: &[Token], fn_idx: usize) -> bool {
 
 /// The private `Topology` helpers that together form one geometry rewrite
 /// (epoch bump, grid index + slot mirror, express-finger maintenance).
-/// Calling any of them outside a `// audit: geometry-rewrite`-marked
-/// function is a GG001 violation. Helpers in this list are exempt as
-/// *callers* — the finger routines compose each other freely inside the
-/// protected layer.
+/// Helpers in this list are exempt as *callers* — the finger routines
+/// compose each other freely inside the protected layer.
 pub const PROTECTED_CALLEES: &[&str] = &[
     "bump_epoch",
     "rewrite_geometry",
@@ -868,37 +771,63 @@ pub const PROTECTED_CALLEES: &[&str] = &[
     "recompute_one_finger",
 ];
 
-/// Default required-callee groups for a geometry-rewrite site: each inner
-/// group must have at least one call in the marked function's body.
-/// `rewrite_geometry`/`alloc_slot`/`free_slot` all maintain the grid index
-/// *and* the slot-geometry mirror, so one call covers both coupled sites;
-/// `bump_epoch` is always separately required.
-pub const DEFAULT_REQUIRES: &[&[&str]] = &[
-    &["bump_epoch"],
-    &["rewrite_geometry", "alloc_slot", "free_slot"],
+/// One GG001 row: a family of coupled mutation primitives that may be
+/// called only from functions carrying `// audit: <marker>` (or one of the
+/// `also` markers), while every function carrying the marker must call at
+/// least one callee of each `requires` group. A marker may override the
+/// groups with a `requires = a, b|c` clause. The primitives may call each
+/// other, and test code — `#[cfg(test)]` items and whole `tests/` and
+/// `benches/` trees — may call them freely to probe them.
+#[derive(Debug)]
+pub struct SiteFamily {
+    /// The `// audit:` marker family that licenses a call site.
+    pub marker: &'static str,
+    /// The guarded primitives.
+    pub primitives: &'static [&'static str],
+    /// Other marker families that also license a call.
+    pub also: &'static [&'static str],
+    /// Default required-callee groups for a marked function.
+    pub requires: &'static [&'static [&'static str]],
+}
+
+/// The GG001 table.
+///
+/// * `geometry-rewrite`: [`PROTECTED_CALLEES`]. `rewrite_geometry`,
+///   `alloc_slot` and `free_slot` each maintain the grid index *and* the
+///   slot mirror, so one call covers both coupled sites; `bump_epoch` is
+///   always separately required.
+/// * `snapshot-publish`: the only way a new `TopologySnapshot` reaches
+///   concurrent readers. An unmarked publication site could hand readers a
+///   snapshot that skips (or duplicates) a geometry epoch. The rewrite
+///   sites publish beside their epoch bump, so their marker licenses it.
+/// * `store-handoff`: the only way records and subscriptions move between
+///   `RegionStore`s wholesale (`split_for` partitions a store in place,
+///   `absorb` unions one in with HLC last-write-wins). An unmarked
+///   hand-off site could drop or duplicate live records during a geometry
+///   rewrite.
+pub const SITE_FAMILIES: &[SiteFamily] = &[
+    SiteFamily {
+        marker: "geometry-rewrite",
+        primitives: PROTECTED_CALLEES,
+        also: &[],
+        requires: &[
+            &["bump_epoch"],
+            &["rewrite_geometry", "alloc_slot", "free_slot"],
+        ],
+    },
+    SiteFamily {
+        marker: "snapshot-publish",
+        primitives: &["publish_snapshot", "install_snapshot"],
+        also: &["geometry-rewrite"],
+        requires: &[&["publish_snapshot", "install_snapshot"]],
+    },
+    SiteFamily {
+        marker: "store-handoff",
+        primitives: &["split_for", "absorb"],
+        also: &[],
+        requires: &[&["split_for", "absorb"]],
+    },
 ];
-
-/// The snapshot publication primitives: the only way a new
-/// `TopologySnapshot` reaches concurrent readers. Calling either outside
-/// a `// audit: geometry-rewrite` or `// audit: snapshot-publish` marked
-/// function is a GG006 violation — an unmarked publication site could
-/// hand readers a snapshot that skips (or duplicates) a geometry epoch.
-/// The primitives may call each other (`publish_snapshot` installs into
-/// the cell), and test code may install snapshots freely to seed
-/// stale/corrupt states for the runtime auditor.
-pub const SNAPSHOT_PRIMITIVES: &[&str] = &["publish_snapshot", "install_snapshot"];
-
-/// The store hand-off primitives: the only way records and subscriptions
-/// move between `RegionStore`s wholesale. `split_for` partitions a
-/// store in place and returns the half for the departing region;
-/// `absorb` unions a handed-over store with HLC last-write-wins
-/// resolution. Calling either outside a `// audit: store-handoff` marked
-/// function is a GG007 violation — an unmarked hand-off site could drop
-/// or duplicate live records during a geometry rewrite. Conversely a
-/// marked function that never calls a primitive is a dead marker, also
-/// flagged. Test code (including integration `tests/` trees) hands
-/// stores around freely to probe the primitives themselves.
-pub const HANDOFF_PRIMITIVES: &[&str] = &["split_for", "absorb"];
 
 pub(crate) const HOT_BANNED_METHODS: &[&str] =
     &["clone", "to_vec", "collect", "to_owned", "to_string"];
@@ -936,22 +865,19 @@ fn body_calls(toks: &[Token], body: &Range<usize>, name: &str) -> bool {
     false
 }
 
-/// Parses a `geometry-rewrite` marker's `requires = a, b|c` clause;
-/// falls back to [`DEFAULT_REQUIRES`].
-fn parse_requires(marker: &str) -> Vec<Vec<String>> {
-    let rest = marker.trim_start_matches("geometry-rewrite").trim();
+/// The callee groups a function carrying `marker` must call: the marker's
+/// `requires = a, b|c` clause, else the family's default groups.
+fn requires<'a>(family: &SiteFamily, marker: &'a str) -> Vec<Vec<&'a str>> {
+    let rest = marker.trim_start_matches(family.marker).trim();
     if let Some(list) = rest.strip_prefix("requires") {
         let list = list.trim_start().trim_start_matches('=');
         return list
             .split(',')
-            .map(|g| g.split('|').map(|a| a.trim().to_string()).collect())
-            .filter(|g: &Vec<String>| !g.iter().all(|a| a.is_empty()))
+            .map(|g| g.split('|').map(str::trim).collect())
+            .filter(|g: &Vec<&str>| !g.iter().all(|a| a.is_empty()))
             .collect();
     }
-    DEFAULT_REQUIRES
-        .iter()
-        .map(|g| g.iter().map(|s| s.to_string()).collect())
-        .collect()
+    family.requires.iter().map(|g| g.to_vec()).collect()
 }
 
 /// Whether `path` is an integration-test or bench tree (`tests/`,
@@ -962,41 +888,12 @@ fn is_test_path(path: &str) -> bool {
     p.split('/').any(|seg| seg == "tests" || seg == "benches")
 }
 
-fn is_core_runtime_path(path: &str) -> bool {
-    let p = path.replace('\\', "/");
-    p.starts_with("crates/core/src/") || p == "crates/core/src"
-}
-
-fn is_crate_root(path: &str) -> bool {
-    let p = path.replace('\\', "/");
-    let parts: Vec<&str> = p.split('/').collect();
-    match parts.as_slice() {
-        ["src", f] | ["crates", _, "src", f] => *f == "lib.rs" || *f == "main.rs",
-        _ => false,
+/// Runs the per-file rules (GG000, GG001) over one modelled file.
+pub(crate) fn lint_file(fm: &FileModel, out: &mut Vec<Finding>) {
+    if !is_test_path(&fm.path) {
+        rule_marked_sites(fm, out);
     }
-}
-
-/// Runs every rule over one file. `path` must be workspace-relative —
-/// the GG003/GG005 scopes and the GG004 crate-root predicate key on it.
-pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
-    let lexed = lex(src);
-    let fm = model(path, &lexed);
-    let mut out = Vec::new();
-    rule_geometry_rewrite(&fm, &mut out);
-    rule_hot_path(&fm, &mut out);
-    rule_snapshot_publish(&fm, &mut out);
-    if !is_test_path(path) {
-        rule_store_handoff(&fm, &mut out);
-    }
-    if is_core_runtime_path(path) {
-        rule_core_unwrap(&fm, &mut out);
-        rule_epoch_write(&fm, &mut out);
-    }
-    if is_crate_root(path) {
-        rule_forbid_unsafe(&fm, &mut out);
-    }
-    rule_marker_hygiene(&fm, &mut out);
-    out
+    rule_marker_hygiene(fm, out);
 }
 
 /// The marker family: text up to the first whitespace or `(`.
@@ -1013,8 +910,8 @@ fn marker_family(text: &str) -> &str {
 /// failing any of these silently disables the rule it was meant to
 /// engage, which is worse than no marker at all. (A marker separated
 /// from its function by other items still attaches to that function —
-/// if the pairing is wrong, the per-family dead-marker checks in
-/// GG001/GG006/GG007/GG008 fire instead.)
+/// if the pairing is wrong, the dead-marker checks in GG001/GG008 fire
+/// instead.)
 fn rule_marker_hygiene(fm: &FileModel, out: &mut Vec<Finding>) {
     for f in &fm.fns {
         for m in &f.markers {
@@ -1067,254 +964,47 @@ fn rule_marker_hygiene(fm: &FileModel, out: &mut Vec<Finding>) {
     }
 }
 
-/// GG001: geometry-rewrite three-site coherence.
-fn rule_geometry_rewrite(fm: &FileModel, out: &mut Vec<Finding>) {
-    for f in &fm.fns {
-        let marker = f.markers.iter().find(|m| m.starts_with("geometry-rewrite"));
-        if let Some(marker) = marker {
-            for group in parse_requires(marker) {
-                if !group
-                    .iter()
-                    .any(|callee| body_calls(&fm.tokens, &f.body, callee))
-                {
-                    out.push(Finding {
-                        rule: "GG001",
-                        path: fm.path.clone(),
-                        line: f.line,
-                        message: format!(
-                            "`{}` is marked `audit: geometry-rewrite` but never calls {}",
-                            f.name,
-                            group.join(" | "),
-                        ),
-                    });
-                }
-            }
-        } else if !f.is_test && !PROTECTED_CALLEES.contains(&f.name.as_str()) {
-            for callee in PROTECTED_CALLEES {
-                if body_calls(&fm.tokens, &f.body, callee) {
-                    out.push(Finding {
-                        rule: "GG001",
-                        path: fm.path.clone(),
-                        line: f.line,
-                        message: format!(
-                            "`{}` calls `{callee}` without an `audit: geometry-rewrite` marker",
-                            f.name,
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// GG006: snapshot publication only from marked sites, and no dead markers.
-fn rule_snapshot_publish(fm: &FileModel, out: &mut Vec<Finding>) {
-    for f in &fm.fns {
-        if f.markers.iter().any(|m| m.starts_with("snapshot-publish"))
-            && !SNAPSHOT_PRIMITIVES
-                .iter()
-                .any(|callee| body_calls(&fm.tokens, &f.body, callee))
-        {
-            out.push(Finding {
-                rule: "GG006",
-                path: fm.path.clone(),
-                line: f.line,
-                message: format!(
-                    "`{}` is marked `audit: snapshot-publish` but never calls {}",
-                    f.name,
-                    SNAPSHOT_PRIMITIVES.join(" | "),
-                ),
-            });
-        }
-        let marked = f
-            .markers
-            .iter()
-            .any(|m| m.starts_with("geometry-rewrite") || m.starts_with("snapshot-publish"));
-        if marked || f.is_test || SNAPSHOT_PRIMITIVES.contains(&f.name.as_str()) {
-            continue;
-        }
-        for callee in SNAPSHOT_PRIMITIVES {
-            if body_calls(&fm.tokens, &f.body, callee) {
+/// GG001: marked-site primitives, one pass per [`SITE_FAMILIES`] row.
+fn rule_marked_sites(fm: &FileModel, out: &mut Vec<Finding>) {
+    for family in SITE_FAMILIES {
+        for f in &fm.fns {
+            let mut flag = |message: String| {
                 out.push(Finding {
-                    rule: "GG006",
+                    rule: "GG001",
                     path: fm.path.clone(),
                     line: f.line,
-                    message: format!(
-                        "`{}` calls `{callee}` without an `audit: geometry-rewrite` \
-                         or `audit: snapshot-publish` marker",
-                        f.name,
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// GG007: store hand-off only from marked sites, and no dead markers.
-fn rule_store_handoff(fm: &FileModel, out: &mut Vec<Finding>) {
-    for f in &fm.fns {
-        let marked = f.markers.iter().any(|m| m.starts_with("store-handoff"));
-        if marked {
-            if !HANDOFF_PRIMITIVES
-                .iter()
-                .any(|callee| body_calls(&fm.tokens, &f.body, callee))
-            {
-                out.push(Finding {
-                    rule: "GG007",
-                    path: fm.path.clone(),
-                    line: f.line,
-                    message: format!(
-                        "`{}` is marked `audit: store-handoff` but never calls {}",
-                        f.name,
-                        HANDOFF_PRIMITIVES.join(" | "),
-                    ),
-                });
-            }
-            continue;
-        }
-        if f.is_test || HANDOFF_PRIMITIVES.contains(&f.name.as_str()) {
-            continue;
-        }
-        for callee in HANDOFF_PRIMITIVES {
-            if body_calls(&fm.tokens, &f.body, callee) {
-                out.push(Finding {
-                    rule: "GG007",
-                    path: fm.path.clone(),
-                    line: f.line,
-                    message: format!(
-                        "`{}` calls `{callee}` without an `audit: store-handoff` marker",
-                        f.name,
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// GG002: allocation ban inside `#[hot_path]` functions.
-fn rule_hot_path(fm: &FileModel, out: &mut Vec<Finding>) {
-    for f in &fm.fns {
-        if !f.attrs.iter().any(|a| is_hot_path_attr(a)) {
-            continue;
-        }
-        let toks = &fm.tokens;
-        for k in f.body.clone() {
-            let t = &toks[k].tok;
-            let line = toks[k].line;
-            let mut flag = |what: String| {
-                out.push(Finding {
-                    rule: "GG002",
-                    path: fm.path.clone(),
-                    line,
-                    message: format!("`{}` is #[hot_path] but contains {what}", f.name),
-                });
+                    message,
+                })
             };
-            if let Tok::Ident(name) = t {
-                if HOT_BANNED_MACROS.contains(&name.as_str())
-                    && toks.get(k + 1).is_some_and(|n| n.tok.is("!"))
-                {
-                    flag(format!("`{name}!` (allocates)"));
+            if let Some(marker) = f.markers.iter().find(|m| marker_family(m) == family.marker) {
+                for group in requires(family, marker) {
+                    if !group.iter().any(|c| body_calls(&fm.tokens, &f.body, c)) {
+                        flag(format!(
+                            "`{}` is marked `audit: {}` but never calls {}",
+                            f.name,
+                            family.marker,
+                            group.join(" | "),
+                        ));
+                    }
                 }
-                if HOT_BANNED_TYPES.contains(&name.as_str())
-                    && toks.get(k + 1).is_some_and(|n| n.tok.is("::"))
-                    && toks.get(k + 2).is_some_and(|n| {
-                        n.tok.is("new") || n.tok.is("from") || n.tok.is("with_capacity")
-                    })
-                {
-                    let m = match &toks[k + 2].tok {
-                        Tok::Ident(m) => m.clone(),
-                        _ => String::new(),
-                    };
-                    flag(format!("`{name}::{m}` (allocates)"));
-                }
-                if HOT_BANNED_METHODS.contains(&name.as_str())
-                    && k > 0
-                    && toks[k - 1].tok.is(".")
-                    && toks.get(k + 1).is_some_and(|n| n.tok.is("("))
-                {
-                    flag(format!("`.{name}()` (allocates or copies)"));
+                continue;
+            }
+            if f.is_test
+                || family.primitives.contains(&f.name.as_str())
+                || f.markers
+                    .iter()
+                    .any(|m| family.also.contains(&marker_family(m)))
+            {
+                continue;
+            }
+            for callee in family.primitives {
+                if body_calls(&fm.tokens, &f.body, callee) {
+                    flag(format!(
+                        "`{}` calls `{callee}` without an `audit: {}` marker",
+                        f.name, family.marker,
+                    ));
                 }
             }
-        }
-    }
-}
-
-/// GG003: `.unwrap()` / undocumented `.expect()` in non-test core code.
-fn rule_core_unwrap(fm: &FileModel, out: &mut Vec<Finding>) {
-    let toks = &fm.tokens;
-    for k in 0..toks.len() {
-        if fm.in_test(k) {
-            continue;
-        }
-        if !(k > 0 && toks[k - 1].tok.is(".") && toks.get(k + 1).is_some_and(|t| t.tok.is("("))) {
-            continue;
-        }
-        if toks[k].tok.is("unwrap") {
-            out.push(Finding {
-                rule: "GG003",
-                path: fm.path.clone(),
-                line: toks[k].line,
-                message: "`.unwrap()` in non-test geogrid-core code".to_string(),
-            });
-        } else if toks[k].tok.is("expect") {
-            let documented = matches!(
-                toks.get(k + 2).map(|t| &t.tok),
-                Some(Tok::Str(s)) if s.starts_with("invariant:")
-            );
-            if !documented {
-                out.push(Finding {
-                    rule: "GG003",
-                    path: fm.path.clone(),
-                    line: toks[k].line,
-                    message: "`.expect(...)` without an `\"invariant: ...\"` message in \
-                              non-test geogrid-core code"
-                        .to_string(),
-                });
-            }
-        }
-    }
-}
-
-/// GG004: `#![forbid(unsafe_code)]` in crate roots.
-fn rule_forbid_unsafe(fm: &FileModel, out: &mut Vec<Finding>) {
-    let ok = fm
-        .inner_attrs
-        .iter()
-        .any(|a| a.contains("forbid") && a.contains("unsafe_code"));
-    if !ok {
-        out.push(Finding {
-            rule: "GG004",
-            path: fm.path.clone(),
-            line: 1,
-            message: "crate root lacks `#![forbid(unsafe_code)]`".to_string(),
-        });
-    }
-}
-
-/// GG005: geometry-epoch field writes outside `bump_epoch`.
-fn rule_epoch_write(fm: &FileModel, out: &mut Vec<Finding>) {
-    let toks = &fm.tokens;
-    for k in 1..toks.len() {
-        if fm.in_test(k) {
-            continue;
-        }
-        if !toks[k].tok.is("epoch") || !toks[k - 1].tok.is(".") {
-            continue;
-        }
-        let assigns = toks
-            .get(k + 1)
-            .is_some_and(|t| t.tok.is("=") || t.tok.is("+=") || t.tok.is("-="));
-        if !assigns {
-            continue;
-        }
-        let inside_bump = fm.enclosing_fn(k).is_some_and(|f| f.name == "bump_epoch");
-        if !inside_bump {
-            out.push(Finding {
-                rule: "GG005",
-                path: fm.path.clone(),
-                line: toks[k].line,
-                message: "geometry epoch written outside `bump_epoch`".to_string(),
-            });
         }
     }
 }
@@ -1360,14 +1050,6 @@ pub fn collect_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     Ok(out)
 }
 
-/// Lints every first-party source file under the workspace root: the
-/// per-file lexical rules plus the workspace call-graph rules
-/// (GG008–GG011). Back-compat wrapper over [`analyze_workspace`] for
-/// callers that only want the findings.
-pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    Ok(analyze_workspace(root)?.findings)
-}
-
 /// Locates the workspace root by walking up from `start` to the first
 /// directory whose `Cargo.toml` declares `[workspace]`.
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
@@ -1394,11 +1076,69 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 mod tests {
     use super::*;
 
+    fn lint_source(path: &str, src: &str) -> Vec<Finding> {
+        let mut out = Vec::new();
+        lint_file(&model(path, &lex(src)), &mut out);
+        out
+    }
+
     fn rules_of(findings: &[Finding]) -> Vec<&'static str> {
         findings.iter().map(|f| f.rule).collect()
     }
 
     const CORE_PATH: &str = "crates/core/src/topology.rs";
+
+    /// Every GG001 row: an unmarked call fires, a dead marker fires, and a
+    /// compliant marked site is quiet.
+    #[test]
+    fn gg001_every_family_fires_and_accepts_compliant_sites() {
+        // (marker, a primitive call, a body that satisfies the marker)
+        let rows = [
+            (
+                "geometry-rewrite",
+                "self.free_slot(rid);",
+                "self.bump_epoch(); self.rewrite_geometry(rid, &old, new);",
+            ),
+            (
+                "snapshot-publish",
+                "cell.install_snapshot(self.snapshot());",
+                "self.publish_snapshot();",
+            ),
+            (
+                "store-handoff",
+                "let half = self.store.split_for(&kept, &given);",
+                "self.store.absorb(other);",
+            ),
+        ];
+        assert_eq!(rows.len(), SITE_FAMILIES.len());
+        for (marker, call, compliant) in rows {
+            let unmarked =
+                lint_source(CORE_PATH, &format!("pub fn sneaky(&mut self) {{ {call} }}"));
+            assert_eq!(rules_of(&unmarked), vec!["GG001"], "{marker}: {unmarked:?}");
+            assert!(
+                unmarked[0].message.contains("without an `audit: ")
+                    && unmarked[0].message.contains(marker),
+                "{}",
+                unmarked[0].message
+            );
+
+            let dead = lint_source(
+                CORE_PATH,
+                &format!("// audit: {marker}\npub fn site(&mut self) {{ self.region = merged; }}"),
+            );
+            assert!(!dead.is_empty(), "{marker}: dead marker went unreported");
+            for f in &dead {
+                assert_eq!(f.rule, "GG001");
+                assert!(f.message.contains("never calls"), "{}", f.message);
+            }
+
+            let ok = lint_source(
+                CORE_PATH,
+                &format!("// audit: {marker}\npub fn site(&mut self) {{ {compliant} }}"),
+            );
+            assert!(ok.is_empty(), "{marker}: {ok:?}");
+        }
+    }
 
     #[test]
     fn gg001_catches_missing_epoch_bump() {
@@ -1427,31 +1167,6 @@ mod tests {
     }
 
     #[test]
-    fn gg001_catches_unmarked_mutator_call() {
-        let src = r#"
-            pub fn sneaky(&mut self) {
-                self.free_slot(rid);
-            }
-        "#;
-        let f = lint_source(CORE_PATH, src);
-        assert_eq!(rules_of(&f), vec!["GG001"]);
-        assert!(f[0].message.contains("without"));
-    }
-
-    #[test]
-    fn gg001_accepts_compliant_rewrite_site() {
-        let src = r#"
-            // audit: geometry-rewrite
-            pub fn split_region(&mut self) {
-                self.bump_epoch();
-                self.rewrite_geometry(rid, &old, new);
-                self.alloc_slot(entry);
-            }
-        "#;
-        assert!(lint_source(CORE_PATH, src).is_empty());
-    }
-
-    #[test]
     fn gg001_respects_custom_requires_clause() {
         let src = r#"
             // audit: geometry-rewrite requires = bump_epoch, special_update
@@ -1465,50 +1180,9 @@ mod tests {
     }
 
     #[test]
-    fn gg001_ignores_definitions_and_tests() {
+    fn gg001_accepts_primitives_rewrite_publication_and_test_code() {
         let src = r#"
             fn bump_epoch(&mut self) { self.epoch += 1; }
-            fn rewrite_geometry(&mut self) {}
-            #[cfg(test)]
-            mod tests {
-                #[test]
-                fn probes_mutators() { t.free_slot(rid); }
-            }
-        "#;
-        assert!(lint_source(CORE_PATH, src).is_empty());
-    }
-
-    #[test]
-    fn gg006_catches_unmarked_publication() {
-        let src = r#"
-            pub fn helpful_shortcut(&mut self) {
-                self.publish_snapshot();
-            }
-        "#;
-        let f = lint_source(CORE_PATH, src);
-        assert_eq!(rules_of(&f), vec!["GG006"]);
-        assert!(
-            f[0].message.contains("publish_snapshot"),
-            "{}",
-            f[0].message
-        );
-    }
-
-    #[test]
-    fn gg006_catches_unmarked_cell_install() {
-        let src = r#"
-            pub fn sideload(&mut self, cell: &SnapshotCell) {
-                cell.install_snapshot(self.snapshot());
-            }
-        "#;
-        let f = lint_source(CORE_PATH, src);
-        assert_eq!(rules_of(&f), vec!["GG006"]);
-        assert!(f[0].message.contains("install_snapshot"));
-    }
-
-    #[test]
-    fn gg006_accepts_marked_sites_primitives_and_tests() {
-        let src = r#"
             // audit: snapshot-publish
             fn publish_snapshot(&mut self) {
                 if let Some(cell) = &self.publish {
@@ -1520,31 +1194,31 @@ mod tests {
                 self.bump_epoch();
                 self.publish_snapshot();
             }
+            pub fn split_for(&mut self, own: &Region, other: &Region) -> RegionStore {
+                self.partition(own, other)
+            }
             #[cfg(test)]
             mod tests {
                 #[test]
-                fn seeds_a_stale_snapshot() {
+                fn probes_primitives() {
+                    t.free_slot(rid);
                     cell.install_snapshot(old);
+                    let b = a.split_for(&low, &high);
+                    a.absorb(b);
                 }
             }
         "#;
         assert!(lint_source(CORE_PATH, src).is_empty());
-    }
-
-    #[test]
-    fn gg006_catches_dead_snapshot_marker() {
-        // The marker engages GG006's site allowance but the body never
-        // publishes: a stale marker that would silently bless a future
-        // publication added to this function.
-        let src = r#"
-            // audit: snapshot-publish
-            pub fn rebalance(&mut self) {
-                self.weights.recompute();
+        // Integration-test and bench trees call primitives without markers.
+        let probe = r#"
+            fn run_ops(stores: &mut Vec<RegionStore>) {
+                let s = stores[0].split_for(&own, &other);
+                stores[0].absorb(s);
+                cell.install_snapshot(snap);
             }
         "#;
-        let f = lint_source(CORE_PATH, src);
-        assert_eq!(rules_of(&f), vec!["GG006"]);
-        assert!(f[0].message.contains("never calls"), "{}", f[0].message);
+        assert!(lint_source("crates/core/tests/store_model.rs", probe).is_empty());
+        assert!(lint_source("crates/bench/benches/routing.rs", probe).is_empty());
     }
 
     #[test]
@@ -1596,178 +1270,10 @@ mod tests {
     }
 
     #[test]
-    fn gg007_catches_unmarked_handoff() {
-        let src = r#"
-            pub fn quick_rebalance(&mut self) {
-                let half = self.store.split_for(&kept, &given);
-                self.sibling.absorb(half);
-            }
-        "#;
-        let f = lint_source("crates/core/src/engine/node.rs", src);
-        assert_eq!(rules_of(&f), vec!["GG007"; 2]);
-        assert!(f[0].message.contains("split_for"), "{}", f[0].message);
-        assert!(f[1].message.contains("absorb"));
-    }
-
-    #[test]
-    fn gg007_catches_dead_marker() {
-        let src = r#"
-            // audit: store-handoff
-            pub fn on_merge_regions(&mut self) {
-                self.region = merged;
-            }
-        "#;
-        let f = lint_source("crates/core/src/engine/node.rs", src);
-        assert_eq!(rules_of(&f), vec!["GG007"]);
-        assert!(f[0].message.contains("never calls"));
-    }
-
-    #[test]
-    fn gg007_accepts_marked_sites_primitives_and_tests() {
-        let src = r#"
-            // audit: store-handoff
-            pub fn on_merge_regions(&mut self) {
-                self.store.absorb(other);
-            }
-            pub fn split_for(&mut self, own: &Region, other: &Region) -> RegionStore {
-                self.partition(own, other)
-            }
-            #[cfg(test)]
-            mod tests {
-                #[test]
-                fn hands_off_freely() {
-                    let b = a.split_for(&low, &high);
-                    a.absorb(b);
-                }
-            }
-        "#;
-        assert!(lint_source("crates/core/src/service/store.rs", src).is_empty());
-        // Integration-test trees hand stores around without markers.
-        let probe = r#"
-            fn run_ops(stores: &mut Vec<RegionStore>) {
-                let s = stores[0].split_for(&own, &other);
-                stores[0].absorb(s);
-            }
-        "#;
-        assert!(lint_source("crates/core/tests/store_model.rs", probe).is_empty());
-    }
-
-    #[test]
-    fn gg002_catches_hot_path_allocations() {
-        let src = r#"
-            #[hot_path]
-            fn probe(&self) -> Vec<u32> {
-                let a = Vec::new();
-                let b = self.hops.clone();
-                let c: Vec<u32> = it.collect();
-                let d = vec![0u8; 4];
-                b.to_vec()
-            }
-        "#;
-        let f = lint_source("crates/core/src/routing.rs", src);
-        assert_eq!(rules_of(&f), vec!["GG002"; 5]);
-    }
-
-    #[test]
-    fn gg002_ignores_unmarked_and_cold_helpers() {
-        let src = r#"
-            fn cold(&self) -> Vec<u32> { self.hops.clone() }
-            #[hot_path]
-            fn hot(&self, scratch: &mut RouteScratch) -> u32 {
-                scratch.grow(self.len());
-                self.stamps[slot]
-            }
-        "#;
-        assert!(lint_source("crates/core/src/routing.rs", src).is_empty());
-    }
-
-    #[test]
-    fn gg003_catches_core_unwrap() {
-        let src = r#"
-            pub fn locate(&self, p: Point) -> RegionId {
-                self.region(rid).unwrap()
-            }
-        "#;
-        let f = lint_source("crates/core/src/join.rs", src);
-        assert_eq!(rules_of(&f), vec!["GG003"]);
-    }
-
-    #[test]
-    fn gg003_requires_invariant_documented_expect() {
-        let bad = r#"fn f() { x.expect("candidate"); }"#;
-        let good = r#"fn f() { x.expect("invariant: candidates are live regions"); }"#;
-        assert_eq!(rules_of(&lint_source(CORE_PATH, bad)), vec!["GG003"]);
-        assert!(lint_source(CORE_PATH, good).is_empty());
-    }
-
-    #[test]
-    fn gg003_skips_tests_comments_strings_and_other_crates() {
-        let in_test = r#"
-            #[cfg(test)]
-            mod tests {
-                #[test]
-                fn t() { x.unwrap(); }
-            }
-            #[test]
-            fn standalone() { y.unwrap(); }
-        "#;
-        assert!(lint_source(CORE_PATH, in_test).is_empty());
-        let disguised = r#"
-            /// Call `.unwrap()` at your peril.
-            fn f() { let s = ".unwrap()"; } // .unwrap()
-        "#;
-        assert!(lint_source(CORE_PATH, disguised).is_empty());
-        let other_crate = r#"fn f() { x.unwrap(); }"#;
-        assert!(lint_source("crates/geometry/src/region.rs", other_crate).is_empty());
-    }
-
-    #[test]
-    fn gg003_ignores_unwrap_or_family() {
-        let src = r#"fn f() { x.unwrap_or(0); y.unwrap_or_else(|| 1); z.unwrap_or_default(); }"#;
-        assert!(lint_source(CORE_PATH, src).is_empty());
-    }
-
-    #[test]
-    fn gg004_catches_missing_forbid() {
-        let src = "pub fn f() {}";
-        let f = lint_source("crates/core/src/lib.rs", src);
-        assert_eq!(rules_of(&f), vec!["GG004"]);
-        // Non-root files are exempt.
-        assert!(lint_source("crates/core/src/join.rs", src).is_empty());
-    }
-
-    #[test]
-    fn gg004_accepts_forbid() {
-        let src = "#![forbid(unsafe_code)]\npub fn f() {}";
-        assert!(lint_source("src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn gg005_catches_epoch_write_outside_bump() {
-        let src = r#"
-            fn merge(&mut self) { self.epoch += 1; }
-        "#;
-        let f = lint_source(CORE_PATH, src);
-        assert_eq!(rules_of(&f), vec!["GG005"]);
-    }
-
-    #[test]
-    fn gg005_accepts_bump_epoch_and_reads() {
-        let src = r#"
-            fn bump_epoch(&mut self) { self.epoch += 1; }
-            fn epoch(&self) -> u64 { self.epoch }
-            fn key(&self, t: &Topology) -> (u64, u64) {
-                (t.instance_id(), t.epoch())
-            }
-        "#;
-        assert!(lint_source(CORE_PATH, src).is_empty());
-    }
-
-    #[test]
-    fn lexer_handles_raw_strings_lifetimes_and_chars() {
+    fn lexer_keeps_string_contents_out_of_code_tokens() {
         let src = r##"
             fn f<'a>(x: &'a str) -> char {
-                let s = r#"has ".unwrap()" inside"#;
+                let s = r#"has ".unwrap()" and self.free_slot(rid) inside"#;
                 let b = b"bytes";
                 let c = '\n';
                 let d = 'x';
@@ -1775,13 +1281,19 @@ mod tests {
                 c
             }
         "##;
+        let toks = lex(src).tokens;
+        assert!(!toks
+            .iter()
+            .any(|t| t.tok.is("unwrap") || t.tok.is("free_slot")));
+        assert_eq!(toks.iter().filter(|t| t.tok == Tok::Life).count(), 4);
         assert!(lint_source(CORE_PATH, src).is_empty());
     }
 
     #[test]
     fn rule_table_is_consistent() {
+        let ids: Vec<&str> = RULES.iter().map(|r| r.id).collect();
+        assert_eq!(ids, ["GG000", "GG001", "GG008", "GG009", "GG011"]);
         for r in RULES {
-            assert!(r.id.starts_with("GG"));
             assert!(!r.summary.is_empty());
             assert!(!r.hint.is_empty());
             assert_eq!(hint(r.id), r.hint);

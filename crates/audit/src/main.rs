@@ -3,7 +3,7 @@
 //! `cargo lint-all` alias (see `.cargo/config.toml`) and run by the CI
 //! `lint` job alongside clippy.
 //!
-//! Exit codes are a stable contract for CI and scripting:
+//! The exit code is the gate for CI and scripting:
 //!
 //! | code | meaning                                   |
 //! |------|-------------------------------------------|
@@ -16,7 +16,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use geogrid_audit::{analyze_workspace, find_workspace_root, hint, Analysis, RULES};
+use geogrid_audit::{analyze_workspace, find_workspace_root, Analysis, RULES};
 
 const USAGE: &str = "\
 geogrid-audit: offline static-analysis pass over the GeoGrid workspace
@@ -28,8 +28,6 @@ OPTIONS:
     --root <dir>    lint the workspace rooted at <dir> instead of
                     discovering it from the current directory
     --list-rules    print the rule catalog (ids, summaries, fix-it hints)
-    --json          machine-readable report on stdout (exit codes keep
-                    their meaning: 0 clean, 1 findings, 2 scanner error)
     --verbose       also print call sites the graph resolver could not
                     link, plus resolution statistics
     -q, --quiet     print findings only, no summary line
@@ -39,7 +37,6 @@ OPTIONS:
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut quiet = false;
-    let mut json = false;
     let mut verbose = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -57,7 +54,6 @@ fn main() -> ExitCode {
                 }
                 return ExitCode::SUCCESS;
             }
-            "--json" => json = true,
             "--verbose" => verbose = true,
             "-q" | "--quiet" => quiet = true,
             "-h" | "--help" => {
@@ -99,11 +95,7 @@ fn main() -> ExitCode {
         }
     };
 
-    if json {
-        println!("{}", render_json(&analysis));
-    } else {
-        render_text(&analysis, quiet, verbose);
-    }
+    render_text(&analysis, quiet, verbose);
     if analysis.findings.is_empty() {
         ExitCode::SUCCESS
     } else {
@@ -113,14 +105,7 @@ fn main() -> ExitCode {
 
 fn render_text(analysis: &Analysis, quiet: bool, verbose: bool) {
     for f in &analysis.findings {
-        println!(
-            "{} {}:{}\n  {}\n  fix: {}\n",
-            f.rule,
-            f.path,
-            f.line,
-            f.message,
-            hint(f.rule)
-        );
+        println!("{f}\n");
     }
     if verbose {
         println!(
@@ -145,71 +130,4 @@ fn render_text(analysis: &Analysis, quiet: bool, verbose: bool) {
     } else if !quiet {
         println!("geogrid-audit: {} finding(s)", analysis.findings.len());
     }
-}
-
-/// Renders the whole report as a single JSON object. Hand-rolled (the
-/// workspace is offline, no serde): only strings need care, and
-/// [`json_string`] covers the full escape set.
-fn render_json(analysis: &Analysis) -> String {
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"version\": {},\n",
-        json_string(env!("CARGO_PKG_VERSION"))
-    ));
-    out.push_str(&format!("  \"rules\": {},\n", RULES.len()));
-    out.push_str("  \"graph\": {");
-    out.push_str(&format!(
-        "\"functions\": {}, \"edges_resolved\": {}, \"edges_external\": {}, \
-         \"unresolved\": {}",
-        analysis.functions,
-        analysis.edges_resolved,
-        analysis.edges_external,
-        analysis.unresolved.len()
-    ));
-    out.push_str("},\n");
-    out.push_str(&format!(
-        "  \"finding_count\": {},\n",
-        analysis.findings.len()
-    ));
-    out.push_str("  \"findings\": [");
-    for (i, f) in analysis.findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {");
-        out.push_str(&format!(
-            "\"rule\": {}, \"path\": {}, \"line\": {}, \"message\": {}, \"hint\": {}",
-            json_string(f.rule),
-            json_string(&f.path),
-            f.line,
-            json_string(&f.message),
-            json_string(hint(f.rule))
-        ));
-        out.push('}');
-    }
-    if !analysis.findings.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}");
-    out
-}
-
-/// Escapes `s` as a JSON string literal (quotes included).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

@@ -1,17 +1,17 @@
 //! Regression gate: the workspace's own sources must stay lint-clean.
 //!
 //! Every rule's positive/negative behavior is covered by the unit
-//! self-tests in `src/lib.rs`; this test pins the other half of the
-//! contract — `cargo lint-all` exits 0 on the real tree — so a change
-//! that re-introduces debt (an undocumented `expect`, an inline epoch
-//! write, an unmarked geometry-rewrite site) fails `cargo test-all`
-//! even before CI runs the binary.
+//! self-tests in `src/lib.rs` and `src/graph.rs`; this test pins the
+//! other half of the contract — `cargo lint-all` exits 0 on the real
+//! tree — so a change that re-introduces debt (an unmarked
+//! geometry-rewrite site, an allocation on the hot path) fails
+//! `cargo test-all` even before CI runs the binary.
 
 #![forbid(unsafe_code)]
 
 use std::path::Path;
 
-use geogrid_audit::{find_workspace_root, lint_workspace};
+use geogrid_audit::{analyze_workspace, find_workspace_root};
 
 fn workspace_root() -> std::path::PathBuf {
     let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -21,7 +21,9 @@ fn workspace_root() -> std::path::PathBuf {
 #[test]
 fn workspace_tree_is_lint_clean() {
     let root = workspace_root();
-    let findings = lint_workspace(&root).expect("workspace sources are readable");
+    let findings = analyze_workspace(&root)
+        .expect("workspace sources are readable")
+        .findings;
     assert!(
         findings.is_empty(),
         "cargo lint-all must be clean, got {} finding(s):\n{}",

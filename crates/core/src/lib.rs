@@ -65,6 +65,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Non-test core code returns a typed error or documents why failure is
+// impossible: `.expect("invariant: ...")`, never a bare `.unwrap()`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod audit;
 pub mod balance;

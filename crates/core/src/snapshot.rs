@@ -4,21 +4,23 @@
 //! [`Topology`](crate::Topology) is a single-writer structure — every
 //! split, merge, and ownership move takes `&mut`. The routing engines,
 //! however, only ever *read* geometry, and the invariants enforced by the
-//! workspace lint pass make those reads snapshottable:
+//! workspace lint pass and the runtime auditor make those reads
+//! snapshottable:
 //!
 //! * **GG001** — region geometry (rectangles, adjacency, the grid index,
 //!   the finger blocks) is rewritten at exactly three marked sites:
 //!   [`Topology::bootstrap`](crate::Topology::bootstrap),
 //!   [`Topology::split_region`](crate::Topology::split_region), and
 //!   [`Topology::merge_regions`](crate::Topology::merge_regions).
-//! * **GG005** — the geometry epoch is written only by `bump_epoch`,
-//!   which each of those sites calls exactly once.
+//! * The geometry epoch is written only by `bump_epoch`, which GG001
+//!   requires at each of those sites; the runtime auditor reports any
+//!   other write as `stale-snapshot` or `epoch-regression`.
 //!
 //! So "the geometry at epoch E" is a well-defined immutable value, and the
 //! three sites are the only places it can change. This module captures
 //! that value as a [`TopologySnapshot`] and publishes it through a
 //! [`SnapshotCell`] — an RCU-style cell the three sites atomically swap a
-//! fresh `Arc` into (rule GG006 forbids publication anywhere else). Reader
+//! fresh `Arc` into (rule GG001 forbids publication anywhere else). Reader
 //! threads hold a [`SnapshotReader`] whose steady-state cost per query is
 //! **one atomic load**: the cell's version counter is checked, and only
 //! when it changed does the reader touch the lock to fetch the new `Arc`.
@@ -283,7 +285,7 @@ impl TopologyView for TopologySnapshot {
 ///
 /// Obtained from [`Topology::publish_handle`](crate::Topology::publish_handle);
 /// once attached, the three geometry-rewrite sites republish into it on
-/// every mutation (and the workspace lint rule **GG006** forbids calling
+/// every mutation (and the workspace lint rule **GG001** forbids calling
 /// [`Self::install_snapshot`] anywhere else). Readers do not use the cell
 /// directly per query — they hold a [`SnapshotReader`], which turns the
 /// common no-change case into a single atomic load.
@@ -315,7 +317,7 @@ impl SnapshotCell {
 
     /// Atomically publishes `snap` as the current snapshot.
     ///
-    /// This is a publication primitive in the sense of lint rule GG006:
+    /// This is a publication primitive in the sense of lint rule GG001:
     /// outside tests, it may only be called from the marked
     /// geometry-rewrite / snapshot-publish sites — concurrent readers
     /// assume every published snapshot is a coherent epoch of the one

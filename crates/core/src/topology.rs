@@ -305,7 +305,7 @@ pub struct Topology {
     snap_cache: RwLock<Option<Arc<TopologySnapshot>>>,
     /// The publication cell attached by [`Self::publish_handle`], if any.
     /// While attached, every geometry-rewrite site republishes into it
-    /// (enforced by lint rules GG001/GG006). `None` costs publication
+    /// (enforced by lint rule GG001's table). `None` costs publication
     /// nothing — unattached topologies skip snapshot construction
     /// entirely.
     publish: Option<Arc<SnapshotCell>>,
@@ -1387,9 +1387,9 @@ impl Topology {
     /// Republishes the current geometry into the attached publication
     /// cell; a no-op (no snapshot is even built) while no cell is
     /// attached. Publication happens only here and only beside the epoch
-    /// bump: GG001 requires this call at each of the three
-    /// geometry-rewrite sites, and GG006 forbids the publication
-    /// primitives everywhere else.
+    /// bump: lint rule GG001 requires this call at each of the three
+    /// geometry-rewrite sites and forbids the publication primitives
+    /// everywhere else.
     // audit: snapshot-publish
     fn publish_snapshot(&mut self) {
         if let Some(cell) = &self.publish {
@@ -1543,11 +1543,13 @@ impl Topology {
     }
 
     /// Advances the geometry epoch. This is the **only** function allowed
-    /// to write the epoch field (audit rule GG005), and it is called at
-    /// exactly the three geometry-rewrite sites — [`Self::bootstrap`],
-    /// [`Self::split_region`], [`Self::merge_regions`] — which rule GG001
-    /// holds to the full three-site contract (epoch bump + grid index +
-    /// slot mirror + snapshot publication).
+    /// to write the epoch field (a write anywhere else surfaces as the
+    /// auditor's `stale-snapshot` or `epoch-regression` violation), and it
+    /// is called at exactly the three geometry-rewrite sites —
+    /// [`Self::bootstrap`], [`Self::split_region`],
+    /// [`Self::merge_regions`] — which rule GG001 holds to the full
+    /// three-site contract (epoch bump + grid index + slot mirror +
+    /// snapshot publication).
     fn bump_epoch(&mut self) {
         self.epoch += 1;
     }
@@ -2466,7 +2468,8 @@ mod tests {
         // Re-observe the original so the auditor's history points at it.
         assert!(auditor.observe(&t).is_empty());
         // Rewinding the same instance's epoch is a violation. (Only a test
-        // can do this — GG005 keeps runtime writes inside bump_epoch.)
+        // can do this: the auditor reports any runtime epoch write that
+        // bypasses bump_epoch, as this very assertion shows.)
         t.epoch = 0;
         let v = auditor.observe(&t);
         assert!(
@@ -2492,7 +2495,7 @@ mod tests {
         assert!(t.audit().is_empty(), "{:?}", t.audit());
         // Advance the epoch without republishing. (Only a test can: GG001
         // requires publish_snapshot beside every bump_epoch at the rewrite
-        // sites, and GG006 pins publication to those sites.)
+        // sites, and pins publication to those sites.)
         t.bump_epoch();
         let v = t.audit();
         assert!(
@@ -2510,7 +2513,7 @@ mod tests {
         let (mut t, _, r, _) = two_regions();
         let cell = t.publish_handle();
         // Side-load a corrupted snapshot of the *same* epoch (tests are
-        // exempt from GG006): identity matches, so the audit must compare
+        // exempt from GG001): identity matches, so the audit must compare
         // content and catch the dead-listed live region.
         let mut snap = t.build_snapshot();
         snap.live[r.index()] = false;
