@@ -23,8 +23,8 @@
 //!
 //! 1. **load** — publish every object once at its initial position;
 //! 2. **update** — re-publish with a small position delta, the GPS hot
-//!    path (slab overwrite + incremental grid re-file + wheel
-//!    re-schedule, no per-op allocation);
+//!    path (slab overwrite + incremental grid re-file; the later
+//!    deadline files no wheel entry; no per-op allocation);
 //! 3. **query** — range queries with hot-spot-biased centers and mixed
 //!    extents through the recycled-buffer `query_ids_into` path,
 //!    per-query latency recorded for percentiles;
@@ -56,7 +56,7 @@ const DEFAULT_SUBS: usize = 10_000;
 const HOT_POINTS: u64 = 64;
 
 /// Records outlive the whole run unless overwritten: TTL in ticks,
-/// relative to the publish tick (the wheel still schedules every one).
+/// relative to the publish tick (the wheel holds one entry per record).
 const TTL_TICKS: u64 = 4 * DEFAULT_UPDATES as u64;
 
 const M1: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -284,7 +284,7 @@ fn main() {
         notifications
     );
     println!(
-        "expiry wheel work counter: {} (amortized over {} scheduled entries)",
+        "expiry wheel work counter: {} (over {} publishes and subscriptions)",
         store.expiry_work(),
         cfg.objects + cfg.updates + cfg.subs + fanout_publishes
     );

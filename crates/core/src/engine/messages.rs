@@ -12,7 +12,7 @@
 
 use geogrid_geometry::Region;
 
-use crate::service::{LocationQuery, LocationRecord, RegionStore, Subscription};
+use crate::service::{Hlc, LocationQuery, LocationRecord, RegionStore, Subscription};
 use crate::{NodeId, NodeInfo};
 
 /// What one node knows about a neighbor region: its rectangle and owners.
@@ -204,12 +204,25 @@ pub enum Message {
         /// The known owner entry.
         info: NeighborInfo,
     },
-    /// Primary → secondary state replication.
+    /// Primary → secondary anti-entropy, every fifth tick: a full store
+    /// snapshot and the neighbor table. Records travel one by one in
+    /// [`Message::Replicate`]; this snapshot is how a secondary learns of
+    /// subscriptions, removals and neighbor changes. It replaces the
+    /// replica but keeps records newer than the snapshot's clock, since a
+    /// `Replicate` can overtake it.
     SyncState {
         /// Full store snapshot.
         store: Box<RegionStore>,
         /// Current neighbor table.
         neighbors: Vec<NeighborInfo>,
+    },
+    /// Primary → secondary, once per executed publish: the record as
+    /// stored, with its stamp, for the secondary to merge last-write-wins.
+    Replicate {
+        /// The stored record.
+        record: LocationRecord,
+        /// The stamp the primary's store gave it.
+        stamp: Hlc,
     },
 }
 
@@ -228,6 +241,7 @@ impl Message {
             Message::Notify { .. } => "notify",
             Message::Heartbeat { .. } => "heartbeat",
             Message::SyncState { .. } => "sync_state",
+            Message::Replicate { .. } => "replicate",
             Message::StealSecondaryRequest { .. } => "steal_secondary_request",
             Message::StealSecondaryGrant { .. } => "steal_secondary_grant",
             Message::StealSecondaryDeny => "steal_secondary_deny",

@@ -11,8 +11,9 @@
 //! The engine implements the distributed version of what
 //! [`Topology`](crate::Topology) models centrally: geographic join with
 //! region split, dual-peer placement, greedy query routing with fan-out,
-//! publish/subscribe delivery, primary→secondary replication, heartbeats,
-//! and fail-over promotion.
+//! publish/subscribe delivery, primary→secondary replication (one
+//! stamped [`Message::Replicate`] per publish, plus a periodic
+//! [`Message::SyncState`] snapshot), heartbeats, and fail-over promotion.
 //!
 //! It has one of each moving part. Every routed request — join, query,
 //! publication, subscription — takes the same forwarding step, which

@@ -545,6 +545,14 @@ impl NodeEngine {
         }
     }
 
+    /// The store of the region owned (or replicated), if owning.
+    pub fn store(&self) -> Option<&RegionStore> {
+        match &self.state {
+            State::Owner(o) => Some(&o.store),
+            _ => None,
+        }
+    }
+
     /// Processes one input at tick `now`, returning the effects to apply.
     pub fn handle(&mut self, now: u64, input: Input) -> Vec<Effect> {
         match input {
@@ -774,8 +782,10 @@ impl NodeEngine {
         if owner.role != Role::Primary {
             return effects;
         }
-        // Primaries periodically refresh the dual peer's replica (store +
-        // neighbor table) so a promoted secondary starts from fresh state.
+        // Anti-entropy: records reach the dual peer per publish
+        // (`Replicate`); every fifth tick a full snapshot also carries
+        // subscriptions, removals and the neighbor table, so a promoted
+        // secondary starts from fresh state.
         if let Some(peer) = owner.peer {
             let period = self.config.heartbeat_interval.max(1);
             if (now / period).is_multiple_of(5) {
@@ -1131,6 +1141,14 @@ impl NodeEngine {
                 neighbors,
             } => self.on_merge_regions(now, region, *store, neighbors),
             Message::SyncState { store, neighbors } => self.on_sync_state(now, *store, neighbors),
+            Message::Replicate { record, stamp } => {
+                if let State::Owner(owner) = &mut self.state {
+                    if owner.role == Role::Secondary {
+                        owner.store.insert_replica(record, stamp);
+                    }
+                }
+                Vec::new()
+            }
         }
     }
 
@@ -1351,7 +1369,7 @@ impl NodeEngine {
     ) -> Vec<Effect> {
         if let State::Owner(owner) = &mut self.state {
             if owner.role == Role::Secondary {
-                owner.store = store;
+                owner.store.adopt_snapshot(store);
                 owner.neighbors = Owner::table(neighbors, now);
             }
         }
@@ -1441,15 +1459,14 @@ impl NodeEngine {
                 });
             }
         }
-        // Replicate to the dual peer.
+        // Replicate the stored record to the dual peer (nothing was stored
+        // if it arrived expired).
         if owner.role == Role::Primary {
-            if let Some(peer) = owner.peer {
+            let stamp = owner.store.stamp_of(record.id());
+            if let (Some(peer), Some(stamp)) = (owner.peer, stamp) {
                 effects.push(Effect::Send {
                     to: peer.id(),
-                    message: Message::SyncState {
-                        store: Box::new(owner.store.clone()),
-                        neighbors: owner.neighbor_infos(),
-                    },
+                    message: Message::Replicate { record, stamp },
                 });
             }
         }

@@ -264,6 +264,13 @@ impl SimHarness {
             .collect()
     }
 
+    /// The engine of live node `id`.
+    pub fn engine(&self, id: NodeId) -> Option<&NodeEngine> {
+        self.sim
+            .process(self.addrs[id.as_u64() as usize])
+            .map(SimNode::engine)
+    }
+
     /// Client events observed by node `id` so far.
     pub fn events_of(&self, id: NodeId) -> &[ClientEvent] {
         self.sim

@@ -116,6 +116,12 @@ impl HlcClock {
         Hlc::new(self.last_physical, self.last_logical, self.node)
     }
 
+    /// Whether `stamp` is at or below this clock's high-water mark: minted
+    /// or observed here, or older than something that was.
+    pub fn has_seen(&self, stamp: Hlc) -> bool {
+        (stamp.physical, stamp.logical) <= (self.last_physical, self.last_logical)
+    }
+
     /// Folds a remote stamp into the clock (replica hand-off), so future
     /// [`Self::tick`]s order after it.
     pub fn observe(&mut self, remote: Hlc) {
@@ -160,6 +166,18 @@ mod tests {
         let high = clock.tick(20);
         clock.observe(Hlc::new(4, 0, 9));
         assert!(clock.tick(0) > high);
+    }
+
+    #[test]
+    fn has_seen_is_the_high_water_mark() {
+        let mut clock = HlcClock::new(1);
+        let minted = clock.tick(5);
+        assert!(clock.has_seen(minted));
+        assert!(clock.has_seen(Hlc::new(5, 0, 9))); // node id is no newer
+        assert!(!clock.has_seen(Hlc::new(5, 1, 0)));
+        clock.observe(Hlc::new(8, 2, 3));
+        assert!(clock.has_seen(Hlc::new(8, 2, 3)));
+        assert!(!clock.has_seen(Hlc::new(9, 0, 0)));
     }
 
     #[test]

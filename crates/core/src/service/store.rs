@@ -18,7 +18,11 @@
 //!   buckets + far heap) and drained as the clock advances, replacing
 //!   the old per-publish full sweep; total expiry work is O(entries),
 //!   not O(publishes × entries). [`RegionStore::expiry_work`] counts
-//!   entries examined so tests can assert the amortization.
+//!   entries examined so tests can assert the amortization. A record
+//!   slot keeps one pending deadline: a re-publish files a new entry only
+//!   when its deadline comes sooner, and a drained entry whose record was
+//!   renewed re-files at the record's current deadline — so wheel memory
+//!   scales with slots, not with publishes per TTL.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -36,6 +40,9 @@ use crate::NodeId;
 /// min-heap and migrate into buckets as the cursor approaches.
 const WHEEL_SLOTS: u64 = 64;
 
+/// `record_due` value of a slot with no pending wheel entry.
+const NO_DUE: u64 = u64::MAX;
+
 /// An occupied record slot: the record plus its publish stamp.
 #[derive(Debug, Clone, PartialEq)]
 struct RecordSlot {
@@ -51,6 +58,7 @@ enum EntryKind {
 
 /// A scheduled deadline: validated lazily against the slot's current
 /// occupant when drained, so renewals and slot reuse need no cancellation.
+/// A record entry acts only while it is its slot's `record_due`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct WheelEntry {
     at: u64,
@@ -173,6 +181,9 @@ impl ExpiryWheel {
 #[derive(Debug, Clone, Default)]
 pub struct RegionStore {
     slots: Vec<Option<RecordSlot>>,
+    /// Per record slot: the deadline of its one pending wheel entry, or
+    /// [`NO_DUE`]. Kept across eviction, so a reused slot inherits it.
+    record_due: Vec<u64>,
     free_records: Vec<u32>,
     by_id: HashMap<u64, u32>,
     subs: Vec<Option<Subscription>>,
@@ -224,6 +235,12 @@ impl RegionStore {
     pub fn get(&self, id: u64) -> Option<&LocationRecord> {
         let slot = *self.by_id.get(&id)?;
         self.slots[slot as usize].as_ref().map(|s| &s.record)
+    }
+
+    /// The publish stamp of the live record with `id`, if any.
+    pub fn stamp_of(&self, id: u64) -> Option<Hlc> {
+        let slot = *self.by_id.get(&id)?;
+        self.slots[slot as usize].as_ref().map(|s| s.stamp)
     }
 
     /// Publishes a record, returning the subscribers to notify (the
@@ -462,6 +479,27 @@ impl RegionStore {
         self.ensure_indexed(pos);
     }
 
+    /// Replaces this replica with a full `snapshot` of the primary's
+    /// store, keeping every record the snapshot's clock has not seen: a
+    /// per-publish replica that overtook an older snapshot in flight must
+    /// not be rolled back. This store keeps its own clock node. A snapshot
+    /// decoded off the wire knows only the stamps it carries, so a replica
+    /// record newer than all of them outlives its removal at the primary
+    /// until a later snapshot carries a newer stamp.
+    pub fn adopt_snapshot(&mut self, snapshot: RegionStore) {
+        let node = self.clock.node();
+        let old = std::mem::replace(self, snapshot);
+        // Judge against the snapshot's own clock: inserting a kept record
+        // moves `self.clock` forward.
+        let seen = self.clock.clone();
+        self.clock.set_node(node);
+        for s in old.slots.into_iter().flatten() {
+            if !seen.has_seen(s.stamp) {
+                self.insert_replica(s.record, s.stamp);
+            }
+        }
+    }
+
     /// Installs a replicated subscription. On a (subscriber, id)
     /// collision the later-expiring registration survives (ties keep the
     /// existing one).
@@ -495,8 +533,9 @@ impl RegionStore {
     }
 
     /// Drains every deadline due at `now` and evicts the entries that
-    /// still hold it (renewed or reused slots validate stale and are
-    /// skipped).
+    /// still hold it. A record slot whose deadline moved later re-files
+    /// at it; leftover record entries and renewed or reused subscription
+    /// slots validate stale and are skipped.
     fn advance(&mut self, now: u64) {
         if now <= self.wheel.cursor {
             return;
@@ -507,12 +546,18 @@ impl RegionStore {
         for e in due.drain(..) {
             match e.kind {
                 EntryKind::Record => {
-                    let held = match &self.slots[e.slot as usize] {
-                        Some(s) => s.record.expires_at() == Some(e.at),
-                        None => false,
-                    };
-                    if held {
-                        self.evict_record(e.slot);
+                    let i = e.slot as usize;
+                    if self.record_due[i] != e.at {
+                        continue; // superseded by a sooner deadline
+                    }
+                    self.record_due[i] = NO_DUE;
+                    match self.slots[i].as_ref().and_then(|s| s.record.expires_at()) {
+                        Some(at) if at <= now => self.evict_record(e.slot),
+                        Some(at) => {
+                            self.record_due[i] = at;
+                            self.wheel.schedule(at, EntryKind::Record, e.slot);
+                        }
+                        None => {}
                     }
                 }
                 EntryKind::Sub => {
@@ -561,20 +606,13 @@ impl RegionStore {
         let id = record.id();
         let pos = record.position();
         let expires = record.expires_at();
-        let (slot, needs_schedule) = match self.by_id.get(&id).copied() {
+        let slot = match self.by_id.get(&id).copied() {
             Some(slot) => {
                 let prev = self.slots[slot as usize].replace(RecordSlot { record, stamp });
-                let mut needs_schedule = expires.is_some();
-                if let Some(prev) = prev {
-                    if let Some(grid) = self.grid.as_mut() {
-                        grid.move_record(slot, prev.record.position(), pos);
-                    }
-                    // An unchanged deadline already has a pending wheel
-                    // entry; refiling it would pile up duplicates under
-                    // renewal-heavy streams.
-                    needs_schedule &= prev.record.expires_at() != expires;
+                if let (Some(prev), Some(grid)) = (prev, self.grid.as_mut()) {
+                    grid.move_record(slot, prev.record.position(), pos);
                 }
-                (slot, needs_schedule)
+                slot
             }
             None => {
                 let slot = match self.free_records.pop() {
@@ -585,6 +623,7 @@ impl RegionStore {
                     None => {
                         let s = self.slots.len() as u32;
                         self.slots.push(Some(RecordSlot { record, stamp }));
+                        self.record_due.push(NO_DUE);
                         s
                     }
                 };
@@ -592,11 +631,16 @@ impl RegionStore {
                 if let Some(grid) = self.grid.as_mut() {
                     grid.insert_record(slot, pos);
                 }
-                (slot, expires.is_some())
+                slot
             }
         };
-        if needs_schedule {
-            if let Some(at) = expires {
+        // One pending entry per slot: a later deadline than the pending one
+        // is picked up when that entry drains, so renewal-heavy streams
+        // file nothing.
+        if let Some(at) = expires {
+            let pending = &mut self.record_due[slot as usize];
+            if at < *pending {
+                *pending = at;
                 self.wheel.schedule(at, EntryKind::Record, slot);
             }
         }
@@ -973,6 +1017,54 @@ mod tests {
         assert_eq!(store.record_count(), 1);
         store.expire(50);
         assert_eq!(store.record_count(), 0);
+    }
+
+    #[test]
+    fn renewals_keep_one_wheel_entry_per_slot() {
+        const TTL: u64 = 3_600_000;
+        let pending = |s: &RegionStore| {
+            s.wheel.buckets.iter().map(Vec::len).sum::<usize>() + s.wheel.far.len()
+        };
+        let mut store = RegionStore::new();
+        for now in 0..100u64 {
+            for id in 0..100u64 {
+                store.publish(record(id, 1.0, 1.0, "t").with_expiry(now + TTL), now);
+            }
+            let n = pending(&store);
+            assert!(n <= 100, "{n} wheel entries pending");
+        }
+        // Renewed deadlines still fire, each once the record's latest one
+        // has passed.
+        store.expire(TTL + 98);
+        assert_eq!(store.record_count(), 100);
+        store.expire(TTL + 99);
+        assert_eq!(store.record_count(), 0);
+        // A deadline moved sooner files its own entry and wins.
+        store.publish(record(1, 1.0, 1.0, "t").with_expiry(2 * TTL), TTL + 100);
+        store.publish(record(1, 1.0, 1.0, "t").with_expiry(TTL + 200), TTL + 101);
+        store.expire(TTL + 200);
+        assert!(store.is_empty());
+    }
+
+    #[test]
+    fn adopting_a_snapshot_keeps_newer_replicas() {
+        let mut primary = RegionStore::new();
+        primary.set_node(1);
+        primary.publish(record(1, 1.0, 1.0, "t"), 5);
+        primary.publish(record(2, 2.0, 2.0, "t"), 5);
+        let snapshot = primary.clone();
+        primary.publish(record(3, 3.0, 3.0, "t"), 9);
+
+        let mut replica = RegionStore::new();
+        replica.set_node(2);
+        for (r, stamp) in primary.records_with_stamps() {
+            replica.insert_replica(r.clone(), stamp);
+        }
+        // Seen by the snapshot's clock but not in it: removed since.
+        replica.insert_replica(record(4, 4.0, 4.0, "t"), Hlc::new(4, 0, 1));
+        replica.adopt_snapshot(snapshot);
+        assert_eq!(replica, primary); // 3 kept, 4 dropped
+        assert_eq!(replica.clock.node(), 2);
     }
 
     #[test]

@@ -277,6 +277,16 @@ fn get_record(r: &mut Reader<'_>) -> Result<LocationRecord, WireError> {
     })
 }
 
+fn put_stamp(buf: &mut BytesMut, stamp: Hlc) {
+    buf.put_u64_le(stamp.physical());
+    buf.put_u32_le(stamp.logical());
+    buf.put_u64_le(stamp.node());
+}
+
+fn get_stamp(r: &mut Reader<'_>) -> Result<Hlc, WireError> {
+    Ok(Hlc::new(r.u64()?, r.u32()?, r.u64()?))
+}
+
 fn put_subscription(buf: &mut BytesMut, sub: &Subscription) {
     buf.put_u64_le(sub.id());
     put_region(buf, sub.area());
@@ -310,9 +320,7 @@ fn put_store(buf: &mut BytesMut, store: &RegionStore) {
     buf.put_u32_le(store.record_count() as u32);
     for (rec, stamp) in store.records_with_stamps() {
         put_record(buf, rec);
-        buf.put_u64_le(stamp.physical());
-        buf.put_u32_le(stamp.logical());
-        buf.put_u64_le(stamp.node());
+        put_stamp(buf, stamp);
     }
     buf.put_u32_le(store.subscription_count() as u32);
     for sub in store.subscriptions() {
@@ -328,8 +336,7 @@ fn get_store(r: &mut Reader<'_>) -> Result<RegionStore, WireError> {
     }
     for _ in 0..n {
         let rec = get_record(r)?;
-        let stamp = Hlc::new(r.u64()?, r.u32()?, r.u64()?);
-        store.insert_replica(rec, stamp);
+        store.insert_replica(rec, get_stamp(r)?);
     }
     let m = r.u32()? as usize;
     if m > 10_000_000 {
@@ -389,6 +396,7 @@ const TAG_WHO_OWNS: u8 = 20;
 const TAG_OWNER_IS: u8 = 21;
 const TAG_DETACHED: u8 = 22;
 const TAG_INSTALL: u8 = 23;
+const TAG_REPLICATE: u8 = 24;
 
 fn put_message(buf: &mut BytesMut, message: &Message) {
     match message {
@@ -440,6 +448,11 @@ fn put_message(buf: &mut BytesMut, message: &Message) {
             for rec in records {
                 put_record(buf, rec);
             }
+        }
+        Message::Replicate { record, stamp } => {
+            buf.put_u8(TAG_REPLICATE);
+            put_record(buf, record);
+            put_stamp(buf, *stamp);
         }
         Message::Publish { record, hops } => {
             buf.put_u8(TAG_PUBLISH);
@@ -567,6 +580,10 @@ fn get_message(r: &mut Reader<'_>) -> Result<Message, WireError> {
             sub: get_subscription(r)?,
             hops: r.u32()?,
             fanout: get_bool(r)?,
+        }),
+        TAG_REPLICATE => Ok(Message::Replicate {
+            record: get_record(r)?,
+            stamp: get_stamp(r)?,
         }),
         TAG_NOTIFY => Ok(Message::Notify {
             record: get_record(r)?,
@@ -713,6 +730,7 @@ pub fn referenced_nodes(message: &Message) -> Vec<NodeId> {
         | Message::WhoOwns { .. }
         | Message::QueryReply { .. }
         | Message::Publish { .. }
+        | Message::Replicate { .. }
         | Message::Notify { .. } => {}
     }
     out.sort();
@@ -818,7 +836,11 @@ mod tests {
                 store,
                 neighbors: vec![neighbor],
             },
-            Message::MergeRegions { .. } => return None,
+            Message::MergeRegions { .. } => Message::Replicate {
+                record,
+                stamp: Hlc::new(12, 3, 4),
+            },
+            Message::Replicate { .. } => return None,
         })
     }
 
@@ -836,7 +858,7 @@ mod tests {
         }
         kinds.sort_unstable();
         kinds.dedup();
-        assert_eq!(kinds.len(), 19, "the walk skipped or repeated a kind");
+        assert_eq!(kinds.len(), 20, "the walk skipped or repeated a kind");
     }
 
     #[test]

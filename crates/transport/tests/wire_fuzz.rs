@@ -6,7 +6,7 @@
 //!    yields `Err`, not UB or a crash.
 
 use geogrid_core::engine::{Message, NeighborInfo};
-use geogrid_core::service::{LocationQuery, LocationRecord, RegionStore, Subscription};
+use geogrid_core::service::{Hlc, LocationQuery, LocationRecord, RegionStore, Subscription};
 use geogrid_core::{NodeId, NodeInfo};
 use geogrid_geometry::{Point, Region};
 use geogrid_transport::Envelope;
@@ -146,6 +146,12 @@ fn arb_message() -> impl Strategy<Value = Message> {
         (arb_subscription(), any::<u32>(), any::<bool>())
             .prop_map(|(sub, hops, fanout)| Message::Subscribe { sub, hops, fanout }),
         arb_record().prop_map(|record| Message::Notify { record }),
+        (arb_record(), any::<u64>(), any::<u32>(), any::<u64>()).prop_map(
+            |(record, physical, logical, node)| Message::Replicate {
+                record,
+                stamp: Hlc::new(physical, logical, node),
+            }
+        ),
         (arb_neighbor(), 0.0..1e9).prop_map(|(info, index)| Message::Heartbeat { info, index }),
         (arb_node_info(), 0.0..1e9, any::<bool>()).prop_map(|(requester, index, swap)| {
             Message::StealSecondaryRequest {
