@@ -1,5 +1,5 @@
-//! Approximate workspace call graph and the reachability rules GG008,
-//! GG009 and GG011.
+//! Approximate workspace call graph and the reachability rules GG008 and
+//! GG011.
 //!
 //! The per-file rules in the crate root check token patterns inside one
 //! function body. The rules here need to see *through* helper calls: a
@@ -38,9 +38,6 @@
 //!   assumed to be std container methods when not called on `self`; a
 //!   first-party method sharing such a name is not traversed.
 //! * **Function pointers / closures passed as values** are not edges.
-//! * **Cross-crate trust boundary (GG009)**: the decode walk stays inside
-//!   `crates/transport`; a panic inside a core type constructor invoked
-//!   by decode is out of scope (core input is already validated).
 //! * **`std::sync::RwLock`** is not in the GG011 blocking set (the core
 //!   topology handle is deliberately RwLock-based and transport never
 //!   holds it across `.await`).
@@ -106,7 +103,6 @@ pub fn analyze_files(files: &[(String, String)]) -> Analysis {
     let graph = Graph::build(&models);
     let mut graph_findings = Vec::new();
     graph.rule_hot_transitive(&mut graph_findings);
-    graph.rule_decode_panic_free(&mut graph_findings);
     graph.rule_async_blocking(&mut graph_findings);
     graph_findings.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.rule, a.message.as_str()).cmp(&(
@@ -300,8 +296,6 @@ struct Call {
 enum FactKind {
     Alloc,
     Panic,
-    Index,
-    Arith,
     Blocking,
 }
 
@@ -606,7 +600,6 @@ fn extract(
     toks: &[Token],
     body: &Range<usize>,
     imports: &HashMap<String, Vec<String>>,
-    transport: bool,
 ) -> (Vec<Call>, Vec<Fact>) {
     let detached = detached_ranges(toks, body);
     let is_detached = |k: usize| detached.iter().any(|r| r.contains(&k));
@@ -619,195 +612,152 @@ fn extract(
         if is_detached(k) {
             continue;
         }
+        let Tok::Ident(name) = &toks[k].tok else {
+            continue;
+        };
         let line = toks[k].line;
-        match &toks[k].tok {
-            Tok::Ident(name) => {
-                let next_open = toks.get(k + 1).is_some_and(|t| t.tok.is("("));
-                let next_bang = toks.get(k + 1).is_some_and(|t| t.tok.is("!"));
-                let prev_dot = k > 0 && toks[k - 1].tok.is(".");
-                let prev_path = k > 0 && toks[k - 1].tok.is("::");
+        let next_open = toks.get(k + 1).is_some_and(|t| t.tok.is("("));
+        let next_bang = toks.get(k + 1).is_some_and(|t| t.tok.is("!"));
+        let prev_dot = k > 0 && toks[k - 1].tok.is(".");
+        let prev_path = k > 0 && toks[k - 1].tok.is("::");
 
-                // Macro facts.
-                if next_bang {
-                    if HOT_BANNED_MACROS.contains(&name.as_str()) {
-                        facts.push(Fact {
-                            kind: FactKind::Alloc,
-                            line,
-                            what: format!("`{name}!` (allocates)"),
-                        });
-                    }
-                    if ["panic", "todo", "unimplemented"].contains(&name.as_str()) {
-                        facts.push(Fact {
-                            kind: FactKind::Panic,
-                            line,
-                            what: format!("`{name}!`"),
-                        });
-                    }
-                    continue;
-                }
+        // Macro facts.
+        if next_bang {
+            if HOT_BANNED_MACROS.contains(&name.as_str()) {
+                facts.push(Fact {
+                    kind: FactKind::Alloc,
+                    line,
+                    what: format!("`{name}!` (allocates)"),
+                });
+            }
+            if ["panic", "todo", "unimplemented"].contains(&name.as_str()) {
+                facts.push(Fact {
+                    kind: FactKind::Panic,
+                    line,
+                    what: format!("`{name}!`"),
+                });
+            }
+            continue;
+        }
 
-                // `Type::new` style allocation facts.
-                if HOT_BANNED_TYPES.contains(&name.as_str())
-                    && toks.get(k + 1).is_some_and(|t| t.tok.is("::"))
-                    && toks.get(k + 2).is_some_and(|t| {
-                        t.tok.is("new") || t.tok.is("from") || t.tok.is("with_capacity")
-                    })
-                {
-                    if let Some(Tok::Ident(m)) = toks.get(k + 2).map(|t| &t.tok) {
-                        facts.push(Fact {
-                            kind: FactKind::Alloc,
-                            line,
-                            what: format!("`{name}::{m}` (allocates)"),
-                        });
-                    }
-                }
+        // `Type::new` style allocation facts.
+        if HOT_BANNED_TYPES.contains(&name.as_str())
+            && toks.get(k + 1).is_some_and(|t| t.tok.is("::"))
+            && toks
+                .get(k + 2)
+                .is_some_and(|t| t.tok.is("new") || t.tok.is("from") || t.tok.is("with_capacity"))
+        {
+            if let Some(Tok::Ident(m)) = toks.get(k + 2).map(|t| &t.tok) {
+                facts.push(Fact {
+                    kind: FactKind::Alloc,
+                    line,
+                    what: format!("`{name}::{m}` (allocates)"),
+                });
+            }
+        }
 
-                if prev_dot {
-                    // Method facts (allow `.collect::<T>()` turbofish).
-                    let callish = next_open || toks.get(k + 1).is_some_and(|t| t.tok.is("::"));
-                    if callish && HOT_BANNED_METHODS.contains(&name.as_str()) {
-                        facts.push(Fact {
-                            kind: FactKind::Alloc,
-                            line,
-                            what: format!("`.{name}()` (allocates or copies)"),
-                        });
-                    }
-                    if next_open && name == "unwrap" {
-                        facts.push(Fact {
-                            kind: FactKind::Panic,
-                            line,
-                            what: "`.unwrap()` (may panic)".to_string(),
-                        });
-                    }
-                    if next_open && name == "expect" {
-                        let documented = matches!(
-                            toks.get(k + 2).map(|t| &t.tok),
-                            Some(Tok::Str(s)) if s.starts_with("invariant:")
-                        );
-                        if !documented {
-                            facts.push(Fact {
-                                kind: FactKind::Panic,
-                                line,
-                                what: "`.expect(...)` without an `\"invariant: ...\"` message"
-                                    .to_string(),
-                            });
-                        }
-                    }
-                    if next_open && name == "lock" && std_mutex {
-                        facts.push(Fact {
-                            kind: FactKind::Blocking,
-                            line,
-                            what: "`.lock()` on std::sync::Mutex (blocking lock)".to_string(),
-                        });
-                    }
-                    if next_open {
-                        let on_self = k >= 2 && toks[k - 2].tok.is("self");
-                        calls.push(Call {
-                            kind: CallKind::Method {
-                                name: name.clone(),
-                                on_self,
-                            },
-                            line,
-                        });
-                    }
-                    continue;
-                }
-
-                if !next_open {
-                    continue;
-                }
-                if prev_path {
-                    let path = qualifier_path(toks, k);
-                    if path.is_empty() {
-                        continue;
-                    }
-                    if starts_uppercase(name) {
-                        continue; // enum variant / tuple-struct constructor
-                    }
-                    let full = expand_path(imports, &path);
-                    if let Some(what) = blocking_call(&full, name) {
-                        facts.push(Fact {
-                            kind: FactKind::Blocking,
-                            line,
-                            what,
-                        });
-                    }
-                    calls.push(Call {
-                        kind: CallKind::Qualified {
-                            path,
-                            name: name.clone(),
-                        },
+        if prev_dot {
+            // Method facts (allow `.collect::<T>()` turbofish).
+            let callish = next_open || toks.get(k + 1).is_some_and(|t| t.tok.is("::"));
+            if callish && HOT_BANNED_METHODS.contains(&name.as_str()) {
+                facts.push(Fact {
+                    kind: FactKind::Alloc,
+                    line,
+                    what: format!("`.{name}()` (allocates or copies)"),
+                });
+            }
+            if next_open && name == "unwrap" {
+                facts.push(Fact {
+                    kind: FactKind::Panic,
+                    line,
+                    what: "`.unwrap()` (may panic)".to_string(),
+                });
+            }
+            if next_open && name == "expect" {
+                let documented = matches!(
+                    toks.get(k + 2).map(|t| &t.tok),
+                    Some(Tok::Str(s)) if s.starts_with("invariant:")
+                );
+                if !documented {
+                    facts.push(Fact {
+                        kind: FactKind::Panic,
                         line,
+                        what: "`.expect(...)` without an `\"invariant: ...\"` message".to_string(),
                     });
-                    continue;
                 }
-                // Plain call.
-                if k > 0 && toks[k - 1].tok.is("fn") {
-                    continue; // definition, not a call
-                }
-                if CALL_KEYWORDS.contains(&name.as_str()) || starts_uppercase(name) {
-                    continue;
-                }
-                // Imported plain names can still be blocking
-                // (`use std::thread::sleep; sleep(..)`).
-                if let Some(exp) = imports.get(name.as_str()) {
-                    if exp.len() >= 2 {
-                        if let Some(what) = blocking_call(&exp[..exp.len() - 1], name) {
-                            facts.push(Fact {
-                                kind: FactKind::Blocking,
-                                line,
-                                what,
-                            });
-                        }
-                    }
-                }
+            }
+            if next_open && name == "lock" && std_mutex {
+                facts.push(Fact {
+                    kind: FactKind::Blocking,
+                    line,
+                    what: "`.lock()` on std::sync::Mutex (blocking lock)".to_string(),
+                });
+            }
+            if next_open {
+                let on_self = k >= 2 && toks[k - 2].tok.is("self");
                 calls.push(Call {
-                    kind: CallKind::Plain(name.clone()),
+                    kind: CallKind::Method {
+                        name: name.clone(),
+                        on_self,
+                    },
                     line,
                 });
             }
-            Tok::Op(op) if transport => {
-                // Panic/overflow surface facts, transport only (the wire
-                // decode rule is the sole consumer).
-                if op == "[" {
-                    let indexy = k > 0
-                        && match &toks[k - 1].tok {
-                            Tok::Ident(s) => !CALL_KEYWORDS.contains(&s.as_str()),
-                            Tok::Op(o) => o == ")" || o == "]",
-                            _ => false,
-                        };
-                    if indexy {
-                        facts.push(Fact {
-                            kind: FactKind::Index,
-                            line,
-                            what: "`[...]` indexing (may panic out-of-bounds)".to_string(),
-                        });
-                    }
-                } else if op == "+" || op == "-" || op == "*" {
-                    let operandish = |t: &Tok| match t {
-                        Tok::Ident(s) => !CALL_KEYWORDS.contains(&s.as_str()),
-                        Tok::Lit => true,
-                        Tok::Op(o) => o == ")" || o == "]",
-                        _ => false,
-                    };
-                    let prev_ok = k > 0 && operandish(&toks[k - 1].tok);
-                    let next_ok = toks.get(k + 1).is_some_and(|t| match &t.tok {
-                        Tok::Ident(s) => !CALL_KEYWORDS.contains(&s.as_str()),
-                        Tok::Lit => true,
-                        Tok::Op(o) => o == "(",
-                        _ => false,
+            continue;
+        }
+
+        if !next_open {
+            continue;
+        }
+        if prev_path {
+            let path = qualifier_path(toks, k);
+            if path.is_empty() {
+                continue;
+            }
+            if starts_uppercase(name) {
+                continue; // enum variant / tuple-struct constructor
+            }
+            let full = expand_path(imports, &path);
+            if let Some(what) = blocking_call(&full, name) {
+                facts.push(Fact {
+                    kind: FactKind::Blocking,
+                    line,
+                    what,
+                });
+            }
+            calls.push(Call {
+                kind: CallKind::Qualified {
+                    path,
+                    name: name.clone(),
+                },
+                line,
+            });
+            continue;
+        }
+        // Plain call.
+        if k > 0 && toks[k - 1].tok.is("fn") {
+            continue; // definition, not a call
+        }
+        if CALL_KEYWORDS.contains(&name.as_str()) || starts_uppercase(name) {
+            continue;
+        }
+        // Imported plain names can still be blocking
+        // (`use std::thread::sleep; sleep(..)`).
+        if let Some(exp) = imports.get(name.as_str()) {
+            if exp.len() >= 2 {
+                if let Some(what) = blocking_call(&exp[..exp.len() - 1], name) {
+                    facts.push(Fact {
+                        kind: FactKind::Blocking,
+                        line,
+                        what,
                     });
-                    if prev_ok && next_ok {
-                        facts.push(Fact {
-                            kind: FactKind::Arith,
-                            line,
-                            what: format!("unchecked `{op}` arithmetic (may overflow)"),
-                        });
-                    }
                 }
             }
-            _ => {}
         }
+        calls.push(Call {
+            kind: CallKind::Plain(name.clone()),
+            line,
+        });
     }
     (calls, facts)
 }
@@ -821,7 +771,6 @@ impl Graph {
         let mut files = Vec::new();
         let mut nodes = Vec::new();
         for (fi, fm) in models.iter().enumerate() {
-            let transport = fm.path.starts_with("crates/transport/");
             let imports = parse_imports(&fm.tokens);
             let impls = impl_ranges(&fm.tokens);
             for f in &fm.fns {
@@ -830,7 +779,7 @@ impl Graph {
                     .filter(|(r, _)| r.contains(&f.body.start))
                     .min_by_key(|(r, _)| r.end - r.start)
                     .map(|(_, name)| name.clone());
-                let (calls, facts) = extract(&fm.tokens, &f.body, &imports, transport);
+                let (calls, facts) = extract(&fm.tokens, &f.body, &imports);
                 nodes.push(FnNode {
                     file: fi,
                     name: f.name.clone(),
@@ -1140,7 +1089,6 @@ impl Graph {
     fn bfs(
         &self,
         entry: usize,
-        restrict: impl Fn(usize) -> bool,
         respect_exempt: bool,
         touched_exempt: &mut HashSet<usize>,
     ) -> (Vec<usize>, HashMap<usize, usize>) {
@@ -1153,7 +1101,7 @@ impl Graph {
         while let Some(v) = queue.pop_front() {
             order.push(v);
             for &w in &self.edges[v] {
-                if !restrict(w) || seen.contains(&w) {
+                if seen.contains(&w) {
                     continue;
                 }
                 if respect_exempt && self.nodes[w].exempt {
@@ -1236,25 +1184,19 @@ impl Graph {
         let mut touched_exempt = HashSet::new();
         let mut seen = HashSet::new();
         for entry in self.entries(|n| n.hot && !n.exempt) {
-            let (order, parent) = self.bfs(entry, |_| true, true, &mut touched_exempt);
+            let (order, parent) = self.bfs(entry, true, &mut touched_exempt);
             for v in order {
                 for fact in &self.nodes[v].facts {
-                    let relevant = match fact.kind {
-                        FactKind::Alloc | FactKind::Panic | FactKind::Blocking => true,
-                        FactKind::Index | FactKind::Arith => false,
-                    };
-                    if relevant {
-                        self.push_fact_finding(
-                            out,
-                            &mut seen,
-                            "GG008",
-                            "#[hot_path]",
-                            entry,
-                            v,
-                            &parent,
-                            fact,
-                        );
-                    }
+                    self.push_fact_finding(
+                        out,
+                        &mut seen,
+                        "GG008",
+                        "#[hot_path]",
+                        entry,
+                        v,
+                        &parent,
+                        fact,
+                    );
                 }
             }
         }
@@ -1276,56 +1218,12 @@ impl Graph {
         }
     }
 
-    /// GG009: panic-freedom of the wire decode surface.
-    fn rule_decode_panic_free(&self, out: &mut Vec<Finding>) {
-        let decode_file = |path: &str| {
-            path.starts_with("crates/transport/")
-                && (path.ends_with("wire.rs") || path.ends_with("frame.rs"))
-        };
-        let mut seen = HashSet::new();
-        let mut unused = HashSet::new();
-        for entry in self.entries(|n| {
-            decode_file(&self.files[n.file].path)
-                && (n.name.starts_with("decode") || n.name == "read_frame")
-        }) {
-            let (order, parent) = self.bfs(
-                entry,
-                |w| {
-                    self.files[self.nodes[w].file]
-                        .path
-                        .starts_with("crates/transport/")
-                },
-                false,
-                &mut unused,
-            );
-            for v in order {
-                for fact in &self.nodes[v].facts {
-                    if matches!(
-                        fact.kind,
-                        FactKind::Panic | FactKind::Index | FactKind::Arith
-                    ) {
-                        self.push_fact_finding(
-                            out,
-                            &mut seen,
-                            "GG009",
-                            "wire-decode entry",
-                            entry,
-                            v,
-                            &parent,
-                            fact,
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     /// GG011: no blocking call reachable from transport async fns.
     fn rule_async_blocking(&self, out: &mut Vec<Finding>) {
         let mut seen = HashSet::new();
         let mut unused = HashSet::new();
         for entry in self.entries(|n| n.is_async && self.files[n.file].crate_key == "transport") {
-            let (order, parent) = self.bfs(entry, |_| true, false, &mut unused);
+            let (order, parent) = self.bfs(entry, false, &mut unused);
             for v in order {
                 for fact in &self.nodes[v].facts {
                     if fact.kind == FactKind::Blocking {
@@ -1541,60 +1439,6 @@ mod tests {
             "#,
         )]);
         assert!(rule_findings(&a, "GG008").is_empty(), "{:?}", a.findings);
-    }
-
-    // ---- GG009 ----
-
-    #[test]
-    fn gg009_catches_indexing_reachable_from_decode() {
-        let a = analyze(&[(
-            "crates/transport/src/wire.rs",
-            r#"
-            pub fn decode_header(buf: &[u8]) -> u8 { first(buf) }
-            fn first(buf: &[u8]) -> u8 { buf[0] }
-            "#,
-        )]);
-        let f = rule_findings(&a, "GG009");
-        assert_eq!(f.len(), 1, "{:?}", a.findings);
-        assert!(f[0].message.contains("indexing"), "{}", f[0].message);
-        assert!(
-            f[0].message.contains("decode_header -> first"),
-            "{}",
-            f[0].message
-        );
-    }
-
-    #[test]
-    fn gg009_catches_unwrap_and_unchecked_arith() {
-        let a = analyze(&[(
-            "crates/transport/src/frame.rs",
-            r#"
-            pub fn read_frame(len: usize, max: usize) -> usize {
-                let padded = len + 8;
-                check(padded).unwrap()
-            }
-            fn check(n: usize) -> Option<usize> { Some(n) }
-            "#,
-        )]);
-        let f = rule_findings(&a, "GG009");
-        assert_eq!(f.len(), 2, "{:?}", a.findings);
-        assert!(f.iter().any(|f| f.message.contains("arithmetic")));
-        assert!(f.iter().any(|f| f.message.contains("unwrap")));
-    }
-
-    #[test]
-    fn gg009_quiet_on_checked_decode_and_ignores_encode_side() {
-        let a = analyze(&[(
-            "crates/transport/src/wire.rs",
-            r#"
-            pub fn decode_len(buf: &[u8]) -> Option<usize> {
-                let n = *buf.first()?;
-                (n as usize).checked_add(4)
-            }
-            pub fn put_len(buf: &mut Vec<u8>, n: usize) { buf.push((n + 1) as u8); }
-            "#,
-        )]);
-        assert!(rule_findings(&a, "GG009").is_empty(), "{:?}", a.findings);
     }
 
     // ---- GG011 ----

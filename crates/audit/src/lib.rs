@@ -4,10 +4,9 @@
 //! It checks only what rustc, clippy, the workspace lint table and the
 //! runtime auditor (`geogrid_core::audit`) cannot express: call-site
 //! discipline for the coupled mutation primitives, and reachability
-//! properties of the routing hot path, the wire decoder and the async
-//! transport. It uses a hand-rolled token scanner (no `syn` — the build
-//! environment has no registry access, and a lossy-but-honest lexer is
-//! all these rules need).
+//! properties of the routing hot path and the async transport. It uses a
+//! hand-rolled token scanner (no `syn` — the build environment has no
+//! registry access, and a lossy-but-honest lexer is all these rules need).
 //!
 //! # Rule catalog
 //!
@@ -16,11 +15,10 @@
 //! | GG000 | marker hygiene: every `// audit:` marker uses a known family, attaches to a function, and carries required arguments |
 //! | GG001 | marked-site primitives ([`SITE_FAMILIES`]): geometry rewrites, snapshot publication and store hand-off are called only from functions carrying their marker, and every marked function calls what its marker requires |
 //! | GG008 | `#[hot_path]` purity, direct and transitive: no allocation, blocking, or panicking construct in a hot function or reachable through helper calls (escape: `// audit: hot-path-exempt(reason)`) |
-//! | GG009 | the wire decode surface (`decode*`/`read_frame` in `crates/transport`) reaches no indexing, unwrap, or unchecked arithmetic |
 //! | GG011 | no blocking call (`std::thread::sleep`, `std::sync::Mutex::lock`, `std::fs`/`std::net` IO) reachable from an `async fn` in `crates/transport` |
 //!
-//! GG000 and GG001 are *lexical* (per-function token patterns). GG008,
-//! GG009 and GG011 are *reachability* rules: the [`graph`] module links
+//! GG000 and GG001 are *lexical* (per-function token patterns). GG008
+//! and GG011 are *reachability* rules: the [`graph`] module links
 //! every function definition and call site into an approximate workspace
 //! call graph and walks it (see that module's docs for the resolution
 //! strategy and its known false-negative classes). The missing ids
@@ -93,16 +91,6 @@ pub const RULES: &[RuleInfo] = &[
         hint: "hoist the offending work out of the call chain (scratch \
                buffers, precomputation), or — if the path is provably cold — \
                mark the helper `// audit: hot-path-exempt(reason)`",
-    },
-    RuleInfo {
-        id: "GG009",
-        summary: "wire-decode panic freedom: no `[]` indexing, `.unwrap()`, \
-                  undocumented `.expect()`, panic macro, or unchecked `+`/`-`/\
-                  `*` arithmetic reachable from decode*/read_frame in \
-                  crates/transport",
-        hint: "use length-checked Reader accessors, `get(..)`, and \
-               checked_add/checked_mul — malformed peer input must surface as \
-               a WireError, never a panic",
     },
     RuleInfo {
         id: "GG011",
@@ -1292,7 +1280,7 @@ mod tests {
     #[test]
     fn rule_table_is_consistent() {
         let ids: Vec<&str> = RULES.iter().map(|r| r.id).collect();
-        assert_eq!(ids, ["GG000", "GG001", "GG008", "GG009", "GG011"]);
+        assert_eq!(ids, ["GG000", "GG001", "GG008", "GG011"]);
         for r in RULES {
             assert!(!r.summary.is_empty());
             assert!(!r.hint.is_empty());

@@ -41,6 +41,13 @@ pub async fn write_frame<W: AsyncWrite + Unpin>(writer: &mut W, payload: &[u8]) 
 ///
 /// I/O errors, `UnexpectedEof` inside a frame, or `InvalidData` for an
 /// oversized length prefix.
+#[deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::arithmetic_side_effects
+)]
 pub async fn read_frame<R: AsyncRead + Unpin>(reader: &mut R) -> io::Result<Option<Bytes>> {
     let mut len_buf = [0u8; 4];
     match reader.read_exact(&mut len_buf).await {

@@ -6,13 +6,14 @@
 //!
 //! * [`wire`] — a hand-rolled, versioned binary codec for every protocol
 //!   message (no serialization framework: the format is part of the
-//!   protocol and kept explicit),
+//!   protocol and kept explicit; one table row per message kind),
 //! * [`frame`] — length-prefixed framing over any tokio
 //!   `AsyncRead`/`AsyncWrite`,
 //! * [`runtime`] — [`runtime::NodeRuntime`]: owns one
-//!   [`NodeEngine`](geogrid_core::engine::NodeEngine), a TCP listener, an
-//!   outbound connection pool, and the `NodeId → SocketAddr` address book
-//!   learned from message envelopes,
+//!   [`NodeEngine`](geogrid_core::engine::NodeEngine), a TCP listener,
+//!   and the `NodeId → SocketAddr` address book learned from message
+//!   envelopes; it opens a fresh connection for every outbound message,
+//!   with no pool,
 //! * [`bootstrap`] — the bootstrap server §2.1 assumes: a directory nodes
 //!   register with and fetch entry points from.
 //!

@@ -1,15 +1,37 @@
 //! The binary wire format.
 //!
 //! Hand-rolled, explicit, and versioned: every GeoGrid protocol message
-//! encodes to a tagged binary body. Numbers are little-endian; strings and
-//! byte blobs are length-prefixed with `u32`. The first byte of every
-//! encoded envelope is the wire version ([`WIRE_VERSION`]).
+//! encodes to a tagged binary body. Numbers are little-endian; strings,
+//! blobs and sequences are prefixed with a `u32` length. The first byte
+//! of every encoded envelope is the wire version ([`WIRE_VERSION`]).
+//!
+//! Each field type implements the private `Wire` trait once: how it is
+//! written, read back and validated, and which node ids it names. The
+//! `messages!` table at the bottom gives each message kind one row, its
+//! tag and its fields in wire order, and expands to the encoder, the
+//! decoder and the walk behind [`referenced_nodes`]. A new kind costs one
+//! `Message` variant, one table row and one engine handler.
+//!
+//! No length prefix is trusted: a count that the remaining bytes cannot
+//! hold, at `Wire::MIN_SIZE` bytes per element, is refused as
+//! [`WireError::BadLength`] before anything is read or reserved.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::arithmetic_side_effects
+    )
+)]
 
 use std::error::Error;
 use std::fmt;
 use std::net::SocketAddr;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use geogrid_core::engine::{Message, NeighborInfo};
 use geogrid_core::service::{Hlc, LocationQuery, LocationRecord, RegionStore, Subscription};
 use geogrid_core::{NodeId, NodeInfo};
@@ -17,10 +39,6 @@ use geogrid_geometry::{Point, Region};
 
 /// Current wire protocol version.
 pub const WIRE_VERSION: u8 = 2;
-
-/// Maximum accepted string/blob length (16 MiB) — guards against corrupt
-/// or hostile length prefixes.
-const MAX_BLOB: usize = 16 * 1024 * 1024;
 
 /// Decoding errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,586 +90,16 @@ pub struct Envelope {
     pub message: Message,
 }
 
-// ---------------------------------------------------------------------
-// Primitive writers/readers
-// ---------------------------------------------------------------------
-
-struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf }
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        if self.buf.remaining() < 1 {
-            return Err(WireError::Truncated);
-        }
-        Ok(self.buf.get_u8())
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        if self.buf.remaining() < 4 {
-            return Err(WireError::Truncated);
-        }
-        Ok(self.buf.get_u32_le())
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        if self.buf.remaining() < 8 {
-            return Err(WireError::Truncated);
-        }
-        Ok(self.buf.get_u64_le())
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        if self.buf.remaining() < 8 {
-            return Err(WireError::Truncated);
-        }
-        Ok(self.buf.get_f64_le())
-    }
-
-    fn finite_f64(&mut self) -> Result<f64, WireError> {
-        let v = self.f64()?;
-        if v.is_finite() {
-            Ok(v)
-        } else {
-            Err(WireError::BadFloat)
-        }
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
-        let len = self.u32()? as usize;
-        if len > MAX_BLOB {
-            return Err(WireError::BadLength(len));
-        }
-        if self.buf.remaining() < len {
-            return Err(WireError::Truncated);
-        }
-        let mut out = vec![0u8; len];
-        self.buf.copy_to_slice(&mut out);
-        Ok(out)
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
-        String::from_utf8(self.bytes()?).map_err(|_| WireError::BadUtf8)
-    }
-
-    fn done(&self) -> bool {
-        !self.buf.has_remaining()
-    }
-}
-
-fn put_bytes(buf: &mut BytesMut, data: &[u8]) {
-    buf.put_u32_le(data.len() as u32);
-    buf.put_slice(data);
-}
-
-fn put_string(buf: &mut BytesMut, s: &str) {
-    put_bytes(buf, s.as_bytes());
-}
-
-// ---------------------------------------------------------------------
-// Domain encoders/decoders
-// ---------------------------------------------------------------------
-
-fn put_point(buf: &mut BytesMut, p: Point) {
-    buf.put_f64_le(p.x);
-    buf.put_f64_le(p.y);
-}
-
-fn get_point(r: &mut Reader<'_>) -> Result<Point, WireError> {
-    Ok(Point::new(r.finite_f64()?, r.finite_f64()?))
-}
-
-fn put_region(buf: &mut BytesMut, region: Region) {
-    buf.put_f64_le(region.x());
-    buf.put_f64_le(region.y());
-    buf.put_f64_le(region.width());
-    buf.put_f64_le(region.height());
-}
-
-fn get_region(r: &mut Reader<'_>) -> Result<Region, WireError> {
-    let x = r.finite_f64()?;
-    let y = r.finite_f64()?;
-    let w = r.finite_f64()?;
-    let h = r.finite_f64()?;
-    if w <= 0.0 || h <= 0.0 {
-        return Err(WireError::BadFloat);
-    }
-    Ok(Region::new(x, y, w, h))
-}
-
-fn put_node_info(buf: &mut BytesMut, info: NodeInfo) {
-    buf.put_u64_le(info.id().as_u64());
-    put_point(buf, info.coord());
-    buf.put_f64_le(info.capacity());
-}
-
-fn get_node_info(r: &mut Reader<'_>) -> Result<NodeInfo, WireError> {
-    let id = NodeId::new(r.u64()?);
-    let coord = get_point(r)?;
-    let cap = r.finite_f64()?;
-    if cap <= 0.0 {
-        return Err(WireError::BadFloat);
-    }
-    Ok(NodeInfo::new(id, coord, cap))
-}
-
-fn put_opt_node_info(buf: &mut BytesMut, info: Option<NodeInfo>) {
-    match info {
-        Some(i) => {
-            buf.put_u8(1);
-            put_node_info(buf, i);
-        }
-        None => buf.put_u8(0),
-    }
-}
-
-fn get_opt_node_info(r: &mut Reader<'_>) -> Result<Option<NodeInfo>, WireError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(get_node_info(r)?)),
-        t => Err(WireError::BadTag(t)),
-    }
-}
-
-fn put_neighbor(buf: &mut BytesMut, n: &NeighborInfo) {
-    put_node_info(buf, n.primary);
-    put_opt_node_info(buf, n.secondary);
-    put_region(buf, n.region);
-}
-
-fn get_neighbor(r: &mut Reader<'_>) -> Result<NeighborInfo, WireError> {
-    Ok(NeighborInfo {
-        primary: get_node_info(r)?,
-        secondary: get_opt_node_info(r)?,
-        region: get_region(r)?,
-    })
-}
-
-fn put_neighbors(buf: &mut BytesMut, ns: &[NeighborInfo]) {
-    buf.put_u32_le(ns.len() as u32);
-    for n in ns {
-        put_neighbor(buf, n);
-    }
-}
-
-fn get_neighbors(r: &mut Reader<'_>) -> Result<Vec<NeighborInfo>, WireError> {
-    let n = r.u32()? as usize;
-    if n > 1_000_000 {
-        return Err(WireError::BadLength(n));
-    }
-    (0..n).map(|_| get_neighbor(r)).collect()
-}
-
-fn put_record(buf: &mut BytesMut, rec: &LocationRecord) {
-    buf.put_u64_le(rec.id());
-    put_string(buf, rec.topic());
-    put_point(buf, rec.position());
-    put_bytes(buf, rec.payload());
-    match rec.expires_at() {
-        Some(t) => {
-            buf.put_u8(1);
-            buf.put_u64_le(t);
-        }
-        None => buf.put_u8(0),
-    }
-}
-
-fn get_record(r: &mut Reader<'_>) -> Result<LocationRecord, WireError> {
-    let id = r.u64()?;
-    let topic = r.string()?;
-    if topic.is_empty() {
-        return Err(WireError::BadLength(0));
-    }
-    let position = get_point(r)?;
-    let payload = r.bytes()?;
-    let rec = LocationRecord::new(id, topic, position, payload);
-    Ok(match r.u8()? {
-        0 => rec,
-        1 => rec.with_expiry(r.u64()?),
-        t => return Err(WireError::BadTag(t)),
-    })
-}
-
-fn put_stamp(buf: &mut BytesMut, stamp: Hlc) {
-    buf.put_u64_le(stamp.physical());
-    buf.put_u32_le(stamp.logical());
-    buf.put_u64_le(stamp.node());
-}
-
-fn get_stamp(r: &mut Reader<'_>) -> Result<Hlc, WireError> {
-    Ok(Hlc::new(r.u64()?, r.u32()?, r.u64()?))
-}
-
-fn put_subscription(buf: &mut BytesMut, sub: &Subscription) {
-    buf.put_u64_le(sub.id());
-    put_region(buf, sub.area());
-    buf.put_u64_le(sub.subscriber().as_u64());
-    buf.put_u64_le(sub.expires_at());
-    match sub.topic() {
-        Some(t) => {
-            buf.put_u8(1);
-            put_string(buf, t);
-        }
-        None => buf.put_u8(0),
-    }
-}
-
-fn get_subscription(r: &mut Reader<'_>) -> Result<Subscription, WireError> {
-    let id = r.u64()?;
-    let area = get_region(r)?;
-    let subscriber = NodeId::new(r.u64()?);
-    let expires = r.u64()?;
-    let sub = Subscription::new(id, area, subscriber, expires);
-    Ok(match r.u8()? {
-        0 => sub,
-        1 => sub.with_topic(r.string()?),
-        t => return Err(WireError::BadTag(t)),
-    })
-}
-
-fn put_store(buf: &mut BytesMut, store: &RegionStore) {
-    // Records travel with their HLC stamps: the receiver installs them as
-    // replicas, so last-write-wins stays coherent across the hand-off.
-    buf.put_u32_le(store.record_count() as u32);
-    for (rec, stamp) in store.records_with_stamps() {
-        put_record(buf, rec);
-        put_stamp(buf, stamp);
-    }
-    buf.put_u32_le(store.subscription_count() as u32);
-    for sub in store.subscriptions() {
-        put_subscription(buf, sub);
-    }
-}
-
-fn get_store(r: &mut Reader<'_>) -> Result<RegionStore, WireError> {
-    let mut store = RegionStore::new();
-    let n = r.u32()? as usize;
-    if n > 10_000_000 {
-        return Err(WireError::BadLength(n));
-    }
-    for _ in 0..n {
-        let rec = get_record(r)?;
-        store.insert_replica(rec, get_stamp(r)?);
-    }
-    let m = r.u32()? as usize;
-    if m > 10_000_000 {
-        return Err(WireError::BadLength(m));
-    }
-    for _ in 0..m {
-        store.insert_sub_replica(get_subscription(r)?);
-    }
-    Ok(store)
-}
-
-fn put_query(buf: &mut BytesMut, q: &LocationQuery) {
-    put_region(buf, q.area());
-    buf.put_u64_le(q.issuer().as_u64());
-    match q.topic() {
-        Some(t) => {
-            buf.put_u8(1);
-            put_string(buf, t);
-        }
-        None => buf.put_u8(0),
-    }
-}
-
-fn get_query(r: &mut Reader<'_>) -> Result<LocationQuery, WireError> {
-    let area = get_region(r)?;
-    let issuer = NodeId::new(r.u64()?);
-    let q = LocationQuery::new(area, issuer);
-    Ok(match r.u8()? {
-        0 => q,
-        1 => q.with_topic(r.string()?),
-        t => return Err(WireError::BadTag(t)),
-    })
-}
-
-// ---------------------------------------------------------------------
-// Message encoding
-// ---------------------------------------------------------------------
-
-// Tags 3, 4, 5 and 17 belonged to the four version-1 hand-off messages
-// that `Install` replaced; they are not reused.
-const TAG_JOIN_REQUEST: u8 = 1;
-const TAG_JOIN_DIRECTED: u8 = 2;
-const TAG_NEIGHBOR_UPDATE: u8 = 6;
-const TAG_QUERY: u8 = 7;
-const TAG_QUERY_REPLY: u8 = 8;
-const TAG_PUBLISH: u8 = 9;
-const TAG_SUBSCRIBE: u8 = 10;
-const TAG_NOTIFY: u8 = 11;
-const TAG_HEARTBEAT: u8 = 12;
-const TAG_SYNC_STATE: u8 = 13;
-const TAG_STEAL_REQUEST: u8 = 14;
-const TAG_STEAL_GRANT: u8 = 15;
-const TAG_STEAL_DENY: u8 = 16;
-const TAG_LEAVE_NOTICE: u8 = 18;
-const TAG_MERGE_REGIONS: u8 = 19;
-const TAG_WHO_OWNS: u8 = 20;
-const TAG_OWNER_IS: u8 = 21;
-const TAG_DETACHED: u8 = 22;
-const TAG_INSTALL: u8 = 23;
-const TAG_REPLICATE: u8 = 24;
-
-fn put_message(buf: &mut BytesMut, message: &Message) {
-    match message {
-        Message::JoinRequest { joiner, hops } => {
-            buf.put_u8(TAG_JOIN_REQUEST);
-            put_node_info(buf, *joiner);
-            buf.put_u32_le(*hops);
-        }
-        Message::JoinDirected { joiner } => {
-            buf.put_u8(TAG_JOIN_DIRECTED);
-            put_node_info(buf, *joiner);
-        }
-        Message::Install {
-            region,
-            primary,
-            secondary,
-            neighbors,
-            store,
-        } => {
-            buf.put_u8(TAG_INSTALL);
-            put_region(buf, *region);
-            put_node_info(buf, *primary);
-            put_opt_node_info(buf, *secondary);
-            put_neighbors(buf, neighbors);
-            put_store(buf, store);
-        }
-        Message::NeighborUpdate { info } => {
-            buf.put_u8(TAG_NEIGHBOR_UPDATE);
-            put_neighbor(buf, info);
-        }
-        Message::Query {
-            query,
-            query_id,
-            reply_to,
-            hops,
-            fanout,
-        } => {
-            buf.put_u8(TAG_QUERY);
-            put_query(buf, query);
-            buf.put_u64_le(*query_id);
-            buf.put_u64_le(reply_to.as_u64());
-            buf.put_u32_le(*hops);
-            buf.put_u8(*fanout as u8);
-        }
-        Message::QueryReply { query_id, records } => {
-            buf.put_u8(TAG_QUERY_REPLY);
-            buf.put_u64_le(*query_id);
-            buf.put_u32_le(records.len() as u32);
-            for rec in records {
-                put_record(buf, rec);
-            }
-        }
-        Message::Replicate { record, stamp } => {
-            buf.put_u8(TAG_REPLICATE);
-            put_record(buf, record);
-            put_stamp(buf, *stamp);
-        }
-        Message::Publish { record, hops } => {
-            buf.put_u8(TAG_PUBLISH);
-            put_record(buf, record);
-            buf.put_u32_le(*hops);
-        }
-        Message::Subscribe { sub, hops, fanout } => {
-            buf.put_u8(TAG_SUBSCRIBE);
-            put_subscription(buf, sub);
-            buf.put_u32_le(*hops);
-            buf.put_u8(*fanout as u8);
-        }
-        Message::Notify { record } => {
-            buf.put_u8(TAG_NOTIFY);
-            put_record(buf, record);
-        }
-        Message::Heartbeat { info, index } => {
-            buf.put_u8(TAG_HEARTBEAT);
-            put_neighbor(buf, info);
-            buf.put_f64_le(*index);
-        }
-        Message::SyncState { store, neighbors } => {
-            buf.put_u8(TAG_SYNC_STATE);
-            put_store(buf, store);
-            put_neighbors(buf, neighbors);
-        }
-        Message::StealSecondaryRequest {
-            requester,
-            index,
-            swap,
-        } => {
-            buf.put_u8(TAG_STEAL_REQUEST);
-            put_node_info(buf, *requester);
-            buf.put_f64_le(*index);
-            buf.put_u8(*swap as u8);
-        }
-        Message::StealSecondaryGrant {
-            secondary,
-            donor_region,
-            swap,
-        } => {
-            buf.put_u8(TAG_STEAL_GRANT);
-            put_node_info(buf, *secondary);
-            put_region(buf, *donor_region);
-            buf.put_u8(*swap as u8);
-        }
-        Message::StealSecondaryDeny => {
-            buf.put_u8(TAG_STEAL_DENY);
-        }
-        Message::LeaveNotice => {
-            buf.put_u8(TAG_LEAVE_NOTICE);
-        }
-        Message::MergeRegions {
-            region,
-            store,
-            neighbors,
-        } => {
-            buf.put_u8(TAG_MERGE_REGIONS);
-            put_region(buf, *region);
-            put_store(buf, store);
-            put_neighbors(buf, neighbors);
-        }
-        Message::Detached => {
-            buf.put_u8(TAG_DETACHED);
-        }
-        Message::WhoOwns { region } => {
-            buf.put_u8(TAG_WHO_OWNS);
-            put_region(buf, *region);
-        }
-        Message::OwnerIs { info } => {
-            buf.put_u8(TAG_OWNER_IS);
-            put_neighbor(buf, info);
-        }
-    }
-}
-
-fn get_bool(r: &mut Reader<'_>) -> Result<bool, WireError> {
-    match r.u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        t => Err(WireError::BadTag(t)),
-    }
-}
-
-fn get_message(r: &mut Reader<'_>) -> Result<Message, WireError> {
-    match r.u8()? {
-        TAG_JOIN_REQUEST => Ok(Message::JoinRequest {
-            joiner: get_node_info(r)?,
-            hops: r.u32()?,
-        }),
-        TAG_JOIN_DIRECTED => Ok(Message::JoinDirected {
-            joiner: get_node_info(r)?,
-        }),
-        TAG_INSTALL => Ok(Message::Install {
-            region: get_region(r)?,
-            primary: get_node_info(r)?,
-            secondary: get_opt_node_info(r)?,
-            neighbors: get_neighbors(r)?,
-            store: Box::new(get_store(r)?),
-        }),
-        TAG_NEIGHBOR_UPDATE => Ok(Message::NeighborUpdate {
-            info: get_neighbor(r)?,
-        }),
-        TAG_QUERY => Ok(Message::Query {
-            query: get_query(r)?,
-            query_id: r.u64()?,
-            reply_to: NodeId::new(r.u64()?),
-            hops: r.u32()?,
-            fanout: get_bool(r)?,
-        }),
-        TAG_QUERY_REPLY => {
-            let query_id = r.u64()?;
-            let n = r.u32()? as usize;
-            if n > 10_000_000 {
-                return Err(WireError::BadLength(n));
-            }
-            let records = (0..n).map(|_| get_record(r)).collect::<Result<_, _>>()?;
-            Ok(Message::QueryReply { query_id, records })
-        }
-        TAG_PUBLISH => Ok(Message::Publish {
-            record: get_record(r)?,
-            hops: r.u32()?,
-        }),
-        TAG_SUBSCRIBE => Ok(Message::Subscribe {
-            sub: get_subscription(r)?,
-            hops: r.u32()?,
-            fanout: get_bool(r)?,
-        }),
-        TAG_REPLICATE => Ok(Message::Replicate {
-            record: get_record(r)?,
-            stamp: get_stamp(r)?,
-        }),
-        TAG_NOTIFY => Ok(Message::Notify {
-            record: get_record(r)?,
-        }),
-        TAG_HEARTBEAT => Ok(Message::Heartbeat {
-            info: get_neighbor(r)?,
-            index: {
-                let v = r.f64()?;
-                if v.is_finite() && v >= 0.0 {
-                    v
-                } else {
-                    return Err(WireError::BadFloat);
-                }
-            },
-        }),
-        TAG_SYNC_STATE => Ok(Message::SyncState {
-            store: Box::new(get_store(r)?),
-            neighbors: get_neighbors(r)?,
-        }),
-        TAG_STEAL_REQUEST => Ok(Message::StealSecondaryRequest {
-            requester: get_node_info(r)?,
-            index: {
-                let v = r.f64()?;
-                if v.is_finite() && v >= 0.0 {
-                    v
-                } else {
-                    return Err(WireError::BadFloat);
-                }
-            },
-            swap: get_bool(r)?,
-        }),
-        TAG_STEAL_GRANT => Ok(Message::StealSecondaryGrant {
-            secondary: get_node_info(r)?,
-            donor_region: get_region(r)?,
-            swap: get_bool(r)?,
-        }),
-        TAG_STEAL_DENY => Ok(Message::StealSecondaryDeny),
-        TAG_LEAVE_NOTICE => Ok(Message::LeaveNotice),
-        TAG_MERGE_REGIONS => Ok(Message::MergeRegions {
-            region: get_region(r)?,
-            store: Box::new(get_store(r)?),
-            neighbors: get_neighbors(r)?,
-        }),
-        TAG_DETACHED => Ok(Message::Detached),
-        TAG_WHO_OWNS => Ok(Message::WhoOwns {
-            region: get_region(r)?,
-        }),
-        TAG_OWNER_IS => Ok(Message::OwnerIs {
-            info: get_neighbor(r)?,
-        }),
-        t => Err(WireError::BadTag(t)),
-    }
-}
-
 impl Envelope {
     /// Encodes the envelope to bytes (without the outer length prefix —
     /// [`crate::frame`] adds that).
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(128);
-        buf.put_u8(WIRE_VERSION);
-        put_node_info(&mut buf, self.sender);
-        put_string(&mut buf, &self.sender_addr.to_string());
-        buf.put_u32_le(self.addrs.len() as u32);
-        for (id, addr) in &self.addrs {
-            buf.put_u64_le(id.as_u64());
-            put_string(&mut buf, &addr.to_string());
-        }
-        put_message(&mut buf, &self.message);
+        WIRE_VERSION.put(&mut buf);
+        self.sender.put(&mut buf);
+        self.sender_addr.put(&mut buf);
+        self.addrs.put(&mut buf);
+        self.message.put(&mut buf);
         buf.freeze()
     }
 
@@ -662,33 +110,20 @@ impl Envelope {
     /// Any [`WireError`] on malformed input; trailing bytes are rejected
     /// as [`WireError::BadLength`].
     pub fn decode(bytes: &[u8]) -> Result<Envelope, WireError> {
-        let mut r = Reader::new(bytes);
-        let version = r.u8()?;
+        let r = &mut Reader { buf: bytes };
+        let version = u8::get(r)?;
         if version != WIRE_VERSION {
             return Err(WireError::BadVersion(version));
         }
-        let sender = get_node_info(&mut r)?;
-        let sender_addr: SocketAddr = r.string()?.parse().map_err(|_| WireError::BadAddr)?;
-        let n = r.u32()? as usize;
-        if n > 1_000_000 {
-            return Err(WireError::BadLength(n));
-        }
-        let mut addrs = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let id = NodeId::new(r.u64()?);
-            let addr: SocketAddr = r.string()?.parse().map_err(|_| WireError::BadAddr)?;
-            addrs.push((id, addr));
-        }
-        let message = get_message(&mut r)?;
-        if !r.done() {
-            return Err(WireError::BadLength(bytes.len()));
-        }
-        Ok(Envelope {
-            sender,
-            sender_addr,
-            addrs,
-            message,
-        })
+        let envelope = Envelope {
+            sender: Wire::get(r)?,
+            sender_addr: Wire::get(r)?,
+            addrs: Wire::get(r)?,
+            message: Wire::get(r)?,
+        };
+        let done = r.buf.is_empty();
+        done.then_some(envelope)
+            .ok_or(WireError::BadLength(bytes.len()))
     }
 }
 
@@ -696,46 +131,450 @@ impl Envelope {
 /// attach addresses for so the receiver can reach them.
 pub fn referenced_nodes(message: &Message) -> Vec<NodeId> {
     let mut out = Vec::new();
-    let mut push_entry = |n: &NeighborInfo| {
-        out.push(n.primary.id());
-        out.extend(n.secondary.map(|s| s.id()));
-    };
-    match message {
-        Message::JoinRequest { joiner, .. } | Message::JoinDirected { joiner } => {
-            out.push(joiner.id())
-        }
-        Message::Install {
-            primary,
-            secondary,
-            neighbors,
-            ..
-        } => {
-            neighbors.iter().for_each(push_entry);
-            out.push(primary.id());
-            out.extend(secondary.map(|s| s.id()));
-        }
-        Message::NeighborUpdate { info }
-        | Message::Heartbeat { info, .. }
-        | Message::OwnerIs { info } => push_entry(info),
-        Message::MergeRegions { neighbors, .. } | Message::SyncState { neighbors, .. } => {
-            neighbors.iter().for_each(push_entry)
-        }
-        Message::StealSecondaryRequest { requester, .. } => out.push(requester.id()),
-        Message::StealSecondaryGrant { secondary, .. } => out.push(secondary.id()),
-        Message::Query { reply_to, .. } => out.push(*reply_to),
-        Message::Subscribe { sub, .. } => out.push(sub.subscriber()),
-        Message::StealSecondaryDeny
-        | Message::LeaveNotice
-        | Message::Detached
-        | Message::WhoOwns { .. }
-        | Message::QueryReply { .. }
-        | Message::Publish { .. }
-        | Message::Replicate { .. }
-        | Message::Notify { .. } => {}
-    }
-    out.sort();
+    message.refs(&mut out);
+    out.sort_unstable();
     out.dedup();
     out
+}
+
+/// The bytes still to decode.
+struct Reader<'a> {
+    buf: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let (head, rest) = self.buf.split_first_chunk().ok_or(WireError::Truncated)?;
+        self.buf = rest;
+        Ok(*head)
+    }
+
+    /// A `u32` count of elements that each take at least `min_size`
+    /// bytes, refused unless the bytes left could hold them all.
+    fn count(&mut self, min_size: usize) -> Result<usize, WireError> {
+        let n = u32::get(self)? as usize;
+        match self.buf.len().checked_div(min_size) {
+            Some(room) if n <= room => Ok(n),
+            _ => Err(WireError::BadLength(n)),
+        }
+    }
+
+    /// A length-prefixed byte blob, borrowed from the input.
+    fn blob(&mut self) -> Result<&'a [u8], WireError> {
+        let n = self.count(1)?;
+        let (head, rest) = self.buf.split_at_checked(n).ok_or(WireError::Truncated)?;
+        self.buf = rest;
+        Ok(head)
+    }
+}
+
+/// How one field type travels: written, read back and validated, and
+/// searched for the node ids it names.
+trait Wire {
+    /// The fewest bytes a value that decodes can take. It bounds the
+    /// element count a length prefix may claim.
+    const MIN_SIZE: usize;
+
+    /// Appends the encoding of `self`.
+    fn put(&self, buf: &mut BytesMut);
+
+    /// Reads one value, refusing one the protocol does not allow.
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError>
+    where
+        Self: Sized;
+
+    /// Appends the node ids in `self` that a receiver may need to reach.
+    fn refs(&self, _out: &mut Vec<NodeId>) {}
+}
+
+macro_rules! int_wire {
+    ($($ty:ty => $put:ident),*) => {$(
+        impl Wire for $ty {
+            const MIN_SIZE: usize = std::mem::size_of::<$ty>();
+            fn put(&self, buf: &mut BytesMut) {
+                buf.$put(*self);
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                r.array().map(<$ty>::from_le_bytes)
+            }
+        }
+    )*};
+}
+
+int_wire!(u8 => put_u8, u32 => put_u32_le, u64 => put_u64_le);
+
+/// Every float on the wire is finite.
+impl Wire for f64 {
+    const MIN_SIZE: usize = 8;
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_f64_le(*self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let v = f64::from_le_bytes(r.array()?);
+        v.is_finite().then_some(v).ok_or(WireError::BadFloat)
+    }
+}
+
+impl Wire for bool {
+    const MIN_SIZE: usize = 1;
+    fn put(&self, buf: &mut BytesMut) {
+        u8::from(*self).put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match u8::get(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            t => Err(WireError::BadTag(t)),
+        }
+    }
+}
+
+/// A presence flag, then the value.
+impl<T: Wire> Wire for Option<T> {
+    const MIN_SIZE: usize = 1;
+    fn put(&self, buf: &mut BytesMut) {
+        put_opt(buf, self.as_ref());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        bool::get(r)?.then(|| T::get(r)).transpose()
+    }
+    fn refs(&self, out: &mut Vec<NodeId>) {
+        self.iter().for_each(|v| v.refs(out));
+    }
+}
+
+/// `Option<T>`'s encoding for a borrowed value, such as a `&str` topic,
+/// so that encoding it needs no owned copy.
+fn put_opt<T: Wire + ?Sized>(buf: &mut BytesMut, value: Option<&T>) {
+    value.is_some().put(buf);
+    if let Some(v) = value {
+        v.put(buf);
+    }
+}
+
+/// A `u32` count, then the elements.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_SIZE: usize = 4;
+    fn put(&self, buf: &mut BytesMut) {
+        (self.len() as u32).put(buf);
+        self.iter().for_each(|v| v.put(buf));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let n = r.count(T::MIN_SIZE)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::get(r)?);
+        }
+        Ok(out)
+    }
+    fn refs(&self, out: &mut Vec<NodeId>) {
+        self.iter().for_each(|v| v.refs(out));
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    const MIN_SIZE: usize = T::MIN_SIZE;
+    fn put(&self, buf: &mut BytesMut) {
+        (**self).put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        T::get(r).map(Box::new)
+    }
+    fn refs(&self, out: &mut Vec<NodeId>) {
+        (**self).refs(out);
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_SIZE: usize = A::MIN_SIZE.saturating_add(B::MIN_SIZE);
+    fn put(&self, buf: &mut BytesMut) {
+        self.0.put(buf);
+        self.1.put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+    fn refs(&self, out: &mut Vec<NodeId>) {
+        self.0.refs(out);
+        self.1.refs(out);
+    }
+}
+
+/// A blob or string, written from a borrowed slice; [`Reader::blob`]
+/// reads it back.
+impl Wire for [u8] {
+    const MIN_SIZE: usize = 4;
+    fn put(&self, buf: &mut BytesMut) {
+        (self.len() as u32).put(buf);
+        buf.put_slice(self);
+    }
+}
+
+impl Wire for String {
+    const MIN_SIZE: usize = 4;
+    fn put(&self, buf: &mut BytesMut) {
+        self.as_bytes().put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        String::from_utf8(r.blob()?.to_vec()).map_err(|_| WireError::BadUtf8)
+    }
+}
+
+/// In text form, as `ip:port`.
+impl Wire for SocketAddr {
+    const MIN_SIZE: usize = 4;
+    fn put(&self, buf: &mut BytesMut) {
+        self.to_string().put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        String::get(r)?.parse().map_err(|_| WireError::BadAddr)
+    }
+}
+
+impl Wire for NodeId {
+    const MIN_SIZE: usize = 8;
+    fn put(&self, buf: &mut BytesMut) {
+        self.as_u64().put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        u64::get(r).map(NodeId::new)
+    }
+    fn refs(&self, out: &mut Vec<NodeId>) {
+        out.push(*self);
+    }
+}
+
+impl Wire for Point {
+    const MIN_SIZE: usize = 16;
+    fn put(&self, buf: &mut BytesMut) {
+        self.x.put(buf);
+        self.y.put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Point::new(f64::get(r)?, f64::get(r)?))
+    }
+}
+
+/// Origin, then extents, which must be positive.
+impl Wire for Region {
+    const MIN_SIZE: usize = 32;
+    fn put(&self, buf: &mut BytesMut) {
+        for v in [self.x(), self.y(), self.width(), self.height()] {
+            v.put(buf);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let [x, y, w, h] = [f64::get(r)?, f64::get(r)?, f64::get(r)?, f64::get(r)?];
+        let positive = w > 0.0 && h > 0.0;
+        positive
+            .then(|| Region::new(x, y, w, h))
+            .ok_or(WireError::BadFloat)
+    }
+}
+
+/// Id, coordinate, then capacity, which must be positive.
+impl Wire for NodeInfo {
+    const MIN_SIZE: usize = 32;
+    fn put(&self, buf: &mut BytesMut) {
+        self.id().put(buf);
+        self.coord().put(buf);
+        self.capacity().put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let (id, coord, capacity) = (NodeId::get(r)?, Point::get(r)?, f64::get(r)?);
+        let positive = capacity > 0.0;
+        positive
+            .then(|| NodeInfo::new(id, coord, capacity))
+            .ok_or(WireError::BadFloat)
+    }
+    fn refs(&self, out: &mut Vec<NodeId>) {
+        out.push(self.id());
+    }
+}
+
+impl Wire for NeighborInfo {
+    const MIN_SIZE: usize = 65;
+    fn put(&self, buf: &mut BytesMut) {
+        self.primary.put(buf);
+        self.secondary.put(buf);
+        self.region.put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(NeighborInfo {
+            primary: Wire::get(r)?,
+            secondary: Wire::get(r)?,
+            region: Wire::get(r)?,
+        })
+    }
+    fn refs(&self, out: &mut Vec<NodeId>) {
+        self.primary.refs(out);
+        self.secondary.refs(out);
+    }
+}
+
+impl Wire for Hlc {
+    const MIN_SIZE: usize = 20;
+    fn put(&self, buf: &mut BytesMut) {
+        self.physical().put(buf);
+        self.logical().put(buf);
+        self.node().put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Hlc::new(u64::get(r)?, u32::get(r)?, u64::get(r)?))
+    }
+}
+
+/// Id, topic (never empty), position, payload, optional expiry.
+impl Wire for LocationRecord {
+    const MIN_SIZE: usize = 34;
+    fn put(&self, buf: &mut BytesMut) {
+        self.id().put(buf);
+        self.topic().as_bytes().put(buf);
+        self.position().put(buf);
+        self.payload().put(buf);
+        self.expires_at().put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let id = u64::get(r)?;
+        let topic = String::get(r)?;
+        if topic.is_empty() {
+            return Err(WireError::BadLength(0));
+        }
+        let rec = LocationRecord::new(id, topic, Point::get(r)?, r.blob()?.to_vec());
+        Ok(match Option::get(r)? {
+            Some(at) => rec.with_expiry(at),
+            None => rec,
+        })
+    }
+}
+
+impl Wire for Subscription {
+    const MIN_SIZE: usize = 57;
+    fn put(&self, buf: &mut BytesMut) {
+        self.id().put(buf);
+        self.area().put(buf);
+        self.subscriber().put(buf);
+        self.expires_at().put(buf);
+        put_opt(buf, self.topic().map(str::as_bytes));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let sub = Subscription::new(u64::get(r)?, Region::get(r)?, NodeId::get(r)?, u64::get(r)?);
+        Ok(match Option::<String>::get(r)? {
+            Some(topic) => sub.with_topic(topic),
+            None => sub,
+        })
+    }
+    fn refs(&self, out: &mut Vec<NodeId>) {
+        out.push(self.subscriber());
+    }
+}
+
+/// The issuer is not a reference: results go to the carrying message's
+/// `reply_to`.
+impl Wire for LocationQuery {
+    const MIN_SIZE: usize = 41;
+    fn put(&self, buf: &mut BytesMut) {
+        self.area().put(buf);
+        self.issuer().put(buf);
+        put_opt(buf, self.topic().map(str::as_bytes));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let query = LocationQuery::new(Region::get(r)?, NodeId::get(r)?);
+        Ok(match Option::<String>::get(r)? {
+            Some(topic) => query.with_topic(topic),
+            None => query,
+        })
+    }
+}
+
+/// The records, each with its HLC stamp, then the subscriptions. The
+/// receiver installs the records as replicas, so last-write-wins stays
+/// coherent across the hand-off.
+impl Wire for RegionStore {
+    const MIN_SIZE: usize = 8;
+    fn put(&self, buf: &mut BytesMut) {
+        (self.record_count() as u32).put(buf);
+        for (rec, stamp) in self.records_with_stamps() {
+            rec.put(buf);
+            stamp.put(buf);
+        }
+        (self.subscription_count() as u32).put(buf);
+        self.subscriptions().for_each(|sub| sub.put(buf));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let mut store = RegionStore::new();
+        for _ in 0..r.count(<(LocationRecord, Hlc)>::MIN_SIZE)? {
+            let (rec, stamp) = Wire::get(r)?;
+            store.insert_replica(rec, stamp);
+        }
+        for _ in 0..r.count(Subscription::MIN_SIZE)? {
+            store.insert_sub_replica(Wire::get(r)?);
+        }
+        Ok(store)
+    }
+}
+
+/// Expands the table below into `Message`'s [`Wire`] impl. A row is
+/// `Variant = tag { fields in wire order }`; `name if check` also passes
+/// the read field to `check`. No `match self` has a wildcard, so a variant
+/// without a row does not compile. Clippy skips `unwrap`/`expect` in here.
+macro_rules! messages {
+    ($($kind:ident = $tag:literal { $($field:ident $(if $check:ident)?),* },)*) => {
+        impl Wire for Message {
+            const MIN_SIZE: usize = 1;
+            fn put(&self, buf: &mut BytesMut) {
+                match self {
+                    $(Message::$kind { $($field),* } => {
+                        buf.put_u8($tag);
+                        $($field.put(buf);)*
+                    })*
+                }
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok(match u8::get(r)? {
+                    $($tag => Message::$kind {
+                        $($field: { let v = Wire::get(r)?; $($check(&v)?;)? v },)*
+                    },)*
+                    t => return Err(WireError::BadTag(t)),
+                })
+            }
+            fn refs(&self, out: &mut Vec<NodeId>) {
+                match self {
+                    $(Message::$kind { $($field),* } => { $($field.refs(out);)* })*
+                }
+            }
+        }
+    };
+}
+
+/// A workload index is finite (as every float is) and not negative.
+fn non_negative(index: &f64) -> Result<(), WireError> {
+    (*index >= 0.0).then_some(()).ok_or(WireError::BadFloat)
+}
+
+// Tags 3, 4, 5 and 17 belonged to the four version-1 hand-off messages
+// that `Install` replaced; they are not reused.
+messages! {
+    JoinRequest = 1 { joiner, hops },
+    JoinDirected = 2 { joiner },
+    NeighborUpdate = 6 { info },
+    Query = 7 { query, query_id, reply_to, hops, fanout },
+    QueryReply = 8 { query_id, records },
+    Publish = 9 { record, hops },
+    Subscribe = 10 { sub, hops, fanout },
+    Notify = 11 { record },
+    Heartbeat = 12 { info, index if non_negative },
+    SyncState = 13 { store, neighbors },
+    StealSecondaryRequest = 14 { requester, index if non_negative, swap },
+    StealSecondaryGrant = 15 { secondary, donor_region, swap },
+    StealSecondaryDeny = 16 {},
+    LeaveNotice = 18 {},
+    MergeRegions = 19 { region, store, neighbors },
+    WhoOwns = 20 { region },
+    OwnerIs = 21 { info },
+    Detached = 22 {},
+    Install = 23 { region, primary, secondary, neighbors, store },
+    Replicate = 24 { record, stamp },
 }
 
 #[cfg(test)]
@@ -859,6 +698,146 @@ mod tests {
         kinds.sort_unstable();
         kinds.dedup();
         assert_eq!(kinds.len(), 20, "the walk skipped or repeated a kind");
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Per sample kind: encoded envelope length, its 64-bit FNV-1a
+    /// digest, and `referenced_nodes`. Recorded from the hand-written
+    /// version 2 codec that the message table replaced; a mismatch here
+    /// is a wire format change.
+    const GOLDEN: [(&str, usize, u64, &[u64]); 20] = [
+        ("join_request", 118, 0xac6e405d49715758, &[2]),
+        ("join_directed", 114, 0xfa446d11e86eace2, &[2]),
+        ("install", 425, 0x9d6d14d22a510554, &[1, 3, 4, 9]),
+        ("neighbor_update", 179, 0x5bbfcb0320f2469f, &[3, 4]),
+        ("query", 155, 0x25edac70b8dd50a2, &[8]),
+        ("query_reply", 143, 0x789711c1c19b63b0, &[]),
+        ("publish", 135, 0xfd1f880d47f15da4, &[]),
+        ("subscribe", 155, 0xeab842a6a04edd45, &[6]),
+        ("notify", 131, 0x6f361edee0fb09df, &[]),
+        ("heartbeat", 187, 0x78ea8109877a1654, &[3, 4]),
+        ("sync_state", 231, 0x834f431ec7eaf40c, &[]),
+        ("steal_secondary_request", 123, 0xc87900d64b076c02, &[2]),
+        ("steal_secondary_grant", 147, 0x27ffbfabc25b5b0d, &[4]),
+        ("steal_secondary_deny", 82, 0x3d8a5bfcfc1702cb, &[]),
+        ("leave_notice", 82, 0x3d8a5dfcfc170631, &[]),
+        ("detached", 82, 0x3d8a61fcfc170cfd, &[]),
+        ("who_owns", 114, 0x6049c1e3e1458327, &[]),
+        ("owner_is", 179, 0xf4ad821b020c067c, &[3, 4]),
+        ("merge_regions", 360, 0x30d1750485fdd7a1, &[3, 4]),
+        ("replicate", 151, 0x3f78cffe0d622767, &[]),
+    ];
+
+    #[test]
+    fn golden_bytes_are_wire_version_2() {
+        let mut next = Some(Message::JoinRequest {
+            joiner: node(2),
+            hops: 3,
+        });
+        let mut seen = 0;
+        while let Some(m) = next {
+            next = next_sample(&m);
+            let (kind, len, digest, refs) = GOLDEN[seen];
+            let bytes = envelope(m.clone()).encode();
+            let ids: Vec<u64> = referenced_nodes(&m).iter().map(|id| id.as_u64()).collect();
+            assert_eq!(m.kind(), kind, "the sample walk changed order");
+            assert_eq!(bytes.len(), len, "{kind}: encoded length");
+            assert_eq!(fnv1a(&bytes), digest, "{kind}: encoded bytes");
+            assert_eq!(ids, refs, "{kind}: referenced nodes");
+            seen += 1;
+        }
+        assert_eq!(seen, GOLDEN.len());
+    }
+
+    /// Overwrites `bytes` at `from_end` bytes before the end.
+    fn patch_tail(bytes: &mut [u8], from_end: usize, with: &[u8]) {
+        let at = bytes.len() - from_end;
+        bytes[at..at + with.len()].copy_from_slice(with);
+    }
+
+    #[test]
+    fn rejects_each_invalid_field() {
+        let region = Region::new(0.0, 0.0, 1.0, 1.0);
+        // Body: id 8, topic 4 + 1, position 16, empty payload 4, no expiry 1.
+        let notify = Message::Notify {
+            record: LocationRecord::new(9, "t", Point::new(1.0, 1.0), Vec::new()),
+        };
+        type Corrupt = fn(&mut Vec<u8>);
+        let cases: [(&str, Message, Corrupt, WireError); 8] = [
+            (
+                "negative heartbeat index",
+                Message::Heartbeat {
+                    info: NeighborInfo::new(node(3), region),
+                    index: -1.0,
+                },
+                |_| {},
+                WireError::BadFloat,
+            ),
+            (
+                "NaN steal index",
+                Message::StealSecondaryRequest {
+                    requester: node(2),
+                    index: f64::NAN,
+                    swap: false,
+                },
+                |_| {},
+                WireError::BadFloat,
+            ),
+            (
+                "zero-width region",
+                Message::WhoOwns { region },
+                |b| patch_tail(b, 16, &0.0f64.to_le_bytes()),
+                WireError::BadFloat,
+            ),
+            (
+                "zero-capacity node",
+                Message::JoinDirected { joiner: node(2) },
+                |b| patch_tail(b, 8, &0.0f64.to_le_bytes()),
+                WireError::BadFloat,
+            ),
+            (
+                "empty record topic",
+                notify.clone(),
+                |b| {
+                    patch_tail(b, 26, &0u32.to_le_bytes());
+                    b.remove(b.len() - 22);
+                },
+                WireError::BadLength(0),
+            ),
+            (
+                "option tag 2",
+                notify,
+                |b| patch_tail(b, 1, &[2]),
+                WireError::BadTag(2),
+            ),
+            (
+                "bool byte 2",
+                Message::StealSecondaryGrant {
+                    secondary: node(4),
+                    donor_region: region,
+                    swap: true,
+                },
+                |b| patch_tail(b, 1, &[2]),
+                WireError::BadTag(2),
+            ),
+            (
+                "unparsable sender address",
+                Message::LeaveNotice,
+                // version 1, sender 32, address length 4: "127..." → "z27...".
+                |b| b[37] = b'z',
+                WireError::BadAddr,
+            ),
+        ];
+        for (name, message, corrupt, expected) in cases {
+            let mut bytes = envelope(message).encode().to_vec();
+            corrupt(&mut bytes);
+            assert_eq!(Envelope::decode(&bytes), Err(expected), "{name}");
+        }
     }
 
     #[test]

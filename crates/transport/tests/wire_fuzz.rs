@@ -1,15 +1,17 @@
 //! Property/fuzz tests for the wire codec.
 //!
-//! Two invariants a hand-rolled codec must never lose:
+//! Three invariants a hand-rolled codec must never lose:
 //! 1. decode(encode(m)) == m for every well-formed envelope;
 //! 2. decode never panics on arbitrary bytes — corrupt or hostile input
-//!    yields `Err`, not UB or a crash.
+//!    yields `Err`, not UB or a crash;
+//! 3. a count longer than the input can hold is refused up front, so a
+//!    short frame cannot make the decoder reserve a large buffer.
 
 use geogrid_core::engine::{Message, NeighborInfo};
 use geogrid_core::service::{Hlc, LocationQuery, LocationRecord, RegionStore, Subscription};
 use geogrid_core::{NodeId, NodeInfo};
 use geogrid_geometry::{Point, Region};
-use geogrid_transport::Envelope;
+use geogrid_transport::{Envelope, WireError};
 use proptest::prelude::*;
 
 fn arb_point() -> impl Strategy<Value = Point> {
@@ -205,6 +207,53 @@ fn arb_envelope() -> impl Strategy<Value = Envelope> {
                 .collect(),
             message,
         })
+}
+
+fn leave_notice_envelope() -> Envelope {
+    Envelope {
+        sender: NodeInfo::new(NodeId::new(1), Point::new(1.0, 2.0), 10.0),
+        sender_addr: "127.0.0.1:7000".parse().expect("literal"),
+        addrs: Vec::new(),
+        message: Message::LeaveNotice,
+    }
+}
+
+/// A count that the bytes after it cannot hold is refused as a bad
+/// length before anything is read or reserved, not discovered later as
+/// a truncation.
+#[test]
+fn lying_neighbour_count_is_a_bad_length() {
+    let region = Region::new(0.0, 0.0, 1.0, 1.0);
+    let mut env = leave_notice_envelope();
+    env.message = Message::Install {
+        region,
+        primary: env.sender,
+        secondary: None,
+        neighbors: Vec::new(),
+        store: Box::new(RegionStore::new()),
+    };
+    // The body ends: neighbour count 4, store record count 4, store
+    // subscription count 4. Claim 1,000,000 neighbours and cut the rest.
+    let mut bytes = env.encode().to_vec();
+    let at = bytes.len() - 12;
+    bytes.truncate(at);
+    bytes.extend_from_slice(&1_000_000u32.to_le_bytes());
+    assert_eq!(
+        Envelope::decode(&bytes),
+        Err(WireError::BadLength(1_000_000))
+    );
+}
+
+#[test]
+fn lying_address_count_is_a_bad_length() {
+    // The envelope ends: address count 4, then the unit message's tag.
+    let mut bytes = leave_notice_envelope().encode().to_vec();
+    let at = bytes.len() - 5;
+    bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert_eq!(
+        Envelope::decode(&bytes),
+        Err(WireError::BadLength(u32::MAX as usize))
+    );
 }
 
 proptest! {
