@@ -27,7 +27,6 @@ pub struct SimNode {
     pub events: Vec<ClientEvent>,
     /// Pending local inputs injected before the process started.
     startup: Vec<Input>,
-    ticking: bool,
 }
 
 impl SimNode {
@@ -39,7 +38,6 @@ impl SimNode {
             engine,
             events: Vec::new(),
             startup,
-            ticking: true,
         }
     }
 
@@ -48,10 +46,8 @@ impl SimNode {
         &self.engine
     }
 
-    /// Queues a local input to be handled at the next delivery to this
-    /// node (used by tests to inject user requests mid-run: the input is
-    /// processed immediately when the harness calls
-    /// [`SimHarness::inject`]).
+    /// Sends the engine's outgoing messages through the simulator and
+    /// records its client events.
     fn apply_effects(&mut self, ctx: &mut Context<'_, Message>, effects: Vec<Effect>) {
         for effect in effects {
             match effect {
@@ -95,12 +91,10 @@ impl Process for SimNode {
             let effects = self.engine.handle(now, input);
             self.apply_effects(ctx, effects);
         }
-        if self.ticking {
-            ctx.set_timer(
-                SimTime::from_millis(self.engine.config().heartbeat_interval),
-                TICK_TIMER,
-            );
-        }
+        ctx.set_timer(
+            SimTime::from_millis(self.engine.config().heartbeat_interval),
+            TICK_TIMER,
+        );
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, Message>, from: Addr, msg: Message) {
@@ -122,12 +116,10 @@ impl Process for SimNode {
         let now = ctx.now().as_micros() / 1_000;
         let effects = self.engine.handle(now, Input::Tick);
         self.apply_effects(ctx, effects);
-        if self.ticking {
-            ctx.set_timer(
-                SimTime::from_millis(self.engine.config().heartbeat_interval),
-                TICK_TIMER,
-            );
-        }
+        ctx.set_timer(
+            SimTime::from_millis(self.engine.config().heartbeat_interval),
+            TICK_TIMER,
+        );
     }
 }
 

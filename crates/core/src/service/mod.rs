@@ -12,7 +12,6 @@
 //! by record/subscription position; when the dual peer takes over after a
 //! failure, it activates its replica of the same store.
 
-mod grid;
 mod hlc;
 mod query;
 mod record;

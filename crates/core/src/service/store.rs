@@ -8,7 +8,7 @@
 //!   instead of the old `retain` + push over a flat `Vec`.
 //! * **Uniform-grid sub-index.** Past [`INDEX_THRESHOLD`] live entries a
 //!   store buckets record positions and subscription areas into a
-//!   [`StoreGrid`], so range queries touch only overlapping buckets and
+//!   [`StoreIndex`], so range queries touch only overlapping buckets and
 //!   a publish consults only its own cell's subscriber list.
 //! * **HLC last-write-wins.** Every record carries an [`Hlc`] stamp
 //!   minted by the store's clock; replica hand-off during split, merge,
@@ -28,12 +28,22 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 
-use geogrid_geometry::{Point, Region};
+use geogrid_geometry::{GridBuckets, Point, Region};
 use geogrid_marks::hot_path;
 
-use crate::service::grid::{StoreGrid, INDEX_THRESHOLD, STORE_GRID_DIM};
 use crate::service::{Hlc, HlcClock, LocationQuery, LocationRecord, Subscription};
 use crate::NodeId;
+
+/// Cells per axis of a store's grid. 64×64 keeps the whole index under a
+/// megabyte while a million uniformly-spread records still average ~244
+/// per bucket — a few microseconds of exact checks per bucket touched.
+const STORE_GRID_DIM: usize = 64;
+
+/// Live entries (records + subscriptions) below which a store stays
+/// unindexed and scans linearly. Keeps the thousands of small per-region
+/// stores a simulated overlay carries at a few hundred bytes each; the
+/// grid is built the moment a store crosses this size.
+const INDEX_THRESHOLD: usize = 256;
 
 /// Slots per revolution of the expiry wheel. Deadlines within this many
 /// ticks of the cursor sit in per-tick buckets; farther ones wait in a
@@ -42,6 +52,13 @@ const WHEEL_SLOTS: u64 = 64;
 
 /// `record_due` value of a slot with no pending wheel entry.
 const NO_DUE: u64 = u64::MAX;
+
+/// Record slots filed by position and subscription slots by area.
+#[derive(Debug, Clone)]
+struct StoreIndex {
+    records: GridBuckets<u32, STORE_GRID_DIM>,
+    subs: GridBuckets<u32, STORE_GRID_DIM>,
+}
 
 /// An occupied record slot: the record plus its publish stamp.
 #[derive(Debug, Clone, PartialEq)]
@@ -189,7 +206,7 @@ pub struct RegionStore {
     subs: Vec<Option<Subscription>>,
     free_subs: Vec<u32>,
     sub_by_key: HashMap<(NodeId, u64), u32>,
-    grid: Option<StoreGrid>,
+    grid: Option<StoreIndex>,
     clock: HlcClock,
     wheel: ExpiryWheel,
     /// Recycled scratch for drained wheel entries (zero steady-state
@@ -276,23 +293,19 @@ impl RegionStore {
     /// `out`, consulting only the position's grid bucket when indexed.
     #[hot_path]
     fn notify_into(&self, pos: Point, topic: &str, now: u64, out: &mut Vec<NodeId>) {
+        let visit = |sub: &Subscription| {
+            if sub.matches(pos, topic, now) {
+                out.push(sub.subscriber());
+            }
+        };
         match &self.grid {
-            Some(grid) => {
-                for &slot in grid.subs_at(pos) {
-                    if let Some(sub) = &self.subs[slot as usize] {
-                        if sub.matches(pos, topic, now) {
-                            out.push(sub.subscriber());
-                        }
-                    }
-                }
-            }
-            None => {
-                for sub in self.subs.iter().flatten() {
-                    if sub.matches(pos, topic, now) {
-                        out.push(sub.subscriber());
-                    }
-                }
-            }
+            Some(grid) => grid
+                .subs
+                .at(pos)
+                .iter()
+                .filter_map(|&slot| self.subs[slot as usize].as_ref())
+                .for_each(visit),
+            None => self.subs.iter().flatten().for_each(visit),
         }
         out.sort_unstable();
     }
@@ -301,32 +314,7 @@ impl RegionStore {
     /// pass the topic filter, in ascending id order.
     pub fn query(&self, query: &LocationQuery, now: u64) -> Vec<&LocationRecord> {
         let mut out = Vec::new();
-        match &self.grid {
-            Some(grid) => {
-                let area = query.area();
-                let (c0, c1, r0, r1) = grid.span(&area);
-                for row in r0..=r1 {
-                    for col in c0..=c1 {
-                        for &slot in grid.records_in(row * STORE_GRID_DIM + col) {
-                            if let Some(s) = &self.slots[slot as usize] {
-                                let r = &s.record;
-                                if !r.is_expired(now) && query.matches(r.position(), r.topic()) {
-                                    out.push(r);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            None => {
-                for s in self.slots.iter().flatten() {
-                    let r = &s.record;
-                    if !r.is_expired(now) && query.matches(r.position(), r.topic()) {
-                        out.push(r);
-                    }
-                }
-            }
-        }
+        self.for_each_match(query, now, |r| out.push(r));
         out.sort_unstable_by_key(|r| r.id());
         out
     }
@@ -336,33 +324,33 @@ impl RegionStore {
     #[hot_path]
     pub fn query_ids_into(&self, query: &LocationQuery, now: u64, out: &mut Vec<u64>) {
         out.clear();
-        match &self.grid {
-            Some(grid) => {
-                let area = query.area();
-                let (c0, c1, r0, r1) = grid.span(&area);
-                for row in r0..=r1 {
-                    for col in c0..=c1 {
-                        for &slot in grid.records_in(row * STORE_GRID_DIM + col) {
-                            if let Some(s) = &self.slots[slot as usize] {
-                                let r = &s.record;
-                                if !r.is_expired(now) && query.matches(r.position(), r.topic()) {
-                                    out.push(r.id());
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            None => {
-                for s in self.slots.iter().flatten() {
-                    let r = &s.record;
-                    if !r.is_expired(now) && query.matches(r.position(), r.topic()) {
-                        out.push(r.id());
-                    }
-                }
-            }
-        }
+        self.for_each_match(query, now, |r| out.push(r.id()));
         out.sort_unstable();
+    }
+
+    /// Calls `f` on every live record `query` matches at `now`, reading
+    /// only the buckets the query area overlaps when indexed.
+    fn for_each_match<'a>(
+        &'a self,
+        query: &LocationQuery,
+        now: u64,
+        mut f: impl FnMut(&'a LocationRecord),
+    ) {
+        let visit = |s: &'a RecordSlot| {
+            let r = &s.record;
+            if !r.is_expired(now) && query.matches(r.position(), r.topic()) {
+                f(r);
+            }
+        };
+        match &self.grid {
+            Some(grid) => grid
+                .records
+                .overlapping(&query.area())
+                .flatten()
+                .filter_map(|&slot| self.slots[slot as usize].as_ref())
+                .for_each(visit),
+            None => self.slots.iter().flatten().for_each(visit),
+        }
     }
 
     /// Registers a subscription. A subscription with the same
@@ -411,12 +399,7 @@ impl RegionStore {
                 None => false,
             };
             if belongs {
-                if let Some(s) = self.slots[slot as usize].take() {
-                    self.by_id.remove(&s.record.id());
-                    if let Some(grid) = self.grid.as_mut() {
-                        grid.remove_record(slot, s.record.position());
-                    }
-                    self.free_records.push(slot);
+                if let Some(s) = self.evict_record(slot) {
                     other.insert_replica(s.record, s.stamp);
                 }
             }
@@ -552,7 +535,9 @@ impl RegionStore {
                     }
                     self.record_due[i] = NO_DUE;
                     match self.slots[i].as_ref().and_then(|s| s.record.expires_at()) {
-                        Some(at) if at <= now => self.evict_record(e.slot),
+                        Some(at) if at <= now => {
+                            self.evict_record(e.slot);
+                        }
                         Some(at) => {
                             self.record_due[i] = at;
                             self.wheel.schedule(at, EntryKind::Record, e.slot);
@@ -574,21 +559,22 @@ impl RegionStore {
         self.due_scratch = due;
     }
 
-    fn evict_record(&mut self, slot: u32) {
-        if let Some(s) = self.slots[slot as usize].take() {
-            self.by_id.remove(&s.record.id());
-            if let Some(grid) = self.grid.as_mut() {
-                grid.remove_record(slot, s.record.position());
-            }
-            self.free_records.push(slot);
+    /// Empties a record slot, returning what it held.
+    fn evict_record(&mut self, slot: u32) -> Option<RecordSlot> {
+        let s = self.slots[slot as usize].take()?;
+        self.by_id.remove(&s.record.id());
+        if let Some(grid) = self.grid.as_mut() {
+            grid.records.remove_at(s.record.position(), slot);
         }
+        self.free_records.push(slot);
+        Some(s)
     }
 
     fn evict_sub(&mut self, slot: u32) {
         if let Some(s) = self.subs[slot as usize].take() {
             self.sub_by_key.remove(&(s.subscriber(), s.id()));
             if let Some(grid) = self.grid.as_mut() {
-                grid.remove_sub(slot, &s.area());
+                grid.subs.remove_span(&s.area(), slot);
             }
             self.free_subs.push(slot);
         }
@@ -610,7 +596,7 @@ impl RegionStore {
             Some(slot) => {
                 let prev = self.slots[slot as usize].replace(RecordSlot { record, stamp });
                 if let (Some(prev), Some(grid)) = (prev, self.grid.as_mut()) {
-                    grid.move_record(slot, prev.record.position(), pos);
+                    grid.records.move_to(slot, prev.record.position(), pos);
                 }
                 slot
             }
@@ -629,7 +615,7 @@ impl RegionStore {
                 };
                 self.by_id.insert(id, slot);
                 if let Some(grid) = self.grid.as_mut() {
-                    grid.insert_record(slot, pos);
+                    grid.records.insert_at(pos, slot);
                 }
                 slot
             }
@@ -658,12 +644,9 @@ impl RegionStore {
                 let mut needs_schedule = true;
                 if let Some(prev) = prev {
                     if let Some(grid) = self.grid.as_mut() {
-                        grid.remove_sub(slot, &prev.area());
+                        grid.subs.remove_span(&prev.area(), slot);
                     }
                     needs_schedule = prev.expires_at() != expires;
-                }
-                if let Some(grid) = self.grid.as_mut() {
-                    grid.insert_sub(slot, &area);
                 }
                 (slot, needs_schedule)
             }
@@ -680,12 +663,12 @@ impl RegionStore {
                     }
                 };
                 self.sub_by_key.insert(key, slot);
-                if let Some(grid) = self.grid.as_mut() {
-                    grid.insert_sub(slot, &area);
-                }
                 (slot, true)
             }
         };
+        if let Some(grid) = self.grid.as_mut() {
+            grid.subs.insert_span(&area, slot);
+        }
         if needs_schedule {
             self.wheel.schedule(expires, EntryKind::Sub, slot);
         }
@@ -698,11 +681,8 @@ impl RegionStore {
     fn ensure_indexed(&mut self, pos: Point) {
         match &self.grid {
             None => self.maybe_build_index(),
-            Some(grid) => {
-                if !grid.covers(pos) {
-                    self.build_grid();
-                }
-            }
+            Some(grid) if !grid.records.grid().covers(pos) => self.build_grid(),
+            Some(_) => {}
         }
     }
 
@@ -715,15 +695,18 @@ impl RegionStore {
     // audit: hot-path-exempt(grid (re)build fires once past INDEX_THRESHOLD and at most O(log extent) times on bounds growth; per-op filings never reach it)
     fn build_grid(&mut self) {
         let bounds = self.learned_bounds();
-        let mut grid = StoreGrid::new(bounds);
+        let mut grid = StoreIndex {
+            records: GridBuckets::new(bounds),
+            subs: GridBuckets::new(bounds),
+        };
         for (i, s) in self.slots.iter().enumerate() {
             if let Some(s) = s {
-                grid.insert_record(i as u32, s.record.position());
+                grid.records.insert_at(s.record.position(), i as u32);
             }
         }
         for (i, s) in self.subs.iter().enumerate() {
             if let Some(s) = s {
-                grid.insert_sub(i as u32, &s.area());
+                grid.subs.insert_span(&s.area(), i as u32);
             }
         }
         self.grid = Some(grid);
@@ -763,7 +746,7 @@ impl RegionStore {
         let grown = Region::new(min_x - w / 2.0, min_y - h / 2.0, w * 2.0, h * 2.0);
         match &self.grid {
             Some(grid) => {
-                let old = grid.bounds();
+                let old = grid.records.grid().bounds();
                 let x = grown.x().min(old.x());
                 let y = grown.y().min(old.y());
                 let east = grown.east().max(old.east());

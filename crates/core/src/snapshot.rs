@@ -41,7 +41,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
-use geogrid_geometry::{Point, Region, Space};
+use geogrid_geometry::{Point, Region, Space, UniformGrid};
 
 use crate::topology::{FingerBlock, SlotGeo, GRID_DIM};
 use crate::{CoreError, RegionId};
@@ -139,12 +139,9 @@ pub struct TopologySnapshot {
     pub(crate) neighbor_off: Vec<u32>,
     /// Concatenated neighbor lists of every slot (dead slots span zero).
     pub(crate) neighbor_ids: Vec<RegionId>,
-    pub(crate) grid_origin_x: f64,
-    pub(crate) grid_origin_y: f64,
-    pub(crate) grid_cell_w: f64,
-    pub(crate) grid_cell_h: f64,
-    /// CSR offsets into `cell_ids`, length `cell_count + 1` (empty when
-    /// the grid was never initialised).
+    /// The live index's cell geometry.
+    pub(crate) grid: UniformGrid<GRID_DIM>,
+    /// CSR offsets into `cell_ids`, length `GRID_DIM² + 1`.
     pub(crate) cell_off: Vec<u32>,
     /// Concatenated grid-bucket candidate lists, row-major cell order.
     pub(crate) cell_ids: Vec<RegionId>,
@@ -193,16 +190,6 @@ impl TopologySnapshot {
     /// [`CoreError::EmptyNetwork`] when the snapshot holds no regions.
     pub fn first_region(&self) -> Result<RegionId, CoreError> {
         self.region_ids().next().ok_or(CoreError::EmptyNetwork)
-    }
-
-    /// Grid column of `x`, clamped (mirrors the live index's closed-span
-    /// arithmetic bit for bit).
-    fn col(&self, x: f64) -> usize {
-        (((x - self.grid_origin_x) / self.grid_cell_w) as usize).min(GRID_DIM - 1)
-    }
-
-    fn row(&self, y: f64) -> usize {
-        (((y - self.grid_origin_y) / self.grid_cell_h) as usize).min(GRID_DIM - 1)
     }
 }
 
@@ -263,17 +250,15 @@ impl TopologyView for TopologySnapshot {
         if !self.space.covers(p) {
             return Err(CoreError::OutOfSpace { x: p.x, y: p.y });
         }
-        if self.cell_off.len() > 1 {
-            let cell = self.row(p.y) * GRID_DIM + self.col(p.x);
-            let lo = self.cell_off[cell] as usize;
-            let hi = self.cell_off[cell + 1] as usize;
-            for &rid in &self.cell_ids[lo..hi] {
-                if self
-                    .space
-                    .region_covers(&self.slot_geo[rid.index()].rect, p)
-                {
-                    return Ok(rid);
-                }
+        let cell = self.grid.cell_of(p);
+        let lo = self.cell_off[cell] as usize;
+        let hi = self.cell_off[cell + 1] as usize;
+        for &rid in &self.cell_ids[lo..hi] {
+            if self
+                .space
+                .region_covers(&self.slot_geo[rid.index()].rect, p)
+            {
+                return Ok(rid);
             }
         }
         Err(CoreError::EmptyNetwork)

@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, PoisonError, RwLock};
 
-use geogrid_geometry::{Point, Region, Space};
+use geogrid_geometry::{GridBuckets, Point, Region, Space};
 use geogrid_marks::hot_path;
 
 use crate::audit::{Violation, ViolationKind};
@@ -92,12 +92,10 @@ pub(crate) const GRID_DIM: usize = 128;
 /// regions.
 ///
 /// The space is bucketed into [`GRID_DIM`]² equal cells; each cell lists
-/// every region whose **closed** rectangle overlaps it. Insertion uses the
-/// closed rectangle `[x, east] × [y, north]` so that any point a region can
-/// cover — under the half-open rule, the `EDGE_EPS`-exact shared edges, or
-/// the space-boundary closure of [`Space::region_covers`] — falls in a cell
-/// that lists the region (floor is monotone, so `p.x ∈ [x, east]` implies
-/// `col(p) ∈ [col(x), col(east)]`).
+/// every region whose **closed** rectangle `[x, east] × [y, north]`
+/// overlaps it, so any point a region can cover — under the half-open
+/// rule, the `EDGE_EPS`-exact shared edges, or the space-boundary closure
+/// of [`Space::region_covers`] — falls in a cell that lists the region.
 ///
 /// The index is kept exact through every mutation path: region geometry
 /// only ever changes in [`Topology::bootstrap`], [`Topology::split_region`]
@@ -107,13 +105,8 @@ pub(crate) const GRID_DIM: usize = 128;
 /// region and fails on any stale or missing entry.
 #[derive(Debug, Clone, Default)]
 struct GridIndex {
-    origin_x: f64,
-    origin_y: f64,
-    cell_w: f64,
-    cell_h: f64,
-    /// Row-major `GRID_DIM × GRID_DIM` buckets; empty until the topology
-    /// is given a space.
-    cells: Vec<Vec<RegionId>>,
+    /// Bucket-less until the topology is given a space.
+    buckets: GridBuckets<RegionId, GRID_DIM>,
     /// Total entries across all buckets. Lets the audit verify "no stale
     /// or duplicate entry anywhere" in O(regions): if every live region is
     /// present throughout its span *and* the total matches the sum of span
@@ -123,72 +116,12 @@ struct GridIndex {
 }
 
 impl GridIndex {
-    fn new(space: Space) -> Self {
-        let b = space.bounds();
-        Self {
-            origin_x: b.x(),
-            origin_y: b.y(),
-            cell_w: b.width() / GRID_DIM as f64,
-            cell_h: b.height() / GRID_DIM as f64,
-            cells: vec![Vec::new(); GRID_DIM * GRID_DIM],
-            entries: 0,
-        }
-    }
-
-    /// Column of `x`, clamped into range (`as usize` saturates below zero).
-    fn col(&self, x: f64) -> usize {
-        (((x - self.origin_x) / self.cell_w) as usize).min(GRID_DIM - 1)
-    }
-
-    fn row(&self, y: f64) -> usize {
-        (((y - self.origin_y) / self.cell_h) as usize).min(GRID_DIM - 1)
-    }
-
-    /// Inclusive `(col_lo, col_hi, row_lo, row_hi)` span of the closed
-    /// rectangle of `r`.
-    fn span(&self, r: &Region) -> (usize, usize, usize, usize) {
-        (
-            self.col(r.x()),
-            self.col(r.east()),
-            self.row(r.y()),
-            self.row(r.north()),
-        )
-    }
-
     fn insert(&mut self, rid: RegionId, r: &Region) {
-        let (c0, c1, r0, r1) = self.span(r);
-        for row in r0..=r1 {
-            for col in c0..=c1 {
-                self.cells[row * GRID_DIM + col].push(rid);
-                self.entries += 1;
-            }
-        }
+        self.entries += self.buckets.insert_span(r, rid);
     }
 
     fn remove(&mut self, rid: RegionId, r: &Region) {
-        let (c0, c1, r0, r1) = self.span(r);
-        for row in r0..=r1 {
-            for col in c0..=c1 {
-                let cell = &mut self.cells[row * GRID_DIM + col];
-                if let Some(i) = cell.iter().position(|&x| x == rid) {
-                    cell.swap_remove(i);
-                    self.entries -= 1;
-                }
-            }
-        }
-    }
-
-    /// Regions whose closed rectangle overlaps the cell containing `p`.
-    fn candidates(&self, p: Point) -> &[RegionId] {
-        if self.cells.is_empty() {
-            return &[];
-        }
-        &self.cells[self.cell_of(p)]
-    }
-
-    /// Row-major index of the cell containing `p` (clamped into range).
-    fn cell_of(&self, p: Point) -> usize {
-        self.row(p.y) * GRID_DIM + self.col(p.x)
+        self.entries -= self.buckets.remove_span(r, rid);
     }
 }
 
@@ -383,7 +316,10 @@ impl Topology {
     pub fn new(space: Space) -> Self {
         Self {
             space: Some(space),
-            grid: GridIndex::new(space),
+            grid: GridIndex {
+                buckets: GridBuckets::new(space.bounds()),
+                entries: 0,
+            },
             ..Self::default()
         }
     }
@@ -596,7 +532,7 @@ impl Topology {
         if !space.covers(p) {
             return Err(CoreError::OutOfSpace { x: p.x, y: p.y });
         }
-        for &rid in self.grid.candidates(p) {
+        for &rid in self.grid.buckets.at(p) {
             let entry = self.slots[rid.index()]
                 .as_ref()
                 .expect("invariant: the grid index lists only live regions");
@@ -611,16 +547,13 @@ impl Topology {
     /// (the [`Region::intersects`] predicate), ascending by id. Uses the
     /// grid index: only the cells the query rectangle touches are examined.
     pub fn regions_overlapping(&self, rect: &Region) -> Vec<RegionId> {
-        if self.grid.cells.is_empty() {
-            return Vec::new();
-        }
-        let (c0, c1, r0, r1) = self.grid.span(rect);
-        let mut out: Vec<RegionId> = Vec::new();
-        for row in r0..=r1 {
-            for col in c0..=c1 {
-                out.extend_from_slice(&self.grid.cells[row * GRID_DIM + col]);
-            }
-        }
+        let mut out: Vec<RegionId> = self
+            .grid
+            .buckets
+            .overlapping(rect)
+            .flatten()
+            .copied()
+            .collect();
         out.sort_unstable();
         out.dedup();
         out.retain(|&rid| {
@@ -1083,56 +1016,54 @@ impl Topology {
         let mut forward_clean = true;
         let mut seen_pairs: std::collections::HashSet<(u32, u32)> =
             std::collections::HashSet::new();
+        let grid = self.grid.buckets.grid();
         for (rid, e) in &all {
-            let (c0, c1, r0, r1) = self.grid.span(&e.region);
-            expected_entries += (c1 - c0 + 1) * (r1 - r0 + 1);
-            for row in r0..=r1 {
-                for col in c0..=c1 {
-                    let cell = &self.grid.cells[row * GRID_DIM + col];
-                    if !cell.contains(rid) {
-                        forward_clean = false;
+            for i in grid.span(&e.region) {
+                expected_entries += 1;
+                let cell = &self.grid.buckets.cells()[i];
+                if !cell.contains(rid) {
+                    forward_clean = false;
+                    v.push(Violation::new(
+                        ViolationKind::StaleGridBucket(*rid),
+                        format!("{rid} missing from grid cell {i}"),
+                    ));
+                }
+                for &other in cell {
+                    if other == *rid {
+                        continue;
+                    }
+                    let key = (
+                        rid.as_u32().min(other.as_u32()),
+                        rid.as_u32().max(other.as_u32()),
+                    );
+                    if !seen_pairs.insert(key) {
+                        continue;
+                    }
+                    // Dead co-bucketed entries are the sweep's problem.
+                    let Some(o) = self.region(other) else {
+                        continue;
+                    };
+                    if e.region.intersects(&o.region) {
                         v.push(Violation::new(
-                            ViolationKind::StaleGridBucket(*rid),
-                            format!("{rid} missing from grid cell ({col},{row})"),
+                            ViolationKind::TessellationOverlap(*rid, other),
+                            format!("{rid} and {other} overlap"),
                         ));
                     }
-                    for &other in cell {
-                        if other == *rid {
-                            continue;
-                        }
-                        let key = (
-                            rid.as_u32().min(other.as_u32()),
-                            rid.as_u32().max(other.as_u32()),
-                        );
-                        if !seen_pairs.insert(key) {
-                            continue;
-                        }
-                        // Dead co-bucketed entries are the sweep's problem.
-                        let Some(o) = self.region(other) else {
-                            continue;
-                        };
-                        if e.region.intersects(&o.region) {
-                            v.push(Violation::new(
-                                ViolationKind::TessellationOverlap(*rid, other),
-                                format!("{rid} and {other} overlap"),
-                            ));
-                        }
-                        let touching = e.region.touches_edge(&o.region);
-                        let a_lists_b = e.neighbors.contains(&other);
-                        let b_lists_a = o.neighbors.contains(rid);
-                        if touching != a_lists_b || touching != b_lists_a {
-                            v.push(Violation::new(
-                                ViolationKind::AsymmetricNeighborLink(*rid, other),
-                                format!(
-                                    "{rid}/{other}: touching={touching} lists=({a_lists_b},{b_lists_a})"
-                                ),
-                            ));
-                        }
+                    let touching = e.region.touches_edge(&o.region);
+                    let a_lists_b = e.neighbors.contains(&other);
+                    let b_lists_a = o.neighbors.contains(rid);
+                    if touching != a_lists_b || touching != b_lists_a {
+                        v.push(Violation::new(
+                            ViolationKind::AsymmetricNeighborLink(*rid, other),
+                            format!(
+                                "{rid}/{other}: touching={touching} lists=({a_lists_b},{b_lists_a})"
+                            ),
+                        ));
                     }
                 }
             }
         }
-        let actual_entries: usize = self.grid.cells.iter().map(Vec::len).sum();
+        let actual_entries: usize = self.grid.buckets.cells().iter().map(Vec::len).sum();
         if self.grid.entries != actual_entries {
             v.push(Violation::new(
                 ViolationKind::GridCounterDrift {
@@ -1147,20 +1078,18 @@ impl Topology {
         }
         if !forward_clean || actual_entries != expected_entries {
             // Reverse sweep: name the stale/dead/duplicate entries.
-            for (i, cell) in self.grid.cells.iter().enumerate() {
-                let (col, row) = (i % GRID_DIM, i / GRID_DIM);
+            for (i, cell) in self.grid.buckets.cells().iter().enumerate() {
                 for (j, rid) in cell.iter().enumerate() {
                     match self.region(*rid) {
                         None => v.push(Violation::new(
                             ViolationKind::StaleGridBucket(*rid),
-                            format!("grid cell ({col},{row}) lists dead region {rid}"),
+                            format!("grid cell {i} lists dead region {rid}"),
                         )),
                         Some(e) => {
-                            let (c0, c1, r0, r1) = self.grid.span(&e.region);
-                            if !(c0..=c1).contains(&col) || !(r0..=r1).contains(&row) {
+                            if !grid.span_contains(&e.region, i) {
                                 v.push(Violation::new(
                                     ViolationKind::StaleGridBucket(*rid),
-                                    format!("grid cell ({col},{row}) lists {rid} outside its span"),
+                                    format!("grid cell {i} lists {rid} outside its span"),
                                 ));
                             }
                         }
@@ -1168,7 +1097,7 @@ impl Topology {
                     if cell[..j].contains(rid) {
                         v.push(Violation::new(
                             ViolationKind::StaleGridBucket(*rid),
-                            format!("grid cell ({col},{row}) lists {rid} twice"),
+                            format!("grid cell {i} lists {rid} twice"),
                         ));
                     }
                 }
@@ -1415,15 +1344,13 @@ impl Topology {
             }
             neighbor_off.push(neighbor_ids.len() as u32);
         }
-        let mut cell_off = Vec::new();
+        let cells = self.grid.buckets.cells();
+        let mut cell_off = Vec::with_capacity(cells.len() + 1);
         let mut cell_ids = Vec::with_capacity(self.grid.entries);
-        if !self.grid.cells.is_empty() {
-            cell_off.reserve(self.grid.cells.len() + 1);
-            cell_off.push(0u32);
-            for cell in &self.grid.cells {
-                cell_ids.extend_from_slice(cell);
-                cell_off.push(cell_ids.len() as u32);
-            }
+        cell_off.push(0u32);
+        for cell in cells {
+            cell_ids.extend_from_slice(cell);
+            cell_off.push(cell_ids.len() as u32);
         }
         TopologySnapshot {
             space: self.space(),
@@ -1435,10 +1362,7 @@ impl Topology {
             live,
             neighbor_off,
             neighbor_ids,
-            grid_origin_x: self.grid.origin_x,
-            grid_origin_y: self.grid.origin_y,
-            grid_cell_w: self.grid.cell_w,
-            grid_cell_h: self.grid.cell_h,
+            grid: self.grid.buckets.grid(),
             cell_off,
             cell_ids,
             finger_base: self.finger_base(),
@@ -1519,18 +1443,19 @@ impl Topology {
                 ));
             }
         }
+        let cells = self.grid.buckets.cells();
         let snap_cells = snap.cell_off.len().saturating_sub(1);
-        if snap_cells != self.grid.cells.len() {
+        if snap_cells != cells.len() {
             v.push(Violation::new(
                 ViolationKind::SnapshotDrift(RegionId::new(0)),
                 format!(
                     "snapshot has {snap_cells} grid cells, topology has {}",
-                    self.grid.cells.len()
+                    cells.len()
                 ),
             ));
             return;
         }
-        for (i, cell) in self.grid.cells.iter().enumerate() {
+        for (i, cell) in cells.iter().enumerate() {
             let lo = snap.cell_off[i] as usize;
             let hi = snap.cell_off[i + 1] as usize;
             if snap.cell_ids[lo..hi] != cell[..] {
@@ -2326,8 +2251,8 @@ mod tests {
         // Plant the kept region's id in a cell far outside its span: the
         // bucket totals stop matching the incremental counter, which both
         // reports the drift and forces the precise reverse sweep.
-        let far = t.grid.cell_of(t.region(nr).unwrap().region().center());
-        t.grid.cells[far].push(r);
+        let far = t.region(nr).unwrap().region().center();
+        t.grid.buckets.insert_at(far, r);
         let v = t.audit();
         assert!(
             v.iter().any(
@@ -2346,12 +2271,11 @@ mod tests {
     #[test]
     fn audit_flags_missing_grid_entry() {
         let (mut t, _, r, _) = two_regions();
-        let home = t.grid.cell_of(t.region(r).unwrap().region().center());
-        let pos = t.grid.cells[home]
-            .iter()
-            .position(|&x| x == r)
-            .expect("region is indexed in its own center cell");
-        t.grid.cells[home].swap_remove(pos);
+        let home = t.region(r).unwrap().region().center();
+        assert!(
+            t.grid.buckets.remove_at(home, r),
+            "region is indexed in its own center cell"
+        );
         t.grid.entries -= 1; // keep the counter honest: only the entry is lost
         let v = t.audit();
         assert!(

@@ -14,9 +14,11 @@
 //! * the **neighbor** predicate — two regions are neighbors when their
 //!   intersection is a line segment (shared edge of positive length, corner
 //!   contact does not count),
-//! * [`Circle`] — circular query/hot-spot areas, and
+//! * [`Circle`] — circular query/hot-spot areas,
 //! * [`Space`] — the global bounded plane (64 × 64 miles in the paper's
-//!   evaluation).
+//!   evaluation), and
+//! * [`UniformGrid`] / [`GridBuckets`] — the uniform cell grid behind the
+//!   topology's point-location index and the stores' spatial sub-index.
 //!
 //! # Examples
 //!
@@ -34,11 +36,13 @@
 #![warn(missing_docs)]
 
 mod circle;
+mod grid;
 mod point;
 mod region;
 mod space;
 
 pub use circle::Circle;
+pub use grid::{GridBuckets, UniformGrid};
 pub use point::Point;
 pub use region::{Region, SplitAxis};
 pub use space::Space;
