@@ -1,10 +1,13 @@
-//! Length-prefixed framing over async byte streams.
+//! Length-prefixed framing over byte streams.
 //!
 //! Each frame is a little-endian `u32` length followed by that many bytes
 //! (one encoded [`Envelope`](crate::wire::Envelope)). Frames above
-//! [`MAX_FRAME`] are rejected on both sides.
+//! [`MAX_FRAME`] are rejected on both sides. [`read_frame`] reads an
+//! async stream; [`read_frame_blocking`] reads a blocking one, for the
+//! runtime's per-connection reader threads. Both apply the same length
+//! rule.
 
-use std::io;
+use std::io::{self, Read};
 
 use bytes::Bytes;
 use tokio::io::{AsyncRead, AsyncReadExt, AsyncWrite, AsyncWriteExt};
@@ -35,6 +38,26 @@ pub async fn write_frame<W: AsyncWrite + Unpin>(writer: &mut W, payload: &[u8]) 
     writer.flush().await
 }
 
+/// The payload length a frame's prefix announces, refused above
+/// [`MAX_FRAME`].
+#[deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::arithmetic_side_effects
+)]
+fn payload_len(prefix: [u8; 4]) -> io::Result<usize> {
+    let len = u32::from_le_bytes(prefix) as usize;
+    if len > MAX_FRAME {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame length {len} exceeds limit"),
+        ));
+    }
+    Ok(len)
+}
+
 /// Reads one frame. Returns `Ok(None)` on clean EOF at a frame boundary.
 ///
 /// # Errors
@@ -49,21 +72,39 @@ pub async fn write_frame<W: AsyncWrite + Unpin>(writer: &mut W, payload: &[u8]) 
     clippy::arithmetic_side_effects
 )]
 pub async fn read_frame<R: AsyncRead + Unpin>(reader: &mut R) -> io::Result<Option<Bytes>> {
-    let mut len_buf = [0u8; 4];
-    match reader.read_exact(&mut len_buf).await {
+    let mut prefix = [0u8; 4];
+    match reader.read_exact(&mut prefix).await {
         Ok(_) => {}
         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e),
     }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds limit"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
+    let mut payload = vec![0u8; payload_len(prefix)?];
     reader.read_exact(&mut payload).await?;
+    Ok(Some(Bytes::from(payload)))
+}
+
+/// [`read_frame`] over a blocking reader: the calling thread waits in the
+/// kernel until the bytes arrive.
+///
+/// # Errors
+///
+/// As [`read_frame`].
+#[deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::arithmetic_side_effects
+)]
+pub fn read_frame_blocking<R: Read>(reader: &mut R) -> io::Result<Option<Bytes>> {
+    let mut prefix = [0u8; 4];
+    match reader.read_exact(&mut prefix) {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
+        Err(e) => return Err(e),
+    }
+    let mut payload = vec![0u8; payload_len(prefix)?];
+    reader.read_exact(&mut payload)?;
     Ok(Some(Bytes::from(payload)))
 }
 
@@ -129,6 +170,38 @@ mod tests {
         let (mut a, mut b) = tokio::io::duplex(1024);
         a.write_all(&(u32::MAX).to_le_bytes()).await.unwrap();
         let err = read_frame(&mut b).await.unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn blocking_reader_round_trips_frames() {
+        let mut wire = Vec::new();
+        for payload in [&b"hello"[..], b"", b"world!"] {
+            wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            wire.extend_from_slice(payload);
+        }
+        let mut r = &wire[..];
+        assert_eq!(read_frame_blocking(&mut r).unwrap().unwrap(), &b"hello"[..]);
+        assert_eq!(read_frame_blocking(&mut r).unwrap().unwrap(), &b""[..]);
+        assert_eq!(
+            read_frame_blocking(&mut r).unwrap().unwrap(),
+            &b"world!"[..]
+        );
+        assert!(read_frame_blocking(&mut r).unwrap().is_none());
+    }
+
+    #[test]
+    fn blocking_reader_eof_mid_frame_is_an_error() {
+        let mut wire = 10u32.to_le_bytes().to_vec();
+        wire.extend_from_slice(b"abc");
+        let err = read_frame_blocking(&mut &wire[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn blocking_reader_rejects_oversized_length() {
+        let wire = u32::MAX.to_le_bytes();
+        let err = read_frame_blocking(&mut &wire[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 

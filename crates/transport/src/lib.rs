@@ -12,8 +12,8 @@
 //! * [`runtime`] — [`runtime::NodeRuntime`]: owns one
 //!   [`NodeEngine`](geogrid_core::engine::NodeEngine), a TCP listener,
 //!   and the `NodeId → SocketAddr` address book learned from message
-//!   envelopes; it opens a fresh connection for every outbound message,
-//!   with no pool,
+//!   envelopes; one writer task keeps a connection per peer, and each
+//!   accepted connection has its own blocking reader,
 //! * [`bootstrap`] — the bootstrap server §2.1 assumes: a directory nodes
 //!   register with and fetch entry points from.
 //!

@@ -8,18 +8,27 @@
 //! entries for every node id the message references, so receivers can
 //! always resolve the ids they learn.
 //!
-//! Connections are short-lived (one frame per connection): GeoGrid
-//! management traffic is sparse and neighbor sets churn with every split,
-//! so a connection cache buys little at this scale and a per-message
-//! connect keeps failure handling trivial — a refused connect simply
-//! drops the message, which the protocol already tolerates (heartbeats
-//! re-announce state).
+//! Each node keeps one long-lived connection per peer it sends to. The
+//! actor hands encoded frames to one writer task through a bounded queue;
+//! the writer owns a `TcpStream` per peer address (`TCP_NODELAY` set),
+//! so frames to one peer arrive in the order they were sent. Each
+//! accepted connection gets one blocking reader thread, which the kernel
+//! wakes the moment bytes arrive. A node therefore runs an actor, a
+//! writer, an accept loop, and one reader per peer that has sent to it.
+//!
+//! A message that cannot be delivered is dropped, like a lost datagram,
+//! which the protocol already tolerates (heartbeats re-announce state):
+//! when the writer's queue is full, when a connect is refused, and when a
+//! write fails. A failed write re-queues its frame once behind a fresh
+//! connect, so a peer that restarted still gets it. The actor never waits
+//! on the network, and a connect in flight holds up only its own peer.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::SocketAddr;
 use std::time::Duration;
 
+use bytes::Bytes;
 use geogrid_core::engine::{
     ClientEvent, Effect, EngineConfig, Input, Message, NodeEngine, OwnerView,
 };
@@ -30,8 +39,13 @@ use tokio::net::{TcpListener, TcpStream};
 use tokio::sync::{mpsc, oneshot};
 use tokio::time::Instant;
 
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{read_frame_blocking, write_frame};
 use crate::wire::{referenced_nodes, Envelope};
+
+/// Frames the actor may queue for its writer; beyond this it drops them.
+const OUTBOUND_QUEUE: usize = 1_024;
+/// Frames held for one peer while its connection is being opened.
+const LINK_BACKLOG: usize = 64;
 
 /// Events surfaced to the embedding application.
 pub type RuntimeEvent = ClientEvent;
@@ -189,14 +203,17 @@ impl NodeRuntime {
         let (cmd_tx, cmd_rx) = mpsc::channel(64);
         let (event_tx, event_rx) = mpsc::channel(256);
         let (inbound_tx, inbound_rx) = mpsc::channel::<Envelope>(256);
+        let (outbound_tx, outbound_rx) = mpsc::channel(OUTBOUND_QUEUE);
 
         tokio::spawn(accept_loop(listener, inbound_tx));
+        tokio::spawn(writer(outbound_rx));
         tokio::spawn(actor(
             engine,
             local_addr,
             config.tick_interval,
             cmd_rx,
             inbound_rx,
+            outbound_tx,
             event_tx,
         ));
 
@@ -209,26 +226,102 @@ impl NodeRuntime {
     }
 }
 
+/// Accepts connections until the actor drops its inbound receiver, then
+/// closes the listener.
 async fn accept_loop(listener: TcpListener, inbound: mpsc::Sender<Envelope>) {
     loop {
-        let Ok((stream, _)) = listener.accept().await else {
-            break;
+        tokio::select! {
+            accepted = listener.accept() => {
+                let Ok((stream, _)) = accepted else { break };
+                let Ok(stream) = stream.into_std() else { continue };
+                let inbound = inbound.clone();
+                tokio::task::spawn_blocking(move || read_link(stream, &inbound));
+            }
+            _ = inbound.closed() => { break }
+        }
+    }
+}
+
+/// Reads one inbound connection on its own thread, blocking in the kernel
+/// between frames, until the peer closes it, sends garbage, or the actor
+/// is gone.
+fn read_link(stream: std::net::TcpStream, inbound: &mpsc::Sender<Envelope>) {
+    if stream.set_nonblocking(false).is_err() {
+        return;
+    }
+    let mut reader = io::BufReader::new(stream);
+    while let Ok(Some(frame)) = read_frame_blocking(&mut reader) {
+        let Ok(env) = Envelope::decode(&frame) else {
+            return; // corrupt peer: drop connection
         };
-        let inbound = inbound.clone();
-        tokio::spawn(async move {
-            let mut stream = stream;
-            while let Ok(Some(frame)) = read_frame(&mut stream).await {
-                match Envelope::decode(&frame) {
-                    Ok(env) => {
-                        if inbound.send(env).await.is_err() {
-                            return;
+        if inbound.blocking_send(env).is_err() {
+            return;
+        }
+    }
+}
+
+/// One peer's connection, as the writer sees it.
+enum Link {
+    /// A connect is in flight; frames wait here in order (bounded).
+    Opening(Vec<Bytes>),
+    Open(TcpStream),
+}
+
+/// The node's one writer: a connection per peer address, opened on first
+/// use and again after a failed write. Ends when the actor drops its
+/// sender, which closes every connection.
+async fn writer(mut outbound: mpsc::Receiver<(SocketAddr, Bytes)>) {
+    let (opened_tx, mut opened) = mpsc::channel(64);
+    let mut links: HashMap<SocketAddr, Link> = HashMap::new();
+    loop {
+        tokio::select! {
+            out = outbound.recv() => {
+                let Some((to, frame)) = out else { break };
+                match links.get_mut(&to) {
+                    Some(Link::Opening(backlog)) => {
+                        if backlog.len() < LINK_BACKLOG {
+                            backlog.push(frame);
                         }
                     }
-                    Err(_) => return, // corrupt peer: drop connection
+                    Some(Link::Open(stream)) => {
+                        if write_frame(stream, &frame).await.is_err() {
+                            links.insert(to, Link::Opening(vec![frame]));
+                            open_link(to, &opened_tx);
+                        }
+                    }
+                    None => {
+                        links.insert(to, Link::Opening(vec![frame]));
+                        open_link(to, &opened_tx);
+                    }
                 }
             }
-        });
+            done = opened.recv() => {
+                let Some((to, result)) = done else { break };
+                let Some(Link::Opening(backlog)) = links.remove(&to) else { continue };
+                let Ok(mut stream) = result else { continue };
+                let _ = stream.set_nodelay(true);
+                let mut sent = true;
+                for frame in &backlog {
+                    sent = write_frame(&mut stream, frame).await.is_ok();
+                    if !sent {
+                        break;
+                    }
+                }
+                if sent {
+                    links.insert(to, Link::Open(stream));
+                }
+            }
+        }
     }
+}
+
+/// Connects to `to` off the writer's path and reports back, so a peer
+/// that is slow to answer (or black-holed) stalls only its own frames.
+fn open_link(to: SocketAddr, opened: &mpsc::Sender<(SocketAddr, io::Result<TcpStream>)>) {
+    let opened = opened.clone();
+    tokio::spawn(async move {
+        let _ = opened.send((to, TcpStream::connect(to).await)).await;
+    });
 }
 
 struct Actor {
@@ -236,6 +329,7 @@ struct Actor {
     local_addr: SocketAddr,
     book: HashMap<NodeId, SocketAddr>,
     pending: HashMap<NodeId, Vec<Message>>,
+    outbound: mpsc::Sender<(SocketAddr, Bytes)>,
     events: mpsc::Sender<RuntimeEvent>,
     epoch: Instant,
 }
@@ -246,6 +340,7 @@ async fn actor(
     tick_interval: Duration,
     mut commands: mpsc::Receiver<Command>,
     mut inbound: mpsc::Receiver<Envelope>,
+    outbound: mpsc::Sender<(SocketAddr, Bytes)>,
     events: mpsc::Sender<RuntimeEvent>,
 ) {
     let mut state = Actor {
@@ -253,6 +348,7 @@ async fn actor(
         local_addr,
         book: HashMap::new(),
         pending: HashMap::new(),
+        outbound,
         events,
         epoch: Instant::now(),
     };
@@ -292,7 +388,7 @@ impl Actor {
                 self.apply(fx).await;
             }
             Command::Join { entry, addr } => {
-                self.learn(entry, addr).await;
+                self.learn(entry, addr);
                 let fx = self.engine.handle(now, Input::Join { entry });
                 self.apply(fx).await;
             }
@@ -324,10 +420,10 @@ impl Actor {
     }
 
     async fn handle_envelope(&mut self, env: Envelope) {
-        self.learn(env.sender.id(), env.sender_addr).await;
+        self.learn(env.sender.id(), env.sender_addr);
         let addrs = env.addrs.clone();
         for (id, addr) in addrs {
-            self.learn(id, addr).await;
+            self.learn(id, addr);
         }
         let now = self.now();
         let effects = self.engine.handle(
@@ -341,7 +437,7 @@ impl Actor {
     }
 
     /// Records an address and flushes messages that were waiting for it.
-    async fn learn(&mut self, id: NodeId, addr: SocketAddr) {
+    fn learn(&mut self, id: NodeId, addr: SocketAddr) {
         if id == self.engine.info().id() {
             return;
         }
@@ -349,7 +445,7 @@ impl Actor {
         if known != Some(addr) {
             if let Some(queued) = self.pending.remove(&id) {
                 for message in queued {
-                    self.transmit(id, message).await;
+                    self.transmit(id, message);
                 }
             }
         }
@@ -370,7 +466,7 @@ impl Actor {
                 }
                 Effect::Send { to, message } => {
                     if self.book.contains_key(&to) {
-                        self.transmit(to, message).await;
+                        self.transmit(to, message);
                     } else {
                         // Address unknown yet: park it (bounded).
                         let queue = self.pending.entry(to).or_default();
@@ -386,7 +482,7 @@ impl Actor {
         }
     }
 
-    async fn transmit(&self, to: NodeId, message: Message) {
+    fn transmit(&self, to: NodeId, message: Message) {
         let Some(&addr) = self.book.get(&to) else {
             return;
         };
@@ -402,13 +498,7 @@ impl Actor {
             addrs: attach,
             message,
         };
-        let bytes = env.encode();
-        // Fire-and-forget: one frame per connection; failures are dropped
-        // like lost datagrams (the protocol heartbeats re-announce state).
-        tokio::spawn(async move {
-            if let Ok(mut stream) = TcpStream::connect(addr).await {
-                let _ = write_frame(&mut stream, &bytes).await;
-            }
-        });
+        // A full queue drops the frame, like a lost datagram.
+        let _ = self.outbound.try_send((addr, env.encode()));
     }
 }

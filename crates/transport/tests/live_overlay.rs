@@ -3,13 +3,17 @@
 //! Requires the `live` feature (tokio runtime); see crates/transport/Cargo.toml.
 #![cfg(feature = "live")]
 
-use std::time::Duration;
+use std::io::{BufReader, ErrorKind, Write};
+use std::time::{Duration, Instant};
 
-use geogrid_core::engine::{ClientEvent, EngineConfig, EngineMode};
+use geogrid_core::engine::{ClientEvent, EngineConfig, EngineMode, Message};
 use geogrid_core::service::{LocationQuery, LocationRecord, Subscription};
-use geogrid_core::NodeId;
+use geogrid_core::{NodeId, NodeInfo};
 use geogrid_geometry::{Point, Region, Space};
-use geogrid_transport::{BootstrapClient, BootstrapServer, NodeRuntime, RuntimeConfig};
+use geogrid_transport::frame::read_frame_blocking;
+use geogrid_transport::{
+    BootstrapClient, BootstrapServer, Envelope, NodeRuntime, RuntimeConfig, RuntimeHandle,
+};
 
 fn config(mode: EngineMode) -> RuntimeConfig {
     RuntimeConfig {
@@ -29,8 +33,9 @@ async fn settle() {
     tokio::time::sleep(Duration::from_millis(400)).await;
 }
 
-#[tokio::test]
-async fn four_node_overlay_forms_and_serves_queries() {
+/// Four Basic nodes, one per quadrant, joined one at a time through
+/// node 0.
+async fn four_node_overlay() -> Vec<RuntimeHandle> {
     let space = Space::paper_evaluation();
     let coords = [
         Point::new(10.0, 10.0),
@@ -59,6 +64,13 @@ async fn four_node_overlay_forms_and_serves_queries() {
         handles[i].join(entry, addr).await;
         settle().await;
     }
+    handles
+}
+
+#[tokio::test]
+async fn four_node_overlay_forms_and_serves_queries() {
+    let space = Space::paper_evaluation();
+    let mut handles = four_node_overlay().await;
     // All four own a region; primaries tile the space.
     let mut area = 0.0;
     for h in &handles {
@@ -275,6 +287,182 @@ async fn subscription_notifies_across_nodes() {
     assert!(notified, "subscriber never notified");
     h0.shutdown().await;
     h1.shutdown().await;
+}
+
+/// Waits for the next `QueryResults` at `handle`, at most `within`.
+async fn query_answered(handle: &mut RuntimeHandle, within: Duration) -> bool {
+    let deadline = Instant::now() + within;
+    while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+        match handle.next_event_timeout(left).await {
+            Some(ClientEvent::QueryResults { .. }) => return true,
+            Some(_) => continue,
+            None => return false,
+        }
+    }
+    false
+}
+
+/// A dead peer looks like lost datagrams: with one node of four stopped,
+/// every query from a live node into its own or a live neighbour's region
+/// is still answered promptly, for as long as the others keep sending
+/// heartbeats into the broken links.
+#[tokio::test]
+async fn a_dead_peer_looks_like_lost_datagrams() {
+    let mut handles = four_node_overlay().await;
+    let dead = handles.pop().expect("four nodes");
+    let dead_id = dead.info().id();
+    dead.shutdown().await;
+    let began = Instant::now();
+    let mut answered = 0;
+    while began.elapsed() < Duration::from_millis(1_500) {
+        for i in 0..handles.len() {
+            let view = handles[i].owner_view().await.expect("live node serves");
+            let mut targets = vec![view.region.center()];
+            targets.extend(
+                view.neighbors
+                    .iter()
+                    .filter(|n| n.primary.id() != dead_id)
+                    .map(|n| n.region.center()),
+            );
+            for spot in targets {
+                while handles[i]
+                    .next_event_timeout(Duration::ZERO)
+                    .await
+                    .is_some()
+                {}
+                let issuer = handles[i].info().id();
+                let area = Region::new(spot.x - 0.5, spot.y - 0.5, 1.0, 1.0);
+                handles[i].query(LocationQuery::new(area, issuer)).await;
+                assert!(
+                    query_answered(&mut handles[i], Duration::from_millis(500)).await,
+                    "node {i}'s query at {spot:?} went unanswered"
+                );
+                answered += 1;
+            }
+        }
+    }
+    assert!(answered >= 6, "only {answered} queries ran");
+    for h in &handles {
+        h.shutdown().await;
+    }
+}
+
+/// A stopped node closes its listener: nothing is left accepting on its
+/// port.
+#[tokio::test]
+async fn a_stopped_node_closes_its_listener() {
+    let h = NodeRuntime::start(
+        NodeId::new(0),
+        Point::new(10.0, 10.0),
+        10.0,
+        Space::paper_evaluation(),
+        config(EngineMode::Basic),
+    )
+    .await
+    .unwrap();
+    h.bootstrap().await;
+    let addr = h.local_addr();
+    h.shutdown().await;
+    let refused = tokio::task::spawn_blocking(move || {
+        let give_up = Instant::now() + Duration::from_secs(1);
+        while Instant::now() < give_up {
+            match std::net::TcpStream::connect(addr) {
+                Err(e) if e.kind() == ErrorKind::ConnectionRefused => return true,
+                _ => std::thread::sleep(Duration::from_millis(10)),
+            }
+        }
+        false
+    })
+    .await
+    .unwrap();
+    assert!(
+        refused,
+        "{addr} still accepts connections 1 s after shutdown"
+    );
+}
+
+/// Replies to one peer share one connection and arrive in send order: a
+/// raw-socket fake peer sends a node `K` queries and its listener accepts
+/// exactly one connection carrying all `K` replies, in order.
+#[tokio::test]
+async fn replies_to_one_peer_reuse_one_ordered_connection() {
+    const K: u64 = 32;
+    let h = NodeRuntime::start(
+        NodeId::new(0),
+        Point::new(10.0, 10.0),
+        10.0,
+        Space::paper_evaluation(),
+        config(EngineMode::Basic),
+    )
+    .await
+    .unwrap();
+    h.bootstrap().await;
+    settle().await;
+    let node_addr = h.local_addr();
+    let replies = tokio::task::spawn_blocking(move || {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let fake = NodeInfo::new(NodeId::new(99), Point::new(1.0, 1.0), 1.0);
+        let mut to_node = std::net::TcpStream::connect(node_addr).unwrap();
+        for query_id in 0..K {
+            let env = Envelope {
+                sender: fake,
+                sender_addr: listener.local_addr().unwrap(),
+                addrs: Vec::new(),
+                message: Message::Query {
+                    query: LocationQuery::new(Region::new(10.0, 10.0, 1.0, 1.0), fake.id()),
+                    query_id,
+                    reply_to: fake.id(),
+                    hops: 0,
+                    fanout: false,
+                },
+            };
+            let bytes = env.encode();
+            let mut frame = (bytes.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&bytes);
+            to_node.write_all(&frame).unwrap();
+        }
+        listener.set_nonblocking(true).unwrap();
+        let accept_within = |wait: Duration| {
+            let give_up = Instant::now() + wait;
+            loop {
+                match listener.accept() {
+                    Ok((link, _)) => return Some(link),
+                    Err(_) if Instant::now() < give_up => {
+                        std::thread::sleep(Duration::from_millis(10));
+                    }
+                    Err(_) => return None,
+                }
+            }
+        };
+        let link = accept_within(Duration::from_secs(2)).expect("the node never connected");
+        link.set_nonblocking(false).unwrap();
+        link.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let mut link = BufReader::new(link);
+        let mut ids = Vec::new();
+        while ids.len() < K as usize {
+            let Ok(Some(frame)) = read_frame_blocking(&mut link) else {
+                break;
+            };
+            if let Message::QueryReply { query_id, .. } = Envelope::decode(&frame).unwrap().message
+            {
+                ids.push(query_id);
+            }
+        }
+        // A second connection would have been opened before the last
+        // reply was written.
+        let extra = accept_within(Duration::from_millis(200)).is_some();
+        (ids, extra)
+    })
+    .await
+    .unwrap();
+    let (ids, extra) = replies;
+    assert_eq!(
+        ids,
+        (0..K).collect::<Vec<_>>(),
+        "replies missing or reordered"
+    );
+    assert!(!extra, "replies opened more than one connection");
+    h.shutdown().await;
 }
 
 #[tokio::test]
