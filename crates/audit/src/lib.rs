@@ -1,10 +1,9 @@
 //! `geogrid-audit`: an offline, dependency-light static-analysis pass over
 //! the workspace's own Rust sources, run as `cargo lint-all`.
 //!
-//! It checks only what rustc, clippy, the workspace lint table and the
-//! runtime auditor (`geogrid_core::audit`) cannot express: call-site
-//! discipline for the coupled mutation primitives, and reachability
-//! properties of the routing hot path and the async transport. It uses a
+//! It checks only what rustc, clippy, the workspace lint table, the
+//! runtime auditor (`geogrid_core::audit`) and the tests cannot express:
+//! call-site discipline for the coupled mutation primitives. It uses a
 //! hand-rolled token scanner (no `syn` — the build environment has no
 //! registry access, and a lossy-but-honest lexer is all these rules need).
 //!
@@ -12,17 +11,11 @@
 //!
 //! | ID | Rule |
 //! |-------|------|
-//! | GG000 | marker hygiene: every `// audit:` marker uses a known family, attaches to a function, and carries required arguments |
+//! | GG000 | marker hygiene: every `// audit:` marker uses a known family and attaches to a function |
 //! | GG001 | marked-site primitives ([`SITE_FAMILIES`]): geometry rewrites, snapshot publication and store hand-off are called only from functions carrying their marker, and every marked function calls what its marker requires |
-//! | GG008 | `#[hot_path]` purity, direct and transitive: no allocation, blocking, or panicking construct in a hot function or reachable through helper calls (escape: `// audit: hot-path-exempt(reason)`) |
-//! | GG011 | no blocking call (`std::thread::sleep`, `std::sync::Mutex::lock`, `std::fs`/`std::net` IO) reachable from an `async fn` in `crates/transport` |
 //!
-//! GG000 and GG001 are *lexical* (per-function token patterns). GG008
-//! and GG011 are *reachability* rules: the [`graph`] module links
-//! every function definition and call site into an approximate workspace
-//! call graph and walks it (see that module's docs for the resolution
-//! strategy and its known false-negative classes). The missing ids
-//! belong to retired rules whose invariants other checks now enforce;
+//! Both rules are *lexical* (per-function token patterns). The missing
+//! ids belong to retired rules whose invariants other checks now enforce;
 //! DESIGN.md §7 names the enforcer of every invariant.
 //!
 //! Every rule has a fix-it hint ([`hint`]) and seeded-violation self-tests
@@ -43,10 +36,6 @@ use std::fmt;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-pub mod graph;
-
-pub use graph::{analyze_files, analyze_workspace, Analysis, UnresolvedCall};
-
 // ---------------------------------------------------------------------------
 // Rule metadata
 // ---------------------------------------------------------------------------
@@ -66,12 +55,11 @@ pub struct RuleInfo {
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "GG000",
-        summary: "marker hygiene: every `// audit:` marker uses a known family, \
-                  attaches to a function, and carries required arguments",
+        summary: "marker hygiene: every `// audit:` marker uses a known family \
+                  and attaches to a function",
         hint: "use one of the known marker families (geometry-rewrite, \
-               snapshot-publish, store-handoff, hot-path-exempt), place the \
-               marker directly above a function, and give hot-path-exempt a \
-               parenthesized reason",
+               snapshot-publish, store-handoff) and place the marker directly \
+               above a function",
     },
     RuleInfo {
         id: "GG001",
@@ -82,24 +70,6 @@ pub const RULES: &[RuleInfo] = &[
         hint: "move the call into an already-marked site, or mark the function \
                with the family's marker (geometry-rewrite, snapshot-publish, \
                store-handoff) and make it call the required primitives",
-    },
-    RuleInfo {
-        id: "GG008",
-        summary: "#[hot_path] purity: no allocation, blocking, or panicking \
-                  construct in a hot function or reachable from it through \
-                  any chain of resolved helper calls",
-        hint: "hoist the offending work out of the call chain (scratch \
-               buffers, precomputation), or — if the path is provably cold — \
-               mark the helper `// audit: hot-path-exempt(reason)`",
-    },
-    RuleInfo {
-        id: "GG011",
-        summary: "async purity: no blocking call (std::thread::sleep, \
-                  std::sync::Mutex::lock, std::fs / blocking std::net IO) \
-                  reachable from an async fn in crates/transport",
-        hint: "move the blocking work behind tokio::task::spawn_blocking, or \
-               use the tokio equivalent (tokio::time::sleep, tokio::net, \
-               parking_lot for brief uncontended locks)",
     },
 ];
 
@@ -451,8 +421,6 @@ pub struct FnItem {
     pub name: String,
     /// Line of the `fn` keyword.
     pub line: u32,
-    /// Flattened text of each outer attribute (tokens joined by spaces).
-    pub attrs: Vec<String>,
     /// `// audit:` markers attached to this function.
     pub markers: Vec<String>,
     /// Token-index range of the body (between the braces, exclusive).
@@ -460,8 +428,6 @@ pub struct FnItem {
     /// Whether the function is test-only (`#[test]`, `#[cfg(test)]`, or
     /// inside a `#[cfg(test)] mod`).
     pub is_test: bool,
-    /// Whether the function is declared `async`.
-    pub is_async: bool,
 }
 
 /// A file's lexed tokens plus the recovered item structure.
@@ -697,45 +663,14 @@ fn handle_fn(
         markers.push(lexed.markers[*marker_cursor].text.clone());
         *marker_cursor += 1;
     }
-    let is_test = attrs.iter().any(|a| is_test_attr(a));
     fm.fns.push(FnItem {
         name: name.clone(),
         line,
-        attrs,
         markers,
         body: open + 1..close,
-        is_test,
-        is_async: detect_async(toks, fn_idx),
+        is_test: attrs.iter().any(|a| is_test_attr(a)),
     });
     close + 1
-}
-
-/// Whether the `fn` at `fn_idx` carries an `async` qualifier. The
-/// qualifiers were already consumed by the caller's scan, so this walks
-/// back over the qualifier-shaped tokens (`pub (crate)`, `const`,
-/// `unsafe`, `extern "C"`, …) that may precede the keyword.
-fn detect_async(toks: &[Token], fn_idx: usize) -> bool {
-    let mut j = fn_idx;
-    while j > 0 {
-        let t = &toks[j - 1].tok;
-        let qualifier = matches!(
-            t,
-            Tok::Ident(s) if matches!(
-                s.as_str(),
-                "pub" | "const" | "async" | "unsafe" | "extern" | "crate" | "super" | "self" | "in"
-            )
-        ) || t.is("(")
-            || t.is(")")
-            || matches!(t, Tok::Str(_));
-        if !qualifier {
-            return false;
-        }
-        if t.is("async") {
-            return true;
-        }
-        j -= 1;
-    }
-    false
 }
 
 // ---------------------------------------------------------------------------
@@ -817,27 +752,9 @@ pub const SITE_FAMILIES: &[SiteFamily] = &[
     },
 ];
 
-pub(crate) const HOT_BANNED_METHODS: &[&str] =
-    &["clone", "to_vec", "collect", "to_owned", "to_string"];
-pub(crate) const HOT_BANNED_TYPES: &[&str] = &[
-    "Vec", "Box", "String", "HashMap", "HashSet", "BTreeMap", "BTreeSet", "VecDeque",
-];
-pub(crate) const HOT_BANNED_MACROS: &[&str] = &["vec", "format"];
-
 /// Marker families the audit vocabulary knows; anything else is a GG000
 /// violation (most often a typo that would silently disable a rule).
-pub const MARKER_FAMILIES: &[&str] = &[
-    "geometry-rewrite",
-    "snapshot-publish",
-    "store-handoff",
-    "hot-path-exempt",
-];
-
-/// Whether an outer attribute (flattened by [`model`]) is the
-/// `#[hot_path]` marker from `geogrid-marks`, however it was imported.
-pub(crate) fn is_hot_path_attr(a: &str) -> bool {
-    a == "hot_path" || a.ends_with(":: hot_path") || a.starts_with("hot_path (")
-}
+pub const MARKER_FAMILIES: &[&str] = &["geometry-rewrite", "snapshot-publish", "store-handoff"];
 
 /// Whether the body range contains a call to `name` (identifier followed
 /// by `(`, not a definition).
@@ -876,8 +793,8 @@ fn is_test_path(path: &str) -> bool {
     p.split('/').any(|seg| seg == "tests" || seg == "benches")
 }
 
-/// Runs the per-file rules (GG000, GG001) over one modelled file.
-pub(crate) fn lint_file(fm: &FileModel, out: &mut Vec<Finding>) {
+/// Runs the rules (GG000, GG001) over one modelled file.
+fn lint_file(fm: &FileModel, out: &mut Vec<Finding>) {
     if !is_test_path(&fm.path) {
         rule_marked_sites(fm, out);
     }
@@ -893,13 +810,11 @@ fn marker_family(text: &str) -> &str {
 }
 
 /// GG000: marker hygiene. Every `// audit:` marker must (a) name a known
-/// family, (b) precede a function so a rule actually consumes it, and
-/// (c) for `hot-path-exempt`, carry a non-empty `(reason)`. A marker
-/// failing any of these silently disables the rule it was meant to
+/// family and (b) precede a function so a rule actually consumes it. A
+/// marker failing either silently disables the rule it was meant to
 /// engage, which is worse than no marker at all. (A marker separated
 /// from its function by other items still attaches to that function —
-/// if the pairing is wrong, the dead-marker checks in GG001/GG008 fire
-/// instead.)
+/// if the pairing is wrong, GG001's dead-marker check fires instead.)
 fn rule_marker_hygiene(fm: &FileModel, out: &mut Vec<Finding>) {
     for f in &fm.fns {
         for m in &f.markers {
@@ -916,25 +831,6 @@ fn rule_marker_hygiene(fm: &FileModel, out: &mut Vec<Finding>) {
                         MARKER_FAMILIES.join(", "),
                     ),
                 });
-            } else if family == "hot-path-exempt" {
-                let reason = m
-                    .trim_start_matches("hot-path-exempt")
-                    .trim()
-                    .strip_prefix('(')
-                    .and_then(|r| r.strip_suffix(')'))
-                    .map(str::trim);
-                if reason.is_none_or(|r| r.is_empty()) {
-                    out.push(Finding {
-                        rule: "GG000",
-                        path: fm.path.clone(),
-                        line: f.line,
-                        message: format!(
-                            "`{}` has `audit: hot-path-exempt` without a \
-                             `(reason)` — exemptions must say why",
-                            f.name,
-                        ),
-                    });
-                }
             }
         }
     }
@@ -1036,6 +932,16 @@ pub fn collect_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     }
     out.sort();
     Ok(out)
+}
+
+/// Reads every first-party source under `root` and runs every rule;
+/// findings come in path order.
+pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
+    let mut findings = Vec::new();
+    for (path, text) in collect_sources(root)? {
+        lint_file(&model(&path, &lex(&text)), &mut findings);
+    }
+    Ok(findings)
 }
 
 /// Locates the workspace root by walking up from `start` to the first
@@ -1226,35 +1132,12 @@ mod tests {
         // it — the exemption (or site allowance) it promises is dead.
         let src = r#"
             fn promote(&mut self) {}
-            // audit: hot-path-exempt(dangling: attached to a const, not a fn)
+            // audit: store-handoff (dangling: attached to a const, not a fn)
             const SLAB_SLOTS: usize = 64;
         "#;
         let f = lint_source(CORE_PATH, src);
         assert_eq!(rules_of(&f), vec!["GG000"]);
         assert!(f[0].message.contains("stray"), "{}", f[0].message);
-    }
-
-    #[test]
-    fn gg000_requires_reason_on_hot_path_exempt() {
-        let bare = r#"
-            // audit: hot-path-exempt
-            fn grow(&mut self) {}
-        "#;
-        let f = lint_source(CORE_PATH, bare);
-        assert_eq!(rules_of(&f), vec!["GG000"]);
-        assert!(f[0].message.contains("without a"), "{}", f[0].message);
-
-        let empty = r#"
-            // audit: hot-path-exempt(  )
-            fn grow(&mut self) {}
-        "#;
-        assert_eq!(rules_of(&lint_source(CORE_PATH, empty)), vec!["GG000"]);
-
-        let reasoned = r#"
-            // audit: hot-path-exempt(one-time lazy growth, capped)
-            fn grow(&mut self) {}
-        "#;
-        assert!(lint_source(CORE_PATH, reasoned).is_empty());
     }
 
     #[test]
@@ -1280,7 +1163,7 @@ mod tests {
     #[test]
     fn rule_table_is_consistent() {
         let ids: Vec<&str> = RULES.iter().map(|r| r.id).collect();
-        assert_eq!(ids, ["GG000", "GG001", "GG008", "GG011"]);
+        assert_eq!(ids, ["GG000", "GG001"]);
         for r in RULES {
             assert!(!r.summary.is_empty());
             assert!(!r.hint.is_empty());

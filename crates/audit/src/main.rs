@@ -16,7 +16,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use geogrid_audit::{analyze_workspace, find_workspace_root, Analysis, RULES};
+use geogrid_audit::{analyze_workspace, find_workspace_root, Finding, RULES};
 
 const USAGE: &str = "\
 geogrid-audit: offline static-analysis pass over the GeoGrid workspace
@@ -28,8 +28,6 @@ OPTIONS:
     --root <dir>    lint the workspace rooted at <dir> instead of
                     discovering it from the current directory
     --list-rules    print the rule catalog (ids, summaries, fix-it hints)
-    --verbose       also print call sites the graph resolver could not
-                    link, plus resolution statistics
     -q, --quiet     print findings only, no summary line
     -h, --help      this text
 ";
@@ -37,7 +35,6 @@ OPTIONS:
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut quiet = false;
-    let mut verbose = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -54,7 +51,6 @@ fn main() -> ExitCode {
                 }
                 return ExitCode::SUCCESS;
             }
-            "--verbose" => verbose = true,
             "-q" | "--quiet" => quiet = true,
             "-h" | "--help" => {
                 print!("{USAGE}");
@@ -84,8 +80,8 @@ fn main() -> ExitCode {
         }
     };
 
-    let analysis = match analyze_workspace(&root) {
-        Ok(a) => a,
+    let findings = match analyze_workspace(&root) {
+        Ok(f) => f,
         Err(e) => {
             eprintln!(
                 "error: failed to read sources under {}: {e}",
@@ -95,39 +91,24 @@ fn main() -> ExitCode {
         }
     };
 
-    render_text(&analysis, quiet, verbose);
-    if analysis.findings.is_empty() {
+    render_text(&findings, quiet);
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
     }
 }
 
-fn render_text(analysis: &Analysis, quiet: bool, verbose: bool) {
-    for f in &analysis.findings {
+fn render_text(findings: &[Finding], quiet: bool) {
+    for f in findings {
         println!("{f}\n");
     }
-    if verbose {
-        println!(
-            "call graph: {} function(s), {} resolved edge(s), {} external edge(s), \
-             {} unresolved call(s)",
-            analysis.functions,
-            analysis.edges_resolved,
-            analysis.edges_external,
-            analysis.unresolved.len()
-        );
-        for u in &analysis.unresolved {
-            println!(
-                "  unresolved {}:{} {} -> {}",
-                u.path, u.line, u.caller, u.callee
-            );
-        }
+    if quiet {
+        return;
     }
-    if analysis.findings.is_empty() {
-        if !quiet {
-            println!("geogrid-audit: clean ({} rules, 0 findings)", RULES.len());
-        }
-    } else if !quiet {
-        println!("geogrid-audit: {} finding(s)", analysis.findings.len());
+    if findings.is_empty() {
+        println!("geogrid-audit: clean ({} rules, 0 findings)", RULES.len());
+    } else {
+        println!("geogrid-audit: {} finding(s)", findings.len());
     }
 }

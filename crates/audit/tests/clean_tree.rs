@@ -1,11 +1,11 @@
 //! Regression gate: the workspace's own sources must stay lint-clean.
 //!
 //! Every rule's positive/negative behavior is covered by the unit
-//! self-tests in `src/lib.rs` and `src/graph.rs`; this test pins the
-//! other half of the contract — `cargo lint-all` exits 0 on the real
-//! tree — so a change that re-introduces debt (an unmarked
-//! geometry-rewrite site, an allocation on the hot path) fails
-//! `cargo test-all` even before CI runs the binary.
+//! self-tests in `src/lib.rs`; this test pins the other half of the
+//! contract — `cargo lint-all` exits 0 on the real tree — so a change
+//! that re-introduces debt (an unmarked geometry-rewrite site, a stray
+//! or misspelt `// audit:` marker) fails `cargo test-all` even before
+//! CI runs the binary.
 
 #![forbid(unsafe_code)]
 
@@ -21,9 +21,7 @@ fn workspace_root() -> std::path::PathBuf {
 #[test]
 fn workspace_tree_is_lint_clean() {
     let root = workspace_root();
-    let findings = analyze_workspace(&root)
-        .expect("workspace sources are readable")
-        .findings;
+    let findings = analyze_workspace(&root).expect("workspace sources are readable");
     assert!(
         findings.is_empty(),
         "cargo lint-all must be clean, got {} finding(s):\n{}",

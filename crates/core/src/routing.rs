@@ -72,7 +72,6 @@ use std::cell::RefCell;
 use std::collections::HashSet;
 
 use geogrid_geometry::{Point, Region};
-use geogrid_marks::hot_path;
 use rand::SeedableRng;
 
 use crate::snapshot::TopologyView;
@@ -280,7 +279,6 @@ pub fn next_hop<V: TopologyView + ?Sized>(
 /// neighbors, ordered by the same `(closest-point distance, center
 /// distance, id)` key as [`next_hop`].
 #[inline]
-#[hot_path]
 fn scan_next_hop<V: TopologyView + ?Sized>(
     view: &V,
     from_slot: usize,
@@ -309,7 +307,6 @@ fn scan_next_hop<V: TopologyView + ?Sized>(
 /// neighbors within the `slack`-relative tie window of the best
 /// closest-point distance, ascending by id, written into `out` without
 /// allocating.
-#[hot_path]
 fn candidates_into_filtered<V: TopologyView + ?Sized>(
     view: &V,
     from_slot: usize,
@@ -389,7 +386,6 @@ pub fn next_hop_candidates_into<V: TopologyView + ?Sized>(
 /// trace is in [`RouteScratch::hops`].
 ///
 /// Produces exactly the hops of [`route_uncached`] for every input.
-#[hot_path]
 pub(crate) fn greedy_into<V: TopologyView + ?Sized>(
     view: &V,
     from: RegionId,
@@ -408,7 +404,6 @@ pub(crate) fn greedy_into<V: TopologyView + ?Sized>(
 /// `current`; the express prefix before `base` carries no visited marks,
 /// so from the handoff on this walk sees exactly the state
 /// [`route_uncached`] would build starting there.
-#[hot_path]
 fn greedy_loop<V: TopologyView + ?Sized>(
     view: &V,
     mut current: RegionId,
@@ -459,7 +454,6 @@ fn greedy_loop<V: TopologyView + ?Sized>(
 /// region, the express phase is over.
 ///
 /// Deterministic in the geometry alone (no visited state).
-#[hot_path]
 fn express_choice<V: TopologyView + ?Sized>(
     view: &V,
     current: RegionId,
@@ -522,7 +516,6 @@ fn express_choice<V: TopologyView + ?Sized>(
 ///
 /// On networks too coarse for any finger to qualify the express phase
 /// takes zero hops and this is exactly [`greedy_into`].
-#[hot_path]
 pub(crate) fn express_into<V: TopologyView + ?Sized>(
     view: &V,
     from: RegionId,
@@ -557,7 +550,6 @@ pub(crate) fn express_into<V: TopologyView + ?Sized>(
 ///
 /// Produces exactly the same hops for the same RNG state regardless of
 /// which wrapper drives it.
-#[hot_path]
 pub(crate) fn randomized_into<V: TopologyView + ?Sized, R: rand::Rng + ?Sized>(
     view: &V,
     from: RegionId,

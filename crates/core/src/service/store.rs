@@ -29,7 +29,6 @@ use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 
 use geogrid_geometry::{GridBuckets, Point, Region};
-use geogrid_marks::hot_path;
 
 use crate::service::{Hlc, HlcClock, LocationQuery, LocationRecord, Subscription};
 use crate::NodeId;
@@ -99,7 +98,7 @@ impl ExpiryWheel {
     /// Materialises the near buckets on the first filed deadline. Lazy so
     /// the thousands of per-region stores that never hold a deadline stay
     /// at `size_of::<ExpiryWheel>()`.
-    // audit: hot-path-exempt(one-time lazy bucket allocation on the first deadline a wheel ever files)
+    // Allocates, but only once: on the first deadline a wheel ever files.
     fn ensure_buckets(&mut self) {
         if self.buckets.is_empty() {
             self.buckets.resize_with(WHEEL_SLOTS as usize, Vec::new);
@@ -274,7 +273,6 @@ impl RegionStore {
     /// [`Self::publish`] into a caller-recycled buffer. Subscribers are
     /// appended in ascending node order (duplicates preserved: one entry
     /// per matching subscription).
-    #[hot_path]
     pub fn publish_into(&mut self, record: LocationRecord, now: u64, notified: &mut Vec<NodeId>) {
         notified.clear();
         self.advance(now);
@@ -291,7 +289,6 @@ impl RegionStore {
 
     /// Appends the subscribers matching a publication at `pos`/`topic` to
     /// `out`, consulting only the position's grid bucket when indexed.
-    #[hot_path]
     fn notify_into(&self, pos: Point, topic: &str, now: u64, out: &mut Vec<NodeId>) {
         let visit = |sub: &Subscription| {
             if sub.matches(pos, topic, now) {
@@ -321,7 +318,6 @@ impl RegionStore {
 
     /// [`Self::query`] into a caller-recycled id buffer (ascending), the
     /// zero-allocation form for update-heavy drivers.
-    #[hot_path]
     pub fn query_ids_into(&self, query: &LocationQuery, now: u64, out: &mut Vec<u64>) {
         out.clear();
         self.for_each_match(query, now, |r| out.push(r.id()));
@@ -692,7 +688,9 @@ impl RegionStore {
         }
     }
 
-    // audit: hot-path-exempt(grid (re)build fires once past INDEX_THRESHOLD and at most O(log extent) times on bounds growth; per-op filings never reach it)
+    // Allocates, but rarely: the grid (re)build fires once past
+    // INDEX_THRESHOLD and at most O(log extent) times on bounds growth;
+    // per-op filings never reach it.
     fn build_grid(&mut self) {
         let bounds = self.learned_bounds();
         let mut grid = StoreIndex {

@@ -17,7 +17,6 @@ use std::fmt;
 use std::sync::{Arc, PoisonError, RwLock};
 
 use geogrid_geometry::{GridBuckets, Point, Region, Space};
-use geogrid_marks::hot_path;
 
 use crate::audit::{Violation, ViolationKind};
 use crate::snapshot::{SnapshotCell, TopologySnapshot, TopologyView};
@@ -408,7 +407,6 @@ impl Topology {
     /// The rectangle of the live region in `slot`, from the flat geometry
     /// mirror (no `Option` chasing). `slot` must index a live region.
     #[inline]
-    #[hot_path]
     pub fn slot_rect(&self, slot: usize) -> Region {
         self.slot_geo[slot].rect
     }
@@ -416,7 +414,6 @@ impl Topology {
     /// The center of the live region in `slot`, same contract as
     /// [`Self::slot_rect`].
     #[inline]
-    #[hot_path]
     pub fn slot_center(&self, slot: usize) -> Point {
         self.slot_geo[slot].center
     }
@@ -432,7 +429,6 @@ impl Topology {
     /// maintained exactly at the three geometry-rewrite sites, so a
     /// non-`FINGER_NONE` entry always names a live region.
     #[inline]
-    #[hot_path]
     pub fn slot_fingers(&self, slot: usize) -> &FingerBlock {
         &self.slot_fingers[slot]
     }
@@ -441,7 +437,6 @@ impl Topology {
     /// Express routing hands off to the plain greedy walk once the
     /// remaining distance drops below this floor.
     #[inline]
-    #[hot_path]
     pub fn finger_base(&self) -> f64 {
         let b = self.space().bounds();
         b.width().max(b.height()) / 1024.0
@@ -526,7 +521,6 @@ impl Topology {
     ///
     /// [`CoreError::OutOfSpace`] if `p` is outside the space, or
     /// [`CoreError::EmptyNetwork`] if there are no regions.
-    #[hot_path]
     pub fn locate(&self, p: Point) -> Result<RegionId, CoreError> {
         let space = self.space();
         if !space.covers(p) {

@@ -192,6 +192,10 @@ impl BootstrapClient {
 /// # Errors
 ///
 /// Any I/O error from creating parent directories or writing the file.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "blocking file IO by design: geogrid-node calls this under spawn_blocking"
+)]
 pub fn save_host_cache(path: &std::path::Path, nodes: &[(NodeId, SocketAddr)]) -> io::Result<()> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
@@ -209,6 +213,10 @@ pub fn save_host_cache(path: &std::path::Path, nodes: &[(NodeId, SocketAddr)]) -
 /// # Errors
 ///
 /// Only the I/O error of reading the file itself.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "blocking file IO by design: geogrid-node calls this under spawn_blocking"
+)]
 pub fn load_host_cache(path: &std::path::Path) -> io::Result<Vec<(NodeId, SocketAddr)>> {
     let text = std::fs::read_to_string(path)?;
     let mut out = Vec::new();
@@ -230,6 +238,10 @@ mod tests {
     use super::*;
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a plain #[test] thread, outside any async runtime"
+    )]
     fn host_cache_round_trips_and_skips_garbage() {
         let dir = std::env::temp_dir().join("geogrid_host_cache_test");
         let path = dir.join("hosts.txt");

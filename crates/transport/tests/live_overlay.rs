@@ -350,6 +350,10 @@ async fn a_dead_peer_looks_like_lost_datagrams() {
 /// A stopped node closes its listener: nothing is left accepting on its
 /// port.
 #[tokio::test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a std-socket probe, run under spawn_blocking"
+)]
 async fn a_stopped_node_closes_its_listener() {
     let h = NodeRuntime::start(
         NodeId::new(0),
@@ -385,6 +389,10 @@ async fn a_stopped_node_closes_its_listener() {
 /// raw-socket fake peer sends a node `K` queries and its listener accepts
 /// exactly one connection carrying all `K` replies, in order.
 #[tokio::test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a std-socket fake peer, run under spawn_blocking"
+)]
 async fn replies_to_one_peer_reuse_one_ordered_connection() {
     const K: u64 = 32;
     let h = NodeRuntime::start(
