@@ -88,8 +88,8 @@ pub enum ViolationKind {
     /// The published [`TopologySnapshot`](crate::snapshot::TopologySnapshot)
     /// identifies a different `(instance, epoch)` than the topology it was
     /// published from: a geometry rewrite ran without republishing (a
-    /// GG001 marker was bypassed, or the epoch was written outside
-    /// `bump_epoch`), or a snapshot from another
+    /// rewrite site skipped `publish_snapshot`, or the epoch was written
+    /// outside `bump_epoch`), or a snapshot from another
     /// instance was installed into this topology's cell.
     StaleSnapshot {
         /// Epoch recorded in the published snapshot.

@@ -684,7 +684,6 @@ impl NodeEngine {
     }
 
     /// A departing sole-owner neighbor handed us its region: absorb it.
-    // audit: store-handoff
     fn on_merge_regions(
         &mut self,
         now: u64,
@@ -1192,7 +1191,6 @@ impl NodeEngine {
     /// joiner; a full region splits between its dual peers — leaving both
     /// halves half-full — and the joiner is then paired with the weaker
     /// half-owner.
-    // audit: store-handoff
     fn split_and_place(&mut self, now: u64, joiner: NodeInfo) -> Vec<Effect> {
         let State::Owner(owner) = &mut self.state else {
             return Vec::new();

@@ -19,8 +19,7 @@
 //! * [`audit`] — structured invariant auditing: typed
 //!   [`Violation`](audit::Violation)s from a full multi-violation sweep
 //!   ([`Topology::audit`]), plus the stateful [`TopologyAuditor`](audit::TopologyAuditor)
-//!   that also tracks epoch monotonicity. The static side of the same
-//!   story (the `cargo lint-all` rules) lives in `crates/audit`.
+//!   that also tracks epoch monotonicity.
 //! * [`snapshot`] — immutable epoch-published [`TopologySnapshot`](snapshot::TopologySnapshot)s
 //!   behind an RCU-style [`SnapshotCell`](snapshot::SnapshotCell): N reader
 //!   threads route lock-free against the latest snapshot while split/merge

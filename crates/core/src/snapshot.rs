@@ -3,24 +3,24 @@
 //!
 //! [`Topology`](crate::Topology) is a single-writer structure — every
 //! split, merge, and ownership move takes `&mut`. The routing engines,
-//! however, only ever *read* geometry, and the invariants enforced by the
-//! workspace lint pass and the runtime auditor make those reads
-//! snapshottable:
+//! however, only ever *read* geometry, and two invariants, held by rustc
+//! privacy and the runtime auditor, make those reads snapshottable:
 //!
-//! * **GG001** — region geometry (rectangles, adjacency, the grid index,
-//!   the finger blocks) is rewritten at exactly three marked sites:
+//! * Region geometry (rectangles, adjacency, the grid index, the finger
+//!   blocks) is rewritten at exactly three sites:
 //!   [`Topology::bootstrap`](crate::Topology::bootstrap),
 //!   [`Topology::split_region`](crate::Topology::split_region), and
-//!   [`Topology::merge_regions`](crate::Topology::merge_regions).
-//! * The geometry epoch is written only by `bump_epoch`, which GG001
-//!   requires at each of those sites; the runtime auditor reports any
+//!   [`Topology::merge_regions`](crate::Topology::merge_regions). The
+//!   rewrite primitives are private to `topology.rs`.
+//! * The geometry epoch is written only by the private `bump_epoch`,
+//!   called at each of those sites; the runtime auditor reports any
 //!   other write as `stale-snapshot` or `epoch-regression`.
 //!
 //! So "the geometry at epoch E" is a well-defined immutable value, and the
 //! three sites are the only places it can change. This module captures
 //! that value as a [`TopologySnapshot`] and publishes it through a
 //! [`SnapshotCell`] — an RCU-style cell the three sites atomically swap a
-//! fresh `Arc` into (rule GG001 forbids publication anywhere else). Reader
+//! fresh `Arc` into (nothing outside this crate can publish). Reader
 //! threads hold a [`SnapshotReader`] whose steady-state cost per query is
 //! **one atomic load**: the cell's version counter is checked, and only
 //! when it changed does the reader touch the lock to fetch the new `Arc`.
@@ -270,10 +270,10 @@ impl TopologyView for TopologySnapshot {
 ///
 /// Obtained from [`Topology::publish_handle`](crate::Topology::publish_handle);
 /// once attached, the three geometry-rewrite sites republish into it on
-/// every mutation (and the workspace lint rule **GG001** forbids calling
-/// [`Self::install_snapshot`] anywhere else). Readers do not use the cell
-/// directly per query — they hold a [`SnapshotReader`], which turns the
-/// common no-change case into a single atomic load.
+/// every mutation (`install_snapshot` is `pub(crate)`, and the auditor's
+/// `stale-snapshot` reports a site that skips it). Readers do not use
+/// the cell directly per query — they hold a [`SnapshotReader`], which
+/// turns the common no-change case into a single atomic load.
 #[derive(Debug)]
 pub struct SnapshotCell {
     /// Publication counter, bumped (Release) on every install while the
@@ -302,12 +302,11 @@ impl SnapshotCell {
 
     /// Atomically publishes `snap` as the current snapshot.
     ///
-    /// This is a publication primitive in the sense of lint rule GG001:
-    /// outside tests, it may only be called from the marked
-    /// geometry-rewrite / snapshot-publish sites — concurrent readers
-    /// assume every published snapshot is a coherent epoch of the one
-    /// attached topology, and an out-of-band install breaks that.
-    pub fn install_snapshot(&self, snap: Arc<TopologySnapshot>) {
+    /// Crate-private: outside tests, only `Topology::publish_snapshot`
+    /// calls it, at the geometry-rewrite sites. Concurrent readers assume
+    /// every published snapshot is a coherent epoch of the one attached
+    /// topology, and an out-of-band install breaks that.
+    pub(crate) fn install_snapshot(&self, snap: Arc<TopologySnapshot>) {
         let mut guard = self.slot.write().unwrap_or_else(PoisonError::into_inner);
         debug_assert!(
             snap.instance_id == guard.instance_id && snap.epoch >= guard.epoch,

@@ -237,9 +237,9 @@ pub struct Topology {
     snap_cache: RwLock<Option<Arc<TopologySnapshot>>>,
     /// The publication cell attached by [`Self::publish_handle`], if any.
     /// While attached, every geometry-rewrite site republishes into it
-    /// (enforced by lint rule GG001's table). `None` costs publication
-    /// nothing — unattached topologies skip snapshot construction
-    /// entirely.
+    /// (the auditor's `stale-snapshot` reports a site that does not).
+    /// `None` costs publication nothing — unattached topologies skip
+    /// snapshot construction entirely.
     publish: Option<Arc<SnapshotCell>>,
 }
 
@@ -355,7 +355,6 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if called when the network already has regions.
-    // audit: geometry-rewrite requires = bump_epoch, publish_snapshot, rewrite_geometry|alloc_slot|free_slot, rebuild_fingers_of|fingers_after_split|fingers_after_merge
     pub fn bootstrap(&mut self, node: NodeId) -> Result<RegionId, CoreError> {
         assert!(self.region_count == 0, "bootstrap on a non-empty network");
         self.ensure_unassigned(node)?;
@@ -577,7 +576,6 @@ impl Topology {
     ///   ids.
     /// * [`CoreError::WrongRole`] if `keep` is not the primary of `rid`, or
     ///   `give` is neither its secondary nor unassigned.
-    // audit: geometry-rewrite requires = bump_epoch, publish_snapshot, rewrite_geometry|alloc_slot|free_slot, rebuild_fingers_of|fingers_after_split|fingers_after_merge
     pub fn split_region(
         &mut self,
         rid: RegionId,
@@ -679,7 +677,6 @@ impl Topology {
     /// * [`CoreError::NotMergeable`] if the rectangles don't merge.
     /// * [`CoreError::WrongRole`] if `primary`/`secondary` are not among
     ///   the current owners of `a` and `b`.
-    // audit: geometry-rewrite requires = bump_epoch, publish_snapshot, rewrite_geometry|alloc_slot|free_slot, rebuild_fingers_of|fingers_after_split|fingers_after_merge
     pub fn merge_regions(
         &mut self,
         a: RegionId,
@@ -1310,10 +1307,11 @@ impl Topology {
     /// Republishes the current geometry into the attached publication
     /// cell; a no-op (no snapshot is even built) while no cell is
     /// attached. Publication happens only here and only beside the epoch
-    /// bump: lint rule GG001 requires this call at each of the three
-    /// geometry-rewrite sites and forbids the publication primitives
-    /// everywhere else.
-    // audit: snapshot-publish
+    /// bump, at the three geometry-rewrite sites: this function is private
+    /// and [`SnapshotCell::install_snapshot`] is `pub(crate)`, so nothing
+    /// outside this crate can publish. A site that skips this call leaves
+    /// the cell behind the epoch: the auditor reports `stale-snapshot`,
+    /// and `epoch_bumps_on_geometry_changes_only` fails.
     fn publish_snapshot(&mut self) {
         if let Some(cell) = &self.publish {
             cell.install_snapshot(self.snapshot());
@@ -1466,9 +1464,9 @@ impl Topology {
     /// auditor's `stale-snapshot` or `epoch-regression` violation), and it
     /// is called at exactly the three geometry-rewrite sites —
     /// [`Self::bootstrap`], [`Self::split_region`],
-    /// [`Self::merge_regions`] — which rule GG001 holds to the full
-    /// three-site contract (epoch bump + grid index + slot mirror +
-    /// snapshot publication).
+    /// [`Self::merge_regions`]. It is private, so only this file can call
+    /// it; `epoch_bumps_on_geometry_changes_only` fails if one of those
+    /// sites skips it.
     fn bump_epoch(&mut self) {
         self.epoch += 1;
     }
@@ -2114,13 +2112,18 @@ mod tests {
     #[test]
     fn epoch_bumps_on_geometry_changes_only() {
         let mut t = Topology::new(space());
+        // Attached before the first rewrite: every rewrite site must
+        // republish, so the cell tracks the epoch throughout.
+        let cell = t.publish_handle();
         let n = t.register_node(Point::new(10.0, 10.0), 100.0);
         assert_eq!(t.epoch(), 0);
         let r = t.bootstrap(n).unwrap();
         assert_eq!(t.epoch(), 1);
+        assert_eq!(cell.load().epoch(), t.epoch(), "bootstrap did not publish");
         let j = t.register_node(Point::new(50.0, 50.0), 10.0);
         let nr = t.split_region(r, n, j).unwrap();
         assert_eq!(t.epoch(), 2);
+        assert_eq!(cell.load().epoch(), t.epoch(), "split did not publish");
         // Ownership-only operations leave geometry (and the epoch) alone.
         let s = t.register_node(Point::new(20.0, 20.0), 10.0);
         t.set_secondary(r, s).unwrap();
@@ -2130,6 +2133,7 @@ mod tests {
         assert_eq!(t.epoch(), 2);
         t.merge_regions(r, nr, n, None).unwrap();
         assert_eq!(t.epoch(), 3);
+        assert_eq!(cell.load().epoch(), t.epoch(), "merge did not publish");
         // Failed (validated-away) mutations must not bump either.
         assert!(t.split_region(nr, n, j).is_err());
         assert_eq!(t.epoch(), 3);
@@ -2411,9 +2415,8 @@ mod tests {
         let (mut t, _, _, _) = two_regions();
         let _cell = t.publish_handle();
         assert!(t.audit().is_empty(), "{:?}", t.audit());
-        // Advance the epoch without republishing. (Only a test can: GG001
-        // requires publish_snapshot beside every bump_epoch at the rewrite
-        // sites, and pins publication to those sites.)
+        // Advance the epoch without republishing, as a rewrite site that
+        // skipped `publish_snapshot` would.
         t.bump_epoch();
         let v = t.audit();
         assert!(
@@ -2430,9 +2433,9 @@ mod tests {
     fn audit_detects_snapshot_content_drift() {
         let (mut t, _, r, _) = two_regions();
         let cell = t.publish_handle();
-        // Side-load a corrupted snapshot of the *same* epoch (tests are
-        // exempt from GG001): identity matches, so the audit must compare
-        // content and catch the dead-listed live region.
+        // Side-load a corrupted snapshot of the *same* epoch: identity
+        // matches, so the audit must compare content and catch the
+        // dead-listed live region.
         let mut snap = t.build_snapshot();
         snap.live[r.index()] = false;
         cell.install_snapshot(Arc::new(snap));

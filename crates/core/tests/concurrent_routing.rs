@@ -36,6 +36,15 @@ fn coord(seed: u64, i: u64) -> Point {
     Point::new(x, y)
 }
 
+/// Sets its flag when dropped, on return or on unwind alike.
+struct SetOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for SetOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
 fn grow(t: &mut Topology, at: Point) {
     let rid = t.locate_scan(at).expect("in space");
     let primary = t.region(rid).expect("live").primary();
@@ -164,8 +173,11 @@ fn readers_route_coherently_under_writer_storm() {
             }));
         }
 
-        // Writer: split/merge storm, republishing on every mutation.
+        // Writer: split/merge storm, republishing on every mutation. The
+        // guard sets `done` even if the writer panics, so the readers stop
+        // and the test fails with the writer's message instead of hanging.
         start.wait();
+        let stop_readers = SetOnDrop(&done);
         for i in 0..WRITER_OPS {
             if i % 3 == 2 {
                 shrink(&mut t, coord(7, i));
@@ -174,7 +186,7 @@ fn readers_route_coherently_under_writer_storm() {
             }
             std::thread::yield_now();
         }
-        done.store(true, Ordering::Release);
+        drop(stop_readers);
 
         handles
             .into_iter()

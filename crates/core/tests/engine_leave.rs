@@ -1,7 +1,11 @@
-//! Graceful departure at the protocol level (§2.3 "Node Departure").
+//! Graceful departure at the protocol level (§2.3 "Node Departure"), and
+//! the store hand-off at both geometry rewrites: records and
+//! subscriptions go with the half a join split gives away, and with the
+//! region a departing owner merges into its sibling.
 
 use geogrid_core::engine::sim::SimHarness;
-use geogrid_core::engine::{ClientEvent, EngineConfig, EngineMode, Input};
+use geogrid_core::engine::{ClientEvent, EngineConfig, EngineMode, Input, OwnerView};
+use geogrid_core::service::{LocationRecord, RegionStore, Subscription};
 use geogrid_core::topology::Role;
 use geogrid_core::NodeId;
 use geogrid_geometry::{Point, Region, Space};
@@ -36,6 +40,57 @@ fn primary_area(h: &SimHarness) -> f64 {
         .filter(|(_, v)| v.role == Role::Primary)
         .map(|(_, v)| v.region.area())
         .sum()
+}
+
+/// Record `i` sits at the centre of cell `i` of a 4×4 grid over the
+/// space, off every split line.
+fn record_position(i: u64) -> Point {
+    Point::new(8.0 + 16.0 * (i % 4) as f64, 8.0 + 16.0 * (i / 4) as f64)
+}
+
+/// Publishes records `0..16` through node 0 and lets them land.
+fn publish_grid(h: &mut SimHarness) {
+    for i in 0..16 {
+        let record = LocationRecord::new(i, "car", record_position(i), Vec::new());
+        h.inject(NodeId::new(0), Input::UserPublish { record });
+    }
+    h.run_for(500);
+}
+
+/// The owners whose view and store satisfy `pick`, in node-id order.
+fn owners(h: &SimHarness, pick: impl Fn(&OwnerView, &RegionStore) -> bool) -> Vec<NodeId> {
+    h.owner_views()
+        .into_iter()
+        .filter(|(id, v)| {
+            h.engine(*id)
+                .and_then(|e| e.store())
+                .is_some_and(|s| pick(v, s))
+        })
+        .map(|(id, _)| id)
+        .collect()
+}
+
+#[test]
+fn join_split_hands_records_to_the_covering_primary() {
+    let mut h = harness(EngineMode::Basic, 1, 5);
+    publish_grid(&mut h);
+    let area = Region::new(8.0, 8.0, 4.0, 4.0);
+    let sub = Subscription::new(100, area, NodeId::new(0), u64::MAX);
+    h.inject(NodeId::new(0), Input::UserSubscribe { sub });
+    h.join(Point::new(54.0, 54.0), 10.0);
+    h.run_for(1_000);
+
+    assert_eq!(h.owner_count(), 2, "the join did not split the region");
+    let space = h.space();
+    for i in 0..16 {
+        let at = record_position(i);
+        let cover = owners(&h, |v, _| space.region_covers(&v.region, at));
+        let held = owners(&h, |_, s| s.get(i).is_some());
+        assert_eq!(held, cover, "record {i} at {at:?}");
+    }
+    let overlapping = owners(&h, |v, _| v.region.intersects(&area));
+    let held = owners(&h, |_, s| s.subscriptions().any(|s| s.id() == 100));
+    assert_eq!(held, overlapping, "subscription over {area:?}");
 }
 
 #[test]
@@ -94,6 +149,8 @@ fn sole_owner_departure_merges_with_sibling() {
     // can hand its region to the other.
     let mut h = harness(EngineMode::Basic, 2, 3);
     let leaver = NodeId::new(1);
+    publish_grid(&mut h);
+    assert_eq!(owners(&h, |_, s| s.record_count() > 0).len(), 2);
     h.inject(leaver, Input::Leave);
     h.run_for(1_000);
     let views = h.owner_views();
@@ -104,6 +161,8 @@ fn sole_owner_departure_merges_with_sibling() {
         .map(|(_, v)| v.clone())
         .expect("survivor");
     assert_eq!(survivor.region, Region::new(0.0, 0.0, 64.0, 64.0));
+    // ...and every record, the leaver's included.
+    assert_eq!(survivor.records, 16, "the leaver's records were lost");
     assert!(h
         .events_of(leaver)
         .iter()
