@@ -32,10 +32,16 @@ pub async fn write_frame<W: AsyncWrite + Unpin>(writer: &mut W, payload: &[u8]) 
     // peer's delayed ACK stall the payload behind it (Nagle), which cost
     // ~90 ms per frame on an established connection.
     let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(payload);
+    push_frame(&mut frame, payload);
     writer.write_all(&frame).await?;
     writer.flush().await
+}
+
+/// Appends one frame carrying `payload` to `buf`. The caller has checked
+/// that `payload` is at most [`MAX_FRAME`], so its length fits the prefix.
+pub(crate) fn push_frame(buf: &mut Vec<u8>, payload: &[u8]) {
+    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(payload);
 }
 
 /// The payload length a frame's prefix announces, refused above

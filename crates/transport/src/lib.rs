@@ -12,8 +12,9 @@
 //! * [`runtime`] — [`runtime::NodeRuntime`]: owns one
 //!   [`NodeEngine`](geogrid_core::engine::NodeEngine), a TCP listener,
 //!   and the `NodeId → SocketAddr` address book learned from message
-//!   envelopes; one writer task keeps a connection per peer, and each
-//!   accepted connection has its own blocking reader,
+//!   envelopes; one actor thread per node runs the engine and writes its
+//!   own nonblocking connection per peer, and each accepted connection
+//!   has its own blocking reader thread,
 //! * [`bootstrap`] — the bootstrap server §2.1 assumes: a directory nodes
 //!   register with and fetch entry points from.
 //!

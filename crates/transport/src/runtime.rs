@@ -1,32 +1,51 @@
-//! The async node runtime: one engine, one listener, one address book.
+//! The node runtime: one engine, one listener, one address book, on plain
+//! std threads behind an async handle.
 //!
-//! [`NodeRuntime::start`] spawns an actor that owns a
-//! [`geogrid_core::engine::NodeEngine`] and drives it from
-//! three sources: inbound TCP frames, a periodic tick, and local commands
-//! from the [`RuntimeHandle`]. Every outbound message is wrapped in an
-//! [`Envelope`] carrying the sender's listen address plus address-book
-//! entries for every node id the message references, so receivers can
-//! always resolve the ids they learn.
+//! [`NodeRuntime::start`] binds the listener and starts two threads. The
+//! **actor** owns a [`geogrid_core::engine::NodeEngine`] and every
+//! outbound connection, and blocks on one bounded channel that carries
+//! commands from the [`RuntimeHandle`], envelopes from the readers, and
+//! the results of the connects it asked for. Between inputs it sleeps
+//! until the next tick, which runs one tick interval after the last one
+//! ran. The **accept thread** blocks in `accept()` and gives each accepted
+//! connection a blocking **reader** thread, which decodes frames into the
+//! actor's channel. A node therefore runs an actor, an accept thread, one
+//! reader per peer that has sent to it, and, while a connect is in flight,
+//! a short-lived connect helper for that peer.
 //!
-//! Each node keeps one long-lived connection per peer it sends to. The
-//! actor hands encoded frames to one writer task through a bounded queue;
-//! the writer owns a `TcpStream` per peer address (`TCP_NODELAY` set),
-//! so frames to one peer arrive in the order they were sent. Each
-//! accepted connection gets one blocking reader thread, which the kernel
-//! wakes the moment bytes arrive. A node therefore runs an actor, a
-//! writer, an accept loop, and one reader per peer that has sent to it.
+//! Every outbound message is wrapped in an [`Envelope`] carrying the
+//! sender's listen address plus address-book entries for every node id
+//! the message references, so receivers can always resolve the ids they
+//! learn.
+//!
+//! The actor writes its own sockets: one nonblocking `TcpStream` per peer
+//! address (`TCP_NODELAY` set), so frames to one peer arrive in the order
+//! they were sent. A frame is written at once until the kernel would
+//! block; the rest waits in that link's buffer, and while any buffer holds
+//! bytes the actor retries every millisecond. The actor never waits on
+//! the network: a peer that stops reading fills only its own buffer, and
+//! a connect in flight holds up only its own peer's frames.
 //!
 //! A message that cannot be delivered is dropped, like a lost datagram,
 //! which the protocol already tolerates (heartbeats re-announce state):
-//! when the writer's queue is full, when a connect is refused, and when a
+//! when a peer's buffer is full, when a connect is refused, and when a
 //! write fails. A failed write re-queues its frame once behind a fresh
-//! connect, so a peer that restarted still gets it. The actor never waits
-//! on the network, and a connect in flight holds up only its own peer.
+//! connect, so a peer that restarted still gets it.
+//!
+//! The node stops on [`RuntimeHandle::shutdown`] or when its handle is
+//! dropped. The actor then closes its outbound connections and wakes the
+//! accept thread with a connect to its own address, which closes the
+//! listener. A reader ends when its peer closes the link or sends its
+//! next frame.
 
 use std::collections::{HashMap, VecDeque};
-use std::io;
-use std::net::SocketAddr;
-use std::time::Duration;
+use std::io::{self, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Arc;
+use std::thread;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use geogrid_core::engine::{
@@ -35,17 +54,21 @@ use geogrid_core::engine::{
 use geogrid_core::service::{LocationQuery, LocationRecord, Subscription};
 use geogrid_core::{NodeId, NodeInfo};
 use geogrid_geometry::{Point, Space};
-use tokio::net::{TcpListener, TcpStream};
 use tokio::sync::{mpsc, oneshot};
-use tokio::time::Instant;
 
-use crate::frame::{read_frame_blocking, write_frame};
+use crate::frame::{push_frame, read_frame_blocking, MAX_FRAME};
 use crate::wire::{referenced_nodes, Envelope};
 
-/// Frames the actor may queue for its writer; beyond this it drops them.
-const OUTBOUND_QUEUE: usize = 1_024;
+/// Inputs the actor's channel holds; a full channel holds up the readers
+/// and the handle until the actor takes the next one.
+const INPUT_QUEUE: usize = 16;
 /// Frames held for one peer while its connection is being opened.
 const LINK_BACKLOG: usize = 64;
+/// Bytes one link may hold that the kernel has not taken yet; a frame
+/// that would pass this is dropped.
+const LINK_BUFFER: usize = 4 << 20;
+/// How soon the actor retries links holding unsent bytes.
+const RETRY: Duration = Duration::from_millis(1);
 
 /// Events surfaced to the embedding application.
 pub type RuntimeEvent = ClientEvent;
@@ -83,12 +106,29 @@ enum Command {
     Shutdown,
 }
 
-/// Handle to a running node: issue commands, consume events.
+/// What the actor's one channel carries.
+enum ActorInput {
+    Command(Command),
+    Envelope(Envelope),
+    /// A connect helper's result for this peer address.
+    Opened(SocketAddr, io::Result<TcpStream>),
+}
+
+/// Handle to a running node: issue commands, consume events. Dropping it
+/// stops the node.
+///
+/// Commands share the actor's bounded channel with the readers. When it
+/// is full, a command waits on the caller's thread until the actor, which
+/// never waits on the network, takes its next input.
 #[derive(Debug)]
 pub struct RuntimeHandle {
     info: NodeInfo,
     local_addr: SocketAddr,
-    commands: mpsc::Sender<Command>,
+    inputs: SyncSender<ActorInput>,
+    /// Set when the node is to stop; the actor and the accept thread
+    /// check it after each input and each accepted connection. It
+    /// publishes no other data, so `Relaxed` suffices.
+    stopping: Arc<AtomicBool>,
     events: mpsc::Receiver<RuntimeEvent>,
 }
 
@@ -103,43 +143,48 @@ impl RuntimeHandle {
         self.local_addr
     }
 
+    /// Queues `cmd` for the actor; false once the node has stopped.
+    fn command(&self, cmd: Command) -> bool {
+        self.inputs.send(ActorInput::Command(cmd)).is_ok()
+    }
+
     /// Becomes the first node of a new GeoGrid (owns the whole space).
     pub async fn bootstrap(&self) {
-        let _ = self.commands.send(Command::Bootstrap).await;
+        self.command(Command::Bootstrap);
     }
 
     /// Joins an existing GeoGrid through the given entry node.
     pub async fn join(&self, entry: NodeId, addr: SocketAddr) {
-        let _ = self.commands.send(Command::Join { entry, addr }).await;
+        self.command(Command::Join { entry, addr });
     }
 
     /// Gracefully leaves the overlay (§2.3); a [`ClientEvent::Left`] or
     /// [`ClientEvent::LeaveDeferred`] event follows.
     pub async fn leave(&self) {
-        let _ = self.commands.send(Command::Leave).await;
+        self.command(Command::Leave);
     }
 
     /// Issues a location query; results arrive as
     /// [`ClientEvent::QueryResults`] events.
     pub async fn query(&self, query: LocationQuery) {
-        let _ = self.commands.send(Command::Query(query)).await;
+        self.command(Command::Query(query));
     }
 
     /// Publishes a location record.
     pub async fn publish(&self, record: LocationRecord) {
-        let _ = self.commands.send(Command::Publish(record)).await;
+        self.command(Command::Publish(record));
     }
 
     /// Registers a subscription; matches arrive as
     /// [`ClientEvent::Notified`] events.
     pub async fn subscribe(&self, sub: Subscription) {
-        let _ = self.commands.send(Command::Subscribe(sub)).await;
+        self.command(Command::Subscribe(sub));
     }
 
     /// Snapshot of the node's owner state.
     pub async fn owner_view(&self) -> Option<OwnerView> {
         let (tx, rx) = oneshot::channel();
-        if self.commands.send(Command::View(tx)).await.is_err() {
+        if !self.command(Command::View(tx)) {
             return None;
         }
         rx.await.ok().flatten()
@@ -148,12 +193,7 @@ impl RuntimeHandle {
     /// The learned address of another node, if known.
     pub async fn address_of(&self, id: NodeId) -> Option<SocketAddr> {
         let (tx, rx) = oneshot::channel();
-        if self
-            .commands
-            .send(Command::AddressOf(id, tx))
-            .await
-            .is_err()
-        {
+        if !self.command(Command::AddressOf(id, tx)) {
             return None;
         }
         rx.await.ok().flatten()
@@ -174,7 +214,17 @@ impl RuntimeHandle {
 
     /// Stops the runtime.
     pub async fn shutdown(&self) {
-        let _ = self.commands.send(Command::Shutdown).await;
+        self.command(Command::Shutdown);
+    }
+}
+
+impl Drop for RuntimeHandle {
+    /// Stops the node: the readers hold senders too, so the actor's
+    /// channel never closes by itself. The flag covers a full channel,
+    /// whose queued inputs wake the actor to see it.
+    fn drop(&mut self) {
+        self.stopping.store(true, Ordering::Relaxed);
+        let _ = self.inputs.try_send(ActorInput::Command(Command::Shutdown));
     }
 }
 
@@ -183,11 +233,13 @@ impl RuntimeHandle {
 pub struct NodeRuntime;
 
 impl NodeRuntime {
-    /// Starts a node: binds the listener and spawns the actor.
+    /// Starts a node: binds the listener and starts the actor and accept
+    /// threads.
     ///
     /// # Errors
     ///
-    /// Returns the bind error if the listen address is unavailable.
+    /// Returns the bind error if the listen address is unavailable, or
+    /// the error of a thread that could not be started.
     pub async fn start(
         id: NodeId,
         coord: Point,
@@ -195,133 +247,106 @@ impl NodeRuntime {
         space: Space,
         config: RuntimeConfig,
     ) -> io::Result<RuntimeHandle> {
-        let listener = TcpListener::bind(config.listen).await?;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "binding a loopback or local listener does not wait on a peer"
+        )]
+        let listener = TcpListener::bind(config.listen)?;
         let local_addr = listener.local_addr()?;
         let info = NodeInfo::new(id, coord, capacity);
-        let engine = NodeEngine::new(info, space, config.engine);
+        let (inputs, inbox) = sync_channel(INPUT_QUEUE);
+        let (event_tx, events) = mpsc::channel(256);
+        let stopping = Arc::new(AtomicBool::new(false));
 
-        let (cmd_tx, cmd_rx) = mpsc::channel(64);
-        let (event_tx, event_rx) = mpsc::channel(256);
-        let (inbound_tx, inbound_rx) = mpsc::channel::<Envelope>(256);
-        let (outbound_tx, outbound_rx) = mpsc::channel(OUTBOUND_QUEUE);
-
-        tokio::spawn(accept_loop(listener, inbound_tx));
-        tokio::spawn(writer(outbound_rx));
-        tokio::spawn(actor(
-            engine,
+        let actor = Actor {
+            engine: NodeEngine::new(info, space, config.engine),
             local_addr,
-            config.tick_interval,
-            cmd_rx,
-            inbound_rx,
-            outbound_tx,
-            event_tx,
-        ));
-
-        Ok(RuntimeHandle {
+            book: HashMap::new(),
+            pending: HashMap::new(),
+            links: HashMap::new(),
+            retry_at: None,
+            inputs: inputs.clone(),
+            stopping: Arc::clone(&stopping),
+            events: event_tx,
+            epoch: Instant::now(),
+        };
+        let tick = config.tick_interval;
+        thread::Builder::new()
+            .name("geogrid-actor".into())
+            .spawn(move || actor.run(&inbox, tick))?;
+        let handle = RuntimeHandle {
             info,
             local_addr,
-            commands: cmd_tx,
-            events: event_rx,
-        })
+            inputs: inputs.clone(),
+            stopping: Arc::clone(&stopping),
+            events,
+        };
+        // On error `handle` drops here, which stops the actor.
+        thread::Builder::new()
+            .name("geogrid-accept".into())
+            .spawn(move || accept_loop(&listener, &inputs, &stopping))?;
+        Ok(handle)
     }
 }
 
-/// Accepts connections until the actor drops its inbound receiver, then
-/// closes the listener.
-async fn accept_loop(listener: TcpListener, inbound: mpsc::Sender<Envelope>) {
-    loop {
-        tokio::select! {
-            accepted = listener.accept() => {
-                let Ok((stream, _)) = accepted else { break };
-                let Ok(stream) = stream.into_std() else { continue };
-                let inbound = inbound.clone();
-                tokio::task::spawn_blocking(move || read_link(stream, &inbound));
-            }
-            _ = inbound.closed() => { break }
+/// Accepts connections, one reader thread each, until the node stops; then
+/// the listener closes.
+fn accept_loop(listener: &TcpListener, inputs: &SyncSender<ActorInput>, stopping: &AtomicBool) {
+    for stream in listener.incoming() {
+        if stopping.load(Ordering::Relaxed) {
+            break;
         }
+        let Ok(stream) = stream else { break };
+        let inputs = inputs.clone();
+        let _ = thread::Builder::new()
+            .name("geogrid-reader".into())
+            .spawn(move || read_link(stream, &inputs));
     }
 }
 
-/// Reads one inbound connection on its own thread, blocking in the kernel
-/// between frames, until the peer closes it, sends garbage, or the actor
-/// is gone.
-fn read_link(stream: std::net::TcpStream, inbound: &mpsc::Sender<Envelope>) {
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
+/// Reads one inbound connection, blocking in the kernel between frames,
+/// until the peer closes it, sends garbage, or the actor is gone.
+fn read_link(stream: TcpStream, inputs: &SyncSender<ActorInput>) {
     let mut reader = io::BufReader::new(stream);
     while let Ok(Some(frame)) = read_frame_blocking(&mut reader) {
         let Ok(env) = Envelope::decode(&frame) else {
             return; // corrupt peer: drop connection
         };
-        if inbound.blocking_send(env).is_err() {
+        if inputs.send(ActorInput::Envelope(env)).is_err() {
             return;
         }
     }
 }
 
-/// One peer's connection, as the writer sees it.
+/// One peer's connection, as the actor sees it.
 enum Link {
     /// A connect is in flight; frames wait here in order (bounded).
     Opening(Vec<Bytes>),
-    Open(TcpStream),
+    /// A nonblocking stream and the framed bytes it has not taken yet.
+    Open { stream: TcpStream, unsent: Vec<u8> },
 }
 
-/// The node's one writer: a connection per peer address, opened on first
-/// use and again after a failed write. Ends when the actor drops its
-/// sender, which closes every connection.
-async fn writer(mut outbound: mpsc::Receiver<(SocketAddr, Bytes)>) {
-    let (opened_tx, mut opened) = mpsc::channel(64);
-    let mut links: HashMap<SocketAddr, Link> = HashMap::new();
-    loop {
-        tokio::select! {
-            out = outbound.recv() => {
-                let Some((to, frame)) = out else { break };
-                match links.get_mut(&to) {
-                    Some(Link::Opening(backlog)) => {
-                        if backlog.len() < LINK_BACKLOG {
-                            backlog.push(frame);
-                        }
-                    }
-                    Some(Link::Open(stream)) => {
-                        if write_frame(stream, &frame).await.is_err() {
-                            links.insert(to, Link::Opening(vec![frame]));
-                            open_link(to, &opened_tx);
-                        }
-                    }
-                    None => {
-                        links.insert(to, Link::Opening(vec![frame]));
-                        open_link(to, &opened_tx);
-                    }
-                }
-            }
-            done = opened.recv() => {
-                let Some((to, result)) = done else { break };
-                let Some(Link::Opening(backlog)) = links.remove(&to) else { continue };
-                let Ok(mut stream) = result else { continue };
-                let _ = stream.set_nodelay(true);
-                let mut sent = true;
-                for frame in &backlog {
-                    sent = write_frame(&mut stream, frame).await.is_ok();
-                    if !sent {
-                        break;
-                    }
-                }
-                if sent {
-                    links.insert(to, Link::Open(stream));
-                }
-            }
-        }
+impl Link {
+    fn has_unsent(&self) -> bool {
+        matches!(self, Link::Open { unsent, .. } if !unsent.is_empty())
     }
 }
 
-/// Connects to `to` off the writer's path and reports back, so a peer
-/// that is slow to answer (or black-holed) stalls only its own frames.
-fn open_link(to: SocketAddr, opened: &mpsc::Sender<(SocketAddr, io::Result<TcpStream>)>) {
-    let opened = opened.clone();
-    tokio::spawn(async move {
-        let _ = opened.send((to, TcpStream::connect(to).await)).await;
-    });
+/// Writes `unsent` until it is empty or the kernel would block, and keeps
+/// what is left.
+fn flush(mut stream: &TcpStream, unsent: &mut Vec<u8>) -> io::Result<()> {
+    let mut written = 0;
+    while written < unsent.len() {
+        match stream.write(&unsent[written..]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => written += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    unsent.drain(..written);
+    Ok(())
 }
 
 struct Actor {
@@ -329,100 +354,92 @@ struct Actor {
     local_addr: SocketAddr,
     book: HashMap<NodeId, SocketAddr>,
     pending: HashMap<NodeId, Vec<Message>>,
-    outbound: mpsc::Sender<(SocketAddr, Bytes)>,
+    links: HashMap<SocketAddr, Link>,
+    /// When to retry the links holding unsent bytes; `None` if none do.
+    retry_at: Option<Instant>,
+    /// For connect helpers to report back on.
+    inputs: SyncSender<ActorInput>,
+    stopping: Arc<AtomicBool>,
     events: mpsc::Sender<RuntimeEvent>,
     epoch: Instant,
 }
 
-async fn actor(
-    engine: NodeEngine,
-    local_addr: SocketAddr,
-    tick_interval: Duration,
-    mut commands: mpsc::Receiver<Command>,
-    mut inbound: mpsc::Receiver<Envelope>,
-    outbound: mpsc::Sender<(SocketAddr, Bytes)>,
-    events: mpsc::Sender<RuntimeEvent>,
-) {
-    let mut state = Actor {
-        engine,
-        local_addr,
-        book: HashMap::new(),
-        pending: HashMap::new(),
-        outbound,
-        events,
-        epoch: Instant::now(),
-    };
-    let mut ticker = tokio::time::interval(tick_interval);
-    ticker.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Delay);
-    loop {
-        tokio::select! {
-            cmd = commands.recv() => {
-                let Some(cmd) = cmd else { break };
-                if !state.handle_command(cmd).await {
+impl Actor {
+    /// Handles inputs and ticks until the node stops, then wakes the
+    /// accept thread to close the listener; the links close as `self`
+    /// drops.
+    fn run(mut self, inbox: &Receiver<ActorInput>, tick_interval: Duration) {
+        let mut next_tick = Instant::now();
+        while !self.stopping.load(Ordering::Relaxed) {
+            if Instant::now() >= next_tick {
+                let effects = self.engine.handle(self.now(), Input::Tick);
+                self.apply(effects);
+                next_tick = Instant::now() + tick_interval;
+            }
+            // The actor holds a sender itself, so this never disconnects.
+            let wake = self.retry_at.map_or(next_tick, |at| at.min(next_tick));
+            if let Ok(input) = inbox.recv_timeout(wake.saturating_duration_since(Instant::now())) {
+                if !self.handle(input) {
                     break;
                 }
             }
-            env = inbound.recv() => {
-                let Some(env) = env else { break };
-                state.handle_envelope(env).await;
-            }
-            _ = ticker.tick() => {
-                let now = state.now();
-                let effects = state.engine.handle(now, Input::Tick);
-                state.apply(effects).await;
+            if self.retry_at.is_some_and(|at| Instant::now() >= at) {
+                self.retry_links();
             }
         }
+        self.stopping.store(true, Ordering::Relaxed);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the actor is stopping; a connect to its own listener returns at once"
+        )]
+        // An unspecified listen address (0.0.0.0, ::) connects to this host.
+        let _ = TcpStream::connect(self.local_addr);
     }
-}
 
-impl Actor {
     fn now(&self) -> u64 {
         self.epoch.elapsed().as_millis() as u64
     }
 
-    async fn handle_command(&mut self, cmd: Command) -> bool {
-        let now = self.now();
-        match cmd {
-            Command::Bootstrap => {
-                let fx = self.engine.handle(now, Input::BootstrapAsFirst);
-                self.apply(fx).await;
-            }
-            Command::Join { entry, addr } => {
-                self.learn(entry, addr);
-                let fx = self.engine.handle(now, Input::Join { entry });
-                self.apply(fx).await;
-            }
-            Command::Leave => {
-                let fx = self.engine.handle(now, Input::Leave);
-                self.apply(fx).await;
-            }
-            Command::Query(query) => {
-                let fx = self.engine.handle(now, Input::UserQuery { query });
-                self.apply(fx).await;
-            }
-            Command::Publish(record) => {
-                let fx = self.engine.handle(now, Input::UserPublish { record });
-                self.apply(fx).await;
-            }
-            Command::Subscribe(sub) => {
-                let fx = self.engine.handle(now, Input::UserSubscribe { sub });
-                self.apply(fx).await;
-            }
-            Command::View(reply) => {
-                let _ = reply.send(self.engine.owner_view());
-            }
-            Command::AddressOf(id, reply) => {
-                let _ = reply.send(self.book.get(&id).copied());
-            }
-            Command::Shutdown => return false,
+    /// Handles one input; false once the node is to stop.
+    fn handle(&mut self, input: ActorInput) -> bool {
+        match input {
+            ActorInput::Command(cmd) => return self.handle_command(cmd),
+            ActorInput::Envelope(env) => self.handle_envelope(env),
+            ActorInput::Opened(to, result) => self.opened(to, result),
         }
         true
     }
 
-    async fn handle_envelope(&mut self, env: Envelope) {
+    fn handle_command(&mut self, cmd: Command) -> bool {
+        let now = self.now();
+        let input = match cmd {
+            Command::Bootstrap => Input::BootstrapAsFirst,
+            Command::Join { entry, addr } => {
+                self.learn(entry, addr);
+                Input::Join { entry }
+            }
+            Command::Leave => Input::Leave,
+            Command::Query(query) => Input::UserQuery { query },
+            Command::Publish(record) => Input::UserPublish { record },
+            Command::Subscribe(sub) => Input::UserSubscribe { sub },
+            Command::View(reply) => {
+                let _ = reply.send(self.engine.owner_view());
+                return true;
+            }
+            Command::AddressOf(id, reply) => {
+                let _ = reply.send(self.book.get(&id).copied());
+                return true;
+            }
+            Command::Shutdown => return false,
+        };
+        let effects = self.engine.handle(now, input);
+        self.apply(effects);
+        true
+    }
+
+    fn handle_envelope(&mut self, env: Envelope) {
         self.learn(env.sender.id(), env.sender_addr);
-        let addrs = env.addrs.clone();
-        for (id, addr) in addrs {
+        for &(id, addr) in &env.addrs {
             self.learn(id, addr);
         }
         let now = self.now();
@@ -433,7 +450,7 @@ impl Actor {
                 message: env.message,
             },
         );
-        self.apply(effects).await;
+        self.apply(effects);
     }
 
     /// Records an address and flushes messages that were waiting for it.
@@ -451,7 +468,7 @@ impl Actor {
         }
     }
 
-    async fn apply(&mut self, effects: Vec<Effect>) {
+    fn apply(&mut self, effects: Vec<Effect>) {
         let me = self.engine.info().id();
         let mut queue = VecDeque::from(effects);
         while let Some(effect) = queue.pop_front() {
@@ -476,13 +493,13 @@ impl Actor {
                     }
                 }
                 Effect::Client(event) => {
-                    let _ = self.events.send(event).await;
+                    let _ = self.events.blocking_send(event);
                 }
             }
         }
     }
 
-    fn transmit(&self, to: NodeId, message: Message) {
+    fn transmit(&mut self, to: NodeId, message: Message) {
         let Some(&addr) = self.book.get(&to) else {
             return;
         };
@@ -498,7 +515,96 @@ impl Actor {
             addrs: attach,
             message,
         };
-        // A full queue drops the frame, like a lost datagram.
-        let _ = self.outbound.try_send((addr, env.encode()));
+        self.send_frame(addr, env.encode());
+    }
+
+    /// Writes one frame to `to`'s link, opening the link first if needed.
+    fn send_frame(&mut self, to: SocketAddr, frame: Bytes) {
+        if frame.len() > MAX_FRAME {
+            return;
+        }
+        match self.links.get_mut(&to) {
+            Some(Link::Opening(backlog)) => {
+                if backlog.len() < LINK_BACKLOG {
+                    backlog.push(frame);
+                }
+            }
+            Some(Link::Open { stream, unsent }) => {
+                // A full buffer drops the frame, like a lost datagram; an
+                // empty one takes a frame of any size.
+                if !unsent.is_empty() && unsent.len() + 4 + frame.len() > LINK_BUFFER {
+                    return;
+                }
+                push_frame(unsent, &frame);
+                match flush(stream, unsent) {
+                    Ok(()) if unsent.is_empty() => {}
+                    Ok(()) => {
+                        self.retry_at.get_or_insert_with(|| Instant::now() + RETRY);
+                    }
+                    Err(_) => self.open_link(to, vec![frame]),
+                }
+            }
+            None => self.open_link(to, vec![frame]),
+        }
+    }
+
+    /// Connects to `to` on a helper thread, holding `backlog` until the
+    /// result comes back, so a peer that is slow to answer (or
+    /// black-holed) stalls only its own frames.
+    fn open_link(&mut self, to: SocketAddr, backlog: Vec<Bytes>) {
+        let inputs = self.inputs.clone();
+        let helper = thread::Builder::new()
+            .name("geogrid-connect".into())
+            .spawn(move || {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "a helper thread of its own waits out the connect"
+                )]
+                let result = TcpStream::connect(to);
+                let _ = inputs.send(ActorInput::Opened(to, result));
+            });
+        if helper.is_ok() {
+            self.links.insert(to, Link::Opening(backlog));
+        } else {
+            self.links.remove(&to);
+        }
+    }
+
+    /// Takes a connect helper's result: the link opens and writes its
+    /// backlog, or is forgotten with it.
+    fn opened(&mut self, to: SocketAddr, result: io::Result<TcpStream>) {
+        let Some(Link::Opening(backlog)) = self.links.remove(&to) else {
+            return;
+        };
+        let Ok(stream) = result else { return };
+        if stream.set_nonblocking(true).is_err() {
+            return;
+        }
+        let _ = stream.set_nodelay(true);
+        let mut unsent = Vec::new();
+        for frame in &backlog {
+            push_frame(&mut unsent, frame);
+        }
+        if flush(&stream, &mut unsent).is_err() {
+            return;
+        }
+        if !unsent.is_empty() {
+            self.retry_at.get_or_insert_with(|| Instant::now() + RETRY);
+        }
+        self.links.insert(to, Link::Open { stream, unsent });
+    }
+
+    /// Retries every link holding unsent bytes, forgetting those whose
+    /// write fails (the next frame to that peer reconnects).
+    fn retry_links(&mut self) {
+        self.links.retain(|_, link| match link {
+            Link::Open { stream, unsent } => unsent.is_empty() || flush(stream, unsent).is_ok(),
+            Link::Opening(_) => true,
+        });
+        self.retry_at = self
+            .links
+            .values()
+            .any(Link::has_unsent)
+            .then(|| Instant::now() + RETRY);
     }
 }

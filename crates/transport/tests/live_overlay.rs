@@ -347,13 +347,55 @@ async fn a_dead_peer_looks_like_lost_datagrams() {
     }
 }
 
-/// A stopped node closes its listener: nothing is left accepting on its
-/// port.
-#[tokio::test]
+/// One framed `Query` envelope from the fake peer `fake`, asking for
+/// `area` with the reply sent to `reply_addr`.
+fn query_frame(
+    fake: NodeInfo,
+    reply_addr: std::net::SocketAddr,
+    area: Region,
+    query_id: u64,
+) -> Vec<u8> {
+    let env = Envelope {
+        sender: fake,
+        sender_addr: reply_addr,
+        addrs: Vec::new(),
+        message: Message::Query {
+            query: LocationQuery::new(area, fake.id()),
+            query_id,
+            reply_to: fake.id(),
+            hops: 0,
+            fanout: false,
+        },
+    };
+    let bytes = env.encode();
+    let mut frame = (bytes.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&bytes);
+    frame
+}
+
+/// Whether connects to `addr` are refused within 1 s.
 #[expect(
     clippy::disallowed_methods,
     reason = "a std-socket probe, run under spawn_blocking"
 )]
+async fn refused_within_a_second(addr: std::net::SocketAddr) -> bool {
+    tokio::task::spawn_blocking(move || {
+        let give_up = Instant::now() + Duration::from_secs(1);
+        while Instant::now() < give_up {
+            match std::net::TcpStream::connect(addr) {
+                Err(e) if e.kind() == ErrorKind::ConnectionRefused => return true,
+                _ => std::thread::sleep(Duration::from_millis(10)),
+            }
+        }
+        false
+    })
+    .await
+    .unwrap()
+}
+
+/// A stopped node closes its listener: nothing is left accepting on its
+/// port.
+#[tokio::test]
 async fn a_stopped_node_closes_its_listener() {
     let h = NodeRuntime::start(
         NodeId::new(0),
@@ -367,22 +409,92 @@ async fn a_stopped_node_closes_its_listener() {
     h.bootstrap().await;
     let addr = h.local_addr();
     h.shutdown().await;
-    let refused = tokio::task::spawn_blocking(move || {
-        let give_up = Instant::now() + Duration::from_secs(1);
-        while Instant::now() < give_up {
-            match std::net::TcpStream::connect(addr) {
-                Err(e) if e.kind() == ErrorKind::ConnectionRefused => return true,
-                _ => std::thread::sleep(Duration::from_millis(10)),
-            }
-        }
-        false
-    })
-    .await
-    .unwrap();
     assert!(
-        refused,
+        refused_within_a_second(addr).await,
         "{addr} still accepts connections 1 s after shutdown"
     );
+}
+
+/// Dropping the handle stops the node as `shutdown` does.
+#[tokio::test]
+async fn a_dropped_handle_stops_the_node() {
+    let h = NodeRuntime::start(
+        NodeId::new(0),
+        Point::new(10.0, 10.0),
+        10.0,
+        Space::paper_evaluation(),
+        config(EngineMode::Basic),
+    )
+    .await
+    .unwrap();
+    h.bootstrap().await;
+    let addr = h.local_addr();
+    drop(h);
+    assert!(
+        refused_within_a_second(addr).await,
+        "{addr} still accepts connections 1 s after its handle was dropped"
+    );
+}
+
+/// A peer that stops reading fills only its own link. A fake peer whose
+/// listener never accepts asks a node holding 2,000 records for every
+/// record 400 times, about 48 MB of replies, far more than loopback
+/// buffers hold; the node still answers its own handle at once.
+#[tokio::test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a std-socket fake peer; its blocking calls are brief"
+)]
+async fn a_peer_that_stops_reading_does_not_wedge_the_node() {
+    const RECORDS: u64 = 2_000;
+    const QUERIES: u64 = 400;
+    let space = Space::paper_evaluation();
+    let h = NodeRuntime::start(
+        NodeId::new(0),
+        Point::new(10.0, 10.0),
+        10.0,
+        space,
+        config(EngineMode::Basic),
+    )
+    .await
+    .unwrap();
+    h.bootstrap().await;
+    let b = space.bounds();
+    for id in 0..RECORDS {
+        let at = Point::new(
+            b.x() + ((id % 40) as f64 + 0.5) * b.width() / 40.0,
+            b.y() + ((id / 40) as f64 + 0.5) * b.height() / 50.0,
+        );
+        h.publish(LocationRecord::new(id, "t", at, vec![0; 8]))
+            .await;
+    }
+    let held = h.owner_view().await.expect("owner view").records;
+    assert_eq!(held, RECORDS as usize);
+
+    // Bound, never accepted on: the node's connects complete in the
+    // kernel's backlog, and nothing it writes is ever read.
+    let deaf = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let fake = NodeInfo::new(NodeId::new(99), Point::new(1.0, 1.0), 1.0);
+    let mut to_node = std::net::TcpStream::connect(h.local_addr()).unwrap();
+    for query_id in 0..QUERIES {
+        let frame = query_frame(fake, deaf.local_addr().unwrap(), space.bounds(), query_id);
+        to_node.write_all(&frame).unwrap();
+    }
+
+    let views = tokio::spawn(async move {
+        let mut served = 0;
+        for _ in 0..5 {
+            served += usize::from(h.owner_view().await.is_some());
+        }
+        (served, h)
+    });
+    let (served, h) = tokio::time::timeout(Duration::from_secs(1), views)
+        .await
+        .expect("five owner views took over 1 s: the node is wedged")
+        .unwrap();
+    assert_eq!(served, 5);
+    h.shutdown().await;
+    drop((deaf, to_node));
 }
 
 /// Replies to one peer share one connection and arrive in send order: a
@@ -412,21 +524,8 @@ async fn replies_to_one_peer_reuse_one_ordered_connection() {
         let fake = NodeInfo::new(NodeId::new(99), Point::new(1.0, 1.0), 1.0);
         let mut to_node = std::net::TcpStream::connect(node_addr).unwrap();
         for query_id in 0..K {
-            let env = Envelope {
-                sender: fake,
-                sender_addr: listener.local_addr().unwrap(),
-                addrs: Vec::new(),
-                message: Message::Query {
-                    query: LocationQuery::new(Region::new(10.0, 10.0, 1.0, 1.0), fake.id()),
-                    query_id,
-                    reply_to: fake.id(),
-                    hops: 0,
-                    fanout: false,
-                },
-            };
-            let bytes = env.encode();
-            let mut frame = (bytes.len() as u32).to_le_bytes().to_vec();
-            frame.extend_from_slice(&bytes);
+            let area = Region::new(10.0, 10.0, 1.0, 1.0);
+            let frame = query_frame(fake, listener.local_addr().unwrap(), area, query_id);
             to_node.write_all(&frame).unwrap();
         }
         listener.set_nonblocking(true).unwrap();
