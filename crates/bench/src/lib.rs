@@ -15,15 +15,16 @@
 //! | [`fig56`] | Figures 5 & 6 — std-dev and mean of workload index vs N |
 //! | [`fig78`] | Figures 7 & 8 — convergence by adaptation round |
 //! | [`fig910`] | Figures 9 & 10 — convergence by adaptation count |
-//! | [`routing_exp`] | §2.2 — O(2√N) greedy-routing hop counts |
+//! | [`routing_exp`] | §2.2 — O(2√N) greedy hop counts, express hops, fitted exponents |
 //! | [`mech`] | Figure 4 — the eight adaptation vignettes |
 //! | [`ablation`] | design-choice ablations (trigger, TTL, α, variants) |
 //! | [`failover`] | §2.3 claim — dual peer's fault resilience, quantified |
 //!
-//! One further binary supports protocol work: `simulate` runs a full
-//! message-level deployment (joins, heartbeats, adaptation, optional
-//! crash storm) and reports traffic statistics, coverage, and any
-//! ownership forks.
+//! The crate's only other binary, `simulate`, supports protocol work: it
+//! runs a full message-level deployment (joins, heartbeats, adaptation,
+//! optional crash storm) and reports traffic statistics, coverage, and
+//! any ownership forks. Per-call costs are the criterion benches under
+//! `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

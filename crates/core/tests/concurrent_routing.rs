@@ -79,7 +79,7 @@ fn shrink(t: &mut Topology, at: Point) {
 /// executor, greedy last mile). Returns `(greedy_hops, express_hops)` so
 /// the caller can assert the aggregate hop bound — a single express query
 /// may overshoot greedy by a finger hop, but the workload total must not
-/// (the same contract `routing_bench` enforces).
+/// (`repro routing` asserts the same bound on each network size's mean).
 fn check_parity(
     snap: &TopologySnapshot,
     router: &mut Router,

@@ -140,7 +140,7 @@ fn divergence(t: &Topology, router: &mut Router, from: RegionId, target: Point) 
 }
 
 /// Routes `from → target` through the two-phase express engine (same
-/// long-lived router — its express slabs carry entries across mutations)
+/// long-lived router — only its recycled buffers outlive mutations)
 /// and checks the express contract against the uncached reference: same
 /// executor, never more hops, and a last-mile segment that is hop-for-hop
 /// the greedy reference from the handoff region.

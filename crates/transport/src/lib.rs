@@ -24,20 +24,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-// The async deployment path (tokio) is gated behind the off-by-default
-// `live` feature: the offline build environment cannot fetch tokio, so
-// only the pure wire codec builds unconditionally. See Cargo.toml for
-// what enabling `live` requires.
-#[cfg(feature = "live")]
 pub mod bootstrap;
-#[cfg(feature = "live")]
 pub mod frame;
-#[cfg(feature = "live")]
 pub mod runtime;
 pub mod wire;
 
-#[cfg(feature = "live")]
 pub use bootstrap::{load_host_cache, save_host_cache, BootstrapClient, BootstrapServer};
-#[cfg(feature = "live")]
 pub use runtime::{NodeRuntime, RuntimeConfig, RuntimeEvent, RuntimeHandle};
 pub use wire::{Envelope, WireError};

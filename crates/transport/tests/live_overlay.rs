@@ -1,7 +1,4 @@
 //! End-to-end tests: real GeoGrid nodes on localhost TCP.
-//!
-//! Requires the `live` feature (tokio runtime); see crates/transport/Cargo.toml.
-#![cfg(feature = "live")]
 
 use std::io::{BufReader, ErrorKind, Write};
 use std::time::{Duration, Instant};

@@ -15,7 +15,7 @@
 //! * [`simnet`] — the deterministic discrete-event simulator;
 //! * [`core`] — topology, routing, join protocols, workload index,
 //!   adaptation, the sans-io engine, and the location-service layer;
-//! * [`transport`] — tokio TCP runtime + wire codec + bootstrap server;
+//! * [`transport`] — TCP node runtime + wire codec + bootstrap server;
 //! * [`metrics`] — the measurement substrate.
 //!
 //! ## Quick start
