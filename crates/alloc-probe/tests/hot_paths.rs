@@ -1,7 +1,9 @@
 //! The hot paths do not allocate: measured, not inferred.
 //!
-//! Every location query, publish and join is routed region by region
-//! toward a coordinate and then executed against the owner's store.
+//! Every location query and publish is routed region by region toward a
+//! coordinate and then executed against the owner's store (the engine
+//! routes join requests the same way; the central model's joins use
+//! `Topology::locate`).
 //! These tests install a counting allocator and assert **zero
 //! allocations per steady-state call** for each hot function, after one
 //! warm-up pass over the same inputs (the warm-up lets recycled buffers

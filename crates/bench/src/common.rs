@@ -77,9 +77,7 @@ impl ExperimentConfig {
 }
 
 /// Builds a network of `n` nodes in the given mode, seeded per trial.
-/// Every join routes through the builder's reusable `RouteScratch`
-/// (see `geogrid_core::routing`), and the topology is moved out rather
-/// than cloned.
+/// The topology is moved out of the builder rather than cloned.
 pub fn build_network(config: &ExperimentConfig, mode: Mode, n: usize, trial: u64) -> Topology {
     NetworkBuilder::new(config.space(), config.seed ^ (trial << 17) ^ n as u64)
         .mode(mode)

@@ -6,10 +6,6 @@
 //! The paper's populations range from 10³ to 1.6 × 10⁴ with 100 random
 //! networks per setting; the headline observation is that dual peer +
 //! adaptation beats basic "by one order of magnitude in both metrics".
-//!
-//! The thousands of routed join requests each trial's [`build_network`]
-//! issues go through the builder's reusable `RouteScratch`
-//! (`geogrid_core::routing`): no per-join allocation.
 
 use geogrid_core::builder::Mode;
 use geogrid_core::load::LoadMap;

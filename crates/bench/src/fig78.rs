@@ -9,11 +9,6 @@
 //!
 //! The paper's observation: both adaptation scenarios converge in the
 //! first few rounds, after which moving spots are absorbed gracefully.
-//!
-//! Each trial's [`build_network`] routes every join through the
-//! builder's reusable `RouteScratch` (`geogrid_core::routing`), so the
-//! 2,000-node networks here are built without per-join routing
-//! allocations.
 
 use geogrid_core::balance::{AdaptationEngine, BalanceConfig};
 use geogrid_core::builder::Mode;

@@ -5,10 +5,10 @@
 //! Under moving hot spots the paper sees "a few surges on the dashed
 //! lines" — spots relocating mid-convergence — before the system settles.
 //!
-//! Each trial's [`build_network`] routes every join through the
-//! builder's reusable `RouteScratch` (`geogrid_core::routing`); the
-//! per-operation adaptation loop then mutates geometry freely — routing
-//! keeps no state between queries, so nothing can be served stale.
+//! Each trial's network comes from [`build_network`], and the
+//! per-operation adaptation loop then mutates its geometry freely —
+//! routing keeps no state between queries, so nothing can be served
+//! stale.
 
 use geogrid_core::balance::{AdaptationEngine, BalanceConfig};
 use geogrid_core::builder::Mode;

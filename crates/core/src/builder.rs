@@ -11,7 +11,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::join::{self, JoinOutcome};
-use crate::routing::RouteScratch;
 use crate::{NodeId, RegionId, Topology};
 
 /// Which join protocol the network uses.
@@ -76,8 +75,9 @@ impl NetworkBuilder {
         self
     }
 
-    /// Builds a network of `n` nodes by sequential joins through random
-    /// entry regions.
+    /// Builds a network of `n` nodes by sequential joins, each drawing a
+    /// random entry region as the paper's procedure does (see
+    /// [`BuiltNetwork::join_one`]).
     ///
     /// # Panics
     ///
@@ -99,7 +99,6 @@ impl NetworkBuilder {
             placement: self.placement,
             capacities: self.capacities,
             live_regions: vec![root],
-            scratch: RouteScratch::new(),
         };
         for _ in 1..n {
             net.join_one();
@@ -116,11 +115,8 @@ pub struct BuiltNetwork {
     mode: Mode,
     placement: NodePlacement,
     capacities: CapacityProfile,
+    /// Live regions for the entry draw (see [`Self::join_one`]).
     live_regions: Vec<RegionId>,
-    /// Routing scratch reused across all joins of this network: the
-    /// thousands of routed join requests a build issues share one set of
-    /// buffers instead of allocating each.
-    scratch: RouteScratch,
 }
 
 impl BuiltNetwork {
@@ -147,28 +143,21 @@ impl BuiltNetwork {
     pub fn join_one(&mut self) -> (NodeId, JoinOutcome) {
         let coord = self.placement.sample(&mut self.rng, self.topology.space());
         let capacity = self.capacities.sample(&mut self.rng);
-        // The entry cache can go stale when adaptation merges regions
-        // between joins; refresh it on a dead hit.
-        let mut entry = self.live_regions[self.rng.random_range(0..self.live_regions.len())];
+        // The entry region is drawn but not used: a model join acts on the
+        // region covering `coord` directly, which is where a walk from any
+        // entry ends (see `join`). The draw stays because it advances the
+        // RNG; without it every seeded layout, figure CSV and benchmark
+        // topology would change. The entry cache can go stale when
+        // adaptation merges regions between joins; a dead hit refreshes it
+        // and draws again, as it always has.
+        let entry = self.live_regions[self.rng.random_range(0..self.live_regions.len())];
         if self.topology.region(entry).is_none() {
             self.live_regions = self.topology.region_ids().collect();
-            entry = self.live_regions[self.rng.random_range(0..self.live_regions.len())];
+            self.rng.random_range(0..self.live_regions.len());
         }
         let (node, outcome) = match self.mode {
-            Mode::Basic => join::join_basic_with(
-                &mut self.topology,
-                entry,
-                coord,
-                capacity,
-                &mut self.scratch,
-            ),
-            Mode::DualPeer => join::join_dual_with(
-                &mut self.topology,
-                entry,
-                coord,
-                capacity,
-                &mut self.scratch,
-            ),
+            Mode::Basic => join::join_basic(&mut self.topology, coord, capacity),
+            Mode::DualPeer => join::join_dual(&mut self.topology, coord, capacity),
         }
         .expect("invariant: joins over a builder-maintained topology cannot fail");
         if let Some(created) = outcome.created_region() {

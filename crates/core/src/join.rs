@@ -5,6 +5,12 @@
 //! covering its own coordinate; that region's owner splits the region in
 //! half and hands one half (plus the relevant neighbor list) to the joiner.
 //!
+//! This model finds that region with [`Topology::locate`]. The regions
+//! partition the space, so a greedy walk from any entry ends at the same
+//! region, and nothing here reads the walk's hops; routing a join request
+//! region by region is the engine's job
+//! ([`Message::JoinRequest`](crate::engine::Message::JoinRequest)).
+//!
 //! Dual-peer join (§2.3): instead of splitting immediately, the joiner
 //! probes the covering region **and its neighbors**. It prefers to fill a
 //! half-full region whose owner has the least capacity (becoming primary if
@@ -14,7 +20,6 @@
 
 use geogrid_geometry::{Point, Region};
 
-use crate::routing;
 use crate::topology::Role;
 use crate::{CoreError, NodeId, RegionId, Topology};
 
@@ -115,38 +120,20 @@ impl JoinOutcome {
     }
 }
 
-/// Performs a **basic GeoGrid** join: route from `entry` to the region
-/// covering `coord`, then split it.
+/// Performs a **basic GeoGrid** join: split the region covering `coord`.
 ///
 /// Returns the joiner's node id and outcome.
 ///
 /// # Errors
 ///
 /// * [`CoreError::OutOfSpace`] if `coord` is outside the space.
-/// * Routing/region errors propagated from the topology.
+/// * Region errors propagated from the topology.
 pub fn join_basic(
     topo: &mut Topology,
-    entry: RegionId,
     coord: Point,
     capacity: f64,
 ) -> Result<(NodeId, JoinOutcome), CoreError> {
-    routing::with_thread_scratch(|scratch| join_basic_with(topo, entry, coord, capacity, scratch))
-}
-
-/// [`join_basic`] with a caller-provided routing scratch: repeated joins
-/// (network builds) reuse its buffers instead of allocating per join.
-///
-/// # Errors
-///
-/// Same conditions as [`join_basic`].
-pub fn join_basic_with(
-    topo: &mut Topology,
-    entry: RegionId,
-    coord: Point,
-    capacity: f64,
-    scratch: &mut routing::RouteScratch,
-) -> Result<(NodeId, JoinOutcome), CoreError> {
-    let mut rid = routing::greedy_into(topo, entry, coord, scratch)?;
+    let mut rid = topo.locate(coord)?;
     // Respect the extent floor: if the covering region is already minimal,
     // split the nearest splittable region instead (the geographic
     // association is intentionally breakable, §2.4).
@@ -176,27 +163,10 @@ pub fn join_basic_with(
 /// Same conditions as [`join_basic`].
 pub fn join_dual(
     topo: &mut Topology,
-    entry: RegionId,
     coord: Point,
     capacity: f64,
 ) -> Result<(NodeId, JoinOutcome), CoreError> {
-    routing::with_thread_scratch(|scratch| join_dual_with(topo, entry, coord, capacity, scratch))
-}
-
-/// [`join_dual`] with a caller-provided routing scratch (see
-/// [`join_basic_with`]).
-///
-/// # Errors
-///
-/// Same conditions as [`join_basic`].
-pub fn join_dual_with(
-    topo: &mut Topology,
-    entry: RegionId,
-    coord: Point,
-    capacity: f64,
-    scratch: &mut routing::RouteScratch,
-) -> Result<(NodeId, JoinOutcome), CoreError> {
-    let rid = routing::greedy_into(topo, entry, coord, scratch)?;
+    let rid = topo.locate(coord)?;
 
     // Candidate set: the covering region and its neighbors.
     let mut candidates = vec![rid];
@@ -490,8 +460,8 @@ mod tests {
 
     #[test]
     fn basic_join_splits_covering_region() {
-        let (mut t, r) = boot();
-        let (j, outcome) = join_basic(&mut t, r, Point::new(50.0, 50.0), 20.0).unwrap();
+        let (mut t, _) = boot();
+        let (j, outcome) = join_basic(&mut t, Point::new(50.0, 50.0), 20.0).unwrap();
         let jr = outcome.region();
         assert!(t
             .region(jr)
@@ -504,11 +474,11 @@ mod tests {
 
     #[test]
     fn basic_join_many_keeps_invariants() {
-        let (mut t, r) = boot();
+        let (mut t, _) = boot();
         for i in 0..100 {
             let x = ((i as f64 * 0.754877666) % 1.0) * 63.0 + 0.5;
             let y = ((i as f64 * 0.569840296) % 1.0) * 63.0 + 0.5;
-            join_basic(&mut t, r, Point::new(x, y), 10.0).unwrap();
+            join_basic(&mut t, Point::new(x, y), 10.0).unwrap();
         }
         assert_eq!(t.region_count(), 101);
         t.validate().unwrap();
@@ -518,11 +488,11 @@ mod tests {
     fn dual_join_fills_before_splitting() {
         let (mut t, r) = boot();
         // First dual join must become the dual peer of the only region.
-        let (_, o1) = join_dual(&mut t, r, Point::new(50.0, 50.0), 5.0).unwrap();
+        let (_, o1) = join_dual(&mut t, Point::new(50.0, 50.0), 5.0).unwrap();
         assert_eq!(o1, JoinOutcome::FilledSecondary { region: r });
         assert_eq!(t.region_count(), 1);
         // Second dual join: region is full, must split.
-        let (_, o2) = join_dual(&mut t, r, Point::new(40.0, 40.0), 5.0).unwrap();
+        let (_, o2) = join_dual(&mut t, Point::new(40.0, 40.0), 5.0).unwrap();
         assert!(matches!(o2, JoinOutcome::SplitSecondary { .. }));
         assert_eq!(t.region_count(), 2);
         t.validate().unwrap();
@@ -531,7 +501,7 @@ mod tests {
     #[test]
     fn stronger_joiner_takes_primary_role() {
         let (mut t, r) = boot(); // incumbent capacity 10
-        let (j, o) = join_dual(&mut t, r, Point::new(50.0, 50.0), 1000.0).unwrap();
+        let (j, o) = join_dual(&mut t, Point::new(50.0, 50.0), 1000.0).unwrap();
         assert_eq!(o, JoinOutcome::FilledPrimary { region: r });
         assert_eq!(t.region(r).unwrap().primary(), j);
         t.validate().unwrap();
@@ -539,11 +509,11 @@ mod tests {
 
     #[test]
     fn dual_join_targets_weakest_owner() {
-        let (mut t, r) = boot(); // owner capacity 10 at (10,10)
+        let (mut t, _) = boot(); // owner capacity 10 at (10,10)
                                  // Fill root with a strong secondary, then split so we have two
                                  // regions with known primaries.
-        join_dual(&mut t, r, Point::new(50.0, 50.0), 100.0).unwrap();
-        join_dual(&mut t, r, Point::new(30.0, 30.0), 100.0).unwrap();
+        join_dual(&mut t, Point::new(50.0, 50.0), 100.0).unwrap();
+        join_dual(&mut t, Point::new(30.0, 30.0), 100.0).unwrap();
         t.validate().unwrap();
         // Now find the weakest half-full primary; the next join must pair
         // with it regardless of where the joiner lands.
@@ -557,8 +527,7 @@ mod tests {
             })
             .map(|(rid, _)| rid);
         if let Some(weakest) = weakest {
-            let entry = t.first_region().unwrap();
-            let (_, o) = join_dual(&mut t, entry, Point::new(32.0, 33.0), 7.0).unwrap();
+            let (_, o) = join_dual(&mut t, Point::new(32.0, 33.0), 7.0).unwrap();
             // The chosen region must be among the covering region's
             // neighborhood; when the weakest is in that neighborhood it is
             // chosen.
@@ -575,13 +544,13 @@ mod tests {
     #[test]
     fn depart_secondary_and_primary() {
         let (mut t, r) = boot();
-        let (s, _) = join_dual(&mut t, r, Point::new(50.0, 50.0), 5.0).unwrap();
+        let (s, _) = join_dual(&mut t, Point::new(50.0, 50.0), 5.0).unwrap();
         // Secondary departs.
         depart(&mut t, s).unwrap();
         assert!(!t.region(r).unwrap().is_full());
         t.validate().unwrap();
         // Primary departs with a secondary in place: promotion.
-        let (s2, _) = join_dual(&mut t, r, Point::new(20.0, 20.0), 5.0).unwrap();
+        let (s2, _) = join_dual(&mut t, Point::new(20.0, 20.0), 5.0).unwrap();
         let p = t.region(r).unwrap().primary();
         depart(&mut t, p).unwrap();
         assert_eq!(t.region(r).unwrap().primary(), s2);
@@ -593,9 +562,9 @@ mod tests {
         let (mut t, r) = boot();
         // Build: split into two regions; the other region's owner is the
         // weakest in the neighborhood, so the dual join pairs with it.
-        let (j, o) = join_basic(&mut t, r, Point::new(50.0, 50.0), 1.0).unwrap();
+        let (j, o) = join_basic(&mut t, Point::new(50.0, 50.0), 1.0).unwrap();
         let other = o.region();
-        let (s, _) = join_dual(&mut t, other, Point::new(55.0, 55.0), 0.5).unwrap();
+        let (s, _) = join_dual(&mut t, Point::new(55.0, 55.0), 0.5).unwrap();
         assert!(t.region(other).unwrap().is_full());
         // The sole owner of r departs; repair must steal `other`'s
         // secondary and adopt it as r's primary.
@@ -610,7 +579,7 @@ mod tests {
     #[test]
     fn sole_owner_departure_merges_when_no_secondary_exists() {
         let (mut t, r) = boot();
-        let (_, o) = join_basic(&mut t, r, Point::new(50.0, 50.0), 10.0).unwrap();
+        let (_, o) = join_basic(&mut t, Point::new(50.0, 50.0), 10.0).unwrap();
         let other = o.region();
         // Two sole-owner sibling halves; one departs -> merge.
         let departing = t.region(other).unwrap().primary();
@@ -627,10 +596,9 @@ mod tests {
         // half) is subdivided, so when SW's owner leaves, neither a
         // secondary steal nor a direct merge applies to it after we also
         // split its own sibling... Construct: split space into 4 quads.
-        let (_, o1) = join_basic(&mut t, r, Point::new(10.0, 50.0), 10.0).unwrap(); // north half
-        let north = o1.region();
-        let (_, _o2) = join_basic(&mut t, r, Point::new(50.0, 10.0), 10.0).unwrap(); // SE quad
-        let (_, _o3) = join_basic(&mut t, north, Point::new(50.0, 50.0), 10.0).unwrap(); // NE quad
+        join_basic(&mut t, Point::new(10.0, 50.0), 10.0).unwrap(); // north half
+        let (_, _o2) = join_basic(&mut t, Point::new(50.0, 10.0), 10.0).unwrap(); // SE quad
+        let (_, _o3) = join_basic(&mut t, Point::new(50.0, 50.0), 10.0).unwrap(); // NE quad
         assert_eq!(t.region_count(), 4);
         t.validate().unwrap();
         // Split the NE quad once more so the NW quad has no mergeable
@@ -656,7 +624,7 @@ mod tests {
     #[test]
     fn fail_matches_depart_structurally() {
         let (mut t, r) = boot();
-        let (s, _) = join_dual(&mut t, r, Point::new(50.0, 50.0), 500.0).unwrap();
+        let (s, _) = join_dual(&mut t, Point::new(50.0, 50.0), 500.0).unwrap();
         // s became primary (stronger); crash it.
         assert_eq!(t.region(r).unwrap().primary(), s);
         fail(&mut t, s).unwrap();
@@ -669,14 +637,14 @@ mod tests {
         // Hammer one corner with dual joins: the weakest-victim rule
         // would otherwise re-split the same region until its edges fall
         // below f64 comparison tolerance (regression: r804/r831 sliver).
-        let (mut t, r) = boot();
+        let (mut t, _) = boot();
         for i in 0..400 {
             let p = Point::new(
                 63.99 + (i % 7) as f64 * 1e-4,
                 47.99 + (i % 11) as f64 * 1e-4,
             );
             let cap = [1.0, 10.0, 100.0][i % 3];
-            join_dual(&mut t, r, p, cap).unwrap();
+            join_dual(&mut t, p, cap).unwrap();
         }
         t.validate().unwrap();
         for (_, e) in t.regions() {
@@ -690,10 +658,10 @@ mod tests {
 
     #[test]
     fn basic_joins_respect_the_extent_floor() {
-        let (mut t, r) = boot();
+        let (mut t, _) = boot();
         for i in 0..300 {
             let p = Point::new(1.0 + (i % 5) as f64 * 1e-5, 1.0 + (i % 3) as f64 * 1e-5);
-            join_basic(&mut t, r, p, 10.0).unwrap();
+            join_basic(&mut t, p, 10.0).unwrap();
         }
         t.validate().unwrap();
         for (_, e) in t.regions() {
@@ -707,8 +675,8 @@ mod tests {
 
     #[test]
     fn role_query_helper() {
-        let (mut t, r) = boot();
-        let (j, _) = join_dual(&mut t, r, Point::new(50.0, 50.0), 5.0).unwrap();
+        let (mut t, _) = boot();
+        let (j, _) = join_dual(&mut t, Point::new(50.0, 50.0), 5.0).unwrap();
         assert_eq!(resulting_role(&t, j), Some(Role::Secondary));
     }
 }

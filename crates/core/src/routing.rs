@@ -68,7 +68,6 @@
 //!    hop-for-hop identical to [`route_uncached`] from the handoff region
 //!    ([`RouteScratch::express_prefix`] marks the boundary in the trace).
 
-use std::cell::RefCell;
 use std::collections::HashSet;
 
 use geogrid_geometry::{Point, Region};
@@ -118,9 +117,8 @@ pub const EXPRESS_ENGAGE: f64 = 4.0;
 const EXPRESS_MAX_HOPS: usize = 64;
 
 /// Reusable routing state: visited stamps and hop/candidate buffers,
-/// nothing that outlives a query's answer. [`Router`] owns one; the join
-/// helpers borrow the thread-local one. See the [module docs](self) for
-/// the design.
+/// nothing that outlives a query's answer. [`Router`] owns one. See the
+/// [module docs](self) for the design.
 ///
 /// A scratch may be reused freely across different [`Topology`] instances
 /// and [`TopologyView`]s: the stamp table only ever grows to the largest
@@ -603,21 +601,6 @@ pub(crate) fn randomized_into<V: TopologyView + ?Sized, R: rand::Rng + ?Sized>(
             }
         }
     }
-}
-
-thread_local! {
-    /// Per-thread scratch backing the join helpers, so callers without a
-    /// [`Router`] of their own still reuse the stamp and hop buffers.
-    static THREAD_SCRATCH: RefCell<RouteScratch> = RefCell::new(RouteScratch::new());
-}
-
-/// Runs `f` with the thread-local [`RouteScratch`]. Falls back to a fresh
-/// scratch if the thread-local one is already borrowed (re-entrant use).
-pub(crate) fn with_thread_scratch<T>(f: impl FnOnce(&mut RouteScratch) -> T) -> T {
-    THREAD_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => f(&mut scratch),
-        Err(_) => f(&mut RouteScratch::new()),
-    })
 }
 
 /// Which forwarding engine a [`Router`] query uses.

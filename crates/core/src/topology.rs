@@ -82,9 +82,11 @@ impl RegionEntry {
     }
 }
 
-/// Cells per axis of the [`GridIndex`]. 128×128 keeps the expected bucket
-/// occupancy at one region even for the largest evaluated networks (2¹⁴
-/// regions) while the whole index stays a few hundred kilobytes.
+/// Cells per axis of the [`GridIndex`]. 128×128 = 2¹⁴ cells keeps the
+/// expected bucket occupancy at about one region up to 2¹⁴ regions, the
+/// paper's largest networks, while the whole index stays a few hundred
+/// kilobytes. The 2¹⁶-region builds of `repro routing` and the
+/// benchmark's `model_route` hold ≈ 4 regions per cell.
 pub(crate) const GRID_DIM: usize = 128;
 
 /// Incrementally-maintained uniform-grid spatial index over the live
@@ -223,8 +225,8 @@ pub struct Topology {
     /// finger currently pointing at slot `s` (packed, see
     /// [`pack_finger_ref`]). Exact — every finger write removes its old
     /// reverse entry before installing the new one — so a geometry rewrite
-    /// retargets only the fingers that actually referenced the changed
-    /// region, not the whole network.
+    /// visits only the fingers that referenced the changed region, not
+    /// the whole network.
     finger_in: Vec<Vec<u64>>,
     /// Mutation counter driving the [`Self::debug_audit`] throttle.
     /// Debug builds only; never part of equality or serialization.
@@ -366,7 +368,7 @@ impl Topology {
             neighbors: Vec::new(),
         });
         self.assignments.insert(node, (rid, Role::Primary));
-        self.rebuild_fingers_of(rid);
+        self.refresh_fingers(rid, &FingerBlock::EMPTY);
         self.publish_snapshot();
         self.debug_audit();
         Ok(rid)
@@ -1107,9 +1109,36 @@ impl Topology {
                 ));
             }
         }
-        // Express-link fingers: every live region's stored finger block
-        // must match a fresh recomputation against the current geometry
-        // (the finger selection rule), point only at live regions, and be
+        // Express-link fingers. Reverse direction first: every in-link
+        // names a live source whose forward finger really points here, and
+        // dead slots hold none. The valid in-links are tallied per forward
+        // finger, so the forward pass below checks "mirrored exactly once"
+        // in O(1) per finger, not with a scan of the target's in-list
+        // (clamped fingers give edge regions in-lists of thousands).
+        let mut mirrored = vec![0u8; self.slots.len() * FINGER_SLOTS];
+        for (s, links) in self.finger_in.iter().enumerate() {
+            let target_live = self.slots.get(s).is_some_and(|e| e.is_some());
+            for &packed in links {
+                let (src, k) = unpack_finger_ref(packed);
+                let src_rid = RegionId::new(src);
+                let forward = self
+                    .region(src_rid)
+                    .and_then(|_| self.slot_fingers.get(src as usize))
+                    .and_then(|b| b.ids.get(k).copied());
+                if !target_live || forward != Some(s as u32) {
+                    v.push(Violation::new(
+                        ViolationKind::AsymmetricFingerLink(src_rid, RegionId::new(s as u32)),
+                        format!("stale reverse finger entry r{src}[{k}] on slot {s}"),
+                    ));
+                } else {
+                    let seen = &mut mirrored[src as usize * FINGER_SLOTS + k];
+                    *seen = seen.saturating_add(1);
+                }
+            }
+        }
+        // Forward direction: every live region's stored finger block must
+        // match a fresh recomputation against the current geometry (the
+        // finger selection rule), point only at live regions, and be
         // mirrored exactly once in the reverse index.
         for (rid, _) in &all {
             let Some(block) = self.slot_fingers.get(rid.index()) else {
@@ -1144,36 +1173,13 @@ impl Topology {
                     )),
                 }
                 if stored != FINGER_NONE {
-                    let packed = ((rid.as_u32() as u64) << 8) | k as u64;
-                    let seen = self
-                        .finger_in
-                        .get(stored as usize)
-                        .map_or(0, |l| l.iter().filter(|&&x| x == packed).count());
+                    let seen = mirrored[rid.index() * FINGER_SLOTS + k];
                     if seen != 1 {
                         v.push(Violation::new(
                             ViolationKind::AsymmetricFingerLink(*rid, RegionId::new(stored)),
                             format!("{rid}: finger {k} -> r{stored} has {seen} reverse entries"),
                         ));
                     }
-                }
-            }
-        }
-        // Reverse direction: every in-link names a live source whose
-        // forward finger really points here, and dead slots hold none.
-        for (s, links) in self.finger_in.iter().enumerate() {
-            let target_live = self.slots.get(s).is_some_and(|e| e.is_some());
-            for &packed in links {
-                let (src, k) = unpack_finger_ref(packed);
-                let src_rid = RegionId::new(src);
-                let forward = self
-                    .region(src_rid)
-                    .and_then(|_| self.slot_fingers.get(src as usize))
-                    .map(|b| b.ids[k]);
-                if !target_live || forward != Some(s as u32) {
-                    v.push(Violation::new(
-                        ViolationKind::AsymmetricFingerLink(src_rid, RegionId::new(s as u32)),
-                        format!("stale reverse finger entry r{src}[{k}] on slot {s}"),
-                    ));
                 }
             }
         }
@@ -1548,7 +1554,8 @@ impl Topology {
             self.slots[i as usize] = Some(entry);
             self.slot_geo[i as usize] = geo;
             // A recycled slot's fingers were cleared (and its in-links
-            // retargeted) when it died; start from a clean block.
+            // moved to the merge survivor) when it died; start from a
+            // clean block.
             debug_assert!(
                 self.finger_in[i as usize].is_empty(),
                 "recycled slot {i} still has finger in-links"
@@ -1586,30 +1593,29 @@ impl Topology {
         }
     }
 
-    /// The correct value of finger `k` of live region `rid`, recomputed
-    /// from the current geometry: the region covering the point one
-    /// finger-scale away from `rid`'s center, or [`FINGER_NONE`] when that
-    /// point folds back into `rid` itself (near the space boundary, or
-    /// when the region is larger than the scale). This is the finger
-    /// selection rule — the audit recomputes it to cross-check the mirror.
-    fn finger_target(&self, rid: RegionId, k: usize) -> u32 {
-        self.try_finger_target(rid, k)
-            .expect("invariant: finger targets are clamped into a non-empty tessellation")
-    }
-
-    /// Fallible form of [`Self::finger_target`] for the audit, which must
-    /// not panic even when the tessellation is corrupt and the target
-    /// point resolves to no region.
-    fn try_finger_target(&self, rid: RegionId, k: usize) -> Option<u32> {
+    /// The point finger `k` of a region centered at `center` aims at:
+    /// `finger_base() · 2^scale` miles along compass direction `dir`
+    /// (`k = scale * FINGER_DIRS + dir`), clamped into the space. This is
+    /// the finger selection rule: the finger names the region covering
+    /// this point, or [`FINGER_NONE`] when that is the region itself (near
+    /// the space boundary, or when the region is larger than the scale).
+    fn finger_point(&self, center: Point, k: usize) -> Point {
         let (scale, dir) = (k / FINGER_DIRS, k % FINGER_DIRS);
         let dist = self.finger_base() * (1u64 << scale) as f64;
         let (dx, dy) = FINGER_DIR_OFFSETS[dir];
-        // Authoritative center, not the slot mirror: the audit recomputes
-        // through this path, and a drifted mirror must surface as exactly
-        // SlotMirrorDrift — not as a cascade of mis-scaled fingers.
+        self.space().clamp(center.translated(dx * dist, dy * dist))
+    }
+
+    /// The correct value of finger `k` of live region `rid`, recomputed
+    /// from scratch with [`Self::finger_point`] and `locate`. The audit's
+    /// cross-check of the mirror: it must not panic even when the
+    /// tessellation is corrupt and the point resolves to no region.
+    fn try_finger_target(&self, rid: RegionId, k: usize) -> Option<u32> {
+        // Authoritative center, not the slot mirror: a drifted mirror must
+        // surface as exactly SlotMirrorDrift — not as a cascade of
+        // mis-scaled fingers.
         let c = self.region(rid)?.region().center();
-        let p = self.space().clamp(c.translated(dx * dist, dy * dist));
-        let target = self.locate(p).ok()?;
+        let target = self.locate(self.finger_point(c, k)).ok()?;
         Some(if target == rid {
             FINGER_NONE
         } else {
@@ -1617,93 +1623,102 @@ impl Topology {
         })
     }
 
-    /// Recomputes finger `k` of live region `rid` and installs it,
-    /// maintaining the reverse index exactly: the old target (if any)
-    /// forgets this finger before the new target learns it.
-    fn recompute_one_finger(&mut self, rid: RegionId, k: usize) {
+    /// Points finger `k` of live region `rid` at `new`, keeping the
+    /// reverse index exact: the old target (if any) forgets this finger
+    /// before the new target learns it. An unchanged finger costs nothing.
+    fn set_finger(&mut self, rid: RegionId, k: usize, new: u32) {
         let slot = rid.index();
         let old = self.slot_fingers[slot].ids[k];
+        if old == new {
+            return;
+        }
+        let packed = pack_finger_ref(rid, k);
         if old != FINGER_NONE {
-            let packed = pack_finger_ref(rid, k);
             let list = &mut self.finger_in[old as usize];
-            // The entry may already be gone if the caller drained the old
-            // target's in-link list wholesale (split/merge retargeting).
             if let Some(i) = list.iter().position(|&x| x == packed) {
                 list.swap_remove(i);
             }
         }
-        let new = self.finger_target(rid, k);
         self.slot_fingers[slot].ids[k] = new;
         if new != FINGER_NONE {
-            self.finger_in[new as usize].push(pack_finger_ref(rid, k));
+            self.finger_in[new as usize].push(packed);
         }
     }
 
-    /// Recomputes every finger of live region `rid` (used when `rid`'s own
-    /// center moved: bootstrap, either half of a split, a merge survivor).
-    fn rebuild_fingers_of(&mut self, rid: RegionId) {
+    /// Recomputes every finger of live region `rid` after its own center
+    /// moved (bootstrap, either half of a split, a merge survivor).
+    /// `hints[k]` is the likely target of finger `k` ([`FINGER_NONE`]
+    /// names `rid` itself): a hint whose rectangle covers the new finger
+    /// point is the answer — the regions partition the space — so only a
+    /// missed hint costs a `locate`, and only a changed finger edits the
+    /// reverse index.
+    fn refresh_fingers(&mut self, rid: RegionId, hints: &FingerBlock) {
+        let space = self.space();
+        let own = rid.as_u32();
+        let center = self.slot_geo[rid.index()].center;
         for k in 0..FINGER_COUNT {
-            self.recompute_one_finger(rid, k);
+            let p = self.finger_point(center, k);
+            let hint = match hints.ids[k] {
+                FINGER_NONE => own,
+                h => h,
+            };
+            let target = if space.region_covers(&self.slot_geo[hint as usize].rect, p) {
+                hint
+            } else {
+                self.locate(p)
+                    .expect("invariant: finger points are clamped into a non-empty tessellation")
+                    .as_u32()
+            };
+            self.set_finger(rid, k, if target == own { FINGER_NONE } else { target });
         }
     }
 
-    /// Clears every finger of `rid` and their reverse entries (the slot is
-    /// dying: a merge victim about to be freed).
-    fn clear_fingers_of(&mut self, rid: RegionId) {
-        for k in 0..FINGER_COUNT {
-            let old = self.slot_fingers[rid.index()].ids[k];
-            if old != FINGER_NONE {
-                let packed = pack_finger_ref(rid, k);
-                let list = &mut self.finger_in[old as usize];
-                if let Some(i) = list.iter().position(|&x| x == packed) {
-                    list.swap_remove(i);
-                }
-            }
-            self.slot_fingers[rid.index()].ids[k] = FINGER_NONE;
-        }
-    }
-
-    /// Retargets every finger currently pointing at slot `dead_or_changed`
-    /// (its rectangle changed or it died): drains the reverse list and
-    /// recomputes each referencing finger against the new geometry. Cost
-    /// is proportional to the slot's finger in-degree (average
-    /// [`FINGER_COUNT`]), not the network size.
-    fn retarget_in_links(&mut self, dead_or_changed: RegionId) {
-        let links = std::mem::take(&mut self.finger_in[dead_or_changed.index()]);
-        for packed in links {
-            let (src, k) = unpack_finger_ref(packed);
-            // Defensive: skip entries whose source died or no longer
-            // forward-points here (cannot happen while the index is exact,
-            // but a stale entry must not be resurrected).
-            if self.slots[src as usize].is_none()
-                || self.slot_fingers[src as usize].ids[k] != dead_or_changed.as_u32()
-            {
-                continue;
-            }
-            self.recompute_one_finger(RegionId::new(src), k);
-        }
-    }
-
-    /// Finger maintenance for [`Self::split_region`]: the kept half's
-    /// center moved and the given half is new, so both rebuild their own
-    /// fingers; every finger that pointed at the old rectangle may now
-    /// belong to either half, so the kept slot's in-links retarget.
+    /// Finger maintenance for [`Self::split_region`] (`rid` kept, `new_rid`
+    /// given away). Every in-link of the old rectangle aims at a point
+    /// that its source's unmoved center fixes, inside the old rectangle,
+    /// which the two halves tile: one `region_covers` test on the given
+    /// half decides which half it now names, and links that stay keep
+    /// their list entries. Both halves then refresh their own fingers with
+    /// the old rectangle's block as hints.
     fn fingers_after_split(&mut self, rid: RegionId, new_rid: RegionId) {
-        self.retarget_in_links(rid);
-        self.rebuild_fingers_of(rid);
-        self.rebuild_fingers_of(new_rid);
+        let space = self.space();
+        let given = self.slot_geo[new_rid.index()].rect;
+        let mut links = std::mem::take(&mut self.finger_in[rid.index()]);
+        let mut i = 0;
+        while i < links.len() {
+            let (src, k) = unpack_finger_ref(links[i]);
+            let p = self.finger_point(self.slot_geo[src as usize].center, k);
+            if space.region_covers(&given, p) {
+                self.slot_fingers[src as usize].ids[k] = new_rid.as_u32();
+                self.finger_in[new_rid.index()].push(links.swap_remove(i));
+            } else {
+                i += 1;
+            }
+        }
+        self.finger_in[rid.index()] = links;
+        let parent = self.slot_fingers[rid.index()];
+        self.refresh_fingers(rid, &parent);
+        self.refresh_fingers(new_rid, &parent);
     }
 
-    /// Finger maintenance for [`Self::merge_regions`]: the victim `b` is
-    /// already freed, so its fingers are cleared and its in-links retarget
-    /// (they now resolve inside the grown `a`); `a`'s in-links stay valid
-    /// — its rectangle only grew, so every referencing target point it
-    /// covered it still covers — but its own center moved, so its forward
-    /// fingers rebuild.
+    /// Finger maintenance for [`Self::merge_regions`]: the victim `b`
+    /// (already freed) drops its own fingers, and its in-links move to the
+    /// survivor `a` as they are — each aimed at a point inside `b`, which
+    /// `a` now covers. `a`'s in-links stay valid (its rectangle only
+    /// grew). Its own center moved, so its fingers refresh with their
+    /// current targets as hints; that also folds any of them that named
+    /// `b`, and so now name `a` itself, back to [`FINGER_NONE`].
     fn fingers_after_merge(&mut self, a: RegionId, b: RegionId) {
-        self.clear_fingers_of(b);
-        self.retarget_in_links(b);
-        self.rebuild_fingers_of(a);
+        for k in 0..FINGER_COUNT {
+            self.set_finger(b, k, FINGER_NONE);
+        }
+        for packed in std::mem::take(&mut self.finger_in[b.index()]) {
+            let (src, k) = unpack_finger_ref(packed);
+            self.slot_fingers[src as usize].ids[k] = a.as_u32();
+            self.finger_in[a.index()].push(packed);
+        }
+        let hints = self.slot_fingers[a.index()];
+        self.refresh_fingers(a, &hints);
     }
 }
 

@@ -19,13 +19,21 @@
 //!    with positive area, every sampled point is covered by exactly one
 //!    region, and neighbor links are symmetric edge-adjacencies.
 //!
-//! Together the two proptest blocks run 320 cases (≥ the 256 the audit
-//! issue requires).
+//! Together the two proptest blocks run 320 cases.
+//!
+//! The proptests start from one region, so their finger in-lists stay
+//! short. Splits and merges update fingers from local geometry tests, and
+//! the long in-lists that clamped fingers pile onto edge and large
+//! regions are where that could go wrong. So two seeded cases, one per
+//! join mode, start from a 1,024-node built layout and audit after each
+//! of 200 operations.
 
 use geogrid_core::audit::{TopologyAuditor, ViolationKind};
+use geogrid_core::builder::{Mode, NetworkBuilder};
 use geogrid_core::{join, RegionId, Topology};
 use geogrid_geometry::{Point, Space};
 use proptest::prelude::*;
+use rand::Rng;
 
 fn space() -> Space {
     Space::paper_evaluation()
@@ -51,10 +59,10 @@ fn apply_audited(t: &mut Topology, auditor: &mut TopologyAuditor, op: u8, x: f64
     match op % 8 {
         // Join protocols (both split a region somewhere).
         0 => {
-            let _ = join::join_basic(t, rid, p, 10.0).expect("basic join over a live entry");
+            let _ = join::join_basic(t, p, 10.0).expect("basic join inside the space");
         }
         1..=2 => {
-            let _ = join::join_dual(t, rid, p, 25.0).expect("dual join over a live entry");
+            let _ = join::join_dual(t, p, 25.0).expect("dual join inside the space");
         }
         // Merge with the first neighbor that re-forms a rectangle.
         3 => {
@@ -145,6 +153,39 @@ fn build_audited(ops: &[(u8, f64, f64)]) -> Topology {
         apply_audited(&mut t, &mut auditor, op, x, y);
     }
     t
+}
+
+/// 200 seeded joins, merges, repaired departures and raw fail-overs on
+/// a 1,024-node `mode` layout, each audited in full (the auditor is not
+/// throttled like the debug-build hook).
+fn churn_built_layout(mode: Mode, join_op: u8) {
+    let mut net = NetworkBuilder::new(space(), 41).mode(mode).build(1_024);
+    let ops: Vec<(u8, f64, f64)> = (0..200)
+        .map(|_| {
+            let rng = net.rng_mut();
+            let op = [join_op, join_op, 3, 6, 7][rng.random_range(0..5)];
+            (op, 64.0 * rng.random::<f64>(), 64.0 * rng.random::<f64>())
+        })
+        .collect();
+    let t = net.topology_mut();
+    let mut auditor = TopologyAuditor::new();
+    assert!(
+        auditor.observe(t).is_empty(),
+        "built layout must audit clean"
+    );
+    for (op, x, y) in ops {
+        apply_audited(t, &mut auditor, op, x, y);
+    }
+}
+
+#[test]
+fn basic_layout_churn_stays_audit_clean() {
+    churn_built_layout(Mode::Basic, 0);
+}
+
+#[test]
+fn dual_peer_layout_churn_stays_audit_clean() {
+    churn_built_layout(Mode::DualPeer, 1);
 }
 
 proptest! {

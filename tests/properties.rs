@@ -39,9 +39,9 @@ proptest! {
         let space = Space::paper_evaluation();
         let mut topo = Topology::new(space);
         let first = topo.register_node(points[0].0, points[0].1);
-        let root = topo.bootstrap(first).expect("fresh");
+        topo.bootstrap(first).expect("fresh");
         for (p, cap) in &points[1..] {
-            join::join_basic(&mut topo, root, *p, *cap).expect("join");
+            join::join_basic(&mut topo, *p, *cap).expect("join");
         }
         prop_assert!(topo.validate().is_ok(), "{:?}", topo.validate());
     }
@@ -55,9 +55,9 @@ proptest! {
         let space = Space::paper_evaluation();
         let mut topo = Topology::new(space);
         let first = topo.register_node(points[0].0, points[0].1);
-        let root = topo.bootstrap(first).expect("fresh");
+        topo.bootstrap(first).expect("fresh");
         for (p, cap) in &points[1..] {
-            join::join_dual(&mut topo, root, *p, *cap).expect("join");
+            join::join_dual(&mut topo, *p, *cap).expect("join");
         }
         prop_assert!(topo.validate().is_ok(), "{:?}", topo.validate());
         prop_assert!(topo.region_count() <= topo.node_count());
@@ -83,8 +83,7 @@ proptest! {
                     .expect("nonempty");
                 join::depart(net.topology_mut(), victim).expect("departure");
             } else {
-                let entry = net.topology().first_region().expect("nonempty");
-                join::join_dual(net.topology_mut(), entry, p, cap).expect("join");
+                join::join_dual(net.topology_mut(), p, cap).expect("join");
             }
             prop_assert!(
                 net.topology().validate().is_ok(),
