@@ -143,7 +143,8 @@ pub struct SimHarness {
     space: Space,
     config: EngineConfig,
     sim: Simulation<SimNode>,
-    addrs: Vec<Addr>,
+    /// Nodes spawned so far; node `i` lives at simulator address `i`.
+    nodes: u64,
 }
 
 impl SimHarness {
@@ -154,7 +155,7 @@ impl SimHarness {
             space,
             config,
             sim: Simulation::new(SimConfig::default(), seed),
-            addrs: Vec::new(),
+            nodes: 0,
         }
     }
 
@@ -164,7 +165,7 @@ impl SimHarness {
     ///
     /// Panics if called twice.
     pub fn bootstrap(&mut self, coord: Point, capacity: f64) -> NodeId {
-        assert!(self.addrs.is_empty(), "bootstrap exactly once");
+        assert_eq!(self.nodes, 0, "bootstrap exactly once");
         self.spawn(coord, capacity, vec![Input::BootstrapAsFirst])
     }
 
@@ -174,13 +175,13 @@ impl SimHarness {
     ///
     /// Panics if the network was never bootstrapped.
     pub fn join(&mut self, coord: Point, capacity: f64) -> NodeId {
-        assert!(!self.addrs.is_empty(), "bootstrap first");
-        let entry = self.addrs[0].to_node();
+        assert!(self.nodes > 0, "bootstrap first");
+        let entry = NodeId::new(0);
         self.spawn(coord, capacity, vec![Input::Join { entry }])
     }
 
     fn spawn(&mut self, coord: Point, capacity: f64, startup: Vec<Input>) -> NodeId {
-        let id = NodeId::new(self.addrs.len() as u64);
+        let id = NodeId::new(self.nodes);
         let info = NodeInfo::new(id, coord, capacity);
         let engine = NodeEngine::new(info, self.space, self.config);
         let addr = self.sim.add_process(SimNode::new(engine, startup));
@@ -189,7 +190,7 @@ impl SimHarness {
             id.as_u64(),
             "process address must equal node id"
         );
-        self.addrs.push(addr);
+        self.nodes += 1;
         id
     }
 
@@ -212,7 +213,7 @@ impl SimHarness {
     pub fn inject(&mut self, id: NodeId, input: Input) {
         // Deliver through a self-addressed message-free path: run the
         // engine directly and replay effects through the simulator.
-        let addr = self.addrs[id.as_u64() as usize];
+        let addr = Addr::from_node(id);
         let now = self.sim.now().as_micros() / 1_000;
         let Some(node) = self.sim.process_mut(addr) else {
             return;
@@ -232,43 +233,37 @@ impl SimHarness {
 
     /// Crashes a node without warning.
     pub fn crash(&mut self, id: NodeId) {
-        self.sim.crash(self.addrs[id.as_u64() as usize]);
+        self.sim.crash(Addr::from_node(id));
     }
 
     /// Number of live nodes currently owning (or co-owning) a region.
     pub fn owner_count(&self) -> usize {
-        self.addrs
-            .iter()
-            .filter_map(|&a| self.sim.process(a))
+        (0..self.nodes)
+            .filter_map(|i| self.node(NodeId::new(i)))
             .filter(|n| n.engine.is_owner())
             .count()
     }
 
     /// Snapshot of every live owner's view, ordered by node id.
     pub fn owner_views(&self) -> Vec<(NodeId, crate::engine::OwnerView)> {
-        self.addrs
-            .iter()
-            .filter_map(|&a| {
-                let node = self.sim.process(a)?;
-                let view = node.engine.owner_view()?;
-                Some((a.to_node(), view))
-            })
+        (0..self.nodes)
+            .map(NodeId::new)
+            .filter_map(|id| Some((id, self.node(id)?.engine.owner_view()?)))
             .collect()
     }
 
     /// The engine of live node `id`.
     pub fn engine(&self, id: NodeId) -> Option<&NodeEngine> {
-        self.sim
-            .process(self.addrs[id.as_u64() as usize])
-            .map(SimNode::engine)
+        self.node(id).map(SimNode::engine)
     }
 
     /// Client events observed by node `id` so far.
     pub fn events_of(&self, id: NodeId) -> &[ClientEvent] {
-        self.sim
-            .process(self.addrs[id.as_u64() as usize])
-            .map(|n| n.events.as_slice())
-            .unwrap_or(&[])
+        self.node(id).map_or(&[], |n| n.events.as_slice())
+    }
+
+    fn node(&self, id: NodeId) -> Option<&SimNode> {
+        self.sim.process(Addr::from_node(id))
     }
 
     /// Message statistics from the underlying simulator.

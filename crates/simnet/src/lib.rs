@@ -10,7 +10,22 @@
 //!
 //! * **Deterministic.** All randomness flows from one seeded RNG; two runs
 //!   with the same seed replay the identical event order (ties broken by
-//!   insertion sequence).
+//!   insertion sequence). The RNG is drawn in call order: a send draws its
+//!   loss and latency when it is made ([`Context::send`] or
+//!   [`Simulation::post`]), interleaved with any draws the handler makes
+//!   through [`Context::rng`].
+//! * **Dense process table.** Addresses are allocated sequentially and never
+//!   reused, so processes live in a vector indexed by address (`None` once
+//!   crashed or stopped); an event looks its process up by index and the
+//!   handler runs on it in place.
+//! * **Small keys, payloads in a slab.** The binary heap orders
+//!   `(time, sequence, slot)` keys of 24 bytes; each event's payload (a
+//!   message, a timer id) waits in a slab slot, and popped slots are reused,
+//!   so the heap never sifts a whole message.
+//! * **Direct enqueue.** A handler's [`Context`] borrows the scheduler:
+//!   [`Context::send`] and [`Context::set_timer`] push into the queue at
+//!   once, and [`Context::stop`] removes the process when the handler
+//!   returns. Messages are moved once, from the sender into the slab.
 //! * **Sans-io friendly.** The protocol logic in `geogrid-core` is written
 //!   as state machines; [`Process`] is the adapter that lets the simulator
 //!   (or any other driver) own scheduling while protocol code owns

@@ -1,7 +1,7 @@
 //! The simulation engine: processes, events, and the run loop.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::fmt;
 
 use rand::rngs::SmallRng;
@@ -31,6 +31,11 @@ impl Addr {
     pub fn from_raw(raw: u64) -> Addr {
         Addr(raw)
     }
+
+    /// The process-table index, if it fits one.
+    fn index(self) -> Option<usize> {
+        usize::try_from(self.0).ok()
+    }
 }
 
 impl fmt::Display for Addr {
@@ -42,9 +47,8 @@ impl fmt::Display for Addr {
 /// A simulated process (an overlay node).
 ///
 /// Handlers receive a [`Context`] for sending messages, arming timers, and
-/// reading the clock. All effects requested through the context are applied
-/// by the simulator after the handler returns, keeping handlers pure with
-/// respect to the event queue.
+/// reading the clock. Sends and timers enter the event queue as they are
+/// requested; a [`Context::stop`] takes effect when the handler returns.
 pub trait Process {
     /// The message type exchanged between processes.
     type Msg;
@@ -84,22 +88,15 @@ impl Default for SimConfig {
 /// Handle through which a process interacts with the simulation during a
 /// handler invocation.
 pub struct Context<'a, M> {
-    now: SimTime,
+    sched: &'a mut Sched<M>,
     addr: Addr,
-    rng: &'a mut SmallRng,
-    actions: &'a mut Vec<Action<M>>,
-}
-
-enum Action<M> {
-    Send { to: Addr, msg: M },
-    Timer { delay: SimTime, id: u64 },
-    Stop,
+    stopped: bool,
 }
 
 impl<M> Context<'_, M> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.sched.now
     }
 
     /// This process's own address.
@@ -109,23 +106,24 @@ impl<M> Context<'_, M> {
 
     /// Sends `msg` to `to` (subject to the latency and loss models).
     pub fn send(&mut self, to: Addr, msg: M) {
-        self.actions.push(Action::Send { to, msg });
+        self.sched.send(self.addr, to, msg);
     }
 
     /// Arms a timer that fires after `delay` with the given id.
     pub fn set_timer(&mut self, delay: SimTime, id: u64) {
-        self.actions.push(Action::Timer { delay, id });
+        let at = self.sched.now + delay;
+        self.sched.push(at, EventKind::Timer { to: self.addr, id });
     }
 
     /// Removes this process from the simulation after the handler returns
     /// (a graceful departure; pending messages to it become undeliverable).
     pub fn stop(&mut self) {
-        self.actions.push(Action::Stop);
+        self.stopped = true;
     }
 
     /// Deterministic randomness shared with the simulation.
     pub fn rng(&mut self) -> &mut impl Rng {
-        self.rng
+        &mut self.sched.rng
     }
 }
 
@@ -136,26 +134,62 @@ enum EventKind<M> {
     Start { to: Addr },
 }
 
-struct Event<M> {
-    at: SimTime,
+/// Everything but the processes: the clock, the event queue and the RNG.
+///
+/// The heap orders small `(at, seq, slot)` keys; each event's payload
+/// waits in `slab[slot]`, and freed slots are reused.
+struct Sched<M> {
+    config: SimConfig,
+    now: SimTime,
     seq: u64,
-    kind: EventKind<M>,
+    queue: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    slab: Vec<Option<EventKind<M>>>,
+    free: Vec<u32>,
+    rng: SmallRng,
+    stats: SimStats,
 }
 
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+impl<M> Sched<M> {
+    fn send(&mut self, from: Addr, to: Addr, msg: M) {
+        self.stats.sent += 1;
+        if self.config.loss_probability > 0.0
+            && self.rng.random::<f64>() < self.config.loss_probability
+        {
+            self.stats.lost += 1;
+            return;
+        }
+        let at = self.now + self.config.latency.sample(&mut self.rng);
+        self.push(at, EventKind::Deliver { from, to, msg });
     }
-}
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+    fn push(&mut self, at: SimTime, kind: EventKind<M>) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(kind);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("fewer than 2^32 pending events");
+                self.slab.push(Some(kind));
+                slot
+            }
+        };
+        self.queue.push(Reverse((at, self.seq, slot)));
+        self.seq += 1;
     }
-}
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+
+    /// Pops the earliest event and frees its slot.
+    fn pop(&mut self) -> Option<(SimTime, EventKind<M>)> {
+        let Reverse((at, _, slot)) = self.queue.pop()?;
+        self.free.push(slot);
+        let kind = self.slab[slot as usize]
+            .take()
+            .expect("a queued slot holds its event");
+        Some((at, kind))
+    }
+
+    fn next_at(&self) -> Option<SimTime> {
+        self.queue.peek().map(|Reverse((at, ..))| *at)
     }
 }
 
@@ -163,15 +197,10 @@ impl<M> Ord for Event<M> {
 ///
 /// See the [crate docs](crate) for an end-to-end example.
 pub struct Simulation<P: Process> {
-    config: SimConfig,
-    now: SimTime,
-    seq: u64,
-    next_addr: u64,
-    queue: BinaryHeap<Reverse<Event<P::Msg>>>,
-    processes: HashMap<Addr, P>,
-    rng: SmallRng,
-    stats: SimStats,
-    scratch: Vec<Action<P::Msg>>,
+    /// Indexed by address; `None` once crashed or stopped.
+    processes: Vec<Option<P>>,
+    live: usize,
+    sched: Sched<P::Msg>,
 }
 
 impl<P: Process> Simulation<P> {
@@ -183,32 +212,36 @@ impl<P: Process> Simulation<P> {
             config.loss_probability
         );
         Self {
-            config,
-            now: SimTime::ZERO,
-            seq: 0,
-            next_addr: 0,
-            queue: BinaryHeap::new(),
-            processes: HashMap::new(),
-            rng: SmallRng::seed_from_u64(seed),
-            stats: SimStats::default(),
-            scratch: Vec::new(),
+            processes: Vec::new(),
+            live: 0,
+            sched: Sched {
+                config,
+                now: SimTime::ZERO,
+                seq: 0,
+                queue: BinaryHeap::new(),
+                slab: Vec::new(),
+                free: Vec::new(),
+                rng: SmallRng::seed_from_u64(seed),
+                stats: SimStats::default(),
+            },
         }
     }
 
     /// Adds a process; its `on_start` runs at the current simulated time
     /// (once the run loop reaches it).
     pub fn add_process(&mut self, process: P) -> Addr {
-        let addr = Addr(self.next_addr);
-        self.next_addr += 1;
-        self.processes.insert(addr, process);
-        self.push_event(self.now, EventKind::Start { to: addr });
+        let addr = Addr(self.processes.len() as u64);
+        self.processes.push(Some(process));
+        self.live += 1;
+        self.sched
+            .push(self.sched.now, EventKind::Start { to: addr });
         addr
     }
 
     /// Injects a message from outside the simulation (e.g. a mobile user
     /// contacting its proxy). Latency and loss apply as usual.
     pub fn post(&mut self, from: Addr, to: Addr, msg: P::Msg) {
-        self.enqueue_send(from, to, msg);
+        self.sched.send(from, to, msg);
     }
 
     /// Crashes a process immediately: it is removed without any handler
@@ -216,76 +249,78 @@ impl<P: Process> Simulation<P> {
     ///
     /// Returns the process state if it was alive.
     pub fn crash(&mut self, addr: Addr) -> Option<P> {
-        self.processes.remove(&addr)
+        let process = self.processes.get_mut(addr.index()?)?.take()?;
+        self.live -= 1;
+        Some(process)
     }
 
     /// Whether `addr` is currently alive.
     pub fn is_alive(&self, addr: Addr) -> bool {
-        self.processes.contains_key(&addr)
+        self.process(addr).is_some()
     }
 
     /// Read access to a process's state.
     pub fn process(&self, addr: Addr) -> Option<&P> {
-        self.processes.get(&addr)
+        self.processes.get(addr.index()?)?.as_ref()
     }
 
     /// Mutable access to a process's state (for test instrumentation).
     pub fn process_mut(&mut self, addr: Addr) -> Option<&mut P> {
-        self.processes.get_mut(&addr)
+        self.processes.get_mut(addr.index()?)?.as_mut()
     }
 
-    /// Addresses of all live processes (unordered).
+    /// Addresses of all live processes, in ascending address order (which
+    /// is the order they were added in).
     pub fn addrs(&self) -> impl Iterator<Item = Addr> + '_ {
-        self.processes.keys().copied()
+        (0u64..)
+            .zip(&self.processes)
+            .filter(|(_, p)| p.is_some())
+            .map(|(raw, _)| Addr(raw))
     }
 
     /// Number of live processes.
     pub fn len(&self) -> usize {
-        self.processes.len()
+        self.live
     }
 
     /// Whether no processes are alive.
     pub fn is_empty(&self) -> bool {
-        self.processes.is_empty()
+        self.live == 0
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.sched.now
     }
 
     /// Counters accumulated so far.
     pub fn stats(&self) -> SimStats {
-        self.stats
+        self.sched.stats
     }
 
     /// Processes a single event. Returns false when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse(event)) = self.queue.pop() else {
+        let Some((at, kind)) = self.sched.pop() else {
             return false;
         };
-        debug_assert!(event.at >= self.now, "time must not move backwards");
-        self.now = event.at;
-        self.stats.events += 1;
-        match event.kind {
+        debug_assert!(at >= self.sched.now, "time must not move backwards");
+        self.sched.now = at;
+        self.sched.stats.events += 1;
+        match kind {
             EventKind::Deliver { from, to, msg } => {
-                if self.processes.contains_key(&to) {
-                    self.stats.delivered += 1;
-                    self.dispatch(to, |p, ctx| p.on_message(ctx, from, msg));
+                if self.dispatch(to, |p, ctx| p.on_message(ctx, from, msg)) {
+                    self.sched.stats.delivered += 1;
                 } else {
-                    self.stats.undeliverable += 1;
+                    self.sched.stats.undeliverable += 1;
                 }
             }
             EventKind::Timer { to, id } => {
-                if self.processes.contains_key(&to) {
-                    self.stats.timers_fired += 1;
-                    self.dispatch(to, |p, ctx| p.on_timer(ctx, id));
+                if self.dispatch(to, |p, ctx| p.on_timer(ctx, id)) {
+                    self.sched.stats.timers_fired += 1;
                 }
             }
             EventKind::Start { to } => {
-                if self.processes.contains_key(&to) {
-                    self.dispatch(to, |p, ctx| p.on_start(ctx));
-                }
+                self.dispatch(to, |p, ctx| p.on_start(ctx));
             }
         }
         true
@@ -306,76 +341,44 @@ impl<P: Process> Simulation<P> {
     /// Returns the number of events processed.
     pub fn run_until(&mut self, deadline: SimTime, max_events: u64) -> u64 {
         let mut n = 0;
-        while n < max_events {
-            match self.queue.peek() {
-                Some(Reverse(e)) if e.at <= deadline => {
-                    self.step();
-                    n += 1;
-                }
-                _ => break,
-            }
+        while n < max_events && self.sched.next_at().is_some_and(|at| at <= deadline) {
+            self.step();
+            n += 1;
         }
-        self.now = self
-            .now
-            .max(deadline.min(self.queue.peek().map(|Reverse(e)| e.at).unwrap_or(deadline)));
+        let next = self.sched.next_at().unwrap_or(deadline);
+        self.sched.now = self.sched.now.max(deadline.min(next));
         n
     }
 
-    fn dispatch<F>(&mut self, addr: Addr, f: F)
+    /// Runs `f` on the live process at `to` and applies a requested stop.
+    /// Returns false if `to` is not alive.
+    fn dispatch<F>(&mut self, to: Addr, f: F) -> bool
     where
         F: FnOnce(&mut P, &mut Context<'_, P::Msg>),
     {
-        let mut process = self.processes.remove(&addr).expect("checked alive");
-        let mut actions = std::mem::take(&mut self.scratch);
-        let mut ctx = Context {
-            now: self.now,
-            addr,
-            rng: &mut self.rng,
-            actions: &mut actions,
+        let Some(process) = to.index().and_then(|i| self.processes.get_mut(i)?.as_mut()) else {
+            return false;
         };
-        f(&mut process, &mut ctx);
-        let mut stopped = false;
-        for action in actions.drain(..) {
-            match action {
-                Action::Send { to, msg } => self.enqueue_send(addr, to, msg),
-                Action::Timer { delay, id } => {
-                    self.push_event(self.now + delay, EventKind::Timer { to: addr, id });
-                }
-                Action::Stop => stopped = true,
-            }
+        let mut ctx = Context {
+            sched: &mut self.sched,
+            addr: to,
+            stopped: false,
+        };
+        f(process, &mut ctx);
+        if ctx.stopped {
+            self.crash(to);
         }
-        self.scratch = actions;
-        if !stopped {
-            self.processes.insert(addr, process);
-        }
-    }
-
-    fn enqueue_send(&mut self, from: Addr, to: Addr, msg: P::Msg) {
-        self.stats.sent += 1;
-        if self.config.loss_probability > 0.0
-            && self.rng.random::<f64>() < self.config.loss_probability
-        {
-            self.stats.lost += 1;
-            return;
-        }
-        let latency = self.config.latency.sample(&mut self.rng);
-        self.push_event(self.now + latency, EventKind::Deliver { from, to, msg });
-    }
-
-    fn push_event(&mut self, at: SimTime, kind: EventKind<P::Msg>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Reverse(Event { at, seq, kind }));
+        true
     }
 }
 
 impl<P: Process> fmt::Debug for Simulation<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Simulation")
-            .field("now", &self.now)
-            .field("processes", &self.processes.len())
-            .field("pending_events", &self.queue.len())
-            .field("stats", &self.stats)
+            .field("now", &self.sched.now)
+            .field("processes", &self.live)
+            .field("pending_events", &self.sched.queue.len())
+            .field("stats", &self.sched.stats)
             .finish()
     }
 }
@@ -547,6 +550,147 @@ mod tests {
         assert!(sim.is_alive(b));
         assert_eq!(sim.stats().delivered, 1);
         assert_eq!(sim.stats().undeliverable, 1);
+    }
+
+    /// Arms a timer at start and stops on its first message.
+    struct Leaver {
+        fired: u32,
+    }
+
+    impl Process for Leaver {
+        type Msg = ();
+
+        fn on_start(&mut self, ctx: &mut Context<'_, ()>) {
+            ctx.set_timer(SimTime::from_millis(50), 9);
+        }
+
+        fn on_message(&mut self, ctx: &mut Context<'_, ()>, _from: Addr, _msg: ()) {
+            ctx.stop();
+        }
+
+        fn on_timer(&mut self, _ctx: &mut Context<'_, ()>, _timer: u64) {
+            self.fired += 1;
+        }
+    }
+
+    #[test]
+    fn stop_drops_messages_and_timers_in_flight() {
+        let mut sim = Simulation::new(SimConfig::default(), 1);
+        let a = sim.add_process(Leaver { fired: 0 });
+        let b = sim.add_process(Leaver { fired: 0 });
+        sim.run_until(SimTime::from_millis(1), 100); // both timers armed for 50 ms
+        sim.post(b, a, ()); // arrives at 6 ms: `a` stops
+        sim.run_until(SimTime::from_millis(3), 100);
+        sim.post(b, a, ()); // both in flight when `a` stops
+        sim.post(b, a, ());
+        sim.run_until_quiescent(100);
+        assert!(!sim.is_alive(a));
+        assert_eq!(sim.stats().delivered, 1);
+        assert_eq!(sim.stats().undeliverable, 2);
+        assert_eq!(sim.stats().timers_fired, 1, "only b's timer fires");
+        assert_eq!(sim.process(b).unwrap().fired, 1);
+        assert_eq!(sim.now(), SimTime::from_millis(50));
+    }
+
+    #[test]
+    fn crash_returns_the_process_once() {
+        let (mut sim, a, b) = two_echoes(SimConfig::default());
+        assert!(sim.crash(a).is_some());
+        assert!(sim.crash(a).is_none());
+        assert_eq!(sim.len(), 1);
+        assert!(sim.crash(b).is_some());
+        assert!(sim.is_empty());
+        assert!(sim.crash(Addr::from_raw(2)).is_none(), "never allocated");
+    }
+
+    #[test]
+    fn post_to_an_unallocated_address_is_undeliverable() {
+        let (mut sim, a, _) = two_echoes(SimConfig::default());
+        let nowhere = Addr::from_raw(u64::MAX);
+        sim.post(a, nowhere, "ping");
+        sim.run_until_quiescent(100);
+        assert_eq!(sim.stats().sent, 1);
+        assert_eq!(sim.stats().undeliverable, 1);
+        assert!(!sim.is_alive(nowhere));
+        assert!(sim.process(nowhere).is_none());
+        assert!(sim.crash(nowhere).is_none());
+    }
+
+    #[test]
+    fn len_and_addrs_track_crashes_and_stops() {
+        let mut sim = Simulation::new(SimConfig::default(), 1);
+        let addrs: Vec<Addr> = (0..6).map(|_| sim.add_process(Quitter)).collect();
+        sim.crash(addrs[1]);
+        sim.crash(addrs[3]);
+        sim.post(addrs[0], addrs[4], ());
+        sim.run_until_quiescent(100);
+        assert_eq!(sim.len(), 3);
+        assert_eq!(
+            sim.addrs().collect::<Vec<_>>(),
+            vec![addrs[0], addrs[2], addrs[5]]
+        );
+        let late = sim.add_process(Quitter);
+        assert_eq!(late, Addr::from_raw(6), "addresses are never reused");
+        assert_eq!(sim.addrs().last(), Some(late));
+        assert_eq!(sim.len(), 4);
+    }
+
+    /// Passes a hop budget round a ring and ticks every 7 ms.
+    struct Relay {
+        ring: u64,
+    }
+
+    impl Process for Relay {
+        type Msg = u32;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+            ctx.set_timer(SimTime::from_millis(7), 0);
+        }
+
+        fn on_message(&mut self, ctx: &mut Context<'_, u32>, _from: Addr, hops: u32) {
+            if hops > 0 {
+                let next = Addr::from_raw((ctx.addr().as_u64() + 1) % self.ring);
+                ctx.send(next, hops - 1);
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<'_, u32>, _timer: u64) {
+            ctx.set_timer(SimTime::from_millis(7), 0);
+        }
+    }
+
+    #[test]
+    fn slab_reuses_slots() {
+        const RING: u64 = 64;
+        let mut sim = Simulation::new(SimConfig::default(), 5);
+        for _ in 0..RING {
+            sim.add_process(Relay { ring: RING });
+        }
+        let mut peak = sim.sched.queue.len();
+        for round in 0..200u32 {
+            let at = Addr::from_raw(u64::from(round) % RING);
+            sim.post(at, at, 17 + round % 5);
+            peak = peak.max(sim.sched.queue.len());
+            let deadline = SimTime::from_millis(3 * u64::from(round + 1));
+            while sim.sched.next_at().is_some_and(|t| t <= deadline) {
+                sim.step();
+                peak = peak.max(sim.sched.queue.len());
+            }
+        }
+        assert!(
+            sim.stats().events > 20 * peak as u64,
+            "a long run: {} events, peak {peak}",
+            sim.stats().events
+        );
+        assert!(
+            sim.sched.slab.len() <= peak,
+            "slab {} outgrew the peak of {peak} pending events",
+            sim.sched.slab.len()
+        );
+        assert_eq!(
+            sim.sched.slab.len(),
+            sim.sched.queue.len() + sim.sched.free.len()
+        );
     }
 
     #[test]
