@@ -16,24 +16,15 @@
 //!
 //! Setting `GEOGRID_SERIAL=1` forces the serial path; it is used to verify
 //! the byte-identical-output property and to time the serial baseline.
-//! `GEOGRID_WORKERS=N` overrides the detected parallelism (useful to force
-//! the threaded path on constrained machines, or to throttle it).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Worker count for `n` units: `GEOGRID_WORKERS` if set, else the
-/// machine's parallelism; capped at `n`; 1 when `GEOGRID_SERIAL` is set
-/// (to any value).
+/// Worker count for `n` units: the machine's parallelism, capped at `n`;
+/// 1 when `GEOGRID_SERIAL` is set (to any value).
 fn worker_count(n: usize) -> usize {
     if std::env::var_os("GEOGRID_SERIAL").is_some() {
         return 1;
-    }
-    if let Some(w) = std::env::var("GEOGRID_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        return w.max(1).min(n);
     }
     std::thread::available_parallelism()
         .map(|p| p.get())

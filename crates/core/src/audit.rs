@@ -7,6 +7,10 @@
 //! can assert on [`ViolationKind`]s rather than matching error-message
 //! substrings.
 //!
+//! Most rules are per-slot and run at two scopes: the full audit runs them
+//! over every slot and adds a few global totals, and debug builds run them
+//! after **every** mutation over just the slots that mutation touched.
+//!
 //! [`TopologyAuditor`] adds the one check that is inherently stateful —
 //! epoch monotonicity across a sequence of observations — and is the
 //! driver used by the model-explorer property tests
@@ -26,8 +30,9 @@ use crate::{NodeId, RegionId, Topology};
 /// specifics for humans.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ViolationKind {
-    /// Live region areas do not sum to the space's area: some part of the
-    /// space is covered by no region (or the bookkeeping lost a slot).
+    /// Some part of the space is covered by no region: a side of a live
+    /// region is not fully covered by the edges it shares with the regions
+    /// touching it and by the space boundary.
     TessellationGap,
     /// Two live regions overlap with positive area.
     TessellationOverlap(RegionId, RegionId),
@@ -41,8 +46,7 @@ pub enum ViolationKind {
     StaleGridBucket(RegionId),
     /// The grid index's incrementally-maintained entry counter disagrees
     /// with the actual number of bucket entries — the insert/remove
-    /// bookkeeping itself is broken (the counter is what lets the audit
-    /// skip the full reverse sweep on healthy structures).
+    /// bookkeeping itself is broken.
     GridCounterDrift {
         /// What the incremental counter claims.
         counted: usize,
@@ -76,7 +80,7 @@ pub enum ViolationKind {
     /// is the finger index.
     MisScaledFinger(RegionId, u8),
     /// The forward finger mirror and the reverse in-link index disagree: a
-    /// live finger lacks exactly one reverse entry, or a reverse entry
+    /// live finger lacks its reverse entry, or a reverse entry repeats or
     /// names a source that is dead or no longer points there.
     AsymmetricFingerLink(RegionId, RegionId),
     /// A region's owner is not in the node table at all. This is the one

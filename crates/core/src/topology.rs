@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, PoisonError, RwLock};
 
-use geogrid_geometry::{GridBuckets, Point, Region, Space};
+use geogrid_geometry::{GridBuckets, Point, Region, Space, EDGE_EPS};
 
 use crate::audit::{Violation, ViolationKind};
 use crate::snapshot::{SnapshotCell, TopologySnapshot, TopologyView};
@@ -108,11 +108,8 @@ pub(crate) const GRID_DIM: usize = 128;
 struct GridIndex {
     /// Bucket-less until the topology is given a space.
     buckets: GridBuckets<RegionId, GRID_DIM>,
-    /// Total entries across all buckets. Lets the audit verify "no stale
-    /// or duplicate entry anywhere" in O(regions): if every live region is
-    /// present throughout its span *and* the total matches the sum of span
-    /// sizes, no cell can hold anything extra — the full 16k-cell reverse
-    /// sweep only runs when one of those cheap checks fails.
+    /// Total entries across all buckets: sizes the snapshot's flat
+    /// candidate list, and the audit checks it against the buckets.
     entries: usize,
 }
 
@@ -228,10 +225,6 @@ pub struct Topology {
     /// visits only the fingers that referenced the changed region, not
     /// the whole network.
     finger_in: Vec<Vec<u64>>,
-    /// Mutation counter driving the [`Self::debug_audit`] throttle.
-    /// Debug builds only; never part of equality or serialization.
-    #[cfg(debug_assertions)]
-    audit_tick: std::sync::atomic::AtomicU32,
     /// Epoch-keyed snapshot memo behind [`Self::snapshot`]: the last
     /// snapshot built, reused while `(instance_id, epoch)` still matches.
     /// Interior-mutable so the getter stays `&self`; never cloned (a
@@ -276,8 +269,6 @@ impl Clone for Topology {
             slot_geo: self.slot_geo.clone(),
             slot_fingers: self.slot_fingers.clone(),
             finger_in: self.finger_in.clone(),
-            #[cfg(debug_assertions)]
-            audit_tick: std::sync::atomic::AtomicU32::new(0),
             // A clone diverges immediately: it gets neither the memoized
             // snapshot (its fresh instance id would invalidate it anyway)
             // nor the publication cell — publishing a divergent clone's
@@ -304,8 +295,6 @@ impl Default for Topology {
             slot_geo: Vec::new(),
             slot_fingers: Vec::new(),
             finger_in: Vec::new(),
-            #[cfg(debug_assertions)]
-            audit_tick: std::sync::atomic::AtomicU32::new(0),
             snap_cache: RwLock::new(None),
             publish: None,
         }
@@ -370,7 +359,7 @@ impl Topology {
         self.assignments.insert(node, (rid, Role::Primary));
         self.refresh_fingers(rid, &FingerBlock::EMPTY);
         self.publish_snapshot();
-        self.debug_audit();
+        self.debug_audit(&[rid]);
         Ok(rid)
     }
 
@@ -665,7 +654,7 @@ impl Topology {
         self.entry_mut(new_rid)?.neighbors = new_list;
         self.fingers_after_split(rid, new_rid);
         self.publish_snapshot();
-        self.debug_audit();
+        self.debug_audit(&[rid, new_rid]);
         Ok(new_rid)
     }
 
@@ -755,7 +744,7 @@ impl Topology {
         self.entry_mut(a)?.neighbors = neighbor_union;
         self.fingers_after_merge(a, b);
         self.publish_snapshot();
-        self.debug_audit();
+        self.debug_audit(&[a, b]);
         Ok(displaced)
     }
 
@@ -777,7 +766,7 @@ impl Topology {
         }
         entry.secondary = Some(node);
         self.assignments.insert(node, (rid, Role::Secondary));
-        self.debug_audit();
+        self.debug_audit(&[rid]);
         Ok(())
     }
 
@@ -791,7 +780,7 @@ impl Topology {
         let entry = self.entry_mut(rid)?;
         let node = entry.secondary.take().ok_or(CoreError::NoSecondary(rid))?;
         self.assignments.remove(&node);
-        self.debug_audit();
+        self.debug_audit(&[rid]);
         Ok(node)
     }
 
@@ -807,7 +796,7 @@ impl Topology {
         self.entry_mut(b)?.primary = pa;
         self.assignments.insert(pa, (b, Role::Primary));
         self.assignments.insert(pb, (a, Role::Primary));
-        self.debug_audit();
+        self.debug_audit(&[a, b]);
         Ok(())
     }
 
@@ -829,7 +818,7 @@ impl Topology {
         self.entry_mut(b)?.secondary = Some(pa);
         self.assignments.insert(sb, (a, Role::Primary));
         self.assignments.insert(pa, (b, Role::Secondary));
-        self.debug_audit();
+        self.debug_audit(&[a, b]);
         Ok(())
     }
 
@@ -848,7 +837,7 @@ impl Topology {
         entry.secondary = Some(p);
         self.assignments.insert(s, (rid, Role::Primary));
         self.assignments.insert(p, (rid, Role::Secondary));
-        self.debug_audit();
+        self.debug_audit(&[rid]);
         Ok(())
     }
 
@@ -893,7 +882,7 @@ impl Topology {
                 }
             }
         };
-        self.debug_audit();
+        self.debug_audit(&[rid]);
         Ok(orphan)
     }
 
@@ -911,7 +900,7 @@ impl Topology {
         self.ensure_unassigned(node)?;
         self.entry_mut(rid)?.primary = node;
         self.assignments.insert(node, (rid, Role::Primary));
-        self.debug_audit();
+        self.debug_audit(&[rid]);
         Ok(())
     }
 
@@ -919,143 +908,31 @@ impl Topology {
     /// found, as typed [`Violation`]s (empty = healthy). Assert on
     /// [`ViolationKind`]s, not message text, in tests.
     ///
-    /// Invariants: regions tile the space exactly (areas sum, pairwise
-    /// non-overlap); neighbor lists match edge contact exactly and are
-    /// symmetric; owner assignments are mutually consistent; no node owns
-    /// two slots; the grid spatial index lists every live region in exactly
-    /// the cells its closed rectangle spans; the flat geometry mirror
-    /// matches every live rectangle.
-    ///
-    /// Pairwise checks run per grid bucket rather than over all region
-    /// pairs: two regions that overlap or share an edge necessarily share a
-    /// grid cell (their closed rectangles intersect), so bucket-local
-    /// checking loses nothing while cutting the cost from O(regions²) to
-    /// O(cells · occupancy²). Spurious neighbor-list entries (listed but
-    /// not touching) are caught by walking each region's list directly.
-    /// The expensive reverse grid sweep (every entry of every cell) runs
-    /// only when the cheap checks — forward span membership and the
-    /// entry-count totals — disagree; see [`ViolationKind::StaleGridBucket`].
+    /// Runs the per-slot rules over every slot — the same rules debug
+    /// builds run after each mutation on the slots it touched — and adds what only the whole structure shows:
+    /// the grid entry counter, every assignment naming a slot that holds
+    /// its node, "each forward finger is mirrored exactly once" as one
+    /// total, and the published snapshot's content.
     ///
     /// The audit never panics on a corrupted structure: it reports what it
     /// can prove and skips what it cannot reach, so debug hooks and
     /// property tests get the full damage picture from one call.
     pub fn audit(&self) -> Vec<Violation> {
         let mut v: Vec<Violation> = Vec::new();
-        let space = self.space();
-        let mut area = 0.0;
-        let all: Vec<(RegionId, &RegionEntry)> = self.regions().collect();
-        for (rid, e) in &all {
-            area += e.region.area();
-            // Owners exist and agree with the assignment map. An owner
-            // missing from the node table entirely is the orphan transient
-            // (OrphanedOwner); a *registered* owner whose assignment
-            // disagrees is always a bug (DualPeerMismatch).
-            if !self.nodes.contains_key(&e.primary) {
-                v.push(Violation::new(
-                    ViolationKind::OrphanedOwner(e.primary, *rid),
-                    format!("{rid}: primary {} not registered", e.primary),
-                ));
-            } else {
-                match self.assignments.get(&e.primary) {
-                    Some(&(r, Role::Primary)) if r == *rid => {}
-                    other => v.push(Violation::new(
-                        ViolationKind::DualPeerMismatch(e.primary, *rid),
-                        format!("{rid}: primary {} has assignment {other:?}", e.primary),
-                    )),
-                }
-            }
-            if let Some(s) = e.secondary {
-                if !self.nodes.contains_key(&s) {
-                    v.push(Violation::new(
-                        ViolationKind::OrphanedOwner(s, *rid),
-                        format!("{rid}: secondary {s} not registered"),
-                    ));
-                } else {
-                    match self.assignments.get(&s) {
-                        Some(&(r, Role::Secondary)) if r == *rid => {}
-                        other => v.push(Violation::new(
-                            ViolationKind::DualPeerMismatch(s, *rid),
-                            format!("{rid}: secondary {s} has assignment {other:?}"),
-                        )),
-                    }
-                }
-                if s == e.primary {
-                    v.push(Violation::new(
-                        ViolationKind::DualPeerMismatch(s, *rid),
-                        format!("{rid}: primary and secondary are both {s}"),
-                    ));
-                }
+        // Each valid, unrepeated reverse entry mirrors exactly one live
+        // forward finger, so equal totals mean every finger has its entry;
+        // only a mismatch pays for the scan that names the one lacking it.
+        let balance: isize = (0..self.slots.len())
+            .map(|s| self.audit_slot(RegionId::new(s as u32), &mut v))
+            .sum();
+        if balance != 0 {
+            for rid in self.region_ids() {
+                self.audit_finger_mirror(rid, &mut v);
             }
         }
-        if (area - space.bounds().area()).abs() > 1e-6 {
-            v.push(Violation::new(
-                ViolationKind::TessellationGap,
-                format!(
-                    "regions cover area {area}, space has {}",
-                    space.bounds().area()
-                ),
-            ));
-        }
-        // Grid-index exactness, forward direction: every live region sits
-        // in every cell of its recomputed span. The same span walk doubles
-        // as the pairwise overlap/adjacency check (any overlapping or
-        // touching pair shares a cell, so checking each region against its
-        // co-bucketed peers loses nothing versus all-pairs — and pairs
-        // sharing several cells are checked once). While walking, total up
-        // the span sizes: if the forward check passes and the bucket
-        // totals match, no cell can hold a stale, dead, or duplicate
-        // entry, and the O(cells · occupancy) reverse sweep is skipped.
-        let mut expected_entries = 0usize;
-        let mut forward_clean = true;
-        let mut seen_pairs: std::collections::HashSet<(u32, u32)> =
-            std::collections::HashSet::new();
-        let grid = self.grid.buckets.grid();
-        for (rid, e) in &all {
-            for i in grid.span(&e.region) {
-                expected_entries += 1;
-                let cell = &self.grid.buckets.cells()[i];
-                if !cell.contains(rid) {
-                    forward_clean = false;
-                    v.push(Violation::new(
-                        ViolationKind::StaleGridBucket(*rid),
-                        format!("{rid} missing from grid cell {i}"),
-                    ));
-                }
-                for &other in cell {
-                    if other == *rid {
-                        continue;
-                    }
-                    let key = (
-                        rid.as_u32().min(other.as_u32()),
-                        rid.as_u32().max(other.as_u32()),
-                    );
-                    if !seen_pairs.insert(key) {
-                        continue;
-                    }
-                    // Dead co-bucketed entries are the sweep's problem.
-                    let Some(o) = self.region(other) else {
-                        continue;
-                    };
-                    if e.region.intersects(&o.region) {
-                        v.push(Violation::new(
-                            ViolationKind::TessellationOverlap(*rid, other),
-                            format!("{rid} and {other} overlap"),
-                        ));
-                    }
-                    let touching = e.region.touches_edge(&o.region);
-                    let a_lists_b = e.neighbors.contains(&other);
-                    let b_lists_a = o.neighbors.contains(rid);
-                    if touching != a_lists_b || touching != b_lists_a {
-                        v.push(Violation::new(
-                            ViolationKind::AsymmetricNeighborLink(*rid, other),
-                            format!(
-                                "{rid}/{other}: touching={touching} lists=({a_lists_b},{b_lists_a})"
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
+        // Every cell lies in some live span unless the tiling has a gap, so
+        // the per-slot grid rule has seen every entry of every cell; the
+        // counter only has to agree with the buckets.
         let actual_entries: usize = self.grid.buckets.cells().iter().map(Vec::len).sum();
         if self.grid.entries != actual_entries {
             v.push(Violation::new(
@@ -1068,145 +945,6 @@ impl Topology {
                     self.grid.entries
                 ),
             ));
-        }
-        if !forward_clean || actual_entries != expected_entries {
-            // Reverse sweep: name the stale/dead/duplicate entries.
-            for (i, cell) in self.grid.buckets.cells().iter().enumerate() {
-                for (j, rid) in cell.iter().enumerate() {
-                    match self.region(*rid) {
-                        None => v.push(Violation::new(
-                            ViolationKind::StaleGridBucket(*rid),
-                            format!("grid cell {i} lists dead region {rid}"),
-                        )),
-                        Some(e) => {
-                            if !grid.span_contains(&e.region, i) {
-                                v.push(Violation::new(
-                                    ViolationKind::StaleGridBucket(*rid),
-                                    format!("grid cell {i} lists {rid} outside its span"),
-                                ));
-                            }
-                        }
-                    }
-                    if cell[..j].contains(rid) {
-                        v.push(Violation::new(
-                            ViolationKind::StaleGridBucket(*rid),
-                            format!("grid cell {i} lists {rid} twice"),
-                        ));
-                    }
-                }
-            }
-        }
-        // Geometry mirrors agree with the slot table for every live region.
-        for (rid, e) in &all {
-            let stale = match self.slot_geo.get(rid.index()) {
-                Some(g) => g.rect != e.region || g.center != e.region.center(),
-                None => true,
-            };
-            if stale {
-                v.push(Violation::new(
-                    ViolationKind::SlotMirrorDrift(*rid),
-                    format!("{rid}: rect/center geometry mirror is stale"),
-                ));
-            }
-        }
-        // Express-link fingers. Reverse direction first: every in-link
-        // names a live source whose forward finger really points here, and
-        // dead slots hold none. The valid in-links are tallied per forward
-        // finger, so the forward pass below checks "mirrored exactly once"
-        // in O(1) per finger, not with a scan of the target's in-list
-        // (clamped fingers give edge regions in-lists of thousands).
-        let mut mirrored = vec![0u8; self.slots.len() * FINGER_SLOTS];
-        for (s, links) in self.finger_in.iter().enumerate() {
-            let target_live = self.slots.get(s).is_some_and(|e| e.is_some());
-            for &packed in links {
-                let (src, k) = unpack_finger_ref(packed);
-                let src_rid = RegionId::new(src);
-                let forward = self
-                    .region(src_rid)
-                    .and_then(|_| self.slot_fingers.get(src as usize))
-                    .and_then(|b| b.ids.get(k).copied());
-                if !target_live || forward != Some(s as u32) {
-                    v.push(Violation::new(
-                        ViolationKind::AsymmetricFingerLink(src_rid, RegionId::new(s as u32)),
-                        format!("stale reverse finger entry r{src}[{k}] on slot {s}"),
-                    ));
-                } else {
-                    let seen = &mut mirrored[src as usize * FINGER_SLOTS + k];
-                    *seen = seen.saturating_add(1);
-                }
-            }
-        }
-        // Forward direction: every live region's stored finger block must
-        // match a fresh recomputation against the current geometry (the
-        // finger selection rule), point only at live regions, and be
-        // mirrored exactly once in the reverse index.
-        for (rid, _) in &all {
-            let Some(block) = self.slot_fingers.get(rid.index()) else {
-                v.push(Violation::new(
-                    ViolationKind::MisScaledFinger(*rid, 0),
-                    format!("{rid}: finger mirror missing entirely"),
-                ));
-                continue;
-            };
-            for (k, &stored) in block.ids.iter().enumerate() {
-                if k >= FINGER_COUNT {
-                    if stored != FINGER_NONE {
-                        v.push(Violation::new(
-                            ViolationKind::MisScaledFinger(*rid, k as u8),
-                            format!("{rid}: padding finger slot {k} holds {stored}"),
-                        ));
-                    }
-                    continue;
-                }
-                if stored != FINGER_NONE && self.region(RegionId::new(stored)).is_none() {
-                    v.push(Violation::new(
-                        ViolationKind::DanglingFinger(*rid, k as u8),
-                        format!("{rid}: finger {k} points at dead slot {stored}"),
-                    ));
-                    continue;
-                }
-                match self.try_finger_target(*rid, k) {
-                    Some(expected) if stored == expected => {}
-                    expected => v.push(Violation::new(
-                        ViolationKind::MisScaledFinger(*rid, k as u8),
-                        format!("{rid}: finger {k} holds {stored}, geometry says {expected:?}"),
-                    )),
-                }
-                if stored != FINGER_NONE {
-                    let seen = mirrored[rid.index() * FINGER_SLOTS + k];
-                    if seen != 1 {
-                        v.push(Violation::new(
-                            ViolationKind::AsymmetricFingerLink(*rid, RegionId::new(stored)),
-                            format!("{rid}: finger {k} -> r{stored} has {seen} reverse entries"),
-                        ));
-                    }
-                }
-            }
-        }
-        // Neighbor lists can also be wrong about far-apart regions (which
-        // never share a bucket): verify every listed neighbor directly.
-        for (rid, e) in &all {
-            for (j, n) in e.neighbors.iter().enumerate() {
-                let Some(ne) = self.region(*n) else {
-                    v.push(Violation::new(
-                        ViolationKind::AsymmetricNeighborLink(*rid, *n),
-                        format!("{rid} lists dead neighbor {n}"),
-                    ));
-                    continue;
-                };
-                if !e.region.touches_edge(&ne.region) {
-                    v.push(Violation::new(
-                        ViolationKind::AsymmetricNeighborLink(*rid, *n),
-                        format!("{rid} lists non-touching neighbor {n}"),
-                    ));
-                }
-                if e.neighbors[..j].contains(n) {
-                    v.push(Violation::new(
-                        ViolationKind::AsymmetricNeighborLink(*rid, *n),
-                        format!("{rid} lists neighbor {n} twice"),
-                    ));
-                }
-            }
         }
         for (node, (rid, role)) in &self.assignments {
             let Some(e) = self.region(*rid) else {
@@ -1234,6 +972,287 @@ impl Topology {
             self.audit_snapshot(&cell.load(), &mut v);
         }
         v
+    }
+
+    /// The per-slot rules of [`Self::audit_slot`] over `touched` only, plus
+    /// the check [`Self::audit`] replaces with a total: each forward finger
+    /// of a touched slot has its entry in the target's in-list. The cost
+    /// depends on the touched slots' spans, neighbour lists and in-lists,
+    /// not on the network size, so [`Self::debug_audit`] runs it after
+    /// every mutation. A dead id (a merge's freed victim) must have an
+    /// empty in-list; a cell still listing it is a dead entry in the
+    /// survivor's span.
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
+    pub(crate) fn audit_local(&self, touched: &[RegionId]) -> Vec<Violation> {
+        let mut v = Vec::new();
+        for &rid in touched {
+            self.audit_slot(rid, &mut v);
+            self.audit_finger_mirror(rid, &mut v);
+        }
+        v
+    }
+
+    /// The per-slot audit rules, each written once: [`Self::audit`] runs
+    /// them over every slot, [`Self::audit_local`] over the touched ones.
+    /// Returns the slot's valid, unrepeated reverse entries minus its live
+    /// forward fingers, for the full audit's exactly-once total.
+    fn audit_slot(&self, rid: RegionId, v: &mut Vec<Violation>) -> isize {
+        let entry = self.region(rid);
+        let mut links = self.finger_in.get(rid.index()).cloned().unwrap_or_default();
+        links.sort_unstable();
+        let mut balance = 0;
+        for (j, &packed) in links.iter().enumerate() {
+            let (src, k) = unpack_finger_ref(packed);
+            let forward = self
+                .region(RegionId::new(src))
+                .and_then(|_| self.slot_fingers.get(src as usize))
+                .and_then(|b| b.ids.get(k).copied());
+            let why = if j > 0 && links[j - 1] == packed {
+                "repeated"
+            } else if entry.is_none() || forward != Some(rid.as_u32()) {
+                "stale"
+            } else {
+                balance += 1;
+                continue;
+            };
+            v.push(Violation::new(
+                ViolationKind::AsymmetricFingerLink(RegionId::new(src), rid),
+                format!("{why} reverse finger entry r{src}[{k}] on {rid}"),
+            ));
+        }
+        let Some(e) = entry else {
+            return balance;
+        };
+        // Owners exist and agree with the assignment map. An owner missing
+        // from the node table entirely is the orphan transient
+        // (OrphanedOwner); a *registered* owner whose assignment disagrees
+        // is always a bug (DualPeerMismatch).
+        for (node, role) in [
+            (Some(e.primary), Role::Primary),
+            (e.secondary, Role::Secondary),
+        ] {
+            let Some(node) = node else { continue };
+            if !self.nodes.contains_key(&node) {
+                v.push(Violation::new(
+                    ViolationKind::OrphanedOwner(node, rid),
+                    format!("{rid}: {role} {node} not registered"),
+                ));
+                continue;
+            }
+            match self.assignments.get(&node) {
+                Some(&(r, got)) if r == rid && got == role => {}
+                other => v.push(Violation::new(
+                    ViolationKind::DualPeerMismatch(node, rid),
+                    format!("{rid}: {role} {node} has assignment {other:?}"),
+                )),
+            }
+        }
+        if e.secondary == Some(e.primary) {
+            v.push(Violation::new(
+                ViolationKind::DualPeerMismatch(e.primary, rid),
+                format!("{rid}: primary and secondary are both {}", e.primary),
+            ));
+        }
+        // Grid cells of the span. Two regions that overlap or touch share a
+        // cell, so co-bucketed pairs are all the pairs to check; a pair is
+        // checked in the lowest cell both spans hold — the one holding the
+        // lower-left corner of the rectangles' intersection — so once.
+        let grid = self.grid.buckets.grid();
+        let mut touching_rects = Vec::new();
+        for i in grid.span(&e.region) {
+            let cell = &self.grid.buckets.cells()[i];
+            if cell[..] == [rid] {
+                continue;
+            }
+            let own = cell.iter().filter(|&&x| x == rid).count();
+            if own != 1 {
+                v.push(Violation::new(
+                    ViolationKind::StaleGridBucket(rid),
+                    format!("grid cell {i} lists {rid} {own} times"),
+                ));
+            }
+            for (j, &other) in cell.iter().enumerate() {
+                if other == rid {
+                    continue;
+                }
+                let o = match self.region(other) {
+                    Some(o) if !cell[..j].contains(&other) && grid.span_contains(&o.region, i) => o,
+                    _ => {
+                        v.push(Violation::new(
+                            ViolationKind::StaleGridBucket(other),
+                            format!("grid cell {i} lists {other}: dead, repeated or off its span"),
+                        ));
+                        continue;
+                    }
+                };
+                let (a, b) = (e.region, o.region);
+                if grid.cell_of(Point::new(a.x().max(b.x()), a.y().max(b.y()))) != i {
+                    continue;
+                }
+                if a.intersects(&b) {
+                    v.push(Violation::new(
+                        ViolationKind::TessellationOverlap(rid, other),
+                        format!("{rid} and {other} overlap"),
+                    ));
+                }
+                let touching = a.touches_edge(&b);
+                if touching {
+                    touching_rects.push(b);
+                }
+                let a_lists_b = e.neighbors.contains(&other);
+                let b_lists_a = o.neighbors.contains(&rid);
+                if touching != a_lists_b || touching != b_lists_a {
+                    v.push(Violation::new(
+                        ViolationKind::AsymmetricNeighborLink(rid, other),
+                        format!(
+                            "{rid}/{other}: touching={touching} lists=({a_lists_b},{b_lists_a})"
+                        ),
+                    ));
+                }
+            }
+        }
+        let stale_mirror = match self.slot_geo.get(rid.index()) {
+            Some(g) => g.rect != e.region || g.center != e.region.center(),
+            None => true,
+        };
+        if stale_mirror {
+            v.push(Violation::new(
+                ViolationKind::SlotMirrorDrift(rid),
+                format!("{rid}: rect/center geometry mirror is stale"),
+            ));
+        }
+        // The finger block: live targets, empty padding, and each finger
+        // equal to a fresh recomputation against the current geometry.
+        let Some(block) = self.slot_fingers.get(rid.index()) else {
+            v.push(Violation::new(
+                ViolationKind::MisScaledFinger(rid, 0),
+                format!("{rid}: finger mirror missing entirely"),
+            ));
+            return balance;
+        };
+        for (k, &stored) in block.ids.iter().enumerate() {
+            if k >= FINGER_COUNT {
+                if stored != FINGER_NONE {
+                    v.push(Violation::new(
+                        ViolationKind::MisScaledFinger(rid, k as u8),
+                        format!("{rid}: padding finger slot {k} holds {stored}"),
+                    ));
+                }
+                continue;
+            }
+            if stored != FINGER_NONE && self.region(RegionId::new(stored)).is_none() {
+                v.push(Violation::new(
+                    ViolationKind::DanglingFinger(rid, k as u8),
+                    format!("{rid}: finger {k} points at dead slot {stored}"),
+                ));
+                continue;
+            }
+            balance -= isize::from(stored != FINGER_NONE);
+            match self.try_finger_target(rid, k) {
+                Some(expected) if stored == expected => {}
+                expected => v.push(Violation::new(
+                    ViolationKind::MisScaledFinger(rid, k as u8),
+                    format!("{rid}: finger {k} holds {stored}, geometry says {expected:?}"),
+                )),
+            }
+        }
+        // Neighbor lists can also be wrong about far-apart regions (which
+        // never share a bucket): verify every listed neighbor directly.
+        for (j, n) in e.neighbors.iter().enumerate() {
+            let Some(ne) = self.region(*n) else {
+                v.push(Violation::new(
+                    ViolationKind::AsymmetricNeighborLink(rid, *n),
+                    format!("{rid} lists dead neighbor {n}"),
+                ));
+                continue;
+            };
+            if !e.region.touches_edge(&ne.region) {
+                v.push(Violation::new(
+                    ViolationKind::AsymmetricNeighborLink(rid, *n),
+                    format!("{rid} lists non-touching neighbor {n}"),
+                ));
+            }
+            if e.neighbors[..j].contains(n) {
+                v.push(Violation::new(
+                    ViolationKind::AsymmetricNeighborLink(rid, *n),
+                    format!("{rid} lists neighbor {n} twice"),
+                ));
+            }
+        }
+        if let Some(side) = self.perimeter_gap(&e.region, &touching_rects) {
+            v.push(Violation::new(
+                ViolationKind::TessellationGap,
+                format!("{rid}: its {side} edge is not covered by neighbours"),
+            ));
+        }
+        balance
+    }
+
+    /// The local tiling rule: the edges `r` shares with the regions
+    /// `touching` it, with the space boundary, cover its whole perimeter.
+    /// Returns the first side (`"east"`, …) that has a gap. A gap in the
+    /// tiling always borders some region's uncovered edge, and the pair
+    /// check catches overlap, so this stands in for an area sum.
+    fn perimeter_gap(&self, r: &Region, touching: &[Region]) -> Option<&'static str> {
+        // Side `s` of `r` as (fixed coordinate, range start, range end);
+        // side `(s + 2) % 4` faces it.
+        let side = |r: &Region, s: usize| match s {
+            0 => (r.east(), r.y(), r.north()),
+            1 => (r.north(), r.x(), r.east()),
+            2 => (r.x(), r.y(), r.north()),
+            _ => (r.y(), r.x(), r.east()),
+        };
+        let bounds = self.space().bounds();
+        for s in 0..4 {
+            let (at, lo, hi) = side(r, s);
+            if (at - side(&bounds, s).0).abs() <= EDGE_EPS {
+                continue;
+            }
+            let mut spans: Vec<(f64, f64)> = touching
+                .iter()
+                .map(|n| side(n, (s + 2) % 4))
+                .filter_map(|(facing, a, z)| ((facing - at).abs() <= EDGE_EPS).then_some((a, z)))
+                .collect();
+            spans.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let reach = spans.iter().try_fold(lo, |reach, &(a, z)| {
+                (a <= reach + EDGE_EPS).then_some(reach.max(z))
+            });
+            if reach.is_none_or(|reach| reach < hi - EDGE_EPS) {
+                return Some(["east", "north", "west", "south"][s]);
+            }
+        }
+        None
+    }
+
+    /// Each live forward finger of `rid` has its entry in the target's
+    /// in-list. One scan per distinct target: a source's far fingers often
+    /// share a target, and clamped fingers give large and edge regions
+    /// in-lists of thousands.
+    fn audit_finger_mirror(&self, rid: RegionId, v: &mut Vec<Violation>) {
+        let block = &self.slot_fingers[rid.index()].ids[..FINGER_COUNT];
+        let mut targets: Vec<u32> = block
+            .iter()
+            .copied()
+            .filter(|&t| t != FINGER_NONE && self.region(RegionId::new(t)).is_some())
+            .collect();
+        targets.sort_unstable();
+        targets.dedup();
+        for t in targets {
+            // Bit `k` set: finger `k` of `rid` has an entry in `t`'s list.
+            let mut found = 0u64;
+            for &packed in &self.finger_in[t as usize] {
+                let (src, k) = unpack_finger_ref(packed);
+                if src == rid.as_u32() && k < FINGER_COUNT {
+                    found |= 1 << k;
+                }
+            }
+            for k in (0..FINGER_COUNT).filter(|&k| block[k] == t && found & 1 << k == 0) {
+                v.push(Violation::new(
+                    ViolationKind::AsymmetricFingerLink(rid, RegionId::new(t)),
+                    format!("{rid}: finger {k} -> r{t} has no reverse entry"),
+                ));
+            }
+        }
     }
 
     /// Convenience wrapper over [`Self::audit`]: `Ok` when the structure is
@@ -1477,37 +1496,21 @@ impl Topology {
         self.epoch += 1;
     }
 
-    /// Debug-build hook run after every mutation: full structural audit,
-    /// panicking on any violation *except* the legal orphan transient
-    /// ([`ViolationKind::OrphanedOwner`] — `remove_node` hands orphaned
-    /// regions back to the caller for repair, so the structure is allowed
-    /// to carry them between mutations). Compiles to nothing in release
-    /// builds, so protocol benchmarks and experiment binaries are
-    /// unaffected. Set `GEOGRID_SKIP_DEBUG_AUDIT=1` to disable, e.g. for
-    /// tests that deliberately drive corrupted states.
+    /// Debug-build hook run after every mutation: [`Self::audit_local`] on
+    /// the slots the mutation rewrote, panicking on any violation *except*
+    /// the legal orphan transient ([`ViolationKind::OrphanedOwner`] —
+    /// `remove_node` hands orphaned regions back to the caller for repair,
+    /// so the structure is allowed to carry them between mutations).
+    /// Compiles to nothing in release builds, so protocol benchmarks and
+    /// experiment binaries are unaffected.
     #[inline]
-    fn debug_audit(&self) {
+    fn debug_audit(&self, touched: &[RegionId]) {
+        #[cfg(not(debug_assertions))]
+        let _ = touched;
         #[cfg(debug_assertions)]
         {
-            use std::sync::OnceLock;
-            static SKIP: OnceLock<bool> = OnceLock::new();
-            if *SKIP.get_or_init(|| std::env::var_os("GEOGRID_SKIP_DEBUG_AUDIT").is_some()) {
-                return;
-            }
-            // The full audit is Ω(grid entries ≈ 16k) per call however few
-            // regions exist, and test loops drive thousands of mutations.
-            // Audit each instance's first mutations exhaustively (unit-test
-            // scenarios get full per-mutation coverage), then sample every
-            // 17th. The model-explorer property test audits every step
-            // explicitly through TopologyAuditor, unthrottled.
-            let tick = self
-                .audit_tick
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if tick >= 8 && !tick.is_multiple_of(17) {
-                return;
-            }
             let bad: Vec<Violation> = self
-                .audit()
+                .audit_local(touched)
                 .into_iter()
                 .filter(|v| !matches!(v.kind, ViolationKind::OrphanedOwner(..)))
                 .collect();
@@ -2163,6 +2166,29 @@ mod tests {
         (t, n, r, nr)
     }
 
+    /// Whether the local audit of `rid` alone reports `kind`. The
+    /// `audit_flags_*` tests below check both scopes with it: the full
+    /// audit, and the local one given the slot the test corrupted.
+    fn local_reports(t: &Topology, rid: RegionId, kind: ViolationKind) -> bool {
+        t.audit_local(&[rid]).iter().any(|x| x.kind == kind)
+    }
+
+    /// Every mutation is audited, not a sample: a corruption planted
+    /// before a topology's eleventh mutation is caught by that mutation.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "post-mutation topology audit failed")]
+    fn every_mutation_is_audited() {
+        let (mut t, _, r, _) = two_regions();
+        let s = t.register_node(Point::new(5.0, 5.0), 50.0);
+        for _ in 0..4 {
+            t.set_secondary(r, s).unwrap();
+            t.take_secondary(r).unwrap();
+        }
+        t.slot_geo[r.index()].center = Point::new(-1.0, -1.0);
+        t.set_secondary(r, s).unwrap();
+    }
+
     #[test]
     fn audit_flags_slot_mirror_drift() {
         let (mut t, _, r, _) = two_regions();
@@ -2170,6 +2196,7 @@ mod tests {
         let v = t.audit();
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(matches!(v[0].kind, ViolationKind::SlotMirrorDrift(rr) if rr == r));
+        assert!(local_reports(&t, r, v[0].kind));
     }
 
     /// Index of a live (non-NONE) finger of `rid`, or of a NONE one.
@@ -2200,6 +2227,7 @@ mod tests {
             matches!(v[0].kind, ViolationKind::DanglingFinger(rr, kk) if rr == r && kk == k as u8),
             "{v:?}"
         );
+        assert!(local_reports(&t, r, v[0].kind));
     }
 
     #[test]
@@ -2217,6 +2245,7 @@ mod tests {
             matches!(v[0].kind, ViolationKind::MisScaledFinger(rr, kk) if rr == r && kk == k as u8),
             "{v:?}"
         );
+        assert!(local_reports(&t, r, v[0].kind));
     }
 
     #[test]
@@ -2238,13 +2267,14 @@ mod tests {
             )),
             "{v:?}"
         );
+        assert!(local_reports(&t, r, v[0].kind));
     }
 
     #[test]
     fn audit_flags_stale_reverse_finger_entry() {
         let (mut t, _, r, nr) = two_regions();
         // Plant a reverse entry whose named source finger points elsewhere:
-        // only the reverse sweep can see it.
+        // only the target's in-list rule can see it.
         let k = finger_slot_where(&t, r, false);
         t.finger_in[nr.index()].push(pack_finger_ref(r, k));
         let v = t.audit();
@@ -2256,14 +2286,36 @@ mod tests {
             ),
             "{v:?}"
         );
+        assert!(local_reports(&t, nr, v[0].kind));
+    }
+
+    #[test]
+    fn audit_flags_repeated_reverse_finger_entry() {
+        let (mut t, _, r, _) = two_regions();
+        // Mirror a correct forward finger twice: every finger still has
+        // its entry, so only the in-list rule can see it.
+        let k = finger_slot_where(&t, r, true);
+        let target = t.slot_fingers[r.index()].ids[k];
+        t.finger_in[target as usize].push(pack_finger_ref(r, k));
+        let v = t.audit();
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(
+            matches!(
+                v[0].kind,
+                ViolationKind::AsymmetricFingerLink(a, b) if a == r && b == RegionId::new(target)
+            ),
+            "{v:?}"
+        );
+        assert!(local_reports(&t, RegionId::new(target), v[0].kind));
     }
 
     #[test]
     fn audit_flags_stale_grid_bucket_and_counter_drift() {
         let (mut t, _, r, nr) = two_regions();
         // Plant the kept region's id in a cell far outside its span: the
-        // bucket totals stop matching the incremental counter, which both
-        // reports the drift and forces the precise reverse sweep.
+        // bucket totals stop matching the incremental counter, and the
+        // cell's owner finds the stray entry. The counter is global state,
+        // so only the full audit checks it.
         let far = t.region(nr).unwrap().region().center();
         t.grid.buckets.insert_at(far, r);
         let v = t.audit();
@@ -2279,6 +2331,7 @@ mod tests {
                 .any(|x| matches!(x.kind, ViolationKind::StaleGridBucket(rr) if rr == r)),
             "{v:?}"
         );
+        assert!(local_reports(&t, nr, ViolationKind::StaleGridBucket(r)));
     }
 
     #[test]
@@ -2301,6 +2354,7 @@ mod tests {
                 .any(|x| matches!(x.kind, ViolationKind::GridCounterDrift { .. })),
             "{v:?}"
         );
+        assert!(local_reports(&t, r, ViolationKind::StaleGridBucket(r)));
     }
 
     #[test]
@@ -2318,6 +2372,11 @@ mod tests {
             )),
             "{v:?}"
         );
+        assert!(local_reports(
+            &t,
+            r,
+            ViolationKind::AsymmetricNeighborLink(r, nr)
+        ));
     }
 
     #[test]
@@ -2335,6 +2394,7 @@ mod tests {
             v.iter().any(|x| x.kind == ViolationKind::TessellationGap),
             "{v:?}"
         );
+        assert!(local_reports(&t, r, ViolationKind::TessellationGap));
         // Now grow it over the whole space instead: an overlap with the
         // other half.
         t.slots[r.index()].as_mut().unwrap().region = space().bounds();
@@ -2347,11 +2407,16 @@ mod tests {
             )),
             "{v:?}"
         );
+        assert!(local_reports(
+            &t,
+            r,
+            ViolationKind::TessellationOverlap(r, nr)
+        ));
     }
 
     #[test]
     fn audit_flags_dual_peer_mismatch_for_registered_owner() {
-        let (mut t, n, _r, nr) = two_regions();
+        let (mut t, n, r, nr) = two_regions();
         // The registered primary of `r` claims a different region: always a
         // bug, never the orphan transient.
         t.assignments.insert(n, (nr, Role::Secondary));
@@ -2367,6 +2432,7 @@ mod tests {
                 .any(|x| matches!(x.kind, ViolationKind::OrphanedOwner(..))),
             "{v:?}"
         );
+        assert!(local_reports(&t, r, ViolationKind::DualPeerMismatch(n, r)));
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //! changes the digest, so it fails here exactly, not only through the
 //! audit.
 
-use std::sync::Once;
-
 use geogrid_core::builder::{Mode, NetworkBuilder};
 use geogrid_core::Topology;
 use geogrid_geometry::Space;
@@ -63,12 +61,6 @@ fn layout_digest(t: &Topology) -> u64 {
 }
 
 fn build(mode: Mode) -> Topology {
-    // Debug builds audit every 17th mutation in full, and each audit is
-    // Ω(regions): left on, one 4,096-node debug build takes minutes. The
-    // digest checks the result bit for bit instead, and each test audits
-    // its finished build once.
-    static SKIP_DEBUG_AUDIT: Once = Once::new();
-    SKIP_DEBUG_AUDIT.call_once(|| std::env::set_var("GEOGRID_SKIP_DEBUG_AUDIT", "1"));
     NetworkBuilder::new(Space::paper_evaluation(), SEED)
         .mode(mode)
         .build(NODES)

@@ -44,5 +44,5 @@ mod space;
 pub use circle::Circle;
 pub use grid::{GridBuckets, UniformGrid};
 pub use point::Point;
-pub use region::{Region, SplitAxis};
+pub use region::{Region, SplitAxis, EDGE_EPS};
 pub use space::Space;

@@ -9,7 +9,7 @@ use crate::Point;
 /// Region coordinates are produced by repeated exact halving of the initial
 /// space, so equality would normally be exact; the tolerance guards against
 /// drift when regions are reconstructed from serialized values.
-const EDGE_EPS: f64 = 1e-9;
+pub const EDGE_EPS: f64 = 1e-9;
 
 /// Axis along which a region is split in half.
 ///
