@@ -11,8 +11,12 @@
 //! 4. re-query every record's position from a surviving node.
 //!
 //! Reported per crash fraction: how many records are still retrievable
-//! (data survival) and how many probe queries get *any* answer back
-//! (service availability).
+//! (data survival), how many probe queries get *any* answer back
+//! (service availability), and what the surviving primaries claim: their
+//! summed area over the space's (a hole reads < 1, an overlap > 1) and the
+//! number of primary pairs whose regions overlap (ownership forks). The
+//! last two are read from the owner views after the probe phase and draw
+//! nothing from the RNG.
 //!
 //! Forwarding inside the simulated engine uses the same greedy next-hop
 //! rule as `geogrid_core::routing` (each node scans its own neighbor
@@ -23,8 +27,9 @@
 use geogrid_core::engine::sim::SimHarness;
 use geogrid_core::engine::{ClientEvent, EngineConfig, EngineMode, Input};
 use geogrid_core::service::{LocationQuery, LocationRecord};
+use geogrid_core::topology::Role;
 use geogrid_core::NodeId;
-use geogrid_geometry::{Point, Region};
+use geogrid_geometry::{Point, Region, Space};
 use geogrid_metrics::{table::Table, RunningStats};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -52,11 +57,24 @@ pub struct FailoverRow {
     pub survival: f64,
     /// Fraction of probe queries answered at all.
     pub availability: f64,
+    /// Summed area of live primaries over the space's area.
+    pub primary_area: f64,
+    /// Pairs of live primaries whose regions overlap.
+    pub overlapping_primary_pairs: f64,
+}
+
+/// What one trial measures; the fields are [`FailoverRow`]'s.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Trial {
+    survival: f64,
+    availability: f64,
+    primary_area: f64,
+    overlapping_primary_pairs: usize,
 }
 
 fn build(mode: EngineMode, seed: u64, nodes: usize) -> SimHarness {
     let mut h = SimHarness::new(
-        geogrid_geometry::Space::paper_evaluation(),
+        Space::paper_evaluation(),
         EngineConfig {
             mode,
             balance_enabled: false, // isolate fail-over from adaptation
@@ -77,14 +95,14 @@ fn build(mode: EngineMode, seed: u64, nodes: usize) -> SimHarness {
     h
 }
 
-/// Runs one (mode, crash fraction) trial; returns (survival, availability).
-pub fn run_trial(
+/// Runs one (mode, crash fraction) trial.
+fn run_trial(
     mode: EngineMode,
     crash_fraction: f64,
     seed: u64,
     nodes: usize,
     records: usize,
-) -> (f64, f64) {
+) -> Trial {
     let mut h = build(mode, seed, nodes);
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xBEEF);
 
@@ -146,10 +164,29 @@ pub fn run_trial(
             recovered += usize::from(!records.is_empty());
         }
     }
-    (
-        recovered as f64 / records as f64,
-        answered as f64 / records as f64,
-    )
+    let primaries: Vec<Region> = h
+        .owner_views()
+        .into_iter()
+        .filter(|(_, v)| v.role == Role::Primary)
+        .map(|(_, v)| v.region)
+        .collect();
+    let overlapping_primary_pairs = primaries
+        .iter()
+        .enumerate()
+        .map(|(i, a)| {
+            primaries[i + 1..]
+                .iter()
+                .filter(|b| a.intersects(b))
+                .count()
+        })
+        .sum();
+    Trial {
+        survival: recovered as f64 / records as f64,
+        availability: answered as f64 / records as f64,
+        primary_area: primaries.iter().map(Region::area).sum::<f64>()
+            / Space::paper_evaluation().bounds().area(),
+        overlapping_primary_pairs,
+    }
 }
 
 /// Runs the sweep and emits `failover.csv`.
@@ -166,21 +203,27 @@ pub fn run_sized(config: &ExperimentConfig, nodes: usize, records: usize) -> Vec
             eprintln!("failover: {label} at {:.0}% crash...", fraction * 100.0);
             let mut survival = RunningStats::new();
             let mut availability = RunningStats::new();
+            let mut primary_area = RunningStats::new();
+            let mut overlaps = RunningStats::new();
             // Parallel sim trials, folded in trial order (identical to the
             // serial loop; each trial's harness is seeded by its index).
             let results = par_trials(trials, |trial| {
                 let seed = config.seed ^ ((trial as u64) << 21) ^ (fraction * 100.0) as u64;
                 run_trial(mode, fraction, seed, nodes, records)
             });
-            for (s, a) in results {
-                survival.push(s);
-                availability.push(a);
+            for t in results {
+                survival.push(t.survival);
+                availability.push(t.availability);
+                primary_area.push(t.primary_area);
+                overlaps.push(t.overlapping_primary_pairs as f64);
             }
             rows.push(FailoverRow {
                 mode: label,
                 crash_fraction: fraction,
                 survival: survival.mean(),
                 availability: availability.mean(),
+                primary_area: primary_area.mean(),
+                overlapping_primary_pairs: overlaps.mean(),
             });
         }
     }
@@ -189,6 +232,8 @@ pub fn run_sized(config: &ExperimentConfig, nodes: usize, records: usize) -> Vec
         "crash_fraction",
         "record_survival",
         "query_availability",
+        "primary_area",
+        "overlapping_primary_pairs",
     ]);
     for r in &rows {
         table.row([
@@ -196,6 +241,8 @@ pub fn run_sized(config: &ExperimentConfig, nodes: usize, records: usize) -> Vec
             format!("{:.2}", r.crash_fraction),
             format!("{:.3}", r.survival),
             format!("{:.3}", r.availability),
+            format!("{:.3}", r.primary_area),
+            format!("{:.2}", r.overlapping_primary_pairs),
         ]);
     }
     config.emit("failover", &table);
@@ -232,5 +279,17 @@ mod tests {
         // And dual must actually be resilient in absolute terms.
         assert!(dual.survival > 0.5, "dual survival only {}", dual.survival);
         let _ = std::fs::remove_dir_all(&config.out_dir);
+    }
+
+    /// The three `repro failover` trials (default seed, trials 2, 6 and 7)
+    /// in which DualPeer at 40 % crash ends with two live primaries
+    /// claiming overlapping regions.
+    #[test]
+    #[ignore = "ownership fork after a correlated crash (items 13, 26)"]
+    fn dual_peer_crash_storm_leaves_no_overlapping_primaries() {
+        let pairs = [24_264_905, 30_556_361, 32_653_513].map(|seed| {
+            run_trial(EngineMode::DualPeer, 0.4, seed, NODES, RECORDS).overlapping_primary_pairs
+        });
+        assert_eq!(pairs, [0, 0, 0], "overlapping primary pairs per seed");
     }
 }

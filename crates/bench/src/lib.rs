@@ -20,11 +20,7 @@
 //! | [`ablation`] | design-choice ablations (trigger, TTL, α, variants) |
 //! | [`failover`] | §2.3 claim — dual peer's fault resilience, quantified |
 //!
-//! The crate's only other binary, `simulate`, supports protocol work: it
-//! runs a full message-level deployment (joins, heartbeats, adaptation,
-//! optional crash storm) and reports traffic statistics, coverage, and
-//! any ownership forks. Per-call costs are the criterion benches under
-//! `benches/`.
+//! Per-call costs are the criterion benches under `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

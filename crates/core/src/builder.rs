@@ -6,7 +6,8 @@
 //! that procedure for both protocol variants, seeded and deterministic.
 
 use geogrid_geometry::Space;
-use geogrid_workload::{CapacityProfile, NodePlacement};
+use geogrid_workload::placement::uniform_point;
+use geogrid_workload::CapacityProfile;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -41,7 +42,6 @@ pub struct NetworkBuilder {
     space: Space,
     seed: u64,
     mode: Mode,
-    placement: NodePlacement,
     capacities: CapacityProfile,
 }
 
@@ -52,7 +52,6 @@ impl NetworkBuilder {
             space,
             seed,
             mode: Mode::Basic,
-            placement: NodePlacement::Uniform,
             capacities: CapacityProfile::gnutella(),
         }
     }
@@ -60,12 +59,6 @@ impl NetworkBuilder {
     /// Selects the join protocol.
     pub fn mode(mut self, mode: Mode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Selects the node placement distribution.
-    pub fn placement(mut self, placement: NodePlacement) -> Self {
-        self.placement = placement;
         self
     }
 
@@ -86,7 +79,7 @@ impl NetworkBuilder {
         assert!(n > 0, "a network needs at least one node");
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let mut topo = Topology::new(self.space);
-        let coord = self.placement.sample(&mut rng, self.space);
+        let coord = uniform_point(&mut rng, self.space);
         let capacity = self.capacities.sample(&mut rng);
         let first = topo.register_node(coord, capacity);
         let root = topo
@@ -96,7 +89,6 @@ impl NetworkBuilder {
             topology: topo,
             rng,
             mode: self.mode,
-            placement: self.placement,
             capacities: self.capacities,
             live_regions: vec![root],
         };
@@ -113,7 +105,6 @@ pub struct BuiltNetwork {
     topology: Topology,
     rng: SmallRng,
     mode: Mode,
-    placement: NodePlacement,
     capacities: CapacityProfile,
     /// Live regions for the entry draw (see [`Self::join_one`]).
     live_regions: Vec<RegionId>,
@@ -141,7 +132,7 @@ impl BuiltNetwork {
     ///
     /// Returns the node and its join outcome.
     pub fn join_one(&mut self) -> (NodeId, JoinOutcome) {
-        let coord = self.placement.sample(&mut self.rng, self.topology.space());
+        let coord = uniform_point(&mut self.rng, self.topology.space());
         let capacity = self.capacities.sample(&mut self.rng);
         // The entry region is drawn but not used: a model join acts on the
         // region covering `coord` directly, which is where a walk from any

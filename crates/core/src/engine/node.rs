@@ -3,8 +3,8 @@
 use geogrid_geometry::{Point, Region, Space};
 
 use crate::engine::messages::{Message, NeighborInfo};
+use crate::node::Role;
 use crate::service::{LocationQuery, LocationRecord, RegionStore, Subscription};
-use crate::topology::Role;
 use crate::{NodeId, NodeInfo};
 
 /// Ticks per workload-statistics window: the served-request count is
@@ -1195,7 +1195,7 @@ impl NodeEngine {
         let State::Owner(owner) = &mut self.state else {
             return Vec::new();
         };
-        if !crate::join::is_splittable(&owner.region) {
+        if !owner.region.is_splittable() {
             // At the extent floor: refuse; the joiner will retry through
             // another entry (topology-level joins route around this).
             return Vec::new();

@@ -2,9 +2,8 @@
 //!
 //! [`SimNode`] adapts the sans-io engine to `geogrid-simnet`'s
 //! [`Process`] interface; [`SimHarness`] builds whole simulated GeoGrid
-//! deployments — the message-level counterpart of
-//! [`builder::NetworkBuilder`](crate::builder::NetworkBuilder), used to
-//! check that the distributed protocol reaches the same structural
+//! deployments — the message-level counterpart of the model's
+//! `NetworkBuilder`, used to check that the distributed protocol reaches the same structural
 //! invariants as the centrally modelled topology.
 
 use geogrid_geometry::{Point, Space};
@@ -281,7 +280,7 @@ impl SimHarness {
 mod tests {
     use super::*;
     use crate::engine::EngineMode;
-    use crate::topology::Role;
+    use crate::node::Role;
     use geogrid_geometry::Region;
 
     fn harness(mode: EngineMode, seed: u64) -> SimHarness {

@@ -18,28 +18,9 @@
 //! dual peer does it split — choosing the candidate whose *primary* is
 //! weakest, and then pairing up with the weaker owner of the two halves.
 
-use geogrid_geometry::{Point, Region};
+use geogrid_geometry::Point;
 
-use crate::topology::Role;
 use crate::{CoreError, NodeId, RegionId, Topology};
-
-/// Minimum region extent (miles) a split may produce: ~1.6 meters on the
-/// paper's 64-mile plane.
-///
-/// Without a floor, the dual-peer victim rule ("split the region whose
-/// primary is weakest") can re-split the same region geometrically until
-/// its edges fall below floating-point comparison tolerances. Real
-/// deployments need a floor anyway — a region the size of a doormat
-/// serves no location-query purpose. When every nearby candidate is at
-/// the floor, the join walks outward ring by ring to the nearest region
-/// that can still accept or split.
-pub const MIN_SPLIT_EXTENT: f64 = 1e-3;
-
-/// Whether splitting `region` keeps both halves above the extent floor.
-pub fn is_splittable(region: &Region) -> bool {
-    region.width().max(region.height()) >= 2.0 * MIN_SPLIT_EXTENT
-        && region.width().min(region.height()) >= MIN_SPLIT_EXTENT
-}
 
 /// Breadth-first rings of regions around `from` (excluding it),
 /// deterministic order; used to find a join target when the local
@@ -141,10 +122,10 @@ pub fn join_basic(
         .region(rid)
         .ok_or(CoreError::UnknownRegion(rid))?
         .region();
-    if !is_splittable(&covering_region) {
+    if !covering_region.is_splittable() {
         rid = bfs_rings(topo, rid)
             .into_iter()
-            .find(|&c| topo.region(c).is_some_and(|e| is_splittable(&e.region())))
+            .find(|&c| topo.region(c).is_some_and(|e| e.region().is_splittable()))
             .ok_or(CoreError::RoutingFailed { hops: 0 })?;
     }
     let primary = topo
@@ -225,7 +206,7 @@ pub fn join_dual(
     let weakest_splittable = |topo: &Topology, set: &[RegionId]| {
         set.iter()
             .copied()
-            .filter(|&c| topo.region(c).is_some_and(|e| is_splittable(&e.region())))
+            .filter(|&c| topo.region(c).is_some_and(|e| e.region().is_splittable()))
             .min_by(|&a, &b| {
                 let ca = capacity_of(
                     topo,
@@ -266,7 +247,7 @@ pub fn join_dual(
                     }
                     return Ok((joiner, JoinOutcome::FilledSecondary { region: c }));
                 }
-                if is_splittable(&e.region()) {
+                if e.region().is_splittable() {
                     found = Some(c);
                     break;
                 }
@@ -309,8 +290,11 @@ pub fn join_dual(
     ))
 }
 
-/// Gracefully removes a node per §2.3, repairing an orphaned region if the
-/// departing node was a sole owner.
+/// Removes a node per §2.3, repairing an orphaned region if the departing
+/// node was a sole owner. A crash ("Failure Recover") has the same
+/// structural outcome: the secondary activates, or the repair process
+/// runs. (Data-loss differences between crash and graceful departure live
+/// in the [service layer](crate::service), not the topology.)
 ///
 /// # Errors
 ///
@@ -426,24 +410,6 @@ pub fn repair_orphan(topo: &mut Topology, orphan: RegionId) -> Result<(), CoreEr
         }
     }
     Err(CoreError::RoutingFailed { hops: 0 })
-}
-
-/// Crash-handling per §2.3 "Failure Recover": identical structural outcome
-/// to [`depart`] — the secondary activates, or the repair process runs.
-/// (Data-loss differences between crash and graceful departure live in the
-/// [service layer](crate::service), not the topology.)
-///
-/// # Errors
-///
-/// See [`depart`].
-pub fn fail(topo: &mut Topology, node: NodeId) -> Result<(), CoreError> {
-    depart(topo, node)
-}
-
-/// Convenience used by tests and the builder: the role the joiner holds
-/// after `outcome`.
-pub fn resulting_role(topo: &Topology, joiner: NodeId) -> Option<Role> {
-    topo.assignment(joiner).map(|(_, role)| role)
 }
 
 #[cfg(test)]
@@ -627,7 +593,7 @@ mod tests {
         let (s, _) = join_dual(&mut t, Point::new(50.0, 50.0), 500.0).unwrap();
         // s became primary (stronger); crash it.
         assert_eq!(t.region(r).unwrap().primary(), s);
-        fail(&mut t, s).unwrap();
+        depart(&mut t, s).unwrap();
         assert!(t.region(r).unwrap().secondary().is_none());
         t.validate().unwrap();
     }
@@ -650,7 +616,7 @@ mod tests {
         for (_, e) in t.regions() {
             let region = e.region();
             assert!(
-                region.width().min(region.height()) >= MIN_SPLIT_EXTENT / 2.0,
+                region.width().min(region.height()) >= geogrid_geometry::MIN_SPLIT_EXTENT / 2.0,
                 "sliver survived: {region}"
             );
         }
@@ -667,16 +633,9 @@ mod tests {
         for (_, e) in t.regions() {
             let region = e.region();
             assert!(
-                region.width().min(region.height()) >= MIN_SPLIT_EXTENT / 2.0,
+                region.width().min(region.height()) >= geogrid_geometry::MIN_SPLIT_EXTENT / 2.0,
                 "sliver survived: {region}"
             );
         }
-    }
-
-    #[test]
-    fn role_query_helper() {
-        let (mut t, _) = boot();
-        let (j, _) = join_dual(&mut t, Point::new(50.0, 50.0), 5.0).unwrap();
-        assert_eq!(resulting_role(&t, j), Some(Role::Secondary));
     }
 }

@@ -1,4 +1,4 @@
-//! Node descriptors.
+//! Node descriptors and ownership roles.
 
 use std::fmt;
 
@@ -70,6 +70,24 @@ impl NodeInfo {
 impl fmt::Display for NodeInfo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}@{} cap={}", self.id, self.coord, self.capacity)
+    }
+}
+
+/// The role a node holds in the region it co-owns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Role {
+    /// Handles all requests mapped to the region.
+    Primary,
+    /// Holds replicas and takes over when the primary departs or fails.
+    Secondary,
+}
+
+impl fmt::Display for Role {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Role::Primary => write!(f, "primary"),
+            Role::Secondary => write!(f, "secondary"),
+        }
     }
 }
 

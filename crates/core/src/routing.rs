@@ -51,12 +51,12 @@
 //! so beyond ~16k regions route *length* dominates. The express engine
 //! ([`RouteOptions::express`])
 //! layers the topology's express fingers (see
-//! [`Topology::slot_fingers`]: per region, one link per doubling of
+//! [`Topology::slot_fingers`](crate::Topology::slot_fingers): per region, one link per doubling of
 //! distance per compass direction, Kleinberg/Chord-style) on top of the
 //! same engine as a two-phase route:
 //!
 //! 1. **Express descent** — while the remaining distance exceeds both the
-//!    finger floor ([`Topology::finger_base`]) and [`EXPRESS_ENGAGE`]
+//!    finger floor ([`Topology::finger_base`](crate::Topology::finger_base)) and [`EXPRESS_ENGAGE`]
 //!    current-region diameters, follow the best finger that cuts the
 //!    remaining rectangle distance to at most [`EXPRESS_DECAY`]× — but
 //!    only when that finger strictly beats every immediate neighbor's
@@ -120,7 +120,7 @@ const EXPRESS_MAX_HOPS: usize = 64;
 /// nothing that outlives a query's answer. [`Router`] owns one. See the
 /// [module docs](self) for the design.
 ///
-/// A scratch may be reused freely across different [`Topology`] instances
+/// A scratch may be reused freely across different [`Topology`](crate::Topology) instances
 /// and [`TopologyView`]s: the stamp table only ever grows to the largest
 /// slot count seen.
 #[derive(Debug, Clone)]
@@ -339,43 +339,6 @@ fn candidates_into_filtered<V: TopologyView + ?Sized>(
         }
     }
     out.sort_unstable();
-}
-
-/// All neighbors of `current` tied (within `slack`, relative) for the
-/// best closest-point distance to `target` — the candidate set for the
-/// paper's *randomization of routing entries* (§2.2 lists it among the
-/// management messages): picking uniformly among near-optimal next hops
-/// spreads transit load over parallel paths instead of always burning the
-/// same corridor.
-pub fn next_hop_candidates<V: TopologyView + ?Sized>(
-    view: &V,
-    current: RegionId,
-    target: Point,
-    visited: &HashSet<RegionId>,
-    slack: f64,
-) -> Vec<RegionId> {
-    let mut out = Vec::new();
-    next_hop_candidates_into(view, current, target, visited, slack, &mut out);
-    out
-}
-
-/// Allocation-free form of [`next_hop_candidates`]: one pass finds the
-/// best distance, a second filters the tie window into `out` (cleared
-/// first) — no intermediate `Vec` of `(id, distance)` pairs.
-pub fn next_hop_candidates_into<V: TopologyView + ?Sized>(
-    view: &V,
-    current: RegionId,
-    target: Point,
-    visited: &HashSet<RegionId>,
-    slack: f64,
-    out: &mut Vec<RegionId>,
-) {
-    out.clear();
-    let slot = current.index();
-    if !view.is_live(slot) || view.covers(slot, target) {
-        return;
-    }
-    candidates_into_filtered(view, slot, target, |n| visited.contains(&n), slack, out);
 }
 
 /// The greedy engine behind [`Router::route`] with
@@ -1058,24 +1021,6 @@ mod tests {
     }
 
     #[test]
-    fn candidates_are_subset_of_neighbors_and_sorted() {
-        let t = grid_topology(5);
-        let from = t.first_region().unwrap();
-        let target = Point::new(60.0, 60.0);
-        let c = next_hop_candidates(&t, from, target, &HashSet::new(), 0.5);
-        let neighbors = t.region(from).unwrap().neighbors().to_vec();
-        for rid in &c {
-            assert!(neighbors.contains(rid));
-        }
-        let mut sorted = c.clone();
-        sorted.sort();
-        assert_eq!(c, sorted);
-        // Covering region has no candidates.
-        let inside = t.region(from).unwrap().region().center();
-        assert!(next_hop_candidates(&t, from, inside, &HashSet::new(), 0.5).is_empty());
-    }
-
-    #[test]
     fn fanout_of_tiny_query_is_executor_only() {
         let t = grid_topology(6);
         let executor = t.locate_scan(Point::new(10.0, 10.0)).unwrap();
@@ -1205,20 +1150,6 @@ mod tests {
             Point::new(31.0, 7.0),
         ] {
             assert_eq!(snap.locate(p).unwrap(), t.locate(p).unwrap());
-        }
-    }
-
-    #[test]
-    fn candidates_into_matches_allocating_form() {
-        let t = grid_topology(6);
-        let target = Point::new(60.0, 60.0);
-        let mut buf = Vec::new();
-        for rid in t.region_ids() {
-            for slack in [0.0, 0.25, 0.5] {
-                let reference = next_hop_candidates(&t, rid, target, &HashSet::new(), slack);
-                next_hop_candidates_into(&t, rid, target, &HashSet::new(), slack, &mut buf);
-                assert_eq!(buf, reference);
-            }
         }
     }
 }

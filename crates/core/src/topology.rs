@@ -13,32 +13,14 @@
 //! this model.
 
 use std::collections::HashMap;
-use std::fmt;
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::Arc;
 
 use geogrid_geometry::{GridBuckets, Point, Region, Space, EDGE_EPS};
 
 use crate::audit::{Violation, ViolationKind};
+pub use crate::node::Role;
 use crate::snapshot::{SnapshotCell, TopologySnapshot, TopologyView};
 use crate::{CoreError, NodeId, NodeInfo, RegionId};
-
-/// The role a node holds in the region it co-owns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Role {
-    /// Handles all requests mapped to the region.
-    Primary,
-    /// Holds replicas and takes over when the primary departs or fails.
-    Secondary,
-}
-
-impl fmt::Display for Role {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Role::Primary => write!(f, "primary"),
-            Role::Secondary => write!(f, "secondary"),
-        }
-    }
-}
 
 /// One region slot: geometry, owners, and adjacency.
 #[derive(Debug, Clone, PartialEq)]
@@ -225,11 +207,6 @@ pub struct Topology {
     /// visits only the fingers that referenced the changed region, not
     /// the whole network.
     finger_in: Vec<Vec<u64>>,
-    /// Epoch-keyed snapshot memo behind [`Self::snapshot`]: the last
-    /// snapshot built, reused while `(instance_id, epoch)` still matches.
-    /// Interior-mutable so the getter stays `&self`; never cloned (a
-    /// clone's fresh instance id invalidates it by construction).
-    snap_cache: RwLock<Option<Arc<TopologySnapshot>>>,
     /// The publication cell attached by [`Self::publish_handle`], if any.
     /// While attached, every geometry-rewrite site republishes into it
     /// (the auditor's `stale-snapshot` reports a site that does not).
@@ -269,11 +246,9 @@ impl Clone for Topology {
             slot_geo: self.slot_geo.clone(),
             slot_fingers: self.slot_fingers.clone(),
             finger_in: self.finger_in.clone(),
-            // A clone diverges immediately: it gets neither the memoized
-            // snapshot (its fresh instance id would invalidate it anyway)
-            // nor the publication cell — publishing a divergent clone's
-            // geometry to the original's readers would corrupt them.
-            snap_cache: RwLock::new(None),
+            // A clone diverges immediately, so it does not get the
+            // publication cell: publishing a divergent clone's geometry to
+            // the original's readers would corrupt them.
             publish: None,
         }
     }
@@ -295,7 +270,6 @@ impl Default for Topology {
             slot_geo: Vec::new(),
             slot_fingers: Vec::new(),
             finger_in: Vec::new(),
-            snap_cache: RwLock::new(None),
             publish: None,
         }
     }
@@ -525,29 +499,6 @@ impl Topology {
             }
         }
         Err(CoreError::EmptyNetwork)
-    }
-
-    /// All live regions whose rectangle overlaps `rect` with positive area
-    /// (the [`Region::intersects`] predicate), ascending by id. Uses the
-    /// grid index: only the cells the query rectangle touches are examined.
-    pub fn regions_overlapping(&self, rect: &Region) -> Vec<RegionId> {
-        let mut out: Vec<RegionId> = self
-            .grid
-            .buckets
-            .overlapping(rect)
-            .flatten()
-            .copied()
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out.retain(|&rid| {
-            self.slots[rid.index()]
-                .as_ref()
-                .expect("invariant: the grid index lists only live regions")
-                .region
-                .intersects(rect)
-        });
-        out
     }
 
     /// Splits `rid` in half along its preferred axis.
@@ -981,10 +932,17 @@ impl Topology {
     /// not on the network size, so [`Self::debug_audit`] runs it after
     /// every mutation. A dead id (a merge's freed victim) must have an
     /// empty in-list; a cell still listing it is a dead entry in the
-    /// survivor's span.
+    /// survivor's span. While a publication cell is attached, the
+    /// published snapshot's identity is checked too (its content only by
+    /// the full audit).
     #[cfg_attr(not(debug_assertions), allow(dead_code))]
     pub(crate) fn audit_local(&self, touched: &[RegionId]) -> Vec<Violation> {
-        let mut v = Vec::new();
+        let mut v: Vec<Violation> = self
+            .publish
+            .as_ref()
+            .and_then(|cell| self.stale_snapshot(&cell.load()))
+            .into_iter()
+            .collect();
         for &rid in touched {
             self.audit_slot(rid, &mut v);
             self.audit_finger_mirror(rid, &mut v);
@@ -1275,34 +1233,17 @@ impl Topology {
         }
     }
 
-    /// An immutable snapshot of the current geometry epoch: the slot
+    /// A fresh immutable snapshot of the current geometry epoch: the slot
     /// rectangle/center mirror, finger blocks, adjacency, and grid index,
     /// flattened for lock-free concurrent routing (see
-    /// [`crate::snapshot`]). Memoized per `(instance_id, epoch)` — calling
-    /// this repeatedly between mutations returns the same `Arc`.
+    /// [`crate::snapshot`]). Each call builds a new one.
     ///
     /// # Panics
     ///
     /// Panics if the topology was built with `Default` and never given a
     /// space.
     pub fn snapshot(&self) -> Arc<TopologySnapshot> {
-        {
-            let memo = self
-                .snap_cache
-                .read()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Some(s) = memo.as_ref() {
-                if s.instance_id == self.id && s.epoch == self.epoch {
-                    return Arc::clone(s);
-                }
-            }
-        }
-        let snap = Arc::new(self.build_snapshot());
-        *self
-            .snap_cache
-            .write()
-            .unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(&snap));
-        snap
+        Arc::new(self.build_snapshot())
     }
 
     /// Attaches (or returns) this topology's publication cell. From this
@@ -1386,16 +1327,13 @@ impl Topology {
         }
     }
 
-    /// Checks the published snapshot against this topology's live
-    /// geometry: identity (instance + epoch) first — a mismatch there is
-    /// [`ViolationKind::StaleSnapshot`] and content comparison proves
-    /// nothing — then per-slot liveness, rectangles/centers (against the
-    /// authoritative slot table, not the mirror), finger blocks,
-    /// adjacency, and the grid candidate lists, all as
-    /// [`ViolationKind::SnapshotDrift`].
-    fn audit_snapshot(&self, snap: &TopologySnapshot, v: &mut Vec<Violation>) {
-        if snap.instance_id != self.id || snap.epoch != self.epoch {
-            v.push(Violation::new(
+    /// [`ViolationKind::StaleSnapshot`] if the published snapshot is not
+    /// this topology at this epoch. O(1), so [`Self::audit_local`] runs it
+    /// too: a geometry rewrite that skips [`Self::publish_snapshot`] is
+    /// caught at the mutation.
+    fn stale_snapshot(&self, snap: &TopologySnapshot) -> Option<Violation> {
+        (snap.instance_id != self.id || snap.epoch != self.epoch).then(|| {
+            Violation::new(
                 ViolationKind::StaleSnapshot {
                     published: snap.epoch,
                     current: self.epoch,
@@ -1404,7 +1342,19 @@ impl Topology {
                     "published snapshot is instance {} epoch {}, topology is instance {} epoch {}",
                     snap.instance_id, snap.epoch, self.id, self.epoch
                 ),
-            ));
+            )
+        })
+    }
+
+    /// Checks the published snapshot against this topology's live
+    /// geometry: identity first ([`Self::stale_snapshot`] — on a mismatch
+    /// content comparison proves nothing), then per-slot liveness,
+    /// rectangles/centers (against the authoritative slot table, not the
+    /// mirror), finger blocks, adjacency, and the grid candidate lists,
+    /// all as [`ViolationKind::SnapshotDrift`].
+    fn audit_snapshot(&self, snap: &TopologySnapshot, v: &mut Vec<Violation>) {
+        if let Some(stale) = self.stale_snapshot(snap) {
+            v.push(stale);
             return;
         }
         if snap.slot_count() != self.slots.len() || snap.region_count != self.region_count {
@@ -2063,37 +2013,6 @@ mod tests {
     }
 
     #[test]
-    fn regions_overlapping_matches_brute_force() {
-        let (mut t, _, _) = boot();
-        let mut x = 11.2_f64;
-        let mut y = 47.9_f64;
-        for i in 0..30 {
-            x = (x * 23.3 + i as f64).rem_euclid(64.0);
-            y = (y * 19.1 + 1.0 + i as f64).rem_euclid(64.0);
-            let p = Point::new(x.max(0.01), y.max(0.01));
-            let j = t.register_node(p, 10.0);
-            let rid = t.locate(p).unwrap();
-            let primary = t.region(rid).unwrap().primary();
-            t.split_region(rid, primary, j).unwrap();
-        }
-        for rect in [
-            Region::new(0.0, 0.0, 64.0, 64.0),
-            Region::new(10.0, 10.0, 20.0, 5.0),
-            Region::new(63.0, 63.0, 1.0, 1.0),
-            Region::new(16.0, 16.0, 1e-12, 1e-12), // sub-epsilon: overlaps nothing
-            Region::new(31.9, 0.0, 0.2, 64.0),     // thin column across a seam
-        ] {
-            let got = t.regions_overlapping(&rect);
-            let expected: Vec<RegionId> = t
-                .regions()
-                .filter(|(_, e)| e.region().intersects(&rect))
-                .map(|(rid, _)| rid)
-                .collect();
-            assert_eq!(got, expected, "query {rect:?}");
-        }
-    }
-
-    #[test]
     fn locate_on_empty_and_out_of_space() {
         let t = Topology::new(space());
         assert!(matches!(
@@ -2493,21 +2412,24 @@ mod tests {
 
     #[test]
     fn audit_detects_stale_published_snapshot() {
-        let (mut t, _, _, _) = two_regions();
+        let (mut t, _, r, _) = two_regions();
         let _cell = t.publish_handle();
         assert!(t.audit().is_empty(), "{:?}", t.audit());
         // Advance the epoch without republishing, as a rewrite site that
         // skipped `publish_snapshot` would.
         t.bump_epoch();
-        let v = t.audit();
-        assert!(
-            v.iter().any(|x| matches!(
-                x.kind,
-                ViolationKind::StaleSnapshot { published, current }
-                    if published + 1 == current
-            )),
-            "{v:?}"
-        );
+        let stale = |v: &[Violation]| {
+            v.iter().any(|x| {
+                matches!(
+                    x.kind,
+                    ViolationKind::StaleSnapshot { published, current }
+                        if published + 1 == current
+                )
+            })
+        };
+        assert!(stale(&t.audit()), "{:?}", t.audit());
+        // The post-mutation audit sees it too, given any touched slot.
+        assert!(stale(&t.audit_local(&[r])), "{:?}", t.audit_local(&[r]));
     }
 
     #[test]

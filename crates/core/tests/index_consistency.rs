@@ -1,7 +1,6 @@
 //! Property tests for the grid spatial index: after an arbitrary sequence
 //! of structural mutations, `Topology::locate` must agree with the
-//! linear-scan ground truth on every probe point, and
-//! `Topology::regions_overlapping` must match the brute-force filter.
+//! linear-scan ground truth on every probe point.
 //!
 //! The mutation driver exercises every path that can touch region
 //! geometry or ownership: splits, merges, secondary placement/removal,
@@ -10,7 +9,7 @@
 
 use geogrid_core::topology::Role;
 use geogrid_core::{CoreError, RegionId, Topology};
-use geogrid_geometry::{Point, Region, Space};
+use geogrid_geometry::{Point, Space};
 use proptest::prelude::*;
 
 fn space() -> Space {
@@ -160,36 +159,6 @@ proptest! {
         }
         for p in adversarial_probes(&t) {
             prop_assert_eq!(t.locate(p).expect("in space"), t.locate_scan(p).expect("in space"), "at {:?}", p);
-        }
-    }
-
-    #[test]
-    fn regions_overlapping_matches_brute_force_after_mutations(
-        ops in prop::collection::vec((any::<u8>(), 0.0..=64.0, 0.0..=64.0), 1..60),
-        rects in prop::collection::vec((0.0f64..63.0, 0.0f64..63.0, 0.001f64..32.0, 0.001f64..32.0), 12),
-    ) {
-        let t = build(&ops);
-        prop_assert!(t.validate().is_ok(), "invalid topology: {:?}", t.validate());
-        for (x, y, w, h) in rects {
-            let rect = Region::new(x, y, w.min(64.0 - x), h.min(64.0 - y));
-            let got = t.regions_overlapping(&rect);
-            let expected: Vec<RegionId> = t
-                .regions()
-                .filter(|(_, e)| e.region().intersects(&rect))
-                .map(|(rid, _)| rid)
-                .collect();
-            prop_assert_eq!(&got, &expected, "query {:?}", rect);
-        }
-        // Region-aligned queries stress the shared-edge exclusions.
-        for (rid, e) in t.regions().take(8) {
-            let got = t.regions_overlapping(&e.region());
-            prop_assert!(got.contains(&rid), "{} missing from its own rect query", rid);
-            let expected: Vec<RegionId> = t
-                .regions()
-                .filter(|(_, o)| o.region().intersects(&e.region()))
-                .map(|(orid, _)| orid)
-                .collect();
-            prop_assert_eq!(&got, &expected, "query {:?}", e.region());
         }
     }
 

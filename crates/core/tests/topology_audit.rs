@@ -108,7 +108,7 @@ fn apply_audited(t: &mut Topology, auditor: &mut TopologyAuditor, op: u8, x: f64
         6 => {
             if t.region_count() > 1 || secondary.is_some() {
                 let victim = secondary.unwrap_or(primary);
-                join::fail(t, victim).expect("repairable departure");
+                join::depart(t, victim).expect("repairable departure");
             }
         }
         // Raw fail-over: remove_node may orphan the region; the audit in

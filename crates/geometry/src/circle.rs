@@ -60,11 +60,6 @@ impl Circle {
         self.center.distance_squared(p) < self.radius * self.radius
     }
 
-    /// Whether any part of `region` lies inside the circle.
-    pub fn intersects_region(&self, region: &Region) -> bool {
-        self.contains(region.closest_point_to(self.center))
-    }
-
     /// The paper's rectangular representation of a circular query region:
     /// `(x, y, 2γ, 2γ)` centered on the circle.
     pub fn bounding_region(&self) -> Region {
@@ -126,16 +121,6 @@ mod tests {
         let r = c.bounding_region();
         assert_eq!(r, Region::new(3.0, 5.0, 4.0, 4.0));
         assert_eq!(r.center(), c.center());
-    }
-
-    #[test]
-    fn region_intersection() {
-        let c = Circle::new(Point::new(0.0, 0.0), 1.0);
-        assert!(c.intersects_region(&Region::new(-0.5, -0.5, 1.0, 1.0)));
-        assert!(c.intersects_region(&Region::new(0.5, -0.5, 10.0, 1.0)));
-        // Box whose closest corner is exactly on the border: outside.
-        assert!(!c.intersects_region(&Region::new(1.0, 0.0, 1.0, 1.0)));
-        assert!(!c.intersects_region(&Region::new(5.0, 5.0, 1.0, 1.0)));
     }
 
     #[test]

@@ -45,11 +45,6 @@ impl Point {
         dx * dx + dy * dy
     }
 
-    /// Midpoint between `self` and `other`.
-    pub fn midpoint(self, other: Point) -> Point {
-        Point::new((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
-    }
-
     /// The point translated by `(dx, dy)`.
     pub fn translated(self, dx: f64, dy: f64) -> Point {
         Point::new(self.x + dx, self.y + dy)
@@ -99,12 +94,6 @@ mod tests {
         let b = Point::new(-4.0, 7.0);
         assert_eq!(a.distance(b), b.distance(a));
         assert_eq!(a.distance(a), 0.0);
-    }
-
-    #[test]
-    fn midpoint_is_between() {
-        let m = Point::new(0.0, 0.0).midpoint(Point::new(2.0, 6.0));
-        assert_eq!(m, Point::new(1.0, 3.0));
     }
 
     #[test]

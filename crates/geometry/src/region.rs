@@ -11,6 +11,18 @@ use crate::Point;
 /// drift when regions are reconstructed from serialized values.
 pub const EDGE_EPS: f64 = 1e-9;
 
+/// Minimum region extent (miles) a split may produce: ~1.6 meters on the
+/// paper's 64-mile plane.
+///
+/// Without a floor, the dual-peer victim rule ("split the region whose
+/// primary is weakest") can re-split the same region geometrically until
+/// its edges fall below floating-point comparison tolerances. Real
+/// deployments need a floor anyway — a region the size of a doormat
+/// serves no location-query purpose. When every nearby candidate is at
+/// the floor, the join walks outward ring by ring to the nearest region
+/// that can still accept or split.
+pub const MIN_SPLIT_EXTENT: f64 = 1e-3;
+
 /// Axis along which a region is split in half.
 ///
 /// The paper splits "following a certain ordering of the dimensions such as
@@ -23,16 +35,6 @@ pub enum SplitAxis {
     Latitude,
     /// Vertical cut: the x-dimension (width) is halved.
     Longitude,
-}
-
-impl SplitAxis {
-    /// The other axis.
-    pub fn flipped(self) -> SplitAxis {
-        match self {
-            SplitAxis::Latitude => SplitAxis::Longitude,
-            SplitAxis::Longitude => SplitAxis::Latitude,
-        }
-    }
 }
 
 /// A rectangular region of the GeoGrid plane.
@@ -152,6 +154,12 @@ impl Region {
         }
     }
 
+    /// Whether splitting keeps both halves above [`MIN_SPLIT_EXTENT`].
+    pub fn is_splittable(&self) -> bool {
+        self.width.max(self.height) >= 2.0 * MIN_SPLIT_EXTENT
+            && self.width.min(self.height) >= MIN_SPLIT_EXTENT
+    }
+
     /// Splits the region in half along `axis`.
     ///
     /// Returns the pair `(low, high)`: `(south, north)` for a latitude
@@ -249,18 +257,6 @@ impl Region {
             && other.x < self.east() - EDGE_EPS
             && self.y < other.north() - EDGE_EPS
             && other.y < self.north() - EDGE_EPS
-    }
-
-    /// The overlapping rectangle, if the regions overlap with positive area.
-    pub fn intersection(&self, other: &Region) -> Option<Region> {
-        if !self.intersects(other) {
-            return None;
-        }
-        let x = self.x.max(other.x);
-        let y = self.y.max(other.y);
-        let east = self.east().min(other.east());
-        let north = self.north().min(other.north());
-        Some(Region::new(x, y, east - x, north - y))
     }
 
     /// The point of this region closest to `p` (clamping `p` to the
@@ -365,16 +361,6 @@ mod tests {
         let b = Region::new(1.0, 1.0, 2.0, 2.0);
         assert!(a.intersects(&b));
         assert!(!a.touches_edge(&b));
-    }
-
-    #[test]
-    fn intersection_shape() {
-        let a = Region::new(0.0, 0.0, 2.0, 2.0);
-        let b = Region::new(1.0, 1.0, 2.0, 2.0);
-        let i = a.intersection(&b).expect("overlap");
-        assert_eq!(i, Region::new(1.0, 1.0, 1.0, 1.0));
-        let far = Region::new(10.0, 10.0, 1.0, 1.0);
-        assert_eq!(a.intersection(&far), None);
     }
 
     #[test]

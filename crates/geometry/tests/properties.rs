@@ -126,19 +126,6 @@ proptest! {
         prop_assert_eq!(a.touches_edge(&b), b.touches_edge(&a));
     }
 
-    /// Intersection is commutative and contained in both operands.
-    #[test]
-    fn intersection_properties(a in arb_region(64.0), b in arb_region(64.0)) {
-        let ab = a.intersection(&b);
-        let ba = b.intersection(&a);
-        prop_assert_eq!(ab.is_some(), ba.is_some());
-        if let (Some(ab), Some(ba)) = (ab, ba) {
-            prop_assert!((ab.area() - ba.area()).abs() < 1e-9);
-            prop_assert!(ab.area() <= a.area() + 1e-9);
-            prop_assert!(ab.area() <= b.area() + 1e-9);
-        }
-    }
-
     /// The closest point of a region to `p` is inside the region (closed)
     /// and no farther from `p` than any sampled region point.
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The paper's headline claim is a reduction of workload *imbalance* by an
 //! order of magnitude. Besides the std-dev the paper plots, the harness also
-//! reports the Gini coefficient and the max/mean ratio, which are standard
-//! imbalance measures and make the ablation tables easier to read.
+//! reports the Gini coefficient, a standard imbalance measure that makes the
+//! ablation tables easier to read.
 
 /// Gini coefficient of a set of non-negative values, in `[0, 1)`.
 ///
@@ -41,31 +41,6 @@ pub fn gini<I: IntoIterator<Item = f64>>(values: I) -> f64 {
     (2.0 * weighted) / (n * sum) - (n + 1.0) / n
 }
 
-/// Ratio of the maximum value to the mean, a direct "how overloaded is the
-/// hottest node" measure. Returns 0 for empty input and 1 for perfectly even
-/// load.
-///
-/// # Examples
-///
-/// ```
-/// use geogrid_metrics::max_mean_ratio;
-///
-/// assert_eq!(max_mean_ratio([2.0, 2.0]), 1.0);
-/// assert_eq!(max_mean_ratio([0.0, 4.0]), 2.0);
-/// ```
-pub fn max_mean_ratio<I: IntoIterator<Item = f64>>(values: I) -> f64 {
-    let xs: Vec<f64> = values.into_iter().filter(|v| v.is_finite()).collect();
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-    if mean == 0.0 {
-        return 0.0;
-    }
-    let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    max / mean
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,12 +71,5 @@ mod tests {
         let a = gini([1.0, 2.0, 3.0, 4.0]);
         let b = gini([10.0, 20.0, 30.0, 40.0]);
         assert!((a - b).abs() < 1e-12);
-    }
-
-    #[test]
-    fn max_mean_ratio_basics() {
-        assert_eq!(max_mean_ratio([]), 0.0);
-        assert_eq!(max_mean_ratio([1.0, 1.0, 1.0]), 1.0);
-        assert!((max_mean_ratio([1.0, 1.0, 4.0]) - 2.0).abs() < 1e-12);
     }
 }

@@ -7,9 +7,7 @@
 //!
 //! * [`Summary`] — one-pass max/mean/std-dev/percentile summaries,
 //! * [`RunningStats`] — Welford online accumulation,
-//! * [`Histogram`] — fixed-bin histograms used for the region-size and load
-//!   distribution figures (Figures 2 and 3),
-//! * [`gini`] / [`max_mean_ratio`] — imbalance measures,
+//! * [`gini`] — the imbalance measure,
 //! * [`table`] — small CSV/console table writer shared by every experiment.
 //!
 //! # Examples
@@ -25,13 +23,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod histogram;
 mod imbalance;
 mod running;
 mod summary;
 pub mod table;
 
-pub use histogram::Histogram;
-pub use imbalance::{gini, max_mean_ratio};
+pub use imbalance::gini;
 pub use running::RunningStats;
 pub use summary::Summary;

@@ -120,23 +120,9 @@ impl RunningStats {
         }
     }
 
-    /// Sample variance (divides by `n - 1`), or 0 with fewer than 2 samples.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn population_std_dev(&self) -> f64 {
         self.population_variance().sqrt()
-    }
-
-    /// Sample standard deviation.
-    pub fn sample_std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
     }
 }
 
@@ -191,7 +177,6 @@ mod tests {
         assert_eq!(s.count(), 1);
         assert_eq!(s.mean(), 42.0);
         assert_eq!(s.population_variance(), 0.0);
-        assert_eq!(s.sample_variance(), 0.0);
         assert_eq!(s.min(), 42.0);
         assert_eq!(s.max(), 42.0);
     }

@@ -97,11 +97,6 @@ impl Summary {
         self.percentile(50.0)
     }
 
-    /// Read-only view of the sorted samples.
-    pub fn sorted_values(&self) -> &[f64] {
-        &self.sorted
-    }
-
     /// Underlying accumulator (for merging into trial-level aggregates).
     pub fn stats(&self) -> &RunningStats {
         &self.stats

@@ -68,14 +68,6 @@ impl Table {
         self
     }
 
-    /// Convenience: appends a row of floats formatted with 6 significant
-    /// decimals, prefixed by one label cell.
-    pub fn row_labeled<S: Into<String>>(&mut self, label: S, values: &[f64]) -> &mut Self {
-        let mut cells = vec![label.into()];
-        cells.extend(values.iter().map(|v| format!("{v:.6}")));
-        self.row(cells)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -84,11 +76,6 @@ impl Table {
     /// Whether the table has no data rows.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    /// Column headers.
-    pub fn header(&self) -> &[String] {
-        &self.header
     }
 
     /// Renders as CSV (RFC-4180-style quoting for cells containing commas,
@@ -189,14 +176,6 @@ mod tests {
         let text = format!("{t}");
         assert!(text.contains("1000"));
         assert!(text.lines().count() >= 4);
-    }
-
-    #[test]
-    fn row_labeled_formats_floats() {
-        let mut t = Table::new(["variant", "x", "y"]);
-        t.row_labeled("basic", &[1.0, 0.5]);
-        assert_eq!(t.len(), 1);
-        assert!(t.to_csv().contains("basic,1.000000,0.500000"));
     }
 
     #[test]

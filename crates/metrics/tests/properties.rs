@@ -1,6 +1,6 @@
 //! Property-based tests for the measurement substrate.
 
-use geogrid_metrics::{gini, max_mean_ratio, Histogram, RunningStats, Summary};
+use geogrid_metrics::{gini, RunningStats, Summary};
 use proptest::prelude::*;
 
 fn arb_samples() -> impl Strategy<Value = Vec<f64>> {
@@ -49,23 +49,6 @@ proptest! {
         prop_assert!(s.percentile(100.0) <= s.max() + 1e-12);
     }
 
-    /// Histogram never loses a sample: bins + underflow + overflow equals
-    /// the number of finite samples.
-    #[test]
-    fn histogram_conserves_samples(
-        xs in proptest::collection::vec(-100.0..200.0, 0..300),
-        bins in 1usize..50
-    ) {
-        let mut h = Histogram::new(0.0, 100.0, bins);
-        for &x in &xs {
-            h.record(x);
-        }
-        prop_assert_eq!(
-            h.count() + h.underflow() + h.overflow(),
-            xs.len() as u64
-        );
-    }
-
     /// Gini is in [0, 1) and scale-invariant.
     #[test]
     fn gini_bounded_and_scale_invariant(
@@ -76,11 +59,5 @@ proptest! {
         prop_assert!((0.0..1.0).contains(&g), "gini {g}");
         let scaled = gini(xs.iter().map(|x| x * k));
         prop_assert!((g - scaled).abs() < 1e-9);
-    }
-
-    /// max/mean ratio is at least 1 for non-degenerate non-negative input.
-    #[test]
-    fn max_mean_ratio_at_least_one(xs in proptest::collection::vec(0.1..1e6, 1..100)) {
-        prop_assert!(max_mean_ratio(xs.iter().copied()) >= 1.0 - 1e-12);
     }
 }

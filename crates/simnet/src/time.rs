@@ -53,11 +53,6 @@ impl SimTime {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
-
-    /// Saturating difference `self - earlier`.
-    pub fn saturating_since(self, earlier: SimTime) -> SimTime {
-        SimTime(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl Add for SimTime {
@@ -109,7 +104,6 @@ mod tests {
         assert!(a > b);
         assert_eq!(a - b, SimTime::from_millis(2));
         assert_eq!(b + SimTime::from_millis(2), a);
-        assert_eq!(b.saturating_since(a), SimTime::ZERO);
     }
 
     #[test]

@@ -102,7 +102,6 @@ enum Command {
     Publish(LocationRecord),
     Subscribe(Subscription),
     View(oneshot::Sender<Option<OwnerView>>),
-    AddressOf(NodeId, oneshot::Sender<Option<SocketAddr>>),
     Shutdown,
 }
 
@@ -185,15 +184,6 @@ impl RuntimeHandle {
     pub async fn owner_view(&self) -> Option<OwnerView> {
         let (tx, rx) = oneshot::channel();
         if !self.command(Command::View(tx)) {
-            return None;
-        }
-        rx.await.ok().flatten()
-    }
-
-    /// The learned address of another node, if known.
-    pub async fn address_of(&self, id: NodeId) -> Option<SocketAddr> {
-        let (tx, rx) = oneshot::channel();
-        if !self.command(Command::AddressOf(id, tx)) {
             return None;
         }
         rx.await.ok().flatten()
@@ -424,10 +414,6 @@ impl Actor {
             Command::Subscribe(sub) => Input::UserSubscribe { sub },
             Command::View(reply) => {
                 let _ = reply.send(self.engine.owner_view());
-                return true;
-            }
-            Command::AddressOf(id, reply) => {
-                let _ = reply.send(self.book.get(&id).copied());
                 return true;
             }
             Command::Shutdown => return false,

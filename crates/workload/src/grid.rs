@@ -198,17 +198,6 @@ impl WorkloadGrid {
         }
         load
     }
-
-    /// Workload at the cell covering `p`, or 0 outside the space.
-    pub fn load_at(&self, p: Point) -> f64 {
-        let bounds = self.space.bounds();
-        if !self.space.covers(p) {
-            return 0.0;
-        }
-        let col = (((p.x - bounds.x()) / self.cell_size) as usize).min(self.cols - 1);
-        let row = (((p.y - bounds.y()) / self.cell_size) as usize).min(self.rows - 1);
-        self.cells[row * self.cols + col]
-    }
 }
 
 impl fmt::Display for WorkloadGrid {
@@ -288,14 +277,6 @@ mod tests {
         let t1 = g.total();
         g.fill(&field);
         assert!((g.total() - t1).abs() < 1e-12, "fill must not accumulate");
-    }
-
-    #[test]
-    fn load_at_point_lookup() {
-        let g = single_spot_grid();
-        assert!(g.load_at(Point::new(32.0, 32.0)) > 0.9);
-        assert_eq!(g.load_at(Point::new(63.9, 63.9)), 0.0);
-        assert_eq!(g.load_at(Point::new(-1.0, 0.0)), 0.0);
     }
 
     #[test]

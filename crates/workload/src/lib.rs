@@ -10,7 +10,7 @@
 //!   migration with step size uniform in `(0, 2r)`,
 //! * [`grid`] — the discretized workload **cell** grid over the plane (the
 //!   paper assigns workload to cells and sums them per region),
-//! * [`placement`] — node placement distributions (uniform and clustered),
+//! * [`placement`] — uniform node placement over the plane,
 //! * [`query`] — location-query generators whose targets follow the
 //!   hot-spot field, used to measure routing workload.
 //!
@@ -43,5 +43,4 @@ pub mod query;
 pub use capacity::CapacityProfile;
 pub use grid::WorkloadGrid;
 pub use hotspot::{HotSpot, HotSpotField};
-pub use placement::NodePlacement;
 pub use query::QueryGenerator;

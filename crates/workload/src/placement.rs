@@ -1,115 +1,32 @@
-//! Node placement distributions.
+//! Node placement.
 //!
 //! GeoGrid maps nodes to the regions covering their physical coordinates,
-//! so *where* nodes sit shapes the partition. The paper calls out "the
-//! unbalanced concentration of nodes in some regions" as one source of load
-//! imbalance; the clustered placement models that concentration.
+//! so *where* nodes sit shapes the partition. The paper's evaluation places
+//! nodes uniformly over the plane; query targets off the hot spots use the
+//! same draw.
 
 use geogrid_geometry::{Point, Space};
 use rand::Rng;
 
-/// How node coordinates are drawn over the space.
+/// Draws one point uniformly over `space`, bounds included.
 ///
 /// # Examples
 ///
 /// ```
 /// use geogrid_geometry::Space;
-/// use geogrid_workload::NodePlacement;
+/// use geogrid_workload::placement::uniform_point;
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::SmallRng::seed_from_u64(2);
-/// let pts = NodePlacement::Uniform.sample_many(&mut rng, Space::paper_evaluation(), 100);
-/// assert_eq!(pts.len(), 100);
+/// let space = Space::paper_evaluation();
+/// assert!(space.covers(uniform_point(&mut rng, space)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Default)]
-pub enum NodePlacement {
-    /// Uniform over the whole space (the paper's evaluation setting).
-    #[default]
-    Uniform,
-    /// A mixture: with probability `background`, uniform over the space;
-    /// otherwise Gaussian around one of `centers` with standard deviation
-    /// `sigma` (clamped into the space). Models population centers.
-    Clustered {
-        /// Cluster centers (e.g. towns in the metro area).
-        centers: Vec<Point>,
-        /// Standard deviation of each cluster, in space units.
-        sigma: f64,
-        /// Probability that a node is background (uniform) rather than
-        /// clustered, in `[0, 1]`.
-        background: f64,
-    },
-}
-
-impl NodePlacement {
-    /// A clustered placement with `k` random centers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`, `sigma` is not positive, or `background` is
-    /// outside `[0, 1]`.
-    pub fn random_clusters<R: Rng + ?Sized>(
-        rng: &mut R,
-        space: Space,
-        k: usize,
-        sigma: f64,
-        background: f64,
-    ) -> Self {
-        assert!(k > 0, "need at least one cluster center");
-        assert!(sigma.is_finite() && sigma > 0.0, "sigma must be positive");
-        assert!(
-            (0.0..=1.0).contains(&background),
-            "background must be a probability"
-        );
-        let bounds = space.bounds();
-        let centers = (0..k)
-            .map(|_| {
-                Point::new(
-                    rng.random_range(bounds.x()..=bounds.east()),
-                    rng.random_range(bounds.y()..=bounds.north()),
-                )
-            })
-            .collect();
-        Self::Clustered {
-            centers,
-            sigma,
-            background,
-        }
-    }
-
-    /// Draws one node coordinate in `space`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R, space: Space) -> Point {
-        let bounds = space.bounds();
-        match self {
-            NodePlacement::Uniform => Point::new(
-                rng.random_range(bounds.x()..=bounds.east()),
-                rng.random_range(bounds.y()..=bounds.north()),
-            ),
-            NodePlacement::Clustered {
-                centers,
-                sigma,
-                background,
-            } => {
-                if rng.random::<f64>() < *background || centers.is_empty() {
-                    return NodePlacement::Uniform.sample(rng, space);
-                }
-                let c = centers[rng.random_range(0..centers.len())];
-                // Box-Muller: two independent normals from two uniforms.
-                let u1: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
-                let u2: f64 = rng.random::<f64>();
-                let mag = (-2.0 * u1.ln()).sqrt() * sigma;
-                let p = Point::new(
-                    c.x + mag * (std::f64::consts::TAU * u2).cos(),
-                    c.y + mag * (std::f64::consts::TAU * u2).sin(),
-                );
-                space.clamp(p)
-            }
-        }
-    }
-
-    /// Draws `n` node coordinates.
-    pub fn sample_many<R: Rng + ?Sized>(&self, rng: &mut R, space: Space, n: usize) -> Vec<Point> {
-        (0..n).map(|_| self.sample(rng, space)).collect()
-    }
+pub fn uniform_point<R: Rng + ?Sized>(rng: &mut R, space: Space) -> Point {
+    let b = space.bounds();
+    Point::new(
+        rng.random_range(b.x()..=b.east()),
+        rng.random_range(b.y()..=b.north()),
+    )
 }
 
 #[cfg(test)]
@@ -119,78 +36,14 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn uniform_stays_in_space() {
-        let space = Space::paper_evaluation();
-        let mut rng = SmallRng::seed_from_u64(1);
-        for p in NodePlacement::Uniform.sample_many(&mut rng, space, 1000) {
-            assert!(space.covers(p));
-        }
-    }
-
-    #[test]
     fn uniform_spreads_over_quadrants() {
         let space = Space::paper_evaluation();
         let mut rng = SmallRng::seed_from_u64(2);
-        let pts = NodePlacement::Uniform.sample_many(&mut rng, space, 4000);
+        let pts: Vec<Point> = (0..4000).map(|_| uniform_point(&mut rng, space)).collect();
         let q = |f: &dyn Fn(&Point) -> bool| pts.iter().filter(|p| f(p)).count();
         let nw = q(&|p| p.x < 32.0 && p.y >= 32.0);
         let se = q(&|p| p.x >= 32.0 && p.y < 32.0);
         assert!((nw as f64 - 1000.0).abs() < 150.0);
         assert!((se as f64 - 1000.0).abs() < 150.0);
-    }
-
-    #[test]
-    fn clustered_concentrates_near_centers() {
-        let space = Space::paper_evaluation();
-        let mut rng = SmallRng::seed_from_u64(3);
-        let placement = NodePlacement::Clustered {
-            centers: vec![Point::new(16.0, 16.0)],
-            sigma: 2.0,
-            background: 0.0,
-        };
-        let pts = placement.sample_many(&mut rng, space, 1000);
-        let near = pts
-            .iter()
-            .filter(|p| p.distance(Point::new(16.0, 16.0)) < 6.0)
-            .count();
-        assert!(near > 900, "only {near} of 1000 near the cluster");
-        assert!(pts.iter().all(|p| space.covers(*p)));
-    }
-
-    #[test]
-    fn background_fraction_mixes_in_uniform() {
-        let space = Space::paper_evaluation();
-        let mut rng = SmallRng::seed_from_u64(4);
-        let placement = NodePlacement::Clustered {
-            centers: vec![Point::new(1.0, 1.0)],
-            sigma: 0.5,
-            background: 1.0,
-        };
-        // background = 1.0 means pure uniform: points should not all pile
-        // up at the corner cluster.
-        let pts = placement.sample_many(&mut rng, space, 500);
-        let far = pts
-            .iter()
-            .filter(|p| p.distance(Point::new(1.0, 1.0)) > 10.0)
-            .count();
-        assert!(far > 300);
-    }
-
-    #[test]
-    fn random_clusters_validates() {
-        let space = Space::paper_evaluation();
-        let mut rng = SmallRng::seed_from_u64(5);
-        let p = NodePlacement::random_clusters(&mut rng, space, 3, 1.5, 0.2);
-        match p {
-            NodePlacement::Clustered { centers, .. } => assert_eq!(centers.len(), 3),
-            _ => panic!("expected clustered"),
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one cluster")]
-    fn zero_clusters_rejected() {
-        let mut rng = SmallRng::seed_from_u64(6);
-        NodePlacement::random_clusters(&mut rng, Space::paper_evaluation(), 0, 1.0, 0.0);
     }
 }

@@ -10,6 +10,7 @@ use geogrid_geometry::{Point, Region, Space};
 use rand::Rng;
 
 use crate::hotspot::HotSpotField;
+use crate::placement::uniform_point;
 
 /// A generated location query: a spatial query region and its center.
 ///
@@ -44,20 +45,16 @@ pub struct GeneratedQuery {
 pub struct QueryGenerator {
     space: Space,
     bias: f64,
-    min_extent: f64,
-    max_extent: f64,
 }
 
+/// Side-length range of a query rectangle, in miles.
+const EXTENT: std::ops::RangeInclusive<f64> = 0.25..=2.0;
+
 impl QueryGenerator {
-    /// A generator with default settings: no hot-spot bias, query
-    /// rectangles between 0.25 and 2 miles on a side.
+    /// A generator with no hot-spot bias; query rectangles are between
+    /// 0.25 and 2 miles on a side.
     pub fn new(space: Space) -> Self {
-        Self {
-            space,
-            bias: 0.0,
-            min_extent: 0.25,
-            max_extent: 2.0,
-        }
+        Self { space, bias: 0.0 }
     }
 
     /// Sets the probability that a query targets the hot-spot field rather
@@ -69,18 +66,6 @@ impl QueryGenerator {
     pub fn hotspot_bias(mut self, bias: f64) -> Self {
         assert!((0.0..=1.0).contains(&bias), "bias must be a probability");
         self.bias = bias;
-        self
-    }
-
-    /// Sets the query-rectangle side-length range.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < min <= max`.
-    pub fn extent_range(mut self, min: f64, max: f64) -> Self {
-        assert!(min > 0.0 && min <= max, "need 0 < min <= max");
-        self.min_extent = min;
-        self.max_extent = max;
         self
     }
 
@@ -98,30 +83,12 @@ impl QueryGenerator {
         let target = if !field.is_empty() && rng.random::<f64>() < self.bias {
             self.sample_hotspot_target(rng, field)
         } else {
-            self.sample_uniform_target(rng)
+            uniform_point(rng, self.space)
         };
-        let w = rng.random_range(self.min_extent..=self.max_extent);
-        let h = rng.random_range(self.min_extent..=self.max_extent);
+        let w = rng.random_range(EXTENT);
+        let h = rng.random_range(EXTENT);
         let region = Region::new(target.x - w / 2.0, target.y - h / 2.0, w, h);
         GeneratedQuery { target, region }
-    }
-
-    /// Draws `n` queries.
-    pub fn generate_many<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        field: &HotSpotField,
-        n: usize,
-    ) -> Vec<GeneratedQuery> {
-        (0..n).map(|_| self.generate(rng, field)).collect()
-    }
-
-    fn sample_uniform_target<R: Rng + ?Sized>(&self, rng: &mut R) -> Point {
-        let b = self.space.bounds();
-        Point::new(
-            rng.random_range(b.x()..=b.east()),
-            rng.random_range(b.y()..=b.north()),
-        )
     }
 
     fn sample_hotspot_target<R: Rng + ?Sized>(&self, rng: &mut R, field: &HotSpotField) -> Point {
@@ -164,7 +131,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(1);
         let field = HotSpotField::random(&mut rng, space, 3);
         let mut generator = QueryGenerator::new(space).hotspot_bias(0.5);
-        for q in generator.generate_many(&mut rng, &field, 500) {
+        for q in (0..500).map(|_| generator.generate(&mut rng, &field)) {
             assert!(space.covers(q.target));
             assert!(q.region.center().distance(q.target) < 1e-9);
         }
@@ -177,7 +144,9 @@ mod tests {
         let spot = HotSpot::new(Point::new(48.0, 48.0), 5.0);
         let field = HotSpotField::new(vec![spot]);
         let mut generator = QueryGenerator::new(space).hotspot_bias(1.0);
-        let qs = generator.generate_many(&mut rng, &field, 300);
+        let qs: Vec<_> = (0..300)
+            .map(|_| generator.generate(&mut rng, &field))
+            .collect();
         let near = qs
             .iter()
             .filter(|q| q.target.distance(spot.center()) <= spot.radius() + 1e-9)
@@ -192,7 +161,9 @@ mod tests {
         let spot = HotSpot::new(Point::new(1.0, 1.0), 1.0);
         let field = HotSpotField::new(vec![spot]);
         let mut generator = QueryGenerator::new(space).hotspot_bias(0.0);
-        let qs = generator.generate_many(&mut rng, &field, 500);
+        let qs: Vec<_> = (0..500)
+            .map(|_| generator.generate(&mut rng, &field))
+            .collect();
         let far = qs
             .iter()
             .filter(|q| q.target.distance(spot.center()) > 10.0)
@@ -208,18 +179,6 @@ mod tests {
         // Must not panic despite full bias.
         let q = generator.generate(&mut rng, &HotSpotField::default());
         assert!(space.covers(q.target));
-    }
-
-    #[test]
-    fn extent_range_is_respected() {
-        let space = Space::paper_evaluation();
-        let mut rng = SmallRng::seed_from_u64(5);
-        let field = HotSpotField::default();
-        let mut generator = QueryGenerator::new(space).extent_range(1.0, 1.5);
-        for q in generator.generate_many(&mut rng, &field, 100) {
-            assert!(q.region.width() >= 1.0 && q.region.width() <= 1.5);
-            assert!(q.region.height() >= 1.0 && q.region.height() <= 1.5);
-        }
     }
 
     #[test]

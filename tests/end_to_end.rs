@@ -103,7 +103,7 @@ fn churn_then_adaptation_keeps_invariants() {
         .take(30)
         .collect();
     for v in victims {
-        join::fail(net.topology_mut(), v).expect("failure handled");
+        join::depart(net.topology_mut(), v).expect("failure handled");
     }
     net.topology().validate().unwrap();
     // Adapt afterwards: still valid, still improves.

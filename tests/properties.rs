@@ -164,7 +164,7 @@ proptest! {
                             .map(|n| n.id())
                             .min()
                             .expect("nonempty");
-                        join::fail(net.topology_mut(), victim).expect("failure handled");
+                        join::depart(net.topology_mut(), victim).expect("failure handled");
                     }
                 }
                 2 => {
