@@ -151,9 +151,10 @@ pub fn plan_merge(topo: &Topology, loads: &LoadMap, rid: RegionId) -> Option<Ada
     })
 }
 
-/// (d) Split a Region — a full region whose secondary is comparable to the
-/// primary (capacity ratio ≥ `split_peer_ratio`) splits, halving the
-/// primary's index. Refuses to create slivers below `min_split_extent`.
+/// (d) Split a Region — a full region whose secondary is at least as
+/// strong as the primary ("the same capacity" in the paper) splits,
+/// halving the primary's index. Refuses to create slivers below
+/// `min_split_extent`.
 pub fn plan_split(
     topo: &Topology,
     config: &BalanceConfig,
@@ -163,7 +164,7 @@ pub fn plan_split(
     let secondary = entry.secondary()?;
     let p_cap = capacity(topo, entry.primary());
     let s_cap = capacity(topo, secondary);
-    if s_cap < p_cap * config.split_peer_ratio {
+    if s_cap < p_cap {
         return None;
     }
     let r = entry.region();

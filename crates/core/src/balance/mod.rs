@@ -43,10 +43,6 @@ pub struct BalanceConfig {
     /// Regions whose shorter side is at or below this never split further
     /// (keeps mechanism (d) from recursing to slivers).
     pub min_split_extent: f64,
-    /// Secondary must be at least this fraction of the primary's capacity
-    /// for mechanism (d) ("the same capacity" in the paper; 1.0 = equal or
-    /// stronger).
-    pub split_peer_ratio: f64,
     /// Disables the remote mechanisms (f)–(h) — the local-only ablation.
     pub local_only: bool,
 }
@@ -57,7 +53,6 @@ impl Default for BalanceConfig {
             trigger_ratio: std::f64::consts::SQRT_2,
             search_ttl: 3,
             min_split_extent: 0.5,
-            split_peer_ratio: 1.0,
             local_only: false,
         }
     }

@@ -4,6 +4,7 @@ use geogrid_geometry::{Point, Region, Space};
 
 use crate::engine::messages::{Message, NeighborInfo};
 use crate::node::Role;
+use crate::rules::{self, Candidate, Placement};
 use crate::service::{LocationQuery, LocationRecord, RegionStore, Subscription};
 use crate::{NodeId, NodeInfo};
 
@@ -1196,8 +1197,8 @@ impl NodeEngine {
             return Vec::new();
         };
         if !owner.region.is_splittable() {
-            // At the extent floor: refuse; the joiner will retry through
-            // another entry (topology-level joins route around this).
+            // At the extent floor: refuse. The joiner is dropped and does
+            // not retry (the model's joins walk outward instead).
             return Vec::new();
         }
         let (low, high) = owner.region.split_preferred();
@@ -1258,54 +1259,39 @@ impl NodeEngine {
         effects
     }
 
-    /// Dual-peer placement probe (§2.3): among the covering region and its
-    /// neighbors, fill the half-full region with the weakest owner; if all
-    /// are full, split the one with the weakest primary.
+    /// Dual-peer placement probe (§2.3): [`rules::place`] over our own
+    /// region first, then the neighbor table in order, so ties go to us
+    /// and then to the earlier neighbor.
     fn dual_peer_place(&mut self, now: u64, joiner: NodeInfo) -> Vec<Effect> {
         let State::Owner(owner) = &self.state else {
             return Vec::new();
         };
-        // Half-full candidates: (capacity of sole owner, who). A node
-        // with a steal in flight excludes itself: accepting a peer now
+        // A node with a steal in flight takes no peer: accepting one now
         // would break the premise of the grant already under way.
-        let mut best_half: Option<(f64, Option<NodeId>)> = None; // None = me
-        if owner.peer.is_none() && !owner.steal_in_flight {
-            best_half = Some((self.info.capacity(), None));
-        }
-        for n in owner.neighbors.iter().map(|n| &n.info) {
-            if n.secondary.is_none() {
-                let cap = n.primary.capacity();
-                if best_half.as_ref().is_none_or(|(c, _)| cap < *c) {
-                    best_half = Some((cap, Some(n.primary.id())));
-                }
-            }
-        }
-        if let Some((_, who)) = best_half {
-            return match who {
-                None => self.accept_join_as_peer(now, joiner),
-                Some(target) => vec![Effect::Send {
-                    to: target,
-                    message: Message::JoinDirected { joiner },
-                }],
-            };
-        }
-        // All full: split where the primary is weakest.
-        let mut victim: Option<(f64, Option<NodeId>)> = Some((self.info.capacity(), None));
-        for n in owner.neighbors.iter().map(|n| &n.info) {
-            let cap = n.primary.capacity();
-            if victim.as_ref().is_none_or(|(c, _)| cap < *c) {
-                victim = Some((cap, Some(n.primary.id())));
-            }
-        }
-        match victim.expect("invariant: victim starts as Some(self) and is only replaced") {
+        let me = Candidate {
+            capacity: self.info.capacity(),
+            fillable: owner.peer.is_none() && !owner.steal_in_flight,
+            splittable: owner.region.is_splittable(),
+        };
+        let neighbors = owner.neighbors.iter().map(|n| Candidate {
+            capacity: n.info.primary.capacity(),
+            fillable: n.info.secondary.is_none(),
+            splittable: n.info.region.is_splittable(),
+        });
+        let candidates: Vec<Candidate> = std::iter::once(me).chain(neighbors).collect();
+        match rules::place(&candidates) {
+            Placement::Fill(0) => self.accept_join_as_peer(now, joiner),
             // Half-full ourselves with a steal in flight: nobody to split
             // with, and the grant under way needs us as we are.
-            (_, None) if owner.peer.is_none() => Vec::new(),
-            (_, None) => self.split_and_place(now, joiner),
-            (_, Some(target)) => vec![Effect::Send {
-                to: target,
+            Placement::Split(0) if owner.peer.is_none() => Vec::new(),
+            Placement::Split(0) => self.split_and_place(now, joiner),
+            Placement::Fill(i) | Placement::Split(i) => vec![Effect::Send {
+                to: owner.neighbors[i - 1].info.primary.id(),
                 message: Message::JoinDirected { joiner },
             }],
+            // Nothing nearby can take the joiner: it is dropped (the
+            // model walks outward instead).
+            Placement::Widen => Vec::new(),
         }
     }
 
@@ -1522,6 +1508,8 @@ impl NodeEngine {
 
 #[cfg(test)]
 mod tests {
+    use geogrid_geometry::MIN_SPLIT_EXTENT;
+
     use super::*;
 
     fn node(id: u64, x: f64, y: f64, cap: f64) -> NodeInfo {
@@ -1547,6 +1535,26 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    /// Seats `e` as the primary of `region`.
+    fn install(
+        e: &mut NodeEngine,
+        region: Region,
+        secondary: Option<NodeInfo>,
+        neighbors: Vec<NeighborInfo>,
+    ) -> Vec<Effect> {
+        let primary = e.info();
+        let store = Box::new(RegionStore::new());
+        let message = Message::Install {
+            region,
+            primary,
+            secondary,
+            neighbors,
+            store,
+        };
+        let from = NodeId::new(99);
+        e.handle(0, Input::Message { from, message })
     }
 
     #[test]
@@ -1599,22 +1607,9 @@ mod tests {
             },
         );
         let region = Region::new(0.0, 32.0, 64.0, 32.0);
-        let fx = j.handle(
-            1,
-            Input::Message {
-                from: NodeId::new(1),
-                message: Message::Install {
-                    region,
-                    primary: j.info(),
-                    secondary: None,
-                    neighbors: vec![NeighborInfo::new(
-                        node(1, 10.0, 10.0, 10.0),
-                        Region::new(0.0, 0.0, 64.0, 32.0),
-                    )],
-                    store: Box::new(RegionStore::new()),
-                },
-            },
-        );
+        let south = Region::new(0.0, 0.0, 64.0, 32.0);
+        let neighbors = vec![NeighborInfo::new(node(1, 10.0, 10.0, 10.0), south)];
+        let fx = install(&mut j, region, None, neighbors);
         assert!(j.is_owner());
         assert_eq!(j.owner_view().unwrap().region, region);
         assert!(matches!(fx[0], Effect::Client(ClientEvent::Joined { .. })));
@@ -1713,19 +1708,8 @@ mod tests {
         let east_top = entry(3, 32.0, 16.0, 16.0, 16.0);
         let east_low = entry(7, 32.0, 0.0, 16.0, 16.0);
         let mut e = engine(node(1, 10.0, 10.0, 10.0), EngineMode::Basic);
-        e.handle(
-            0,
-            Input::Message {
-                from: NodeId::new(99),
-                message: Message::Install {
-                    region: Region::new(0.0, 0.0, 32.0, 32.0),
-                    primary: e.info(),
-                    secondary: None,
-                    neighbors: vec![north, east_top.clone(), east_low.clone()],
-                    store: Box::new(RegionStore::new()),
-                },
-            },
-        );
+        let neighbors = vec![north, east_top.clone(), east_low.clone()];
+        install(&mut e, Region::new(0.0, 0.0, 32.0, 32.0), None, neighbors);
         let cases = [
             // `north` and `east_top` are both exactly 13 away: east_top has
             // the closer center, north the lower node id.
@@ -1825,6 +1809,39 @@ mod tests {
     }
 
     #[test]
+    fn dual_join_skips_a_weaker_neighbor_at_the_split_floor() {
+        // We are full, and so is every neighbor. The weakest of them is a
+        // sliver below the split floor: it would refuse the joiner, so
+        // the split goes to the weakest neighbor that can split.
+        let full = |id, cap, region| NeighborInfo {
+            secondary: Some(node(id + 100, 1.0, 1.0, 1.0)),
+            ..NeighborInfo::new(node(id, 1.0, 1.0, cap), region)
+        };
+        let sliver = full(2, 1.0, Region::new(32.0, 0.0, MIN_SPLIT_EXTENT / 2.0, 32.0));
+        let north = full(3, 5.0, Region::new(0.0, 32.0, 32.0, 32.0));
+        let mut e = engine(node(1, 10.0, 10.0, 100.0), EngineMode::DualPeer);
+        let peer = Some(node(9, 20.0, 20.0, 50.0));
+        install(
+            &mut e,
+            Region::new(0.0, 0.0, 32.0, 32.0),
+            peer,
+            vec![sliver, north],
+        );
+        let joiner = node(4, 12.0, 12.0, 3.0);
+        let fx = e.handle(
+            1,
+            Input::Message {
+                from: joiner.id(),
+                message: Message::JoinRequest { joiner, hops: 0 },
+            },
+        );
+        let sent = sends(&fx);
+        assert_eq!(sent.len(), 1, "{fx:?}");
+        assert_eq!(sent[0].0, NodeId::new(3));
+        assert!(matches!(sent[0].1, Message::JoinDirected { joiner: j } if j.id() == joiner.id()));
+    }
+
+    #[test]
     fn join_request_forwards_toward_coordinate() {
         let mut e = engine(node(1, 10.0, 10.0, 10.0), EngineMode::Basic);
         // Install as owner of the south half with a northern neighbor
@@ -1837,19 +1854,8 @@ mod tests {
         );
         let north = Region::new(0.0, 32.0, 64.0, 32.0);
         let neighbor = node(9, 50.0, 50.0, 10.0);
-        e.handle(
-            1,
-            Input::Message {
-                from: neighbor.id(),
-                message: Message::Install {
-                    region: Region::new(0.0, 0.0, 64.0, 32.0),
-                    primary: e.info(),
-                    secondary: None,
-                    neighbors: vec![NeighborInfo::new(neighbor, north)],
-                    store: Box::new(RegionStore::new()),
-                },
-            },
-        );
+        let neighbors = vec![NeighborInfo::new(neighbor, north)];
+        install(&mut e, Region::new(0.0, 0.0, 64.0, 32.0), None, neighbors);
         let joiner = node(3, 40.0, 60.0, 10.0); // in the north half
         let fx = e.handle(
             2,
@@ -1955,19 +1961,7 @@ mod tests {
                 entry: NodeId::new(99),
             },
         );
-        e.handle(
-            1,
-            Input::Message {
-                from: NodeId::new(99),
-                message: Message::Install {
-                    region: Region::new(0.0, 0.0, 64.0, 32.0),
-                    primary: e.info(),
-                    secondary: None,
-                    neighbors: Vec::new(),
-                    store: Box::new(RegionStore::new()),
-                },
-            },
-        );
+        install(&mut e, Region::new(0.0, 0.0, 64.0, 32.0), None, Vec::new());
         // Touching entry is added.
         let touching =
             NeighborInfo::new(node(5, 1.0, 40.0, 10.0), Region::new(0.0, 32.0, 32.0, 32.0));
@@ -1997,18 +1991,11 @@ mod tests {
     /// Builds a primary owning the south half with one neighbor entry.
     fn south_owner(cap: f64, neighbor: NeighborInfo) -> NodeEngine {
         let mut e = engine(node(1, 10.0, 10.0, cap), EngineMode::DualPeer);
-        e.handle(
-            0,
-            Input::Message {
-                from: NodeId::new(99),
-                message: Message::Install {
-                    region: Region::new(0.0, 0.0, 64.0, 32.0),
-                    primary: e.info(),
-                    secondary: None,
-                    neighbors: vec![neighbor],
-                    store: Box::new(RegionStore::new()),
-                },
-            },
+        install(
+            &mut e,
+            Region::new(0.0, 0.0, 64.0, 32.0),
+            None,
+            vec![neighbor],
         );
         e
     }

@@ -17,9 +17,12 @@
 //! it is the stronger of the two); only if every candidate already has a
 //! dual peer does it split — choosing the candidate whose *primary* is
 //! weakest, and then pairing up with the weaker owner of the two halves.
+//! That choice is [`rules::place`], which the engine's placement probe
+//! calls too (DESIGN §1 says where the two sides still differ).
 
 use geogrid_geometry::Point;
 
+use crate::rules::{self, Candidate, Placement};
 use crate::{CoreError, NodeId, RegionId, Topology};
 
 /// Breadth-first rings of regions around `from` (excluding it),
@@ -139,6 +142,11 @@ pub fn join_basic(
 
 /// Performs a **dual-peer** join per §2.3.
 ///
+/// The covering region and its neighbors, in [`RegionId`] order, are the
+/// candidates of [`rules::place`]. If none can take the joiner, the
+/// nearest region further out (by breadth-first rings) that is half-full
+/// or splittable does.
+///
 /// # Errors
 ///
 /// Same conditions as [`join_basic`].
@@ -148,138 +156,43 @@ pub fn join_dual(
     capacity: f64,
 ) -> Result<(NodeId, JoinOutcome), CoreError> {
     let rid = topo.locate(coord)?;
-
-    // Candidate set: the covering region and its neighbors.
-    let mut candidates = vec![rid];
-    candidates.extend(
-        topo.region(rid)
-            .ok_or(CoreError::UnknownRegion(rid))?
-            .neighbors()
-            .iter()
-            .copied(),
-    );
-
-    let capacity_of =
-        |topo: &Topology, node: NodeId| topo.node(node).map(|n| n.capacity()).unwrap_or(0.0);
-
-    // Prefer a half-full candidate whose owner has the least capacity.
-    let half_full = candidates
-        .iter()
-        .copied()
-        .filter(|&c| topo.region(c).is_some_and(|e| !e.is_full()))
-        .min_by(|&a, &b| {
-            let ca = capacity_of(
-                topo,
-                topo.region(a)
-                    .expect("invariant: candidates are filtered to live regions")
-                    .primary(),
-            );
-            let cb = capacity_of(
-                topo,
-                topo.region(b)
-                    .expect("invariant: candidates are filtered to live regions")
-                    .primary(),
-            );
-            ca.partial_cmp(&cb)
-                .expect("invariant: capacities are finite (NodeInfo::new enforces it)")
-                .then_with(|| a.cmp(&b))
-        });
-
-    if let Some(target) = half_full {
-        let joiner = topo.register_node(coord, capacity);
-        topo.set_secondary(target, joiner)?;
-        let incumbent = topo
-            .region(target)
-            .expect("invariant: candidates are filtered to live regions")
-            .primary();
-        if capacity > capacity_of(topo, incumbent) {
-            // The new node is stronger: after copying state it takes over
-            // as primary (§2.3, "Node Join").
-            topo.swap_roles(target)?;
-            return Ok((joiner, JoinOutcome::FilledPrimary { region: target }));
-        }
-        return Ok((joiner, JoinOutcome::FilledSecondary { region: target }));
+    let covering = topo.region(rid).ok_or(CoreError::UnknownRegion(rid))?;
+    let mut ids = [&[rid][..], covering.neighbors()].concat();
+    ids.sort_unstable();
+    let candidates: Vec<Candidate> = ids.iter().map(|&c| candidate(topo, c)).collect();
+    let (target, placement) = match rules::place(&candidates) {
+        p @ (Placement::Fill(i) | Placement::Split(i)) => (ids[i], p),
+        Placement::Widen => bfs_rings(topo, rid)
+            .into_iter()
+            .map(|c| (c, rules::place(&[candidate(topo, c)])))
+            .find(|&(_, p)| p != Placement::Widen)
+            .ok_or(CoreError::RoutingFailed { hops: 0 })?,
+    };
+    if let Placement::Fill(_) = placement {
+        let (joiner, as_primary) = seat(topo, target, coord, capacity)?;
+        let outcome = if as_primary {
+            JoinOutcome::FilledPrimary { region: target }
+        } else {
+            JoinOutcome::FilledSecondary { region: target }
+        };
+        return Ok((joiner, outcome));
     }
 
-    // All candidates are full: split the one whose primary is weakest,
-    // among those still above the extent floor.
-    let weakest_splittable = |topo: &Topology, set: &[RegionId]| {
-        set.iter()
-            .copied()
-            .filter(|&c| topo.region(c).is_some_and(|e| e.region().is_splittable()))
-            .min_by(|&a, &b| {
-                let ca = capacity_of(
-                    topo,
-                    topo.region(a)
-                        .expect("invariant: candidates are filtered to live regions")
-                        .primary(),
-                );
-                let cb = capacity_of(
-                    topo,
-                    topo.region(b)
-                        .expect("invariant: candidates are filtered to live regions")
-                        .primary(),
-                );
-                ca.partial_cmp(&cb)
-                    .expect("invariant: capacities are finite (NodeInfo::new enforces it)")
-                    .then_with(|| a.cmp(&b))
-            })
-    };
-    let victim = match weakest_splittable(topo, &candidates) {
-        Some(v) => v,
-        None => {
-            // Local neighborhood saturated at the floor: walk outward to
-            // the nearest region that is half-full (fill it) or
-            // splittable (split it).
-            let mut found = None;
-            for c in bfs_rings(topo, rid) {
-                let Some(e) = topo.region(c) else { continue };
-                if !e.is_full() {
-                    let joiner = topo.register_node(coord, capacity);
-                    topo.set_secondary(c, joiner)?;
-                    let incumbent = topo
-                        .region(c)
-                        .expect("invariant: ring-walk candidates are live regions")
-                        .primary();
-                    if capacity > capacity_of(topo, incumbent) {
-                        topo.swap_roles(c)?;
-                        return Ok((joiner, JoinOutcome::FilledPrimary { region: c }));
-                    }
-                    return Ok((joiner, JoinOutcome::FilledSecondary { region: c }));
-                }
-                if e.region().is_splittable() {
-                    found = Some(c);
-                    break;
-                }
-            }
-            found.ok_or(CoreError::RoutingFailed { hops: 0 })?
-        }
-    };
-    let entry_v = topo
-        .region(victim)
-        .expect("invariant: candidates are filtered to live regions");
-    let primary = entry_v.primary();
-    let secondary = entry_v
+    let entry = topo
+        .region(target)
+        .expect("invariant: candidates are live regions");
+    let primary = entry.primary();
+    let secondary = entry
         .secondary()
         .expect("invariant: the split victim is full — no half-full candidate existed");
-    let new_half = topo.split_region(victim, primary, secondary)?;
-
+    let new_half = topo.split_region(target, primary, secondary)?;
     // The joiner pairs with the weaker of the two half-owners.
     let weak_half = if capacity_of(topo, primary) <= capacity_of(topo, secondary) {
-        victim
+        target
     } else {
         new_half
     };
-    let joiner = topo.register_node(coord, capacity);
-    topo.set_secondary(weak_half, joiner)?;
-    let incumbent = topo
-        .region(weak_half)
-        .expect("invariant: both split halves are live")
-        .primary();
-    let as_primary = capacity > capacity_of(topo, incumbent);
-    if as_primary {
-        topo.swap_roles(weak_half)?;
-    }
+    let (joiner, as_primary) = seat(topo, weak_half, coord, capacity)?;
     Ok((
         joiner,
         JoinOutcome::SplitSecondary {
@@ -288,6 +201,44 @@ pub fn join_dual(
             as_primary,
         },
     ))
+}
+
+fn capacity_of(topo: &Topology, node: NodeId) -> f64 {
+    topo.node(node).map(|n| n.capacity()).unwrap_or(0.0)
+}
+
+/// `region` as a dual-peer placement candidate.
+fn candidate(topo: &Topology, region: RegionId) -> Candidate {
+    let entry = topo
+        .region(region)
+        .expect("invariant: candidates are live regions");
+    Candidate {
+        capacity: capacity_of(topo, entry.primary()),
+        fillable: !entry.is_full(),
+        splittable: entry.region().is_splittable(),
+    }
+}
+
+/// Seats a new node as `region`'s secondary; if it is stronger than the
+/// primary, it takes over as primary (§2.3, "Node Join"). Returns the new
+/// node and whether it became primary.
+fn seat(
+    topo: &mut Topology,
+    region: RegionId,
+    coord: Point,
+    capacity: f64,
+) -> Result<(NodeId, bool), CoreError> {
+    let joiner = topo.register_node(coord, capacity);
+    topo.set_secondary(region, joiner)?;
+    let incumbent = topo
+        .region(region)
+        .ok_or(CoreError::UnknownRegion(region))?
+        .primary();
+    let as_primary = capacity > capacity_of(topo, incumbent);
+    if as_primary {
+        topo.swap_roles(region)?;
+    }
+    Ok((joiner, as_primary))
 }
 
 /// Removes a node per §2.3, repairing an orphaned region if the departing
@@ -471,40 +422,6 @@ mod tests {
         assert_eq!(o, JoinOutcome::FilledPrimary { region: r });
         assert_eq!(t.region(r).unwrap().primary(), j);
         t.validate().unwrap();
-    }
-
-    #[test]
-    fn dual_join_targets_weakest_owner() {
-        let (mut t, _) = boot(); // owner capacity 10 at (10,10)
-                                 // Fill root with a strong secondary, then split so we have two
-                                 // regions with known primaries.
-        join_dual(&mut t, Point::new(50.0, 50.0), 100.0).unwrap();
-        join_dual(&mut t, Point::new(30.0, 30.0), 100.0).unwrap();
-        t.validate().unwrap();
-        // Now find the weakest half-full primary; the next join must pair
-        // with it regardless of where the joiner lands.
-        let weakest = t
-            .regions()
-            .filter(|(_, e)| !e.is_full())
-            .min_by(|(_, a), (_, b)| {
-                let ca = t.node(a.primary()).unwrap().capacity();
-                let cb = t.node(b.primary()).unwrap().capacity();
-                ca.partial_cmp(&cb).unwrap()
-            })
-            .map(|(rid, _)| rid);
-        if let Some(weakest) = weakest {
-            let (_, o) = join_dual(&mut t, Point::new(32.0, 33.0), 7.0).unwrap();
-            // The chosen region must be among the covering region's
-            // neighborhood; when the weakest is in that neighborhood it is
-            // chosen.
-            if o.region() == weakest {
-                assert!(matches!(
-                    o,
-                    JoinOutcome::FilledSecondary { .. } | JoinOutcome::FilledPrimary { .. }
-                ));
-            }
-            t.validate().unwrap();
-        }
     }
 
     #[test]

@@ -30,6 +30,9 @@
 //! * [`join`] / [`builder`] — the paper's bootstrap protocols: basic
 //!   (route-and-split) and dual-peer (probe the neighborhood, join the
 //!   weakest owner), plus whole-network constructors.
+//! * [`rules`] — the §2.3 decisions as pure functions over candidate
+//!   lists, called by both the model and the engine (today the dual-peer
+//!   placement rule, [`rules::place`]).
 //! * [`load`] — workload-index accounting: query load from the hot-spot
 //!   cell grid plus routing load from a sampled query mix, normalized by
 //!   owner capacity.
@@ -78,6 +81,7 @@ pub mod join;
 pub mod load;
 pub mod node;
 pub mod routing;
+pub mod rules;
 pub mod service;
 pub mod snapshot;
 pub mod topology;

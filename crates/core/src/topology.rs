@@ -182,7 +182,8 @@ pub struct Topology {
     space: Option<Space>,
     slots: Vec<Option<RegionEntry>>,
     free: Vec<u32>,
-    nodes: HashMap<NodeId, NodeInfo>,
+    /// Indexed by [`NodeId`]: ids are handed out densely from 0.
+    nodes: Vec<Option<NodeInfo>>,
     assignments: HashMap<NodeId, (RegionId, Role)>,
     next_node: u64,
     region_count: usize,
@@ -260,7 +261,7 @@ impl Default for Topology {
             space: None,
             slots: Vec::new(),
             free: Vec::new(),
-            nodes: HashMap::new(),
+            nodes: Vec::new(),
             assignments: HashMap::new(),
             next_node: 0,
             region_count: 0,
@@ -304,7 +305,7 @@ impl Topology {
     pub fn register_node(&mut self, coord: Point, capacity: f64) -> NodeId {
         let id = NodeId::new(self.next_node);
         self.next_node += 1;
-        self.nodes.insert(id, NodeInfo::new(id, coord, capacity));
+        self.nodes.push(Some(NodeInfo::new(id, coord, capacity)));
         id
     }
 
@@ -408,7 +409,7 @@ impl Topology {
 
     /// Number of registered nodes (assigned or not).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.nodes().count()
     }
 
     /// The region slot, if alive.
@@ -418,7 +419,7 @@ impl Topology {
 
     /// The node descriptor, if registered.
     pub fn node(&self, id: NodeId) -> Option<&NodeInfo> {
-        self.nodes.get(&id)
+        self.nodes.get(usize::try_from(id.as_u64()).ok()?)?.as_ref()
     }
 
     /// The region and role a node currently owns, if any.
@@ -443,9 +444,9 @@ impl Topology {
             .filter_map(|(i, s)| s.as_ref().map(|e| (RegionId::new(i as u32), e)))
     }
 
-    /// Iterator over all registered node descriptors (unordered).
+    /// Iterator over all registered node descriptors, ascending by id.
     pub fn nodes(&self) -> impl Iterator<Item = &NodeInfo> + '_ {
-        self.nodes.values()
+        self.nodes.iter().flatten()
     }
 
     /// Any live region id (the lowest), or an error on an empty network.
@@ -538,14 +539,10 @@ impl Topology {
                 expected: "the region's secondary or an unassigned node",
             });
         }
-        if !self.nodes.contains_key(&give) {
+        if self.node(give).is_none() {
             return Err(CoreError::UnknownNode(give));
         }
-        let keep_coord = self
-            .nodes
-            .get(&keep)
-            .ok_or(CoreError::UnknownNode(keep))?
-            .coord();
+        let keep_coord = self.node(keep).ok_or(CoreError::UnknownNode(keep))?.coord();
 
         let old_region = self.entry(rid)?.region;
         let (low, high) = old_region.split_preferred();
@@ -707,7 +704,7 @@ impl Topology {
     /// [`CoreError::WrongRole`] if `node` is already assigned elsewhere;
     /// [`CoreError::UnknownNode`] if it is not registered.
     pub fn set_secondary(&mut self, rid: RegionId, node: NodeId) -> Result<(), CoreError> {
-        if !self.nodes.contains_key(&node) {
+        if self.node(node).is_none() {
             return Err(CoreError::UnknownNode(node));
         }
         self.ensure_unassigned(node)?;
@@ -808,7 +805,10 @@ impl Topology {
     ///
     /// [`CoreError::UnknownNode`] if the node is not registered.
     pub fn remove_node(&mut self, node: NodeId) -> Result<Option<RegionId>, CoreError> {
-        if self.nodes.remove(&node).is_none() {
+        let slot = usize::try_from(node.as_u64())
+            .ok()
+            .and_then(|i| self.nodes.get_mut(i));
+        if slot.and_then(Option::take).is_none() {
             return Err(CoreError::UnknownNode(node));
         }
         let Some((rid, role)) = self.assignments.remove(&node) else {
@@ -845,7 +845,7 @@ impl Topology {
     /// [`CoreError::WrongRole`] if `node` is assigned elsewhere;
     /// [`CoreError::UnknownNode`] if it is not registered.
     pub fn adopt_region(&mut self, rid: RegionId, node: NodeId) -> Result<(), CoreError> {
-        if !self.nodes.contains_key(&node) {
+        if self.node(node).is_none() {
             return Err(CoreError::UnknownNode(node));
         }
         self.ensure_unassigned(node)?;
@@ -990,7 +990,7 @@ impl Topology {
             (e.secondary, Role::Secondary),
         ] {
             let Some(node) = node else { continue };
-            if !self.nodes.contains_key(&node) {
+            if self.node(node).is_none() {
                 v.push(Violation::new(
                     ViolationKind::OrphanedOwner(node, rid),
                     format!("{rid}: {role} {node} not registered"),
