@@ -4,18 +4,11 @@ use geogrid_metrics::Summary;
 use geogrid_workload::WorkloadGrid;
 
 use crate::balance::{
-    mechanisms::{is_overloaded, plan_for_region},
+    mechanisms::{lowest_neighbor_index, plan_for_region},
     AdaptationPlan, BalanceConfig, Mechanism,
 };
 use crate::load::LoadMap;
-use crate::{CoreError, Topology};
-
-/// One executed adaptation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AppliedAdaptation {
-    /// The plan that was executed.
-    pub plan: AdaptationPlan,
-}
+use crate::{rules, CoreError, RegionId, Topology};
 
 /// Statistics recorded after each adaptation round (Figures 7 and 8 plot
 /// these by round; Figures 9 and 10 plot per-operation recordings).
@@ -68,11 +61,6 @@ impl AdaptationEngine {
         Self { config }
     }
 
-    /// The engine's configuration.
-    pub fn config(&self) -> &BalanceConfig {
-        &self.config
-    }
-
     /// Executes one plan, updating topology and load bookkeeping.
     ///
     /// # Errors
@@ -87,27 +75,23 @@ impl AdaptationEngine {
         loads: &mut LoadMap,
         plan: &AdaptationPlan,
     ) -> Result<(), CoreError> {
+        let partner = || {
+            plan.partner
+                .expect("invariant: plan_for_region sets a partner on every plan but (d)'s")
+        };
         match plan.mechanism {
             Mechanism::StealSecondary | Mechanism::StealRemoteSecondary => {
-                let donor = plan
-                    .partner
-                    .expect("invariant: plan_for_region always sets a donor on steal plans");
-                let stolen = topo.take_secondary(donor)?;
+                let stolen = topo.take_secondary(partner())?;
                 topo.set_secondary(plan.region, stolen)?;
                 // The stolen (stronger) node becomes primary; the old
                 // primary resigns to secondary.
                 topo.swap_roles(plan.region)?;
             }
             Mechanism::SwitchPrimaries | Mechanism::SwitchPrimaryWithRemotePrimary => {
-                let partner = plan
-                    .partner
-                    .expect("invariant: plan_for_region always sets a partner on switch plans");
-                topo.swap_primaries(plan.region, partner)?;
+                topo.swap_primaries(plan.region, partner())?;
             }
             Mechanism::MergeWithNeighbor => {
-                let neighbor = plan
-                    .partner
-                    .expect("invariant: plan_for_region always sets the neighbor on merge plans");
+                let neighbor = partner();
                 let own = topo
                     .region(plan.region)
                     .ok_or(CoreError::UnknownRegion(plan.region))?;
@@ -138,13 +122,32 @@ impl AdaptationEngine {
                 loads.on_split(topo, grid, plan.region, created);
             }
             Mechanism::SwitchPrimaryWithSecondary | Mechanism::SwitchPrimaryWithRemoteSecondary => {
-                let donor = plan.partner.expect(
-                    "invariant: plan_for_region always sets a donor on secondary-switch plans",
-                );
-                topo.switch_primary_with_secondary(plan.region, donor)?;
+                topo.switch_primary_with_secondary(plan.region, partner())?;
             }
         }
         Ok(())
+    }
+
+    /// One region's turn: if `rid` is still alive (not merged away earlier
+    /// in the round) and its trigger fires, plans and applies its cheapest
+    /// mechanism.
+    fn adapt(
+        &self,
+        topo: &mut Topology,
+        grid: &WorkloadGrid,
+        loads: &mut LoadMap,
+        rid: RegionId,
+    ) -> Option<AdaptationPlan> {
+        let own = loads.index_of(topo, rid);
+        let lowest = lowest_neighbor_index(topo, loads, rid);
+        if !rules::overloaded(own, lowest, self.config.trigger_ratio) {
+            return None;
+        }
+        let plan = plan_for_region(topo, loads, &self.config, rid)?;
+        self.apply(topo, grid, loads, &plan).expect(
+            "invariant: a freshly planned mechanism applies to the topology it was planned on",
+        );
+        Some(plan)
     }
 
     /// Runs one adaptation round. Returns the adaptations executed.
@@ -153,23 +156,11 @@ impl AdaptationEngine {
         topo: &mut Topology,
         grid: &WorkloadGrid,
         loads: &mut LoadMap,
-    ) -> Vec<AppliedAdaptation> {
-        let mut applied = Vec::new();
+    ) -> Vec<AdaptationPlan> {
         let ids: Vec<_> = topo.region_ids().collect();
-        for rid in ids {
-            if topo.region(rid).is_none() {
-                continue; // merged away earlier in this round
-            }
-            if !is_overloaded(topo, loads, rid, self.config.trigger_ratio) {
-                continue;
-            }
-            if let Some(plan) = plan_for_region(topo, loads, &self.config, rid) {
-                self.apply(topo, grid, loads, &plan)
-                    .expect("invariant: a freshly planned mechanism applies to the topology it was planned on");
-                applied.push(AppliedAdaptation { plan });
-            }
-        }
-        applied
+        ids.into_iter()
+            .filter_map(|rid| self.adapt(topo, grid, loads, rid))
+            .collect()
     }
 
     /// Runs up to `max_rounds` rounds, stopping early once a round makes
@@ -209,30 +200,21 @@ impl AdaptationEngine {
         max_ops: usize,
     ) -> Vec<Summary> {
         let mut out = Vec::new();
-        'outer: loop {
+        loop {
             let ids: Vec<_> = topo.region_ids().collect();
-            let mut any = false;
+            let before = out.len();
             for rid in ids {
                 if out.len() >= max_ops {
-                    break 'outer;
+                    return out;
                 }
-                if topo.region(rid).is_none()
-                    || !is_overloaded(topo, loads, rid, self.config.trigger_ratio)
-                {
-                    continue;
-                }
-                if let Some(plan) = plan_for_region(topo, loads, &self.config, rid) {
-                    self.apply(topo, grid, loads, &plan)
-                        .expect("invariant: a freshly planned mechanism applies to the topology it was planned on");
+                if self.adapt(topo, grid, loads, rid).is_some() {
                     out.push(loads.summary(topo));
-                    any = true;
                 }
             }
-            if !any {
-                break;
+            if out.len() == before {
+                return out;
             }
         }
-        out
     }
 }
 
@@ -319,7 +301,7 @@ mod tests {
         for _ in 0..10 {
             let applied = engine.run_round(&mut topo, &grid, &mut loads);
             for a in &applied {
-                assert!(!a.plan.mechanism.is_remote());
+                assert!(!a.mechanism.is_remote());
             }
             if applied.is_empty() {
                 break;

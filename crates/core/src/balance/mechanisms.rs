@@ -1,12 +1,15 @@
 //! Planning logic for the eight adaptation mechanisms.
 //!
-//! Each `plan_*` function inspects the topology and the current
-//! [`LoadMap`] and returns a concrete [`AdaptationPlan`] when its mechanism
-//! is applicable and would improve the situation.
+//! Each planner inspects the topology and the current [`LoadMap`] and
+//! returns a concrete [`AdaptationPlan`] when its mechanism is applicable
+//! and would improve the situation. A local mechanism and its remote form
+//! share one planner over a candidate list: the neighbors, or the regions
+//! of the [`ttl_search`] less loaded than the overloaded one.
 //! [`plan_for_region`] tries them in the paper's cost order.
 
 use crate::balance::{AdaptationPlan, BalanceConfig, Mechanism};
 use crate::load::LoadMap;
+use crate::rules::{self, Donor, DonorChoice};
 use crate::{NodeId, RegionId, Topology};
 
 use super::search::ttl_search;
@@ -25,141 +28,126 @@ fn primary_capacity(topo: &Topology, rid: RegionId) -> f64 {
 /// worth the operation overhead (also prevents oscillation).
 const IMPROVEMENT: f64 = 0.999;
 
-/// Whether `rid`'s load situation satisfies the paper's adaptation
-/// trigger: index higher than `trigger_ratio ×` the lowest index among its
-/// neighbors. Regions with no neighbors never trigger.
-pub fn is_overloaded(topo: &Topology, loads: &LoadMap, rid: RegionId, trigger_ratio: f64) -> bool {
-    let Some(entry) = topo.region(rid) else {
-        return false;
-    };
-    let own = loads.index_of(topo, rid);
-    if own <= 0.0 {
-        return false;
-    }
-    entry
+/// The lowest workload index among `rid`'s neighbors, the trigger's
+/// reference (`None` without neighbors).
+pub(super) fn lowest_neighbor_index(
+    topo: &Topology,
+    loads: &LoadMap,
+    rid: RegionId,
+) -> Option<f64> {
+    topo.region(rid)?
         .neighbors()
         .iter()
         .map(|&n| loads.index_of(topo, n))
-        .fold(None::<f64>, |acc, x| Some(acc.map_or(x, |a| a.min(x))))
-        .is_some_and(|lowest| own > trigger_ratio * lowest)
+        .reduce(f64::min)
 }
 
-/// (a) Steal Secondary Owner — for a half-full overloaded region: take the
-/// secondary of the least-loaded neighbor whose secondary is stronger than
-/// our primary; it becomes our primary, our primary demotes to secondary.
-pub fn plan_steal_secondary(
+/// (a)/(f) and (e)/(g): a secondary from `candidates` that is stronger
+/// than our primary, chosen by [`rules::donor`]. A half-full region steals
+/// the least-loaded candidate's secondary, which becomes our primary while
+/// ours demotes to secondary ((a), or (f) when `remote`). A full region's
+/// primary trades places with the strongest such secondary ((e), or (g)).
+fn plan_donor(
     topo: &Topology,
     loads: &LoadMap,
     rid: RegionId,
+    candidates: &[RegionId],
+    remote: bool,
 ) -> Option<AdaptationPlan> {
     let entry = topo.region(rid)?;
-    if entry.is_full() {
-        return None;
-    }
-    let own_cap = capacity(topo, entry.primary());
-    entry
-        .neighbors()
-        .iter()
-        .copied()
-        .filter(|&n| {
-            topo.region(n)
-                .is_some_and(|e| e.secondary().is_some_and(|s| capacity(topo, s) > own_cap))
+    let (choice, mechanism) = match (entry.is_full(), remote) {
+        (false, false) => (DonorChoice::LeastLoaded, Mechanism::StealSecondary),
+        (false, true) => (DonorChoice::LeastLoaded, Mechanism::StealRemoteSecondary),
+        (true, false) => (
+            DonorChoice::StrongestSecondary,
+            Mechanism::SwitchPrimaryWithSecondary,
+        ),
+        (true, true) => (
+            DonorChoice::StrongestSecondary,
+            Mechanism::SwitchPrimaryWithRemoteSecondary,
+        ),
+    };
+    let donors = candidates.iter().filter_map(|&c| {
+        Some(Donor {
+            key: c,
+            secondary: capacity(topo, topo.region(c)?.secondary()?),
+            index: loads.index_of(topo, c),
         })
-        .min_by(|&a, &b| {
-            loads
-                .index_of(topo, a)
-                .partial_cmp(&loads.index_of(topo, b))
-                .expect("invariant: load indexes are finite (capacities are positive and finite)")
-                .then_with(|| a.cmp(&b))
-        })
-        .map(|donor| AdaptationPlan {
-            mechanism: Mechanism::StealSecondary,
-            region: rid,
-            partner: Some(donor),
-        })
+    });
+    rules::donor(donors, capacity(topo, entry.primary()), choice).map(|donor| AdaptationPlan {
+        mechanism,
+        region: rid,
+        partner: Some(donor),
+    })
 }
 
-/// (b) Switch Primary Owners — swap primaries with a neighbor when the
-/// neighbor's primary is stronger and the swap strictly lowers the pair's
-/// maximum workload index.
-pub fn plan_switch_primaries(
+/// (b)/(h) Switch Primary Owners — swap primaries with the candidate whose
+/// stronger primary lowers the pair's maximum workload index the most.
+fn plan_switch_primaries(
     topo: &Topology,
     loads: &LoadMap,
     rid: RegionId,
+    candidates: &[RegionId],
+    mechanism: Mechanism,
 ) -> Option<AdaptationPlan> {
     let entry = topo.region(rid)?;
     let own_cap = capacity(topo, entry.primary());
     let own_load = loads.combined(rid);
     let own_index = loads.index_of(topo, rid);
-    let mut best: Option<(f64, RegionId)> = None;
-    for &n in entry.neighbors() {
-        let n_cap = primary_capacity(topo, n);
-        if n_cap <= own_cap {
-            continue;
-        }
-        let n_load = loads.combined(n);
-        let n_index = loads.index_of(topo, n);
-        let old_max = own_index.max(n_index);
-        let new_max = (own_load / n_cap).max(n_load / own_cap);
-        if new_max < old_max * IMPROVEMENT {
-            match best {
-                Some((m, _)) if m <= new_max => {}
-                _ => best = Some((new_max, n)),
-            }
-        }
-    }
-    best.map(|(_, partner)| AdaptationPlan {
-        mechanism: Mechanism::SwitchPrimaries,
-        region: rid,
-        partner: Some(partner),
-    })
+    candidates
+        .iter()
+        .filter_map(|&n| {
+            let n_cap = primary_capacity(topo, n);
+            let old_max = own_index.max(loads.index_of(topo, n));
+            let new_max = (own_load / n_cap).max(loads.combined(n) / own_cap);
+            (n_cap > own_cap && new_max < old_max * IMPROVEMENT).then_some((new_max, n))
+        })
+        // `min_by` keeps the first of equal minima.
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .map(|(_, partner)| AdaptationPlan {
+            mechanism,
+            region: rid,
+            partner: Some(partner),
+        })
 }
 
 /// (c) Merge with a Neighbor — when a neighbor's rectangle re-forms a
-/// rectangle with ours, the owner sets fit in one dual-peer region
-/// (≤ 2 owners total), and the merged index is lower than the average of
-/// the two current indexes.
-pub fn plan_merge(topo: &Topology, loads: &LoadMap, rid: RegionId) -> Option<AdaptationPlan> {
+/// rectangle with ours, both regions are half-full (so the owners fit in
+/// one dual-peer region), and the merged index is lower than the average
+/// of the two current indexes.
+fn plan_merge(topo: &Topology, loads: &LoadMap, rid: RegionId) -> Option<AdaptationPlan> {
     let entry = topo.region(rid)?;
-    let own_index = loads.index_of(topo, rid);
-    let own_owners = 1 + entry.is_full() as usize;
-    let mut best: Option<(f64, RegionId)> = None;
-    for &n in entry.neighbors() {
-        let Some(ne) = topo.region(n) else { continue };
-        if entry.region().merge(&ne.region()).is_none() {
-            continue;
-        }
-        let n_owners = 1 + ne.is_full() as usize;
-        if own_owners + n_owners > 2 {
-            continue;
-        }
-        let merged_load = loads.combined(rid) + loads.combined(n);
-        let strongest = capacity(topo, entry.primary()).max(primary_capacity(topo, n));
-        let merged_index = merged_load / strongest;
-        let avg = (own_index + loads.index_of(topo, n)) / 2.0;
-        if merged_index < avg {
-            match best {
-                Some((m, _)) if m <= merged_index => {}
-                _ => best = Some((merged_index, n)),
-            }
-        }
+    if entry.is_full() {
+        return None;
     }
-    best.map(|(_, neighbor)| AdaptationPlan {
-        mechanism: Mechanism::MergeWithNeighbor,
-        region: rid,
-        partner: Some(neighbor),
-    })
+    let own_index = loads.index_of(topo, rid);
+    entry
+        .neighbors()
+        .iter()
+        .filter_map(|&n| {
+            let ne = topo.region(n)?;
+            if ne.is_full() || entry.region().merge(&ne.region()).is_none() {
+                return None;
+            }
+            let strongest = capacity(topo, entry.primary()).max(primary_capacity(topo, n));
+            let merged_index = (loads.combined(rid) + loads.combined(n)) / strongest;
+            let avg = (own_index + loads.index_of(topo, n)) / 2.0;
+            (merged_index < avg).then_some((merged_index, n))
+        })
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .map(|(_, neighbor)| AdaptationPlan {
+            mechanism: Mechanism::MergeWithNeighbor,
+            region: rid,
+            partner: Some(neighbor),
+        })
 }
 
 /// (d) Split a Region — a full region whose secondary is at least as
 /// strong as the primary ("the same capacity" in the paper) splits,
-/// halving the primary's index. Refuses to create slivers below
-/// `min_split_extent`.
-pub fn plan_split(
-    topo: &Topology,
-    config: &BalanceConfig,
-    rid: RegionId,
-) -> Option<AdaptationPlan> {
+/// halving the primary's index. Refuses to create slivers.
+fn plan_split(topo: &Topology, rid: RegionId) -> Option<AdaptationPlan> {
+    /// Regions whose shorter side is at or below this never split further.
+    const MIN_SPLIT_EXTENT: f64 = 0.5;
     let entry = topo.region(rid)?;
     let secondary = entry.secondary()?;
     let p_cap = capacity(topo, entry.primary());
@@ -168,8 +156,8 @@ pub fn plan_split(
         return None;
     }
     let r = entry.region();
-    if r.width().min(r.height()) <= config.min_split_extent
-        || r.width().max(r.height()) <= 2.0 * config.min_split_extent
+    if r.width().min(r.height()) <= MIN_SPLIT_EXTENT
+        || r.width().max(r.height()) <= 2.0 * MIN_SPLIT_EXTENT
     {
         return None;
     }
@@ -177,144 +165,6 @@ pub fn plan_split(
         mechanism: Mechanism::SplitRegion,
         region: rid,
         partner: None,
-    })
-}
-
-/// (e) Switch Primary with a Neighbor's Secondary — for a full overloaded
-/// region: our weak primary trades places with the strongest neighbor
-/// secondary that is stronger than it.
-pub fn plan_switch_with_secondary(topo: &Topology, rid: RegionId) -> Option<AdaptationPlan> {
-    let entry = topo.region(rid)?;
-    if !entry.is_full() {
-        return None;
-    }
-    let own_cap = capacity(topo, entry.primary());
-    entry
-        .neighbors()
-        .iter()
-        .copied()
-        .filter_map(|n| {
-            let s = topo.region(n)?.secondary()?;
-            let s_cap = capacity(topo, s);
-            (s_cap > own_cap).then_some((s_cap, n))
-        })
-        .max_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("invariant: capacities are finite (NodeInfo::new enforces it)")
-                .then_with(|| b.1.cmp(&a.1))
-        })
-        .map(|(_, donor)| AdaptationPlan {
-            mechanism: Mechanism::SwitchPrimaryWithSecondary,
-            region: rid,
-            partner: Some(donor),
-        })
-}
-
-/// (f) Steal Remote Secondary — like (a), but over the TTL-guided search:
-/// the donor must hold a secondary stronger than our primary and be less
-/// loaded than we are.
-pub fn plan_steal_remote(
-    topo: &Topology,
-    loads: &LoadMap,
-    config: &BalanceConfig,
-    rid: RegionId,
-) -> Option<AdaptationPlan> {
-    let entry = topo.region(rid)?;
-    if entry.is_full() {
-        return None;
-    }
-    let own_cap = capacity(topo, entry.primary());
-    let own_index = loads.index_of(topo, rid);
-    ttl_search(topo, rid, config.search_ttl)
-        .into_iter()
-        .filter(|&c| {
-            topo.region(c)
-                .is_some_and(|e| e.secondary().is_some_and(|s| capacity(topo, s) > own_cap))
-                && loads.index_of(topo, c) < own_index
-        })
-        .min_by(|&a, &b| {
-            loads
-                .index_of(topo, a)
-                .partial_cmp(&loads.index_of(topo, b))
-                .expect("invariant: load indexes are finite (capacities are positive and finite)")
-                .then_with(|| a.cmp(&b))
-        })
-        .map(|donor| AdaptationPlan {
-            mechanism: Mechanism::StealRemoteSecondary,
-            region: rid,
-            partner: Some(donor),
-        })
-}
-
-/// (g) Switch Primary with a Remote Secondary — like (e) over the search.
-pub fn plan_switch_with_remote_secondary(
-    topo: &Topology,
-    loads: &LoadMap,
-    config: &BalanceConfig,
-    rid: RegionId,
-) -> Option<AdaptationPlan> {
-    let entry = topo.region(rid)?;
-    if !entry.is_full() {
-        return None;
-    }
-    let own_cap = capacity(topo, entry.primary());
-    let own_index = loads.index_of(topo, rid);
-    ttl_search(topo, rid, config.search_ttl)
-        .into_iter()
-        .filter_map(|c| {
-            let s = topo.region(c)?.secondary()?;
-            let s_cap = capacity(topo, s);
-            (s_cap > own_cap && loads.index_of(topo, c) < own_index).then_some((s_cap, c))
-        })
-        .max_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("invariant: capacities are finite (NodeInfo::new enforces it)")
-                .then_with(|| b.1.cmp(&a.1))
-        })
-        .map(|(_, donor)| AdaptationPlan {
-            mechanism: Mechanism::SwitchPrimaryWithRemoteSecondary,
-            region: rid,
-            partner: Some(donor),
-        })
-}
-
-/// (h) Switch Primary with a Remote Primary — the most expensive move:
-/// swap with a stronger, less-loaded remote primary when that strictly
-/// lowers the pair's maximum index.
-pub fn plan_switch_with_remote_primary(
-    topo: &Topology,
-    loads: &LoadMap,
-    config: &BalanceConfig,
-    rid: RegionId,
-) -> Option<AdaptationPlan> {
-    let entry = topo.region(rid)?;
-    if !entry.is_full() {
-        return None;
-    }
-    let own_cap = capacity(topo, entry.primary());
-    let own_load = loads.combined(rid);
-    let own_index = loads.index_of(topo, rid);
-    let mut best: Option<(f64, RegionId)> = None;
-    for c in ttl_search(topo, rid, config.search_ttl) {
-        let c_cap = primary_capacity(topo, c);
-        if c_cap <= own_cap {
-            continue;
-        }
-        let c_load = loads.combined(c);
-        let c_index = loads.index_of(topo, c);
-        let old_max = own_index.max(c_index);
-        let new_max = (own_load / c_cap).max(c_load / own_cap);
-        if new_max < old_max * IMPROVEMENT {
-            match best {
-                Some((m, _)) if m <= new_max => {}
-                _ => best = Some((new_max, c)),
-            }
-        }
-    }
-    best.map(|(_, partner)| AdaptationPlan {
-        mechanism: Mechanism::SwitchPrimaryWithRemotePrimary,
-        region: rid,
-        partner: Some(partner),
     })
 }
 
@@ -327,20 +177,32 @@ pub fn plan_for_region(
     config: &BalanceConfig,
     rid: RegionId,
 ) -> Option<AdaptationPlan> {
-    plan_steal_secondary(topo, loads, rid)
-        .or_else(|| plan_switch_primaries(topo, loads, rid))
+    let entry = topo.region(rid)?;
+    let full = entry.is_full();
+    let neighbors = entry.neighbors();
+    // (a) suits a half-full region and comes first; (e) suits a full one
+    // and comes after (b)–(d).
+    let donor = || plan_donor(topo, loads, rid, neighbors, false);
+    let local = if full { None } else { donor() }
+        .or_else(|| plan_switch_primaries(topo, loads, rid, neighbors, Mechanism::SwitchPrimaries))
         .or_else(|| plan_merge(topo, loads, rid))
-        .or_else(|| plan_split(topo, config, rid))
-        .or_else(|| plan_switch_with_secondary(topo, rid))
-        .or_else(|| {
-            if config.local_only {
-                None
-            } else {
-                plan_steal_remote(topo, loads, config, rid)
-                    .or_else(|| plan_switch_with_remote_secondary(topo, loads, config, rid))
-                    .or_else(|| plan_switch_with_remote_primary(topo, loads, config, rid))
-            }
-        })
+        .or_else(|| plan_split(topo, rid))
+        .or_else(|| if full { donor() } else { None });
+    if local.is_some() || config.local_only {
+        return local;
+    }
+    // (f) and (g) want donors less loaded than us. The filter changes
+    // nothing for (h): swapping with a stronger primary at least as loaded
+    // as ours never lowers the pair's maximum index.
+    let own_index = loads.index_of(topo, rid);
+    let remote: Vec<RegionId> = ttl_search(topo, rid, config.search_ttl)
+        .into_iter()
+        .filter(|&c| loads.index_of(topo, c) < own_index)
+        .collect();
+    plan_donor(topo, loads, rid, &remote, true).or_else(|| {
+        let mechanism = Mechanism::SwitchPrimaryWithRemotePrimary;
+        full.then(|| plan_switch_primaries(topo, loads, rid, &remote, mechanism))?
+    })
 }
 
 #[cfg(test)]
@@ -384,37 +246,31 @@ mod tests {
         Scenario { topo, grid, quads }
     }
 
+    fn neighbors(s: &Scenario, rid: RegionId) -> &[RegionId] {
+        s.topo.region(rid).unwrap().neighbors()
+    }
+
+    fn plan_a_or_e(s: &Scenario, loads: &LoadMap, rid: RegionId) -> Option<AdaptationPlan> {
+        plan_donor(&s.topo, loads, rid, neighbors(s, rid), false)
+    }
+
+    fn plan_b(s: &Scenario, loads: &LoadMap, rid: RegionId) -> Option<AdaptationPlan> {
+        let mechanism = Mechanism::SwitchPrimaries;
+        plan_switch_primaries(&s.topo, loads, rid, neighbors(s, rid), mechanism)
+    }
+
     #[test]
     fn trigger_requires_sqrt2_margin() {
         let s = scenario([10.0, 10.0, 10.0, 10.0]);
         let loads = LoadMap::from_grid(&s.topo, &s.grid);
+        let triggered = |rid| {
+            let lowest = lowest_neighbor_index(&s.topo, &loads, rid);
+            rules::overloaded(loads.index_of(&s.topo, rid), lowest, rules::TRIGGER_RATIO)
+        };
         // Quadrant 0 holds nearly all the load: triggered.
-        assert!(is_overloaded(
-            &s.topo,
-            &loads,
-            s.quads[0],
-            std::f64::consts::SQRT_2
-        ));
+        assert!(triggered(s.quads[0]));
         // Far quadrant is not overloaded.
-        assert!(!is_overloaded(
-            &s.topo,
-            &loads,
-            s.quads[3],
-            std::f64::consts::SQRT_2
-        ));
-    }
-
-    #[test]
-    fn mechanism_a_steals_strongest_useful_secondary() {
-        let mut s = scenario([1.0, 10.0, 10.0, 10.0]);
-        // Give quadrant 1 (a neighbor of the overloaded SW quadrant) a
-        // strong secondary.
-        let sec = s.topo.register_node(Point::new(50.0, 15.0), 100.0);
-        s.topo.set_secondary(s.quads[1], sec).unwrap();
-        let loads = LoadMap::from_grid(&s.topo, &s.grid);
-        let plan = plan_steal_secondary(&s.topo, &loads, s.quads[0]).expect("plan");
-        assert_eq!(plan.mechanism, Mechanism::StealSecondary);
-        assert_eq!(plan.partner, Some(s.quads[1]));
+        assert!(!triggered(s.quads[3]));
     }
 
     #[test]
@@ -423,14 +279,14 @@ mod tests {
         let sec = s.topo.register_node(Point::new(50.0, 15.0), 5.0); // weaker
         s.topo.set_secondary(s.quads[1], sec).unwrap();
         let loads = LoadMap::from_grid(&s.topo, &s.grid);
-        assert!(plan_steal_secondary(&s.topo, &loads, s.quads[0]).is_none());
+        assert!(plan_a_or_e(&s, &loads, s.quads[0]).is_none());
     }
 
     #[test]
     fn mechanism_b_switches_with_stronger_idle_neighbor() {
         let s = scenario([1.0, 100.0, 10.0, 10.0]);
         let loads = LoadMap::from_grid(&s.topo, &s.grid);
-        let plan = plan_switch_primaries(&s.topo, &loads, s.quads[0]).expect("plan");
+        let plan = plan_b(&s, &loads, s.quads[0]).expect("plan");
         assert_eq!(plan.partner, Some(s.quads[1]));
     }
 
@@ -439,7 +295,7 @@ mod tests {
         // All capacities equal: no strictly-stronger neighbor exists.
         let s = scenario([10.0, 10.0, 10.0, 10.0]);
         let loads = LoadMap::from_grid(&s.topo, &s.grid);
-        assert!(plan_switch_primaries(&s.topo, &loads, s.quads[0]).is_none());
+        assert!(plan_b(&s, &loads, s.quads[0]).is_none());
     }
 
     #[test]
@@ -474,18 +330,17 @@ mod tests {
     #[test]
     fn mechanism_d_splits_equal_peers_only() {
         let mut s = scenario([10.0, 10.0, 10.0, 10.0]);
-        let config = BalanceConfig::default();
         // Half-full region: no split.
-        assert!(plan_split(&s.topo, &config, s.quads[0]).is_none());
+        assert!(plan_split(&s.topo, s.quads[0]).is_none());
         // Weak secondary: no split.
         let weak = s.topo.register_node(Point::new(15.0, 15.0), 1.0);
         s.topo.set_secondary(s.quads[0], weak).unwrap();
-        assert!(plan_split(&s.topo, &config, s.quads[0]).is_none());
+        assert!(plan_split(&s.topo, s.quads[0]).is_none());
         s.topo.take_secondary(s.quads[0]).unwrap();
         // Equal secondary: split.
         let equal = s.topo.register_node(Point::new(15.0, 15.0), 10.0);
         s.topo.set_secondary(s.quads[0], equal).unwrap();
-        let plan = plan_split(&s.topo, &config, s.quads[0]).expect("plan");
+        let plan = plan_split(&s.topo, s.quads[0]).expect("plan");
         assert_eq!(plan.mechanism, Mechanism::SplitRegion);
         assert_eq!(plan.partner, None);
     }
@@ -493,13 +348,20 @@ mod tests {
     #[test]
     fn mechanism_d_refuses_slivers() {
         let mut s = scenario([10.0, 10.0, 10.0, 10.0]);
-        let equal = s.topo.register_node(Point::new(15.0, 15.0), 10.0);
-        s.topo.set_secondary(s.quads[0], equal).unwrap();
-        let config = BalanceConfig {
-            min_split_extent: 32.0, // quadrants are exactly 32x32
-            ..BalanceConfig::default()
-        };
-        assert!(plan_split(&s.topo, &config, s.quads[0]).is_none());
+        // Twelve splits take the 32 × 32 quadrant's corner to 0.5 × 0.5.
+        let corner = Point::new(0.1, 0.1);
+        for _ in 0..12 {
+            let rid = s.topo.locate(corner).unwrap();
+            let primary = s.topo.region(rid).unwrap().primary();
+            let joiner = s.topo.register_node(corner, 10.0);
+            s.topo.split_region(rid, primary, joiner).unwrap();
+        }
+        let rid = s.topo.locate(corner).unwrap();
+        let r = s.topo.region(rid).unwrap().region();
+        assert_eq!((r.width(), r.height()), (0.5, 0.5));
+        let equal = s.topo.register_node(corner, 10.0);
+        s.topo.set_secondary(rid, equal).unwrap();
+        assert!(plan_split(&s.topo, rid).is_none());
     }
 
     #[test]
@@ -507,30 +369,17 @@ mod tests {
         let mut s = scenario([1.0, 10.0, 10.0, 10.0]);
         let strong = s.topo.register_node(Point::new(49.0, 15.0), 100.0);
         s.topo.set_secondary(s.quads[1], strong).unwrap();
-        // Overloaded region is half-full: (e) not applicable.
-        assert!(plan_switch_with_secondary(&s.topo, s.quads[0]).is_none());
+        let loads = LoadMap::from_grid(&s.topo, &s.grid);
+        // Overloaded region is half-full: (a) steals the strong secondary.
+        let plan = plan_a_or_e(&s, &loads, s.quads[0]).expect("plan");
+        assert_eq!(plan.mechanism, Mechanism::StealSecondary);
+        assert_eq!(plan.partner, Some(s.quads[1]));
         // Fill it, then (e) applies.
         let own_sec = s.topo.register_node(Point::new(15.0, 15.0), 1.0);
         s.topo.set_secondary(s.quads[0], own_sec).unwrap();
-        let plan = plan_switch_with_secondary(&s.topo, s.quads[0]).expect("plan");
+        let plan = plan_a_or_e(&s, &loads, s.quads[0]).expect("plan");
+        assert_eq!(plan.mechanism, Mechanism::SwitchPrimaryWithSecondary);
         assert_eq!(plan.partner, Some(s.quads[1]));
-    }
-
-    #[test]
-    fn remote_mechanisms_respect_local_only() {
-        let s = scenario([1.0, 10.0, 10.0, 10.0]);
-        let loads = LoadMap::from_grid(&s.topo, &s.grid);
-        let config = BalanceConfig {
-            local_only: true,
-            ..BalanceConfig::default()
-        };
-        // With 4 quadrants everything is a neighbor, so remote mechanisms
-        // find nothing anyway; this asserts plan_for_region still returns
-        // a local plan under local_only.
-        let plan = plan_for_region(&s.topo, &loads, &config, s.quads[0]);
-        if let Some(p) = plan {
-            assert!(!p.mechanism.is_remote());
-        }
     }
 
     #[test]

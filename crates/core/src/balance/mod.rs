@@ -6,7 +6,9 @@
 //! distribution".
 //!
 //! A node starts adapting only when its workload index exceeds **√2 times
-//! the lowest index among its neighbors** (the trigger, [`BalanceConfig::trigger_ratio`]).
+//! the lowest index among its neighbors** (the trigger,
+//! [`rules::overloaded`](crate::rules::overloaded) with
+//! [`rules::TRIGGER_RATIO`](crate::rules::TRIGGER_RATIO) by default).
 //! It then tries the eight mechanisms (a)–(h) in the paper's order of
 //! increasing cost — local operations before remote ones, secondary moves
 //! before primary moves, split/merge last among local ones:
@@ -27,7 +29,7 @@ mod mechanisms;
 mod plan;
 mod search;
 
-pub use engine::{AdaptationEngine, AppliedAdaptation, RoundStats};
+pub use engine::{AdaptationEngine, RoundStats};
 pub use mechanisms::plan_for_region;
 pub use plan::{AdaptationPlan, Mechanism};
 pub use search::ttl_search;
@@ -40,9 +42,6 @@ pub struct BalanceConfig {
     pub trigger_ratio: f64,
     /// TTL of the guided search for remote candidates (mechanisms f–h).
     pub search_ttl: u32,
-    /// Regions whose shorter side is at or below this never split further
-    /// (keeps mechanism (d) from recursing to slivers).
-    pub min_split_extent: f64,
     /// Disables the remote mechanisms (f)–(h) — the local-only ablation.
     pub local_only: bool,
 }
@@ -50,9 +49,8 @@ pub struct BalanceConfig {
 impl Default for BalanceConfig {
     fn default() -> Self {
         Self {
-            trigger_ratio: std::f64::consts::SQRT_2,
+            trigger_ratio: crate::rules::TRIGGER_RATIO,
             search_ttl: 3,
-            min_split_extent: 0.5,
             local_only: false,
         }
     }

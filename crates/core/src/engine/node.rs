@@ -4,7 +4,7 @@ use geogrid_geometry::{Point, Region, Space};
 
 use crate::engine::messages::{Message, NeighborInfo};
 use crate::node::Role;
-use crate::rules::{self, Candidate, Placement};
+use crate::rules::{self, Candidate, Donor, DonorChoice, Placement};
 use crate::service::{LocationQuery, LocationRecord, RegionStore, Subscription};
 use crate::{NodeId, NodeInfo};
 
@@ -12,10 +12,6 @@ use crate::{NodeId, NodeInfo};
 /// folded into the node's workload index at this cadence, and the
 /// adaptation trigger is evaluated.
 const STATS_WINDOW_TICKS: u64 = 5;
-
-/// Adaptation trigger: adapt when own index exceeds this multiple of the
-/// lowest neighbor index (√2 in the paper).
-const TRIGGER_RATIO: f64 = std::f64::consts::SQRT_2;
 
 /// Hop budget for greedy forwarding and fan-out floods (loop guard).
 const MAX_HOPS: u32 = 256;
@@ -482,14 +478,6 @@ impl Owner {
         self.seen_fanout.push_back(key);
         true
     }
-
-    /// Lowest workload index reported by a current neighbor.
-    fn lowest_neighbor_index(&self) -> Option<f64> {
-        self.neighbors
-            .iter()
-            .filter_map(|n| n.index)
-            .reduce(f64::min)
-    }
 }
 
 /// The GeoGrid middleware state machine for one node.
@@ -869,35 +857,40 @@ impl NodeEngine {
             owner.announce(self.info, &mut effects);
         }
         // Adaptation trigger (§2.4): a primary whose index exceeds √2×
-        // the lowest neighbor index tries the cheapest applicable
-        // mechanism — (a) steal a neighbor's stronger secondary when
-        // half-full, (e) switch places with one when full.
-        if self.config.balance_enabled && !owner.steal_in_flight && window_closed {
-            if let Some(lowest) = owner.lowest_neighbor_index() {
-                if owner.my_index > TRIGGER_RATIO * lowest && owner.my_index > 0.0 {
-                    let my_cap = self.info.capacity();
-                    let donor = owner
-                        .neighbors
-                        .iter()
-                        .filter(|n| n.info.secondary.is_some_and(|s| s.capacity() > my_cap))
-                        .map(|n| (n.index.unwrap_or(f64::INFINITY), n.info.primary.id()))
-                        .min_by(|a, b| {
-                            a.partial_cmp(b).expect(
-                                "invariant: workload indexes are validated on receipt, never NaN",
-                            )
-                        });
-                    if let Some((_, donor)) = donor {
-                        owner.steal_in_flight = true;
-                        effects.push(Effect::Send {
-                            to: donor,
-                            message: Message::StealSecondaryRequest {
-                                requester: self.info,
-                                index: owner.my_index,
-                                swap: owner.peer.is_some(),
-                            },
-                        });
-                    }
-                }
+        // the lowest neighbor index asks the least-loaded neighbor with a
+        // stronger secondary for it — (a) steal it when half-full, (e)
+        // switch places with it when full.
+        if self.config.balance_enabled
+            && !owner.steal_in_flight
+            && window_closed
+            && rules::overloaded(
+                owner.my_index,
+                owner
+                    .neighbors
+                    .iter()
+                    .filter_map(|n| n.index)
+                    .reduce(f64::min),
+                rules::TRIGGER_RATIO,
+            )
+        {
+            let donors = owner.neighbors.iter().filter_map(|n| {
+                Some(Donor {
+                    key: n.info.primary.id(),
+                    secondary: n.info.secondary?.capacity(),
+                    index: n.index.unwrap_or(f64::INFINITY),
+                })
+            });
+            let choice = DonorChoice::LeastLoaded;
+            if let Some(donor) = rules::donor(donors, self.info.capacity(), choice) {
+                owner.steal_in_flight = true;
+                effects.push(Effect::Send {
+                    to: donor,
+                    message: Message::StealSecondaryRequest {
+                        requester: self.info,
+                        index: owner.my_index,
+                        swap: owner.peer.is_some(),
+                    },
+                });
             }
         }
         effects

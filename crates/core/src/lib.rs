@@ -30,9 +30,9 @@
 //! * [`join`] / [`builder`] — the paper's bootstrap protocols: basic
 //!   (route-and-split) and dual-peer (probe the neighborhood, join the
 //!   weakest owner), plus whole-network constructors.
-//! * [`rules`] — the §2.3 decisions as pure functions over candidate
-//!   lists, called by both the model and the engine (today the dual-peer
-//!   placement rule, [`rules::place`]).
+//! * [`rules`] — the §2.3 and §2.4 decisions as pure functions, called by
+//!   both the model and the engine: dual-peer placement ([`rules::place`]),
+//!   the adaptation trigger ([`rules::overloaded`]) and the donor choice.
 //! * [`load`] — workload-index accounting: query load from the hot-spot
 //!   cell grid plus routing load from a sampled query mix, normalized by
 //!   owner capacity.

@@ -1,5 +1,6 @@
-//! The §2.3 decision rules as pure functions over candidate lists. The
-//! model ([`join`](crate::join)) builds its candidates from the
+//! The §2.3 placement rule and the §2.4 trigger and donor rules as pure
+//! functions over candidate lists. The model ([`join`](crate::join),
+//! [`balance`](crate::balance)) builds its candidates from the
 //! [`Topology`](crate::Topology), the engine from its own region and its
 //! neighbor table, and both call the same rule. Nothing here imports the
 //! model.
@@ -49,6 +50,59 @@ pub fn place(candidates: &[Candidate]) -> Placement {
     }
 }
 
+/// The paper's adaptation trigger ratio, √2 (§2.4).
+pub const TRIGGER_RATIO: f64 = std::f64::consts::SQRT_2;
+
+/// The adaptation trigger (§2.4): a region adapts when its workload index
+/// is positive and exceeds `ratio ×` the lowest index among its neighbors.
+/// With no neighbor index known (`lowest` is `None`) it never adapts.
+pub fn overloaded(own: f64, lowest: Option<f64>, ratio: f64) -> bool {
+    own > 0.0 && lowest.is_some_and(|lowest| own > ratio * lowest)
+}
+
+/// A region that could give its secondary to an overloaded one.
+#[derive(Debug, Clone, Copy)]
+pub struct Donor<K> {
+    /// The last tie-break: the model passes the region id, the engine the
+    /// primary's node id.
+    pub key: K,
+    /// Capacity of the candidate's secondary owner.
+    pub secondary: f64,
+    /// The candidate's workload index (the engine passes ∞ when unknown).
+    pub index: f64,
+}
+
+/// Which candidate [`donor`] prefers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DonorChoice {
+    /// The least-loaded candidate: mechanisms (a) and (f), and both of the
+    /// engine's requests.
+    LeastLoaded,
+    /// The candidate with the strongest secondary: the model's (e) and (g).
+    StrongestSecondary,
+}
+
+/// The donor rule (§2.4 (a), (e), (f), (g)): among the candidates whose
+/// secondary is stronger than the overloaded region's primary
+/// (`own_capacity`), pick by `choice`, ties to the lowest key.
+pub fn donor<K: Ord>(
+    candidates: impl IntoIterator<Item = Donor<K>>,
+    own_capacity: f64,
+    choice: DonorChoice,
+) -> Option<K> {
+    candidates
+        .into_iter()
+        .filter(|d| d.secondary > own_capacity)
+        .min_by(|a, b| {
+            match choice {
+                DonorChoice::LeastLoaded => a.index.total_cmp(&b.index),
+                DonorChoice::StrongestSecondary => b.secondary.total_cmp(&a.secondary),
+            }
+            .then_with(|| a.key.cmp(&b.key))
+        })
+        .map(|d| d.key)
+}
+
 #[cfg(test)]
 mod tests {
     use super::Placement::{Fill, Split, Widen};
@@ -90,5 +144,38 @@ mod tests {
         for (i, (candidates, expected)) in cases.into_iter().enumerate() {
             assert_eq!(place(&candidates), expected, "case {i}");
         }
+    }
+
+    #[test]
+    fn trigger_needs_a_positive_index_above_the_ratio() {
+        assert!(overloaded(1.5, Some(1.0), TRIGGER_RATIO));
+        assert!(!overloaded(1.4, Some(1.0), TRIGGER_RATIO));
+        assert!(!overloaded(1.0, None, TRIGGER_RATIO));
+        assert!(!overloaded(0.0, Some(0.0), TRIGGER_RATIO));
+        assert!(overloaded(1e-9, Some(0.0), TRIGGER_RATIO));
+    }
+
+    #[test]
+    fn each_donor_choice() {
+        let d = |key, secondary, index| Donor {
+            key,
+            secondary,
+            index,
+        };
+        let candidates = [
+            d(4, 5.0, 0.1),
+            d(3, 50.0, 2.0),
+            d(2, 20.0, 1.0),
+            d(1, 50.0, 3.0),
+        ];
+        let pick = |own, choice| donor(candidates, own, choice);
+        // Secondaries no stronger than our primary are skipped.
+        assert_eq!(pick(5.0, DonorChoice::LeastLoaded), Some(2));
+        assert_eq!(pick(50.0, DonorChoice::LeastLoaded), None);
+        // The strongest secondary wins; equal ones go to the lowest key.
+        assert_eq!(pick(5.0, DonorChoice::StrongestSecondary), Some(1));
+        // An unknown (infinite) index loses to any known one.
+        let unknown = [d(1, 50.0, f64::INFINITY), d(2, 50.0, 9.0)];
+        assert_eq!(donor(unknown, 1.0, DonorChoice::LeastLoaded), Some(2));
     }
 }

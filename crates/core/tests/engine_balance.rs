@@ -37,24 +37,21 @@ fn harness() -> SimHarness {
     h
 }
 
-fn south_primary(h: &SimHarness) -> Option<(NodeId, f64)> {
+/// The primary owning the south half's hot spot.
+fn south_primary(h: &SimHarness) -> Option<NodeId> {
     h.owner_views()
         .into_iter()
         .find(|(_, v)| {
             v.role == Role::Primary && h.space().region_covers(&v.region, Point::new(30.0, 10.0))
         })
-        .map(|(id, v)| {
-            let cap = v.peer.map(|_| 0.0).unwrap_or(0.0);
-            let _ = cap;
-            (id, 0.0)
-        })
+        .map(|(id, _)| id)
 }
 
 #[test]
 fn hot_weak_primary_swaps_with_strong_remote_secondary() {
     let mut h = harness();
     // Sanity: the south half is owned by the weak node n2.
-    let (weak, _) = south_primary(&h).expect("south primary exists");
+    let weak = south_primary(&h).expect("south primary exists");
     assert_eq!(weak, NodeId::new(2), "setup produced unexpected owner");
 
     // Drive a query hot spot into the south half through the north
@@ -73,7 +70,7 @@ fn hot_weak_primary_swaps_with_strong_remote_secondary() {
     h.run_for(3_000);
 
     // The south region's primary must now be one of the strong nodes.
-    let (new_primary, _) = south_primary(&h).expect("south primary exists");
+    let new_primary = south_primary(&h).expect("south primary exists");
     assert_ne!(new_primary, NodeId::new(2), "weak primary never relieved");
 
     // Someone reported executing mechanism (a) or (e).

@@ -13,14 +13,21 @@
 //!   in id order, its id, the region's four `f64` bit patterns, its role,
 //!   its peer (or a marker for none), its record count and its neighbour
 //!   entries (primary and secondary ids), sorted.
+//!
+//! Neither run adapts, so a third test pins the engine's §2.4 decisions:
+//! `engine_balance.rs`'s 150-node dual-peer load scenario on two seeds,
+//! with the same checks plus the count of executed adaptations per
+//! mechanism.
 
 use geogrid_core::engine::sim::SimHarness;
-use geogrid_core::engine::{EngineConfig, EngineMode, Input};
+use geogrid_core::engine::{ClientEvent, EngineConfig, EngineMode, Input};
 use geogrid_core::service::{LocationQuery, LocationRecord};
 use geogrid_core::topology::Role;
 use geogrid_core::NodeId;
 use geogrid_geometry::{Point, Region, Space};
 use geogrid_simnet::SimStats;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 const JOINS: u64 = 120;
 const SEED: u64 = 0x51A1;
@@ -109,6 +116,11 @@ fn run(mode: EngineMode) -> (SimStats, u64) {
     }
     h.run_for(3_000);
 
+    (h.stats(), digest(&h))
+}
+
+/// The FNV-1a digest of `h`'s owner views described in the module docs.
+fn digest(h: &SimHarness) -> u64 {
     let mut d = Fnv::new();
     let views = h.owner_views();
     d.word(views.len() as u64);
@@ -145,7 +157,7 @@ fn run(mode: EngineMode) -> (SimStats, u64) {
             d.word(s);
         }
     }
-    (h.stats(), d.0)
+    d.0
 }
 
 #[test]
@@ -180,4 +192,90 @@ fn dual_peer_trajectory_is_pinned() {
         }
     );
     assert_eq!(digest, 0xfe5e_7b0b_d62e_170f, "owner views moved");
+}
+
+/// `engine_balance.rs`'s "large" scenario: 150 dual-peer nodes on a mixed
+/// capacity cycle, 100 one-mile queries from node 0 at seeded points, then
+/// two quiet seconds. Returns the stats, the owner-view digest and the
+/// executed adaptations as `(mechanism, count)` in letter order.
+fn run_balance(seed: u64) -> (SimStats, u64, Vec<(char, usize)>) {
+    const NODES: usize = 150;
+    const CAPS: [f64; 10] = [1.0, 10.0, 10.0, 100.0, 10.0, 1.0, 10.0, 100.0, 1000.0, 10.0];
+    let config = EngineConfig {
+        mode: EngineMode::DualPeer,
+        ..EngineConfig::default()
+    };
+    let mut h = SimHarness::new(Space::paper_evaluation(), config, seed);
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut coord = || Point::new(rng.random_range(0.2..63.8), rng.random_range(0.2..63.8));
+    h.bootstrap(coord(), 10.0);
+    for i in 1..NODES {
+        h.join(coord(), CAPS[i % CAPS.len()]);
+        h.run_for(250);
+    }
+    h.settle();
+    let asker = NodeId::new(0);
+    for _ in 0..100 {
+        let p = coord();
+        h.inject(
+            asker,
+            Input::UserQuery {
+                query: LocationQuery::new(Region::new(p.x - 0.5, p.y - 0.5, 1.0, 1.0), asker),
+            },
+        );
+        h.run_for(60);
+    }
+    h.run_for(2_000);
+
+    let mut executed = std::collections::BTreeMap::new();
+    for id in 0..NODES as u64 {
+        for e in h.events_of(NodeId::new(id)) {
+            if let ClientEvent::AdaptationExecuted { mechanism } = e {
+                *executed.entry(*mechanism).or_insert(0) += 1;
+            }
+        }
+    }
+    (h.stats(), digest(&h), executed.into_iter().collect())
+}
+
+#[test]
+fn balance_trajectory_is_pinned() {
+    let pins = [
+        (
+            4002,
+            SimStats {
+                sent: 150_793,
+                delivered: 150_561,
+                lost: 0,
+                undeliverable: 0,
+                timers_fired: 41_772,
+                events: 192_483,
+            },
+            0x94d7_558a_6665_d3a2,
+            vec![('e', 3)],
+        ),
+        (
+            1,
+            SimStats {
+                sent: 157_795,
+                delivered: 157_541,
+                lost: 0,
+                undeliverable: 0,
+                timers_fired: 41_772,
+                events: 199_463,
+            },
+            0x8657_40e8_8950_21d9,
+            vec![('a', 1)],
+        ),
+    ];
+    let mut letters = Vec::new();
+    for (seed, pinned_stats, pinned_digest, pinned_executed) in pins {
+        let (stats, digest, executed) = run_balance(seed);
+        assert_eq!(stats, pinned_stats, "seed {seed}");
+        assert_eq!(digest, pinned_digest, "seed {seed}: owner views moved");
+        assert_eq!(executed, pinned_executed, "seed {seed}: adaptations moved");
+        letters.extend(executed.into_iter().map(|(m, _)| m));
+    }
+    // Both engine mechanisms, (a) half-full and (e) full, are exercised.
+    assert!(letters.contains(&'a') && letters.contains(&'e'));
 }

@@ -27,7 +27,6 @@
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Duration;
 
 use geogrid_core::engine::{ClientEvent, EngineConfig, EngineMode};
 use geogrid_core::service::{LocationQuery, LocationRecord, Subscription};
@@ -280,7 +279,6 @@ async fn main() -> ExitCode {
             ..EngineConfig::default()
         },
         listen: args.listen,
-        tick_interval: Duration::from_millis(100),
     };
     let mut handle = match NodeRuntime::start(id, args.coord, args.capacity, space, config).await {
         Ok(h) => h,

@@ -80,8 +80,6 @@ pub struct RuntimeConfig {
     pub engine: EngineConfig,
     /// Address to listen on (`127.0.0.1:0` for tests).
     pub listen: SocketAddr,
-    /// Wall-clock tick driving heartbeats.
-    pub tick_interval: Duration,
 }
 
 impl Default for RuntimeConfig {
@@ -89,7 +87,6 @@ impl Default for RuntimeConfig {
         Self {
             engine: EngineConfig::default(),
             listen: "127.0.0.1:0".parse().expect("valid literal"),
-            tick_interval: Duration::from_millis(100),
         }
     }
 }
@@ -260,7 +257,8 @@ impl NodeRuntime {
             events: event_tx,
             epoch: Instant::now(),
         };
-        let tick = config.tick_interval;
+        // The engine's heartbeat interval is its tick period.
+        let tick = Duration::from_millis(config.engine.heartbeat_interval);
         thread::Builder::new()
             .name("geogrid-actor".into())
             .spawn(move || actor.run(&inbox, tick))?;

@@ -22,7 +22,6 @@ fn config(mode: EngineMode) -> RuntimeConfig {
             ..EngineConfig::default()
         },
         listen: "127.0.0.1:0".parse().unwrap(),
-        tick_interval: Duration::from_millis(50),
     }
 }
 

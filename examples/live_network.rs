@@ -27,7 +27,6 @@ fn runtime_config() -> RuntimeConfig {
             ..EngineConfig::default()
         },
         listen: "127.0.0.1:0".parse().expect("literal"),
-        tick_interval: Duration::from_millis(100),
     }
 }
 
