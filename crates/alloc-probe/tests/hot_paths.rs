@@ -22,7 +22,8 @@
 //!
 //! The engine's forwarding step is recorded, not zero: a forwarded
 //! `Query` or `Publish` costs exactly one allocation per
-//! `NodeEngine::handle`, the returned `Vec<Effect>`.
+//! `NodeEngine::handle`, the returned `Vec<Effect>`, whether the hop is
+//! greedy or takes a learned express finger.
 //!
 //! A counting allocator checks only the inputs it runs: an allocation on
 //! a branch these inputs never take goes unseen.
@@ -32,7 +33,7 @@ use geogrid_core::builder::NetworkBuilder;
 use geogrid_core::engine::sim::SimHarness;
 use geogrid_core::engine::{Effect, EngineConfig, EngineMode, Input, Message};
 use geogrid_core::service::{LocationQuery, LocationRecord, RegionStore, Subscription};
-use geogrid_core::{NodeId, RegionId, RouteOptions, Router, Topology};
+use geogrid_core::{NodeId, RegionId, RouteOptions, Router, Topology, TopologyView};
 use geogrid_geometry::{Point, Region, Space};
 
 #[global_allocator]
@@ -219,8 +220,9 @@ fn a_forwarded_query_or_publish_costs_one_allocation() {
         5,
     );
     h.bootstrap(coord(0), 10.0);
-    for i in 1..16 {
+    for i in 1..64 {
         h.join(coord(i), 10.0);
+        h.run_for(60);
     }
     h.settle();
     let (id, view) = h
@@ -228,44 +230,68 @@ fn a_forwarded_query_or_publish_costs_one_allocation() {
         .into_iter()
         .next()
         .expect("a settled overlay has owners");
-    let mut engine = h.engine(id).expect("live").clone();
-    let far = (0..)
+    // A neighbor's center is a greedy hop away; the coordinate farthest
+    // from the region is past the express gate.
+    let near = view.neighbors[0].region.center();
+    let far = (0..64)
         .map(coord)
-        .find(|&p| !view.region.contains(p))
-        .expect("more than one region");
+        .max_by(|a, b| {
+            let d = |p: &Point| view.region.distance_to_point(*p);
+            d(a).total_cmp(&d(b))
+        })
+        .expect("coordinates");
+    // A first route to the far point learns the finger it wants.
+    h.inject(
+        id,
+        Input::UserQuery {
+            query: LocationQuery::circular(far, 1.0, id),
+        },
+    );
+    h.run_for(500);
+    let mut engine = h.engine(id).expect("live").clone();
+    let neighbors: Vec<NodeId> = view.neighbors.iter().map(|n| n.primary.id()).collect();
     let from = NodeId::new(999);
-    let query = |query_id| Input::Message {
+    let query = |target, query_id| Input::Message {
         from,
         message: Message::Query {
-            query: LocationQuery::circular(far, 1.0, from),
+            query: LocationQuery::circular(target, 1.0, from),
             query_id,
             reply_to: from,
             hops: 1,
             fanout: false,
         },
     };
-    let publish = |id| Input::Message {
+    let publish = |target, id| Input::Message {
         from,
         message: Message::Publish {
-            record: LocationRecord::new(id, "car", far, Vec::new()),
+            record: LocationRecord::new(id, "car", target, Vec::new()),
             hops: 1,
         },
     };
-    // Round 0 warms up; both rounds must cost the same single allocation.
-    for round in 0..2 {
-        for (kind, input) in [("query", query(round)), ("publish", publish(round))] {
-            let (allocs, effects) = allocations(|| engine.handle(1_000, input));
-            assert!(
-                matches!(
-                    effects.as_slice(),
-                    [Effect::Send {
-                        message: Message::Query { .. } | Message::Publish { .. },
-                        ..
-                    }]
-                ),
-                "{kind}: forwarded as one send, got {effects:?}"
-            );
-            assert_eq!(allocs, 1, "{kind}: the returned Vec<Effect> only");
+    for (hop, target, express) in [("greedy", near, false), ("express", far, true)] {
+        // Round 0 warms up; both rounds must cost the same single
+        // allocation.
+        for round in 0..2 {
+            let inputs = [
+                ("query", query(target, round)),
+                ("publish", publish(target, round)),
+            ];
+            for (kind, input) in inputs {
+                let (allocs, effects) = allocations(|| engine.handle(1_000, input));
+                let [Effect::Send {
+                    to,
+                    message: Message::Query { .. } | Message::Publish { .. },
+                }] = effects.as_slice()
+                else {
+                    panic!("{hop} {kind}: forwarded as one send, got {effects:?}");
+                };
+                assert_eq!(
+                    !neighbors.contains(to),
+                    express,
+                    "{hop} {kind}: next hop {to:?}"
+                );
+                assert_eq!(allocs, 1, "{hop} {kind}: the returned Vec<Effect> only");
+            }
         }
     }
 }

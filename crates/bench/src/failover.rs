@@ -282,10 +282,10 @@ mod tests {
     }
 
     /// The three `repro failover` trials (default seed, trials 2, 6 and 7)
-    /// in which DualPeer at 40 % crash ends with two live primaries
-    /// claiming overlapping regions.
+    /// in which DualPeer at 40 % crash ended with two live primaries
+    /// claiming overlapping regions while the silent-region ring-check
+    /// asked only the asker's neighbours' primaries.
     #[test]
-    #[ignore = "ownership fork after a correlated crash (items 13, 26)"]
     fn dual_peer_crash_storm_leaves_no_overlapping_primaries() {
         let pairs = [24_264_905, 30_556_361, 32_653_513].map(|seed| {
             run_trial(EngineMode::DualPeer, 0.4, seed, NODES, RECORDS).overlapping_primary_pairs

@@ -5,12 +5,13 @@
 //! publications, notifications) — both appear here; the application ones
 //! carry the geographic coordinates GeoGrid routing requires.
 //!
-//! Four kinds are routed hop by hop toward a coordinate and carry a hop
+//! Five kinds are routed hop by hop toward a coordinate and carry a hop
 //! count: [`Message::JoinRequest`], [`Message::Query`],
-//! [`Message::Publish`] and [`Message::Subscribe`]. Ownership of a region
-//! changes hands through exactly one kind, [`Message::Install`].
+//! [`Message::Publish`], [`Message::Subscribe`] and [`Message::Locate`].
+//! Ownership of a region changes hands through exactly one kind,
+//! [`Message::Install`].
 
-use geogrid_geometry::Region;
+use geogrid_geometry::{Point, Region};
 
 use crate::service::{Hlc, LocationQuery, LocationRecord, RegionStore, Subscription};
 use crate::{NodeId, NodeInfo};
@@ -199,7 +200,8 @@ pub enum Message {
         region: Region,
     },
     /// Answer to [`Message::WhoOwns`]: a live entry for (part of) the
-    /// asked region.
+    /// asked region. Also the answer to [`Message::Locate`]: the entry of
+    /// the region covering the located point.
     OwnerIs {
         /// The known owner entry.
         info: NeighborInfo,
@@ -215,6 +217,18 @@ pub enum Message {
         store: Box<RegionStore>,
         /// Current neighbor table.
         neighbors: Vec<NeighborInfo>,
+    },
+    /// Finger lookup: "who owns the region covering `target`?" Routed
+    /// exactly like a query; the primary covering `target` answers
+    /// `reply_to` with a [`Message::OwnerIs`] carrying its own entry, which
+    /// the asker keeps as an express link.
+    Locate {
+        /// The finger point.
+        target: Point,
+        /// The owner that wants the finger.
+        reply_to: NodeId,
+        /// Hops taken so far (loop guard).
+        hops: u32,
     },
     /// Primary → secondary, once per executed publish: the record as
     /// stored, with its stamp, for the secondary to merge last-write-wins.
@@ -250,6 +264,7 @@ impl Message {
             Message::Detached => "detached",
             Message::WhoOwns { .. } => "who_owns",
             Message::OwnerIs { .. } => "owner_is",
+            Message::Locate { .. } => "locate",
         }
     }
 }

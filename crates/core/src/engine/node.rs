@@ -16,6 +16,18 @@ const STATS_WINDOW_TICKS: u64 = 5;
 /// Hop budget for greedy forwarding and fan-out floods (loop guard).
 const MAX_HOPS: u32 = 256;
 
+/// How long a finger is taken after its node was last heard from (a lookup
+/// answer or any message from it). Past that, a route that would take it
+/// goes greedy and re-confirms it with a lookup sent straight to the node,
+/// and a lookup unanswered within [`LOOKUP_TIMEOUT`] drops the finger: a
+/// crashed node stops drawing requests within one TTL. Shorter costs more
+/// re-confirmations, longer loses more requests to crashed nodes.
+const FINGER_TTL: u64 = 10_000;
+
+/// A finger lookup unanswered for this long may be sent again, and drops
+/// the finger it re-confirms.
+const LOOKUP_TIMEOUT: u64 = 1_000;
+
 /// Which join protocol the engine speaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
@@ -197,6 +209,21 @@ struct Neighbor {
     index: Option<f64>,
 }
 
+/// One express link of an owner's finger table: a hint of which node
+/// owned which region around finger point `slot`
+/// ([`rules::finger_point`]) when it was learned. A hint only: the node
+/// it names routes on from its own real region.
+#[derive(Debug, Clone, PartialEq)]
+struct Finger {
+    /// The finger slot the hint was looked up for.
+    slot: u8,
+    /// The region's primary, as the lookup found it.
+    node: NodeId,
+    region: Region,
+    /// Tick from which the hint is not taken until a lookup re-confirms it.
+    expires: u64,
+}
+
 impl Neighbor {
     /// A freshly received entry: it counts as heard from at `now`, with no
     /// workload index reported yet.
@@ -235,6 +262,11 @@ struct Owner {
     /// Recently seen fan-out keys (query/subscription flood dedup), a
     /// bounded FIFO.
     seen_fanout: std::collections::VecDeque<(NodeId, u64)>,
+    /// Express links, learned lazily by [`Message::Locate`]; at most one
+    /// per answering region.
+    fingers: Vec<Finger>,
+    /// Finger lookups in flight: (slot, tick sent).
+    lookups: Vec<(u8, u64)>,
 }
 
 impl From<Owner> for State {
@@ -248,20 +280,36 @@ enum Route {
     /// Our region covers the target: the request is executed here.
     Execute,
     /// Not ours: pass it on to this node with this hop count — or drop it
-    /// when there is none (hop budget spent, or no neighbor known).
-    Forward(Option<(NodeId, u32)>),
+    /// when there is none (hop budget spent, or no neighbor known). The
+    /// step may also send one finger lookup: its first hop and the finger
+    /// point.
+    Forward(Option<(NodeId, u32)>, Option<(NodeId, Point)>),
 }
 
 /// The effects of [`Route::Forward`]: the request re-wrapped with its new
-/// hop count and sent to the next node, or nothing.
-fn forward(next: Option<(NodeId, u32)>, wrap: impl FnOnce(u32) -> Message) -> Vec<Effect> {
-    match next {
-        Some((to, hops)) => vec![Effect::Send {
+/// hop count and sent to the next node (or nothing), and `me`'s lookup.
+fn forward(
+    me: NodeId,
+    next: Option<(NodeId, u32)>,
+    lookup: Option<(NodeId, Point)>,
+    wrap: impl FnOnce(u32) -> Message,
+) -> Vec<Effect> {
+    let send = next.map(|(to, hops)| (to, wrap(hops)));
+    let locate = lookup.map(|(to, target)| {
+        let (reply_to, hops) = (me, 1);
+        (
             to,
-            message: wrap(hops),
-        }],
-        None => Vec::new(),
-    }
+            Message::Locate {
+                target,
+                reply_to,
+                hops,
+            },
+        )
+    });
+    let sends = send.into_iter().chain(locate);
+    sends
+        .map(|(to, message)| Effect::Send { to, message })
+        .collect()
 }
 
 /// Whether the owner of `mine` absorbs the silent region `gone`: only as
@@ -302,7 +350,17 @@ impl Owner {
             pending_claims: Vec::new(),
             peer_confirmed: false,
             seen_fanout: std::collections::VecDeque::new(),
+            fingers: Vec::new(),
+            lookups: Vec::new(),
         }
+    }
+
+    /// Takes on a new region shape. The finger slots aim from the
+    /// region's center, so the finger table starts over.
+    fn reshape(&mut self, region: Region) {
+        self.region = region;
+        self.fingers.clear();
+        self.lookups.clear();
     }
 
     /// A neighbor table out of freshly received entries.
@@ -385,8 +443,11 @@ impl Owner {
     /// also keeps a visited set; a message cannot, so a neighbor that
     /// *covers* the target goes first: a target exactly on a shared corner
     /// is at distance zero from every rectangle around it, and the center
-    /// tie-break alone can bounce it between two that do not own it.
-    fn next_hop(&self, space: &Space, target: Point) -> Option<NodeId> {
+    /// tie-break alone can bounce it between two that do not own it. Nor
+    /// does the step hand a request straight back to `from`, the node it
+    /// came from, unless that is the only neighbor: around a hole a crash
+    /// left, two owners can each see the other as closest.
+    fn next_hop(&self, space: &Space, target: Point, from: NodeId) -> Option<NodeId> {
         // Forwarding is the engine's hot path and exact ties are rare: the
         // cover test and the center distance (with its sqrt) are worked
         // out only for the two sides of one.
@@ -399,7 +460,8 @@ impl Owner {
             )
         };
         let mut best: Option<(f64, &Neighbor)> = None;
-        for n in &self.neighbors {
+        let back = |n: &Neighbor| n.info.primary.id() == from && self.neighbors.len() > 1;
+        for n in self.neighbors.iter().filter(|n| !back(n)) {
             let d = n.info.region.distance_to_point(target);
             let closer = best.is_none_or(|(best_d, b)| {
                 d < best_d || (d == best_d && tie_break(n) < tie_break(b))
@@ -412,25 +474,166 @@ impl Owner {
     }
 
     /// The forwarding step every routed request takes (§2.2): join
-    /// requests, queries, publications and subscriptions all come through
-    /// here, toward the coordinate each is addressed to. `to_primary`
-    /// says the request is served by primaries only.
-    fn route(&self, space: &Space, target: Point, hops: u32, to_primary: bool) -> Route {
+    /// requests, queries, publications, subscriptions and finger lookups
+    /// all come through here, toward the coordinate each is addressed to.
+    /// `to_primary` says the request is served by primaries only. Past
+    /// the express gate, the step takes a finger when [`rules::express`]
+    /// allows it — never one naming `from`, the node the request came
+    /// from — and otherwise asks for the finger it wants; greedy is the
+    /// last mile.
+    fn route(
+        &mut self,
+        space: &Space,
+        now: u64,
+        from: NodeId,
+        target: Point,
+        hops: u32,
+        to_primary: bool,
+    ) -> Route {
         // A secondary hands the request to its primary — the primary
         // "handles all the requests" (§2.3) — whether or not the region
         // covers the target; the hand-over is not an overlay hop.
         if to_primary && self.role == Role::Secondary {
             if let Some(primary) = self.peer {
-                return Route::Forward(Some((primary.id(), hops)));
+                return Route::Forward(Some((primary.id(), hops)), None);
             }
         }
         if space.region_covers(&self.region, target) {
             return Route::Execute;
         }
         if hops >= MAX_HOPS {
-            return Route::Forward(None);
+            return Route::Forward(None, None);
         }
-        Route::Forward(self.next_hop(space, target).map(|next| (next, hops + 1)))
+        let floor = rules::finger_base(space);
+        // Past the express hop cap (stale fingers), the route is greedy.
+        let engaged = (hops as usize) < rules::EXPRESS_MAX_HOPS
+            && rules::express_cutoff(&self.region, target, floor).is_some();
+        if !engaged {
+            let next = self.next_hop(space, target, from);
+            return Route::Forward(next.map(|next| (next, hops + 1)), None);
+        }
+        // A finger past its TTL is not taken but re-confirmed, and the hop
+        // is greedy until the answer comes.
+        let (next, lookup) = match self.express(from, target, floor) {
+            Some(node) if !self.expired(now, node) => (Some(node), None),
+            Some(node) => (
+                self.next_hop(space, target, from),
+                self.reconfirm(space, now, node),
+            ),
+            None => (
+                self.next_hop(space, target, from),
+                self.want_finger(space, now, from, target),
+            ),
+        };
+        Route::Forward(next.map(|next| (next, hops + 1)), lookup)
+    }
+
+    /// The finger [`rules::express`] takes toward `target`, if any, among
+    /// those not naming `from`.
+    fn express(&self, from: NodeId, target: Point, floor: f64) -> Option<NodeId> {
+        let fingers = self.fingers.iter().filter(|f| f.node != from);
+        let fingers = fingers.map(|f| (f.region, f.node));
+        let neighbors = self
+            .neighbors
+            .iter()
+            .map(|n| (n.info.region, n.info.primary.id()));
+        let center = |rect: &Region, _| rect.center();
+        rules::express(&self.region, target, floor, fingers, neighbors, center)
+    }
+
+    /// The finger a route toward `target` wants: the slot whose point lies
+    /// nearest the target. Looks it up, unless its point is already known
+    /// (in our region, a neighbor's or a finger's) or a lookup for the slot
+    /// is in flight: a [`Message::Locate`] for the point, on its first hop.
+    fn want_finger(
+        &mut self,
+        space: &Space,
+        now: u64,
+        from: NodeId,
+        target: Point,
+    ) -> Option<(NodeId, Point)> {
+        let center = self.region.center();
+        let (dx, dy) = (target.x - center.x, target.y - center.y);
+        // The nearest point lies along one of the two compass directions
+        // facing the target, at one of the two scales around its reach.
+        let base = rules::finger_base(space);
+        let last = rules::FINGER_SCALES - 1;
+        let (slot, point) = [(dx, 0, 2), (dy, 1, 3)]
+            .into_iter()
+            .flat_map(|(reach, ahead, behind)| {
+                let dir = if reach >= 0.0 { ahead } else { behind };
+                let scale = (reach.abs() / base).log2().floor().clamp(0.0, last as f64) as usize;
+                [scale, (scale + 1).min(last)].map(|s| s * rules::FINGER_DIRS + dir)
+            })
+            .map(|k| (k, rules::finger_point(space, center, k)))
+            .min_by(|a, b| {
+                a.1.distance_squared(target)
+                    .total_cmp(&b.1.distance_squared(target))
+            })?;
+        let known = space.region_covers(&self.region, point)
+            || self
+                .neighbors
+                .iter()
+                .any(|n| space.region_covers(&n.info.region, point))
+            || self
+                .fingers
+                .iter()
+                .any(|f| space.region_covers(&f.region, point))
+            || self.lookups.iter().any(|&(k, _)| usize::from(k) == slot);
+        if known {
+            return None;
+        }
+        let to = self
+            .express(from, point, base)
+            .or_else(|| self.next_hop(space, point, from))?;
+        self.lookups.push((slot as u8, now));
+        Some((to, point))
+    }
+
+    /// Whether the finger naming `node` is past its TTL.
+    fn expired(&self, now: u64, node: NodeId) -> bool {
+        let finger = self.fingers.iter().find(|f| f.node == node);
+        finger.is_some_and(|f| now >= f.expires)
+    }
+
+    /// A route would take the expired finger naming `node`: unless a
+    /// lookup for its slot is in flight, re-confirm it by a lookup sent to
+    /// `node` itself, which answers at once if it still owns the point and
+    /// is lost if it crashed.
+    fn reconfirm(&mut self, space: &Space, now: u64, node: NodeId) -> Option<(NodeId, Point)> {
+        let slot = self.fingers.iter().find(|f| f.node == node)?.slot;
+        if self.lookups.iter().any(|&(k, _)| k == slot) {
+            return None;
+        }
+        self.lookups.push((slot, now));
+        let point = rules::finger_point(space, self.region.center(), usize::from(slot));
+        Some((node, point))
+    }
+
+    /// An owner entry arrived: it answers every lookup in flight whose
+    /// finger point its region covers, and becomes one finger.
+    fn learn(&mut self, space: &Space, now: u64, info: &NeighborInfo) {
+        let center = self.region.center();
+        let mut answered = None;
+        self.lookups.retain(|&(k, _)| {
+            let point = rules::finger_point(space, center, usize::from(k));
+            let answers = space.region_covers(&info.region, point);
+            if answers {
+                answered = answered.or(Some(k));
+            }
+            !answers
+        });
+        let Some(slot) = answered else {
+            return;
+        };
+        let node = info.primary.id();
+        self.fingers.retain(|f| f.node != node && f.slot != slot);
+        self.fingers.push(Finger {
+            slot,
+            node,
+            region: info.region,
+            expires: now + FINGER_TTL,
+        });
     }
 
     /// Serves `query` from the local store, counting it toward the
@@ -552,10 +755,11 @@ impl NodeEngine {
             Input::Leave => self.handle_leave(),
             Input::UserQuery { query } => {
                 self.next_query_id += 1;
-                self.on_query(now, query, self.next_query_id, self.info.id(), 0, false)
+                let (me, id) = (self.info.id(), self.next_query_id);
+                self.on_query(now, me, query, id, me, 0, false)
             }
-            Input::UserPublish { record } => self.on_publish(now, record, 0),
-            Input::UserSubscribe { sub } => self.on_subscribe(now, sub, 0, false),
+            Input::UserPublish { record } => self.on_publish(now, self.info.id(), record, 0),
+            Input::UserSubscribe { sub } => self.on_subscribe(now, self.info.id(), sub, 0, false),
         }
     }
 
@@ -686,7 +890,7 @@ impl NodeEngine {
         let Some(merged) = owner.region.merge(&region) else {
             return Vec::new(); // stale request: shapes changed
         };
-        owner.region = merged;
+        owner.reshape(merged);
         owner.store.absorb(store);
         // Union the departed node's neighbor table with ours (first entry
         // per node wins); entries are re-filtered against the merged
@@ -767,6 +971,14 @@ impl NodeEngine {
                 }
             }
         }
+        let (fingers, lookups) = (&mut owner.fingers, &mut owner.lookups);
+        lookups.retain(|&(slot, sent)| {
+            let answered_in_time = now < sent + LOOKUP_TIMEOUT;
+            if !answered_in_time {
+                fingers.retain(|f| f.slot != slot);
+            }
+            answered_in_time
+        });
         if owner.role != Role::Primary {
             return effects;
         }
@@ -803,6 +1015,9 @@ impl NodeEngine {
             }
             !silent
         });
+        owner
+            .fingers
+            .retain(|f| !dead.iter().any(|d| d.primary.id() == f.node));
         // Coverage repair: a silent region whose owners (primary *and* any
         // secondary -- a live secondary would have promoted and
         // re-announced within the timeout) are gone leaves a hole in the
@@ -817,10 +1032,13 @@ impl NodeEngine {
             }
             // Ring-check before absorbing: a promoted secondary we never
             // learned about may own the region. Ask every current
-            // neighbor; absorb only if nobody knows a live owner by the
+            // neighbor, and the silent region's own secondary (its
+            // promotion announcement went to primaries that may be dead
+            // too); absorb only if nobody knows a live owner by the
             // deadline.
-            effects.extend(owner.neighbors.iter().map(|n| Effect::Send {
-                to: n.info.primary.id(),
+            let asked = owner.neighbors.iter().map(|n| n.info.primary);
+            effects.extend(asked.chain(gone.secondary).map(|to| Effect::Send {
+                to: to.id(),
                 message: Message::WhoOwns {
                     region: gone.region,
                 },
@@ -848,10 +1066,10 @@ impl NodeEngine {
             if !still_claimable {
                 continue;
             }
-            owner.region = owner
-                .region
-                .merge(&gone)
-                .expect("invariant: still_claimable re-verified the rectangles merge");
+            let merged = owner.region.merge(&gone);
+            owner.reshape(
+                merged.expect("invariant: still_claimable re-verified the rectangles merge"),
+            );
             // Growing the region only gains edge contact, so the existing
             // entries stay valid; announce the new shape.
             owner.announce(self.info, &mut effects);
@@ -1077,8 +1295,14 @@ impl NodeEngine {
     }
 
     fn handle_message(&mut self, now: u64, from: NodeId, message: Message) -> Vec<Effect> {
+        // Any message is news that its sender is alive.
+        if let State::Owner(owner) = &mut self.state {
+            for f in owner.fingers.iter_mut().filter(|f| f.node == from) {
+                f.expires = now + FINGER_TTL;
+            }
+        }
         match message {
-            Message::JoinRequest { joiner, hops } => self.on_join_request(now, joiner, hops),
+            Message::JoinRequest { joiner, hops } => self.on_join_request(now, from, joiner, hops),
             Message::JoinDirected { joiner } => self.on_join_directed(now, joiner),
             Message::Install {
                 region,
@@ -1087,24 +1311,30 @@ impl NodeEngine {
                 neighbors,
                 store,
             } => self.on_install(now, from, region, primary, secondary, neighbors, *store),
-            Message::NeighborUpdate { info } | Message::OwnerIs { info } => {
-                self.on_neighbor_update(now, info)
-            }
+            Message::NeighborUpdate { info } => self.on_neighbor_update(now, info, false),
+            Message::OwnerIs { info } => self.on_neighbor_update(now, info, true),
+            Message::Locate {
+                target,
+                reply_to,
+                hops,
+            } => self.on_locate(now, from, target, reply_to, hops),
             Message::Query {
                 query,
                 query_id,
                 reply_to,
                 hops,
                 fanout,
-            } => self.on_query(now, query, query_id, reply_to, hops, fanout),
+            } => self.on_query(now, from, query, query_id, reply_to, hops, fanout),
             Message::QueryReply { query_id, records } => {
                 vec![Effect::Client(ClientEvent::QueryResults {
                     query_id,
                     records,
                 })]
             }
-            Message::Publish { record, hops } => self.on_publish(now, record, hops),
-            Message::Subscribe { sub, hops, fanout } => self.on_subscribe(now, sub, hops, fanout),
+            Message::Publish { record, hops } => self.on_publish(now, from, record, hops),
+            Message::Subscribe { sub, hops, fanout } => {
+                self.on_subscribe(now, from, sub, hops, fanout)
+            }
             Message::Notify { record } => {
                 vec![Effect::Client(ClientEvent::Notified { record })]
             }
@@ -1145,15 +1375,27 @@ impl NodeEngine {
         }
     }
 
-    fn on_join_request(&mut self, now: u64, joiner: NodeInfo, hops: u32) -> Vec<Effect> {
-        let State::Owner(owner) = &self.state else {
+    fn on_join_request(
+        &mut self,
+        now: u64,
+        from: NodeId,
+        joiner: NodeInfo,
+        hops: u32,
+    ) -> Vec<Effect> {
+        let State::Owner(owner) = &mut self.state else {
             return Vec::new(); // not an owner: drop (bootstrap servers
                                // hand out owner nodes as entries)
         };
         // Either dual peer places a joiner: both hold the neighbor table
         // the placement probe reads.
-        if let Route::Forward(next) = owner.route(&self.space, joiner.coord(), hops, false) {
-            return forward(next, |hops| Message::JoinRequest { joiner, hops });
+        if let Route::Forward(next, lookup) =
+            owner.route(&self.space, now, from, joiner.coord(), hops, false)
+        {
+            let me = self.info.id();
+            return forward(me, next, lookup, |hops| Message::JoinRequest {
+                joiner,
+                hops,
+            });
         }
         match self.config.mode {
             EngineMode::Basic => self.split_and_place(now, joiner),
@@ -1200,7 +1442,7 @@ impl NodeEngine {
         let (kept, given) = if keep_low { (low, high) } else { (high, low) };
         let given_store = owner.store.split_for(&kept, &given);
         let heir = owner.peer.take().unwrap_or(joiner);
-        owner.region = kept;
+        owner.reshape(kept);
         owner.role = Role::Primary;
         owner.last_peer_seen = 0;
 
@@ -1309,13 +1551,48 @@ impl NodeEngine {
         effects
     }
 
-    fn on_neighbor_update(&mut self, now: u64, info: NeighborInfo) -> Vec<Effect> {
+    /// A routing entry arrived: a neighbor's announcement, or an
+    /// [`Message::OwnerIs`] answer, which may also answer a finger lookup.
+    fn on_neighbor_update(&mut self, now: u64, info: NeighborInfo, answer: bool) -> Vec<Effect> {
         if let State::Owner(owner) = &mut self.state {
             if info.primary.id() != self.info.id() {
+                if answer {
+                    owner.learn(&self.space, now, &info);
+                }
                 owner.upsert_neighbor(info, now, None);
             }
         }
         Vec::new()
+    }
+
+    /// A finger lookup: routed like a query; the primary covering its
+    /// point answers with its own entry.
+    fn on_locate(
+        &mut self,
+        now: u64,
+        from: NodeId,
+        target: Point,
+        reply_to: NodeId,
+        hops: u32,
+    ) -> Vec<Effect> {
+        let State::Owner(owner) = &mut self.state else {
+            return Vec::new();
+        };
+        let me = self.info.id();
+        match owner.route(&self.space, now, from, target, hops, true) {
+            Route::Forward(next, lookup) => forward(me, next, lookup, |hops| Message::Locate {
+                target,
+                reply_to,
+                hops,
+            }),
+            Route::Execute if reply_to == me => Vec::new(),
+            Route::Execute => vec![Effect::Send {
+                to: reply_to,
+                message: Message::OwnerIs {
+                    info: owner.self_entry(self.info),
+                },
+            }],
+        }
     }
 
     fn on_heartbeat(
@@ -1353,9 +1630,11 @@ impl NodeEngine {
         Vec::new()
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn on_query(
         &mut self,
         now: u64,
+        from: NodeId,
         query: LocationQuery,
         query_id: u64,
         reply_to: NodeId,
@@ -1383,8 +1662,11 @@ impl NodeEngine {
             }
             return effects;
         }
-        if let Route::Forward(next) = owner.route(&self.space, query.target(), hops, true) {
-            return forward(next, |hops| Message::Query {
+        let me = self.info.id();
+        if let Route::Forward(next, lookup) =
+            owner.route(&self.space, now, from, query.target(), hops, true)
+        {
+            return forward(me, next, lookup, |hops| Message::Query {
                 query,
                 query_id,
                 reply_to,
@@ -1411,14 +1693,22 @@ impl NodeEngine {
         effects
     }
 
-    fn on_publish(&mut self, now: u64, record: LocationRecord, hops: u32) -> Vec<Effect> {
+    fn on_publish(
+        &mut self,
+        now: u64,
+        from: NodeId,
+        record: LocationRecord,
+        hops: u32,
+    ) -> Vec<Effect> {
         let State::Owner(owner) = &mut self.state else {
             return Vec::new();
         };
-        if let Route::Forward(next) = owner.route(&self.space, record.position(), hops, true) {
-            return forward(next, |hops| Message::Publish { record, hops });
-        }
         let me = self.info.id();
+        if let Route::Forward(next, lookup) =
+            owner.route(&self.space, now, from, record.position(), hops, true)
+        {
+            return forward(me, next, lookup, |hops| Message::Publish { record, hops });
+        }
         let notified = owner.store.publish(record.clone(), now);
         owner.served += 1.0;
         let mut effects: Vec<Effect> = Vec::new();
@@ -1453,6 +1743,7 @@ impl NodeEngine {
     fn on_subscribe(
         &mut self,
         now: u64,
+        from: NodeId,
         sub: Subscription,
         hops: u32,
         fanout: bool,
@@ -1463,9 +1754,11 @@ impl NodeEngine {
         // Fan-out copies are addressed to the primaries of overlapping
         // regions, so only the routed copy takes the forwarding step.
         if !fanout {
-            if let Route::Forward(next) = owner.route(&self.space, sub.area().center(), hops, true)
+            let (me, target) = (self.info.id(), sub.area().center());
+            if let Route::Forward(next, lookup) =
+                owner.route(&self.space, now, from, target, hops, true)
             {
-                return forward(next, |hops| Message::Subscribe {
+                return forward(me, next, lookup, |hops| Message::Subscribe {
                     sub,
                     hops,
                     fanout: false,
@@ -1520,6 +1813,15 @@ mod tests {
         )
     }
 
+    fn msg(from: NodeId, message: Message) -> Input {
+        Input::Message { from, message }
+    }
+
+    /// `joiner`'s own join request, fresh.
+    fn join_request(joiner: NodeInfo) -> Input {
+        msg(joiner.id(), Message::JoinRequest { joiner, hops: 0 })
+    }
+
     fn sends(effects: &[Effect]) -> Vec<(NodeId, &Message)> {
         effects
             .iter()
@@ -1528,6 +1830,32 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    /// Hands each `(recipient, input)` to its engine among `engines` at
+    /// tick `now`, and every message they send in turn, until none is left.
+    /// Returns the messages sent to nodes outside `engines`.
+    fn exchange(
+        engines: &mut [NodeEngine],
+        now: u64,
+        mut inbox: Vec<(NodeId, Input)>,
+    ) -> Vec<(NodeId, Message)> {
+        let mut outside = Vec::new();
+        while let Some((at, input)) = inbox.pop() {
+            let Some(e) = engines.iter_mut().find(|e| e.info().id() == at) else {
+                if let Input::Message { message, .. } = input {
+                    outside.push((at, message));
+                }
+                continue;
+            };
+            let from = e.info().id();
+            for effect in e.handle(now, input) {
+                if let Effect::Send { to, message } = effect {
+                    inbox.push((to, Input::Message { from, message }));
+                }
+            }
+        }
+        outside
     }
 
     /// Seats `e` as the primary of `region`.
@@ -1566,13 +1894,7 @@ mod tests {
         let mut first = engine(node(1, 10.0, 10.0, 10.0), EngineMode::Basic);
         first.handle(0, Input::BootstrapAsFirst);
         let joiner = node(2, 50.0, 50.0, 10.0);
-        let fx = first.handle(
-            1,
-            Input::Message {
-                from: joiner.id(),
-                message: Message::JoinRequest { joiner, hops: 0 },
-            },
-        );
+        let fx = first.handle(1, join_request(joiner));
         let sent = sends(&fx);
         let split = sent
             .iter()
@@ -1613,13 +1935,7 @@ mod tests {
         let mut first = engine(node(1, 10.0, 10.0, 10.0), EngineMode::DualPeer);
         first.handle(0, Input::BootstrapAsFirst);
         let joiner = node(2, 50.0, 50.0, 5.0);
-        let fx = first.handle(
-            1,
-            Input::Message {
-                from: joiner.id(),
-                message: Message::JoinRequest { joiner, hops: 0 },
-            },
-        );
+        let fx = first.handle(1, join_request(joiner));
         let sent = sends(&fx);
         assert!(sent.iter().any(|(to, m)| {
             *to == joiner.id()
@@ -1635,13 +1951,7 @@ mod tests {
         let mut first = engine(node(1, 10.0, 10.0, 10.0), EngineMode::DualPeer);
         first.handle(0, Input::BootstrapAsFirst);
         let joiner = node(2, 50.0, 50.0, 1000.0);
-        let fx = first.handle(
-            1,
-            Input::Message {
-                from: joiner.id(),
-                message: Message::JoinRequest { joiner, hops: 0 },
-            },
-        );
+        let fx = first.handle(1, join_request(joiner));
         assert_eq!(first.owner_view().unwrap().role, Role::Secondary);
         let sent = sends(&fx);
         assert!(sent.iter().any(|(to, m)| {
@@ -1661,13 +1971,7 @@ mod tests {
         let joiner = node(2, 50.0, 50.0, 1000.0);
         let mut first = engine(old_owner, EngineMode::DualPeer);
         first.handle(0, Input::BootstrapAsFirst);
-        let fx = first.handle(
-            1,
-            Input::Message {
-                from: joiner.id(),
-                message: Message::JoinRequest { joiner, hops: 0 },
-            },
-        );
+        let fx = first.handle(1, join_request(joiner));
         let handoff = sends(&fx)
             .into_iter()
             .find_map(|(to, m)| (to == joiner.id()).then(|| m.clone()))
@@ -1679,13 +1983,7 @@ mod tests {
                 entry: old_owner.id(),
             },
         );
-        second.handle(
-            2,
-            Input::Message {
-                from: old_owner.id(),
-                message: handoff,
-            },
-        );
+        second.handle(2, msg(old_owner.id(), handoff));
         let view = second.owner_view().unwrap();
         assert_eq!(view.role, Role::Primary);
         assert_eq!(view.peer, Some(old_owner));
@@ -1736,16 +2034,15 @@ mod tests {
                     hops: 4,
                     fanout: false,
                 },
+                Message::Locate {
+                    target,
+                    reply_to: asker,
+                    hops: 4,
+                },
             ];
             for message in routed {
                 let kind = message.kind();
-                let fx = e.handle(
-                    1,
-                    Input::Message {
-                        from: asker,
-                        message,
-                    },
-                );
+                let fx = e.handle(1, msg(asker, message));
                 let sent = sends(&fx);
                 assert_eq!(sent.len(), 1, "{kind} toward {target:?}: {fx:?}");
                 let (to, forwarded) = sent[0];
@@ -1758,6 +2055,7 @@ mod tests {
                             | Message::Query { hops: 5, .. }
                             | Message::Publish { hops: 5, .. }
                             | Message::Subscribe { hops: 5, .. }
+                            | Message::Locate { hops: 5, .. }
                     ),
                     "{kind}: hop count not advanced in {forwarded:?}"
                 );
@@ -1770,27 +2068,9 @@ mod tests {
         let mut first = engine(node(1, 10.0, 10.0, 10.0), EngineMode::DualPeer);
         first.handle(0, Input::BootstrapAsFirst);
         let second = node(2, 50.0, 50.0, 5.0);
-        first.handle(
-            1,
-            Input::Message {
-                from: second.id(),
-                message: Message::JoinRequest {
-                    joiner: second,
-                    hops: 0,
-                },
-            },
-        );
+        first.handle(1, join_request(second));
         let third = node(3, 40.0, 40.0, 5.0);
-        let fx = first.handle(
-            2,
-            Input::Message {
-                from: third.id(),
-                message: Message::JoinRequest {
-                    joiner: third,
-                    hops: 0,
-                },
-            },
-        );
+        let fx = first.handle(2, join_request(third));
         let sent = sends(&fx);
         // The peer receives the other half.
         assert!(sent
@@ -1821,13 +2101,7 @@ mod tests {
             vec![sliver, north],
         );
         let joiner = node(4, 12.0, 12.0, 3.0);
-        let fx = e.handle(
-            1,
-            Input::Message {
-                from: joiner.id(),
-                message: Message::JoinRequest { joiner, hops: 0 },
-            },
-        );
+        let fx = e.handle(1, join_request(joiner));
         let sent = sends(&fx);
         assert_eq!(sent.len(), 1, "{fx:?}");
         assert_eq!(sent[0].0, NodeId::new(3));
@@ -1899,16 +2173,16 @@ mod tests {
         // Install as secondary directly.
         e.handle(
             0,
-            Input::Message {
-                from: NodeId::new(1),
-                message: Message::Install {
+            msg(
+                NodeId::new(1),
+                Message::Install {
                     region: Space::paper_evaluation().bounds(),
                     primary: node(1, 10.0, 10.0, 10.0),
                     secondary: Some(e.info()),
                     neighbors: Vec::new(),
                     store: Box::new(RegionStore::new()),
                 },
-            },
+            ),
         );
         assert_eq!(e.owner_view().unwrap().role, Role::Secondary);
         // Heartbeats keep it secondary.
@@ -1929,19 +2203,251 @@ mod tests {
         let mut e = engine(node(1, 10.0, 10.0, 10.0), EngineMode::DualPeer);
         e.handle(0, Input::BootstrapAsFirst);
         let joiner = node(2, 50.0, 50.0, 5.0);
-        e.handle(
-            1,
-            Input::Message {
-                from: joiner.id(),
-                message: Message::JoinRequest { joiner, hops: 0 },
-            },
-        );
+        e.handle(1, join_request(joiner));
         assert!(e.owner_view().unwrap().peer.is_some());
         let fx = e.handle(10_000, Input::Tick);
         assert!(e.owner_view().unwrap().peer.is_none());
         assert!(fx
             .iter()
             .any(|f| matches!(f, Effect::Client(ClientEvent::PeerLost { .. }))));
+    }
+
+    #[test]
+    fn double_promotion_does_not_fork_the_west_half() {
+        // Two side-by-side full regions lose both primaries at once. Both
+        // secondaries promote and announce to the other region's dead
+        // primary, so neither learns of the other; when the west one
+        // times out the east entry, its ring-check must reach the east
+        // secondary, or it absorbs the east half on top of it.
+        let (west, east) = (
+            Region::new(0.0, 0.0, 32.0, 64.0),
+            Region::new(32.0, 0.0, 32.0, 64.0),
+        );
+        let (dead_w, dead_e) = (node(1, 10.0, 10.0, 10.0), node(2, 50.0, 10.0, 10.0));
+        let (sw, se) = (node(3, 10.0, 50.0, 10.0), node(4, 50.0, 50.0, 10.0));
+        let mut engines = [sw, se].map(|n| engine(n, EngineMode::DualPeer));
+        let seats = [
+            (west, dead_w, sw, east, dead_e, se),
+            (east, dead_e, se, west, dead_w, sw),
+        ];
+        for (e, (region, primary, me, other, other_primary, other_secondary)) in
+            engines.iter_mut().zip(seats)
+        {
+            let neighbor = NeighborInfo {
+                primary: other_primary,
+                secondary: Some(other_secondary),
+                region: other,
+            };
+            let message = Message::Install {
+                region,
+                primary,
+                secondary: Some(me),
+                neighbors: vec![neighbor],
+                store: Box::new(RegionStore::new()),
+            };
+            e.handle(0, msg(primary.id(), message));
+        }
+        // Tick both for four seconds, delivering their messages to each
+        // other at once; sends to the dead primaries are lost.
+        for now in (100..=4_000).step_by(100) {
+            let ticks = engines.iter().map(|e| (e.info().id(), Input::Tick));
+            let ticks = ticks.collect();
+            exchange(&mut engines, now, ticks);
+        }
+        let [w, e] = engines.map(|e| e.owner_view().expect("both still own"));
+        assert_eq!((w.role, e.role), (Role::Primary, Role::Primary));
+        assert_eq!((w.region, e.region), (west, east), "the west half forked");
+        assert!(w.neighbors.iter().any(|n| n.primary.id() == se.id()));
+    }
+
+    /// An entry for `region`, its primary at the center.
+    fn entry(id: u64, region: Region) -> NeighborInfo {
+        let c = region.center();
+        NeighborInfo::new(node(id, c.x, c.y, 10.0), region)
+    }
+
+    /// The primary of `region` with the given neighbors.
+    fn owner_of(id: u64, region: Region, neighbors: Vec<NeighborInfo>) -> NodeEngine {
+        let info = entry(id, region).primary;
+        let mut e = engine(info, EngineMode::Basic);
+        install(&mut e, region, None, neighbors);
+        e
+    }
+
+    fn square(x: f64, y: f64, side: f64) -> Region {
+        Region::new(x, y, side, side)
+    }
+
+    /// The south-west corner square's owner (node 1), beside node 2 to
+    /// the east and node 3 to the north; the express gate is 16 miles.
+    fn corner_owner() -> NodeEngine {
+        let table = vec![
+            entry(2, square(4.0, 0.0, 4.0)),
+            entry(3, square(0.0, 4.0, 4.0)),
+        ];
+        owner_of(1, square(0.0, 0.0, 4.0), table)
+    }
+
+    /// A query toward `target` from client node 77, one hop in.
+    fn query_to(target: Point, query_id: u64) -> Input {
+        let query = LocationQuery::circular(target, 0.1, NodeId::new(77));
+        let (reply_to, hops, fanout) = (NodeId::new(77), 1, false);
+        msg(
+            reply_to,
+            Message::Query {
+                query,
+                query_id,
+                reply_to,
+                hops,
+                fanout,
+            },
+        )
+    }
+
+    /// Where each send of `effects` goes, and its kind.
+    fn sent_kinds(effects: &[Effect]) -> Vec<(u64, &'static str)> {
+        sends(effects)
+            .into_iter()
+            .map(|(to, m)| (to.as_u64(), m.kind()))
+            .collect()
+    }
+
+    /// Far from the corner owner: inside the south-east corner square.
+    const FAR: Point = Point { x: 60.0, y: 2.0 };
+
+    /// Routes a far query through the corner owner `e` and answers the
+    /// finger lookup it sends with `answer`.
+    fn learn_finger(e: &mut NodeEngine, now: u64, answer: NeighborInfo) {
+        learn_finger_from(e, now, 2, answer);
+    }
+
+    /// Routes a far query through `e`, which sends it and a finger lookup
+    /// greedily to neighbor `next`, and answers the lookup with `answer`.
+    fn learn_finger_from(e: &mut NodeEngine, now: u64, next: u64, answer: NeighborInfo) {
+        let fx = e.handle(now, query_to(FAR, now));
+        let greedy = [(next, "query"), (next, "locate")];
+        assert_eq!(sent_kinds(&fx), greedy, "greedy, and a lookup");
+        let Message::Locate { target, .. } = sends(&fx)[1].1 else {
+            unreachable!()
+        };
+        assert!(Space::paper_evaluation().region_covers(&answer.region, *target));
+        e.handle(
+            now,
+            msg(answer.primary.id(), Message::OwnerIs { info: answer }),
+        );
+    }
+
+    #[test]
+    fn a_far_target_takes_the_learned_finger_and_a_near_one_stays_greedy() {
+        let mut e = corner_owner();
+        learn_finger(&mut e, 1_000, entry(9, square(56.0, 0.0, 8.0)));
+        let fx = e.handle(2_000, query_to(FAR, 2));
+        assert_eq!(sent_kinds(&fx), [(9, "query")]);
+        assert!(matches!(sends(&fx)[0].1, Message::Query { hops: 2, .. }));
+        // Within the gate: greedy, and no lookup.
+        for (i, x) in [10.0, 19.9].into_iter().enumerate() {
+            let fx = e.handle(2_000, query_to(Point::new(x, 2.0), 3 + i as u64));
+            assert_eq!(sent_kinds(&fx), [(2, "query")], "target x = {x}");
+        }
+    }
+
+    #[test]
+    fn a_crashed_finger_is_reconfirmed_past_its_ttl_then_dropped_and_learned_again() {
+        // Node 9 owned the far corner square when node 1 looked it up, and
+        // has crashed since: within the TTL each express hop to it is one
+        // lost request, never a loop. Past it, the route goes greedy and
+        // re-confirms the finger with node 9 itself; that lookup is never
+        // answered, so its timeout drops the finger, and the next far route
+        // looks the square up again and finds node 10, its new owner.
+        let (square_se, expiry) = (square(56.0, 0.0, 8.0), 1_000 + FINGER_TTL);
+        let mut e = corner_owner();
+        learn_finger(&mut e, 1_000, entry(9, square_se));
+        let fx = e.handle(expiry - 1, query_to(FAR, 1));
+        assert_eq!(sent_kinds(&fx), [(9, "query")]);
+        let fx = e.handle(expiry, query_to(FAR, 2));
+        assert_eq!(sent_kinds(&fx), [(2, "query"), (9, "locate")]);
+        let fx = e.handle(expiry, query_to(FAR, 3));
+        assert_eq!(sent_kinds(&fx), [(2, "query")], "one lookup in flight");
+        let timeout = expiry + LOOKUP_TIMEOUT;
+        e.handle(timeout, Input::Tick);
+        learn_finger(&mut e, timeout, entry(10, square_se));
+        let fx = e.handle(timeout, query_to(FAR, 4));
+        assert_eq!(sent_kinds(&fx), [(10, "query")]);
+    }
+
+    #[test]
+    fn a_live_finger_is_reconfirmed_by_its_node_or_kept_by_its_messages() {
+        let (far, expiry) = (entry(9, square(56.0, 0.0, 8.0)), 1_000 + FINGER_TTL);
+        let mut e = corner_owner();
+        learn_finger(&mut e, 1_000, far.clone());
+        let fx = e.handle(expiry, query_to(FAR, 1));
+        assert_eq!(sent_kinds(&fx), [(2, "query"), (9, "locate")]);
+        e.handle(expiry, msg(NodeId::new(9), Message::OwnerIs { info: far }));
+        let fx = e.handle(expiry, query_to(FAR, 2));
+        assert_eq!(sent_kinds(&fx), [(9, "query")]);
+        // Any message from node 9 is news that it is alive.
+        let (heard, records) = (expiry + FINGER_TTL - 1, Vec::new());
+        let reply = Message::QueryReply {
+            query_id: 0,
+            records,
+        };
+        e.handle(heard, msg(NodeId::new(9), reply));
+        let fx = e.handle(expiry + FINGER_TTL, query_to(FAR, 3));
+        assert_eq!(sent_kinds(&fx), [(9, "query")]);
+    }
+
+    #[test]
+    fn a_stale_finger_still_delivers_and_never_bounces() {
+        // Node 9 owned the far corner square when node 1 looked it up.
+        let learned = || {
+            let mut e = corner_owner();
+            learn_finger(&mut e, 1_000, entry(9, square(56.0, 0.0, 8.0)));
+            e
+        };
+        // It has since split, keeping the north half: it hands the query
+        // on to node 10, the real owner.
+        let (north, south) = (
+            Region::new(56.0, 4.0, 8.0, 4.0),
+            Region::new(56.0, 0.0, 8.0, 4.0),
+        );
+        let mut engines = [
+            learned(),
+            owner_of(9, north, vec![entry(10, south)]),
+            owner_of(10, south, vec![entry(9, north)]),
+        ];
+        let outside = exchange(
+            &mut engines,
+            2_000,
+            vec![(NodeId::new(1), query_to(FAR, 7))],
+        );
+        assert!(
+            matches!(outside.as_slice(), [(to, Message::QueryReply { query_id: 7, .. })] if to.as_u64() == 77),
+            "{outside:?}"
+        );
+        // Or it moved to the north-west corner, and its own, true, finger
+        // for the far square points back at node 1, which the query just
+        // came from: node 9 does not hand it back, but on to a neighbor.
+        let table = vec![
+            entry(5, square(4.0, 60.0, 4.0)),
+            entry(6, square(0.0, 56.0, 4.0)),
+        ];
+        let mut moved = owner_of(9, square(0.0, 60.0, 4.0), table);
+        let a = learned();
+        let own = a.owner_view().expect("owns").region;
+        learn_finger_from(&mut moved, 1_000, 6, entry(1, own));
+        let outside = exchange(
+            &mut [a, moved],
+            2_000,
+            vec![(NodeId::new(1), query_to(FAR, 7))],
+        );
+        let queries: Vec<_> = outside
+            .iter()
+            .filter(|(_, m)| matches!(m, Message::Query { .. }))
+            .collect();
+        assert!(
+            matches!(queries.as_slice(), [(to, Message::Query { hops: 3, .. })] if to.as_u64() == 6),
+            "{outside:?}"
+        );
     }
 
     #[test]
@@ -1960,10 +2466,7 @@ mod tests {
             NeighborInfo::new(node(5, 1.0, 40.0, 10.0), Region::new(0.0, 32.0, 32.0, 32.0));
         e.handle(
             2,
-            Input::Message {
-                from: NodeId::new(5),
-                message: Message::NeighborUpdate { info: touching },
-            },
+            msg(NodeId::new(5), Message::NeighborUpdate { info: touching }),
         );
         assert_eq!(e.owner_view().unwrap().neighbors.len(), 1);
         // Non-touching replacement for the same node is dropped entirely.
@@ -1973,10 +2476,7 @@ mod tests {
         );
         e.handle(
             3,
-            Input::Message {
-                from: NodeId::new(5),
-                message: Message::NeighborUpdate { info: far },
-            },
+            msg(NodeId::new(5), Message::NeighborUpdate { info: far }),
         );
         assert_eq!(e.owner_view().unwrap().neighbors.len(), 0);
     }
@@ -2009,16 +2509,16 @@ mod tests {
         for i in 0..queries {
             e.handle(
                 from_tick + i as u64,
-                Input::Message {
-                    from: NodeId::new(50),
-                    message: Message::Query {
+                msg(
+                    NodeId::new(50),
+                    Message::Query {
                         query: LocationQuery::new(Region::new(5.0, 5.0, 1.0, 1.0), NodeId::new(50)),
                         query_id: 1,
                         reply_to: NodeId::new(50),
                         hops: 1,
                         fanout: false,
                     },
-                },
+                ),
             );
         }
         let interval = e.config().heartbeat_interval;
@@ -2032,22 +2532,22 @@ mod tests {
             for n in &neighbors {
                 e.handle(
                     now - 1,
-                    Input::Message {
-                        from: n.primary.id(),
-                        message: Message::Heartbeat {
+                    msg(
+                        n.primary.id(),
+                        Message::Heartbeat {
                             info: n.clone(),
                             index: 0.0,
                         },
-                    },
+                    ),
                 );
             }
             // Keep the dual peer alive across the synthetic time jump.
             if let Some(peer) = peer {
                 e.handle(
                     now - 1,
-                    Input::Message {
-                        from: peer.id(),
-                        message: Message::Heartbeat {
+                    msg(
+                        peer.id(),
+                        Message::Heartbeat {
                             info: NeighborInfo {
                                 primary: e.info(),
                                 secondary: Some(peer),
@@ -2055,7 +2555,7 @@ mod tests {
                             },
                             index: 0.0,
                         },
-                    },
+                    ),
                 );
             }
             out = e.handle(now, Input::Tick);
@@ -2069,13 +2569,13 @@ mod tests {
         // Report the neighbor as idle.
         e.handle(
             1,
-            Input::Message {
-                from: NodeId::new(7),
-                message: Message::Heartbeat {
+            msg(
+                NodeId::new(7),
+                Message::Heartbeat {
                     info: north_entry(10.0, Some(100.0)),
                     index: 0.0,
                 },
-            },
+            ),
         );
         let fx = drive_load(&mut e, 20, 2);
         let steal = sends(&fx).iter().any(|(to, m)| {
@@ -2090,13 +2590,13 @@ mod tests {
         let mut e = south_owner(50.0, north_entry(10.0, Some(5.0)));
         e.handle(
             1,
-            Input::Message {
-                from: NodeId::new(7),
-                message: Message::Heartbeat {
+            msg(
+                NodeId::new(7),
+                Message::Heartbeat {
                     info: north_entry(10.0, Some(5.0)),
                     index: 0.0,
                 },
-            },
+            ),
         );
         let fx = drive_load(&mut e, 20, 2);
         assert!(
@@ -2114,24 +2614,15 @@ mod tests {
         let mut donor = engine(node(7, 10.0, 50.0, 10.0), EngineMode::DualPeer);
         donor.handle(0, Input::BootstrapAsFirst);
         let strong = node(8, 12.0, 52.0, 5.0);
-        donor.handle(
-            1,
-            Input::Message {
-                from: strong.id(),
-                message: Message::JoinRequest {
-                    joiner: strong,
-                    hops: 0,
-                },
-            },
-        );
+        donor.handle(1, join_request(strong));
         assert!(donor.owner_view().unwrap().peer.is_some());
         // The secondary confirms itself with a heartbeat (an unconfirmed
         // peer is never granted away).
         donor.handle(
             2,
-            Input::Message {
-                from: strong.id(),
-                message: Message::Heartbeat {
+            msg(
+                strong.id(),
+                Message::Heartbeat {
                     info: NeighborInfo {
                         primary: node(7, 10.0, 50.0, 10.0),
                         secondary: Some(strong),
@@ -2139,19 +2630,19 @@ mod tests {
                     },
                     index: 0.0,
                 },
-            },
+            ),
         );
         // A hot, weaker requester is granted.
         let fx = donor.handle(
             3,
-            Input::Message {
-                from: NodeId::new(1),
-                message: Message::StealSecondaryRequest {
+            msg(
+                NodeId::new(1),
+                Message::StealSecondaryRequest {
                     requester: node(1, 10.0, 10.0, 1.0),
                     index: 5.0,
                     swap: false,
                 },
-            },
+            ),
         );
         assert!(sends(&fx).iter().any(|(to, m)| *to == NodeId::new(1)
             && matches!(m, Message::StealSecondaryGrant { secondary, .. } if secondary.id() == strong.id())));
@@ -2162,14 +2653,14 @@ mod tests {
         // A second request must be denied (no secondary left).
         let fx = donor.handle(
             3,
-            Input::Message {
-                from: NodeId::new(2),
-                message: Message::StealSecondaryRequest {
+            msg(
+                NodeId::new(2),
+                Message::StealSecondaryRequest {
                     requester: node(2, 11.0, 11.0, 1.0),
                     index: 5.0,
                     swap: false,
                 },
-            },
+            ),
         );
         assert!(sends(&fx)
             .iter()
@@ -2181,28 +2672,19 @@ mod tests {
         let mut donor = engine(node(7, 10.0, 50.0, 10.0), EngineMode::DualPeer);
         donor.handle(0, Input::BootstrapAsFirst);
         let strong = node(8, 12.0, 52.0, 5.0);
-        donor.handle(
-            1,
-            Input::Message {
-                from: strong.id(),
-                message: Message::JoinRequest {
-                    joiner: strong,
-                    hops: 0,
-                },
-            },
-        );
+        donor.handle(1, join_request(strong));
         // Make the donor hot.
         drive_load(&mut donor, 50, 2);
         let fx = donor.handle(
             100_000,
-            Input::Message {
-                from: NodeId::new(1),
-                message: Message::StealSecondaryRequest {
+            msg(
+                NodeId::new(1),
+                Message::StealSecondaryRequest {
                     requester: node(1, 10.0, 10.0, 1.0),
                     index: 0.001, // cooler than the donor
                     swap: false,
                 },
-            },
+            ),
         );
         assert!(sends(&fx)
             .iter()
@@ -2219,26 +2701,26 @@ mod tests {
         // Pretend we asked already (set in-flight through the real path).
         e.handle(
             1,
-            Input::Message {
-                from: NodeId::new(7),
-                message: Message::Heartbeat {
+            msg(
+                NodeId::new(7),
+                Message::Heartbeat {
                     info: north_entry(10.0, Some(100.0)),
                     index: 0.0,
                 },
-            },
+            ),
         );
         drive_load(&mut e, 20, 2);
         let stolen = node(8, 12.0, 52.0, 100.0);
         let fx = e.handle(
             50_000,
-            Input::Message {
-                from: NodeId::new(7),
-                message: Message::StealSecondaryGrant {
+            msg(
+                NodeId::new(7),
+                Message::StealSecondaryGrant {
                     secondary: stolen,
                     donor_region: Region::new(0.0, 32.0, 64.0, 32.0),
                     swap: false,
                 },
-            },
+            ),
         );
         // The stolen node receives the region with us as its secondary.
         let handed = sends(&fx).iter().any(|(to, m)| {
@@ -2262,16 +2744,16 @@ mod tests {
         let neighbors = vec![north_entry(10.0, None)];
         let fx = e.handle(
             5,
-            Input::Message {
-                from: NodeId::new(1),
-                message: Message::Install {
+            msg(
+                NodeId::new(1),
+                Message::Install {
                     region,
                     primary: e.info(),
                     secondary: Some(node(1, 10.0, 10.0, 1.0)),
                     neighbors,
                     store: Box::new(RegionStore::new()),
                 },
-            },
+            ),
         );
         let view = e.owner_view().unwrap();
         assert_eq!(view.role, Role::Primary);
@@ -2288,26 +2770,20 @@ mod tests {
         let mut e = south_owner(1.0, north_entry(10.0, Some(100.0)));
         e.handle(
             1,
-            Input::Message {
-                from: NodeId::new(7),
-                message: Message::Heartbeat {
+            msg(
+                NodeId::new(7),
+                Message::Heartbeat {
                     info: north_entry(10.0, Some(100.0)),
                     index: 0.0,
                 },
-            },
+            ),
         );
         let fx = drive_load(&mut e, 20, 2);
         assert!(sends(&fx)
             .iter()
             .any(|(_, m)| matches!(m, Message::StealSecondaryRequest { .. })));
         // Deny, keep the node hot: the next window must retry.
-        e.handle(
-            60_000,
-            Input::Message {
-                from: NodeId::new(7),
-                message: Message::StealSecondaryDeny,
-            },
-        );
+        e.handle(60_000, msg(NodeId::new(7), Message::StealSecondaryDeny));
         let fx = drive_load(&mut e, 20, 70_000);
         assert!(
             sends(&fx)

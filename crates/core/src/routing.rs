@@ -56,14 +56,15 @@
 //! same engine as a two-phase route:
 //!
 //! 1. **Express descent** — while the remaining distance exceeds both the
-//!    finger floor ([`Topology::finger_base`](crate::Topology::finger_base)) and [`EXPRESS_ENGAGE`]
+//!    finger floor ([`rules::finger_base`]) and [`EXPRESS_ENGAGE`](rules::EXPRESS_ENGAGE)
 //!    current-region diameters, follow the best finger that cuts the
-//!    remaining rectangle distance to at most [`EXPRESS_DECAY`]× — but
+//!    remaining rectangle distance to at most [`EXPRESS_DECAY`](rules::EXPRESS_DECAY)× — but
 //!    only when that finger strictly beats every immediate neighbor's
 //!    greedy key, so the express phase never takes a hop plain greedy
 //!    would have bettered. Each hop shrinks the distance geometrically,
 //!    giving `O(log N)` express hops; no visited marks are needed (or
-//!    written) because the decay makes loops impossible.
+//!    written) because the decay makes loops impossible. The decision is
+//!    [`rules::express`], which the engine's forwarding step also calls.
 //! 2. **Last mile** — hand off to the unmodified greedy walk, which is
 //!    hop-for-hop identical to [`route_uncached`] from the handoff region
 //!    ([`RouteScratch::express_prefix`] marks the boundary in the trace).
@@ -73,8 +74,9 @@ use std::collections::HashSet;
 use geogrid_geometry::{Point, Region};
 use rand::SeedableRng;
 
+use crate::rules::{self, EXPRESS_MAX_HOPS, FINGER_COUNT};
 use crate::snapshot::TopologyView;
-use crate::topology::{FINGER_COUNT, FINGER_NONE};
+use crate::topology::FINGER_NONE;
 use crate::{CoreError, RegionId};
 
 /// The result of routing a request to its executor region.
@@ -93,28 +95,6 @@ impl RoutePath {
         self.hops.len().saturating_sub(1)
     }
 }
-
-/// Express qualification: a finger may be followed only if it cuts the
-/// remaining rectangle distance to at most this fraction. Guarantees
-/// geometric decay (so the express phase is loop-free and `O(log N)`
-/// hops) and keeps marginal fingers from displacing a greedy hop that
-/// would have made the same progress. Must exceed `sin 45° ≈ 0.707`: the
-/// fingers are axial, so a perfectly diagonal target can only shed that
-/// fraction per jump along the better axis.
-pub const EXPRESS_DECAY: f64 = 0.75;
-
-/// Express engagement gate: the remaining distance must exceed this many
-/// current-region diameters before a finger is considered. Within a few
-/// diameters the target is a couple of greedy hops away and *any* express
-/// detour risks costing more hops than plain greedy saves — that near
-/// field is exactly the regime the paper's mesh walk is optimal in.
-pub const EXPRESS_ENGAGE: f64 = 4.0;
-
-/// Safety cap on express hops per query. The decay bound alone caps the
-/// phase at `log(space/floor) / log(1/EXPRESS_DECAY)` ≈ 35 hops; this is
-/// a backstop against float-edge stagnation, after which the route simply
-/// hands off to greedy early.
-const EXPRESS_MAX_HOPS: usize = 64;
 
 /// Reusable routing state: visited stamps and hop/candidate buffers,
 /// nothing that outlives a query's answer. [`Router`] owns one. See the
@@ -404,15 +384,8 @@ fn greedy_loop<V: TopologyView + ?Sized>(
 }
 
 /// The express decision at `current` toward `target`: the finger to
-/// follow, or `None` to hand off to the greedy walk. A finger qualifies
-/// when it cuts the remaining rectangle distance to at most
-/// [`EXPRESS_DECAY`]× (geometric decay — the express phase cannot loop),
-/// and the best qualified finger is followed only when its greedy key
-/// `(closest-point distance, center distance, id)` strictly beats every
-/// immediate neighbor's — otherwise plain greedy makes at least the same
-/// progress and the express hop would only lengthen the route. Below the
-/// finger floor, or within [`EXPRESS_ENGAGE`] diameters of the current
-/// region, the express phase is over.
+/// follow, or `None` to hand off to the greedy walk — [`rules::express`]
+/// over the region's finger block and its neighbors, keyed by region id.
 ///
 /// Deterministic in the geometry alone (no visited state).
 fn express_choice<V: TopologyView + ?Sized>(
@@ -422,50 +395,21 @@ fn express_choice<V: TopologyView + ?Sized>(
     floor: f64,
 ) -> Option<RegionId> {
     let slot = current.index();
-    let rect = view.slot_rect(slot);
-    let d = rect.distance_to_point(target);
-    // Hand off inside the near field: below the global finger floor, or
-    // within a few diameters of the current region (where greedy needs
-    // only a couple of hops and an express detour can only lose).
-    if d <= floor.max(EXPRESS_ENGAGE * rect.width().max(rect.height())) {
-        return None;
-    }
-    let cutoff = EXPRESS_DECAY * d;
-    let mut best: Option<(f64, f64, RegionId)> = None;
-    for &raw in &view.slot_fingers(slot).ids()[..FINGER_COUNT] {
-        if raw == FINGER_NONE {
-            continue;
-        }
-        let fslot = raw as usize;
-        let rect_d = view.slot_rect(fslot).distance_to_point(target);
-        if rect_d > cutoff {
-            continue;
-        }
-        let key = (
-            rect_d,
-            view.slot_center(fslot).distance(target),
-            RegionId::new(raw),
-        );
-        if best.is_none_or(|b| key < b) {
-            best = Some(key);
-        }
-    }
-    let best = best?;
-    let mut best_neighbor: Option<(f64, f64, RegionId)> = None;
-    for &n in view.neighbors(slot) {
-        let key = (
-            view.slot_rect(n.index()).distance_to_point(target),
-            view.slot_center(n.index()).distance(target),
-            n,
-        );
-        if best_neighbor.is_none_or(|b| key < b) {
-            best_neighbor = Some(key);
-        }
-    }
-    match best_neighbor {
-        Some(nb) if best >= nb => None,
-        _ => Some(best.2),
-    }
+    let candidate = |r: RegionId| (view.slot_rect(r.index()), r);
+    let fingers = view.slot_fingers(slot).ids()[..FINGER_COUNT]
+        .iter()
+        .filter(|&&raw| raw != FINGER_NONE)
+        .map(|&raw| candidate(RegionId::new(raw)));
+    let neighbors = view.neighbors(slot).iter().map(|&n| candidate(n));
+    let center = |_: &Region, r: RegionId| view.slot_center(r.index());
+    rules::express(
+        &view.slot_rect(slot),
+        target,
+        floor,
+        fingers,
+        neighbors,
+        center,
+    )
 }
 
 /// Two-phase express route (see the [module docs](self)): descend the

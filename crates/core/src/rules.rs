@@ -1,9 +1,12 @@
-//! The §2.3 placement rule and the §2.4 trigger and donor rules as pure
-//! functions over candidate lists. The model ([`join`](crate::join),
-//! [`balance`](crate::balance)) builds its candidates from the
-//! [`Topology`](crate::Topology), the engine from its own region and its
-//! neighbor table, and both call the same rule. Nothing here imports the
-//! model.
+//! The §2.3 placement rule, the §2.4 trigger and donor rules and the
+//! express-routing rule as pure functions over candidate lists. The model
+//! ([`join`](crate::join), [`balance`](crate::balance),
+//! [`routing`](crate::routing)) builds its candidates from the
+//! [`Topology`](crate::Topology), the engine from its own region, its
+//! neighbor table and its finger table, and both call the same rule.
+//! Nothing here imports the model.
+
+use geogrid_geometry::{Point, Region, Space};
 
 /// One region a dual-peer joiner could be placed in.
 #[derive(Debug, Clone, Copy)]
@@ -101,6 +104,123 @@ pub fn donor<K: Ord>(
             .then_with(|| a.key.cmp(&b.key))
         })
         .map(|d| d.key)
+}
+
+/// Distance scales per finger direction: one finger per doubling of
+/// distance, Kleinberg/Chord-style, from [`finger_base`] (a 1024th of the
+/// space side, fine enough that the express phase can hand off within a
+/// couple of regions of the target even at 2²⁰ regions) up to the full
+/// space side.
+pub const FINGER_SCALES: usize = 11;
+
+/// Compass directions fingers are laid along (east, north, west, south).
+/// Axial-only coverage is enough for geometric progress: the worst-case
+/// off-axis target still shrinks its distance by `sin 45° ≈ 0.71` per
+/// hop, inside the express qualification window ([`EXPRESS_DECAY`]).
+pub const FINGER_DIRS: usize = 4;
+
+/// Fingers per region ([`FINGER_SCALES`] × [`FINGER_DIRS`]).
+pub const FINGER_COUNT: usize = FINGER_SCALES * FINGER_DIRS;
+
+const FINGER_DIR_OFFSETS: [(f64, f64); FINGER_DIRS] =
+    [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)];
+
+/// Express qualification: a finger may be followed only if it cuts the
+/// remaining rectangle distance to at most this fraction. Guarantees
+/// geometric decay (so the express phase is loop-free and `O(log N)`
+/// hops) and keeps marginal fingers from displacing a greedy hop that
+/// would have made the same progress. Must exceed `sin 45° ≈ 0.707`: the
+/// fingers are axial, so a perfectly diagonal target can only shed that
+/// fraction per jump along the better axis.
+pub const EXPRESS_DECAY: f64 = 0.75;
+
+/// Express engagement gate: the remaining distance must exceed this many
+/// current-region diameters before a finger is considered. Within a few
+/// diameters the target is a couple of greedy hops away and *any* express
+/// detour risks costing more hops than plain greedy saves — that near
+/// field is exactly the regime the paper's mesh walk is optimal in.
+pub const EXPRESS_ENGAGE: f64 = 4.0;
+
+/// Cap on the express hops of one route. The decay bound alone caps the
+/// phase at `log(space/floor) / log(1/EXPRESS_DECAY)` ≈ 35 hops; this is
+/// a backstop against float-edge stagnation (and, in the engine, against
+/// stale fingers), after which the route finishes greedily.
+pub const EXPRESS_MAX_HOPS: usize = 64;
+
+/// The smallest finger distance scale in `space`: a 1024th of its longer
+/// side. Express routing hands off to the plain greedy walk once the
+/// remaining distance drops below this floor.
+pub fn finger_base(space: &Space) -> f64 {
+    let b = space.bounds();
+    b.width().max(b.height()) / 1024.0
+}
+
+/// The point finger `k` of a region centered at `center` aims at:
+/// `finger_base · 2^scale` miles along compass direction `dir`
+/// (`k = scale * FINGER_DIRS + dir`), clamped into the space. The finger
+/// names the region covering this point; none when that is the region
+/// itself (near the space boundary, or when the region is larger than the
+/// scale).
+pub fn finger_point(space: &Space, center: Point, k: usize) -> Point {
+    let (scale, dir) = (k / FINGER_DIRS, k % FINGER_DIRS);
+    let dist = finger_base(space) * (1u64 << scale) as f64;
+    let (dx, dy) = FINGER_DIR_OFFSETS[dir];
+    space.clamp(center.translated(dx * dist, dy * dist))
+}
+
+/// The express gate at region `here` toward `target`: the distance a
+/// qualifying finger must get within, or `None` in the near field (at or
+/// below the finger `floor`, or within [`EXPRESS_ENGAGE`] diameters of
+/// `here`), where the route is greedy.
+pub fn express_cutoff(here: &Region, target: Point, floor: f64) -> Option<f64> {
+    let d = here.distance_to_point(target);
+    let near = floor.max(EXPRESS_ENGAGE * here.width().max(here.height()));
+    (d > near).then_some(EXPRESS_DECAY * d)
+}
+
+/// The express rule (§2.2 with long-range links): from region `here`
+/// toward `target`, the finger to follow, or `None` for a greedy hop.
+/// Past the [`express_cutoff`] gate, the best finger that cuts the
+/// remaining rectangle distance to at most [`EXPRESS_DECAY`]× is taken
+/// when its greedy key `(closest-point distance, center distance, key)`
+/// strictly beats every neighbor's; otherwise plain greedy makes at least
+/// the same progress. Each candidate is `(rectangle, key)`, and `center`
+/// gives a candidate's center (asked only of qualifying fingers): the
+/// model keys by region id and reads its center mirror, the engine keys
+/// by node id. Ties go to the earliest finger.
+pub fn express<K: PartialOrd + Copy>(
+    here: &Region,
+    target: Point,
+    floor: f64,
+    fingers: impl IntoIterator<Item = (Region, K)>,
+    neighbors: impl IntoIterator<Item = (Region, K)>,
+    center: impl Fn(&Region, K) -> Point,
+) -> Option<K> {
+    let cutoff = express_cutoff(here, target, floor)?;
+    let mut best: Option<(f64, f64, K)> = None;
+    for (rect, key) in fingers {
+        let rect_d = rect.distance_to_point(target);
+        if rect_d > cutoff {
+            continue;
+        }
+        let key = (rect_d, center(&rect, key).distance(target), key);
+        if best.is_none_or(|b| key < b) {
+            best = Some(key);
+        }
+    }
+    let best = best?;
+    let mut best_neighbor: Option<(f64, f64, K)> = None;
+    for (rect, key) in neighbors {
+        let rect_d = rect.distance_to_point(target);
+        let key = (rect_d, center(&rect, key).distance(target), key);
+        if best_neighbor.is_none_or(|b| key < b) {
+            best_neighbor = Some(key);
+        }
+    }
+    match best_neighbor {
+        Some(nb) if best >= nb => None,
+        _ => Some(best.2),
+    }
 }
 
 #[cfg(test)]

@@ -92,7 +92,7 @@ pub trait TopologyView {
     fn neighbors(&self, slot: usize) -> &[RegionId];
 
     /// The smallest finger distance scale (see
-    /// [`Topology::finger_base`](crate::Topology::finger_base)).
+    /// [`rules::finger_base`](crate::rules::finger_base)).
     fn finger_base(&self) -> f64;
 
     /// The region covering `p`, via the spatial index.

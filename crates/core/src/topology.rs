@@ -19,6 +19,7 @@ use geogrid_geometry::{GridBuckets, Point, Region, Space, EDGE_EPS};
 
 use crate::audit::{Violation, ViolationKind};
 pub use crate::node::Role;
+use crate::rules::{self, FINGER_COUNT};
 use crate::snapshot::{SnapshotCell, TopologySnapshot, TopologyView};
 use crate::{CoreError, NodeId, NodeInfo, RegionId};
 
@@ -105,23 +106,6 @@ impl GridIndex {
     }
 }
 
-/// Distance scales per finger direction: one finger per doubling of
-/// distance, Kleinberg/Chord-style, from [`Topology::finger_base`] (a
-/// 1024th of the space side — half a grid-index cell, fine enough that
-/// the express phase can hand off within a couple of regions of the
-/// target even at 2²⁰ regions) up to the full space side.
-pub const FINGER_SCALES: usize = 11;
-
-/// Compass directions fingers are laid along (east, north, west, south).
-/// Axial-only coverage is enough for geometric progress: the worst-case
-/// off-axis target still shrinks its distance by `sin 45° ≈ 0.71` per
-/// hop, inside the express qualification window (see
-/// [`crate::routing::EXPRESS_DECAY`]).
-pub const FINGER_DIRS: usize = 4;
-
-/// Live finger entries per region ([`FINGER_SCALES`] × [`FINGER_DIRS`]).
-pub const FINGER_COUNT: usize = FINGER_SCALES * FINGER_DIRS;
-
 /// Stored finger entries per region: [`FINGER_COUNT`] padded to the next
 /// multiple of a 64-byte cache line (48 × 4 B = 192 B = 3 lines).
 pub const FINGER_SLOTS: usize = 48;
@@ -129,9 +113,6 @@ pub const FINGER_SLOTS: usize = 48;
 /// Finger entry: no express link at this (scale, direction) — the target
 /// point folds back into the region's own rectangle.
 pub const FINGER_NONE: u32 = u32::MAX;
-
-const FINGER_DIR_OFFSETS: [(f64, f64); FINGER_DIRS] =
-    [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)];
 
 /// One region's express-link fingers, padded to whole cache lines so the
 /// flat mirror (`Vec<FingerBlock>`) never straddles a line mid-region:
@@ -387,24 +368,14 @@ impl Topology {
     /// flat finger mirror — same contract as [`Self::slot_rect`]: `slot`
     /// must index a live region.
     ///
-    /// Entry `scale * FINGER_DIRS + dir` is the raw id of the region
-    /// covering the point `finger_base() · 2^scale` miles from this
-    /// region's center along compass direction `dir`, or [`FINGER_NONE`]
-    /// when that point folds back into the region itself. The mirror is
+    /// Entry `k` is the raw id of the region covering
+    /// [`rules::finger_point`] `k` of this region's center, or
+    /// [`FINGER_NONE`] when that point folds back into the region itself. The mirror is
     /// maintained exactly at the three geometry-rewrite sites, so a
     /// non-`FINGER_NONE` entry always names a live region.
     #[inline]
     pub fn slot_fingers(&self, slot: usize) -> &FingerBlock {
         &self.slot_fingers[slot]
-    }
-
-    /// The smallest finger distance scale: a 1024th of the space side.
-    /// Express routing hands off to the plain greedy walk once the
-    /// remaining distance drops below this floor.
-    #[inline]
-    pub fn finger_base(&self) -> f64 {
-        let b = self.space().bounds();
-        b.width().max(b.height()) / 1024.0
     }
 
     /// Number of registered nodes (assigned or not).
@@ -1323,7 +1294,7 @@ impl Topology {
             grid: self.grid.buckets.grid(),
             cell_off,
             cell_ids,
-            finger_base: self.finger_base(),
+            finger_base: rules::finger_base(&self.space()),
         }
     }
 
@@ -1546,21 +1517,8 @@ impl Topology {
         }
     }
 
-    /// The point finger `k` of a region centered at `center` aims at:
-    /// `finger_base() · 2^scale` miles along compass direction `dir`
-    /// (`k = scale * FINGER_DIRS + dir`), clamped into the space. This is
-    /// the finger selection rule: the finger names the region covering
-    /// this point, or [`FINGER_NONE`] when that is the region itself (near
-    /// the space boundary, or when the region is larger than the scale).
-    fn finger_point(&self, center: Point, k: usize) -> Point {
-        let (scale, dir) = (k / FINGER_DIRS, k % FINGER_DIRS);
-        let dist = self.finger_base() * (1u64 << scale) as f64;
-        let (dx, dy) = FINGER_DIR_OFFSETS[dir];
-        self.space().clamp(center.translated(dx * dist, dy * dist))
-    }
-
     /// The correct value of finger `k` of live region `rid`, recomputed
-    /// from scratch with [`Self::finger_point`] and `locate`. The audit's
+    /// from scratch with [`rules::finger_point`] and `locate`. The audit's
     /// cross-check of the mirror: it must not panic even when the
     /// tessellation is corrupt and the point resolves to no region.
     fn try_finger_target(&self, rid: RegionId, k: usize) -> Option<u32> {
@@ -1568,7 +1526,7 @@ impl Topology {
         // surface as exactly SlotMirrorDrift — not as a cascade of
         // mis-scaled fingers.
         let c = self.region(rid)?.region().center();
-        let target = self.locate(self.finger_point(c, k)).ok()?;
+        let target = self.locate(rules::finger_point(&self.space(), c, k)).ok()?;
         Some(if target == rid {
             FINGER_NONE
         } else {
@@ -1610,7 +1568,7 @@ impl Topology {
         let own = rid.as_u32();
         let center = self.slot_geo[rid.index()].center;
         for k in 0..FINGER_COUNT {
-            let p = self.finger_point(center, k);
+            let p = rules::finger_point(&self.space(), center, k);
             let hint = match hints.ids[k] {
                 FINGER_NONE => own,
                 h => h,
@@ -1640,7 +1598,7 @@ impl Topology {
         let mut i = 0;
         while i < links.len() {
             let (src, k) = unpack_finger_ref(links[i]);
-            let p = self.finger_point(self.slot_geo[src as usize].center, k);
+            let p = rules::finger_point(&self.space(), self.slot_geo[src as usize].center, k);
             if space.region_covers(&given, p) {
                 self.slot_fingers[src as usize].ids[k] = new_rid.as_u32();
                 self.finger_in[new_rid.index()].push(links.swap_remove(i));
@@ -1726,7 +1684,7 @@ impl TopologyView for Topology {
 
     #[inline]
     fn finger_base(&self) -> f64 {
-        Topology::finger_base(self)
+        rules::finger_base(&self.space())
     }
 
     fn locate(&self, p: Point) -> Result<RegionId, CoreError> {

@@ -166,12 +166,12 @@ fn basic_trajectory_is_pinned() {
     assert_eq!(
         stats,
         SimStats {
-            sent: 73_429,
-            delivered: 73_049,
+            sent: 73_413,
+            delivered: 73_033,
             lost: 0,
             undeliverable: 144,
             timers_fired: 17_575,
-            events: 90_892,
+            events: 90_876,
         }
     );
     assert_eq!(digest, 0xe83a_7584_4208_2689, "owner views moved");
@@ -183,12 +183,12 @@ fn dual_peer_trajectory_is_pinned() {
     assert_eq!(
         stats,
         SimStats {
-            sent: 58_254,
-            delivered: 57_874,
+            sent: 58_258,
+            delivered: 57_878,
             lost: 0,
             undeliverable: 156,
             timers_fired: 17_575,
-            events: 75_729,
+            events: 75_733,
         }
     );
     assert_eq!(digest, 0xfe5e_7b0b_d62e_170f, "owner views moved");
@@ -244,12 +244,12 @@ fn balance_trajectory_is_pinned() {
         (
             4002,
             SimStats {
-                sent: 150_793,
-                delivered: 150_561,
+                sent: 150_654,
+                delivered: 150_422,
                 lost: 0,
                 undeliverable: 0,
                 timers_fired: 41_772,
-                events: 192_483,
+                events: 192_344,
             },
             0x94d7_558a_6665_d3a2,
             vec![('e', 3)],
@@ -257,12 +257,12 @@ fn balance_trajectory_is_pinned() {
         (
             1,
             SimStats {
-                sent: 157_795,
-                delivered: 157_541,
+                sent: 157_746,
+                delivered: 157_492,
                 lost: 0,
                 undeliverable: 0,
                 timers_fired: 41_772,
-                events: 199_463,
+                events: 199_414,
             },
             0x8657_40e8_8950_21d9,
             vec![('a', 1)],

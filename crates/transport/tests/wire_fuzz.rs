@@ -174,6 +174,13 @@ fn arb_message() -> impl Strategy<Value = Message> {
         Just(Message::Detached),
         arb_region().prop_map(|region| Message::WhoOwns { region }),
         arb_neighbor().prop_map(|info| Message::OwnerIs { info }),
+        (arb_point(), any::<u64>(), any::<u32>()).prop_map(|(target, reply, hops)| {
+            Message::Locate {
+                target,
+                reply_to: NodeId::new(reply),
+                hops,
+            }
+        }),
         (
             arb_region(),
             arb_store(),
