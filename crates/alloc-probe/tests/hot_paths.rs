@@ -10,10 +10,9 @@
 //! reach their working size). This file is the list of hot functions:
 //!
 //! * routing: `Router::route` in greedy, express and randomized mode,
-//!   which runs `greedy_into`, `greedy_loop`, `scan_next_hop`,
-//!   `express_into`, `express_choice`, `randomized_into` and
-//!   `candidates_into_filtered`; and a route right after a geometry
-//!   epoch change, which re-keys `RouteScratch::begin`;
+//!   whose one walk runs `scan_next_hop`, `express_choice` and the
+//!   randomized draw; and a route right after a geometry epoch change,
+//!   which re-keys the router's visited stamps;
 //! * topology: `locate`, `slot_rect`, `slot_center`, `slot_fingers`,
 //!   `finger_base`;
 //! * store: `RegionStore::publish_into` (with `notify_into` finding
@@ -85,9 +84,9 @@ fn routing_is_allocation_free_in_every_mode() {
     let t = network(2_000);
     let inputs = route_inputs(&t, 2_000);
     for options in [
-        RouteOptions::greedy(),
-        RouteOptions::express(),
-        RouteOptions::randomized(0.1),
+        RouteOptions::Greedy,
+        RouteOptions::Express,
+        RouteOptions::Randomized(0.1),
     ] {
         let mut router = Router::with_seed(11);
         let mut hops = 0;
@@ -117,7 +116,7 @@ fn route_after_an_epoch_change_is_allocation_free() {
         for &(from, target) in &inputs {
             if t.region(from).is_some() {
                 router
-                    .route(t, from, target, &RouteOptions::express())
+                    .route(t, from, target, &RouteOptions::Express)
                     .expect("routable");
             }
         }

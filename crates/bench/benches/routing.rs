@@ -66,8 +66,8 @@ fn bench_routing(c: &mut Criterion) {
     group.finish();
 
     for (name, options) in [
-        ("route_greedy", RouteOptions::greedy()),
-        ("route_express", RouteOptions::express()),
+        ("route_greedy", RouteOptions::Greedy),
+        ("route_express", RouteOptions::Express),
     ] {
         let mut group = c.benchmark_group(name);
         for topo in &networks {

@@ -18,11 +18,11 @@
 //! last two are read from the owner views after the probe phase and draw
 //! nothing from the RNG.
 //!
-//! Forwarding inside the simulated engine uses the same greedy next-hop
-//! rule as `geogrid_core::routing` (each node scans its own neighbor
-//! table with precomputed distance keys); fail-over promotions are
-//! ownership changes only, which at the topology level leave the routing
-//! epoch intact.
+//! Forwarding inside the simulated engine takes express hops over the
+//! fingers each owner learns by routed lookups, with the greedy walk as
+//! the last mile, so survival and availability move with the finger life
+//! cycle; fail-over promotions are ownership changes only, which at the
+//! topology level leave the routing epoch intact.
 
 use geogrid_core::engine::sim::SimHarness;
 use geogrid_core::engine::{ClientEvent, EngineConfig, EngineMode, Input};

@@ -14,7 +14,6 @@ use geogrid_core::balance::{AdaptationEngine, BalanceConfig};
 use geogrid_core::builder::Mode;
 use geogrid_core::load::LoadMap;
 use geogrid_metrics::{table::Table, RunningStats};
-use geogrid_workload::WorkloadGrid;
 use rand::Rng;
 
 use crate::common::{build_network, ExperimentConfig};
@@ -51,13 +50,7 @@ pub fn run_trial(config: &ExperimentConfig, nodes: usize, trial: u64) -> Series 
     // Static scenario.
     {
         let mut rng = config.rng(78, trial);
-        let (field, grid) = {
-            let f =
-                geogrid_workload::HotSpotField::random(&mut rng, config.space(), config.hotspots);
-            let g = WorkloadGrid::from_field(config.space(), config.cell_size, &f);
-            (f, g)
-        };
-        let _ = field;
+        let (_, grid) = config.field_and_grid(&mut rng);
         let mut topo = build_network(config, Mode::DualPeer, nodes, trial);
         let mut loads = LoadMap::from_grid(&topo, &grid);
         for _ in 0..ROUNDS {
@@ -72,9 +65,7 @@ pub fn run_trial(config: &ExperimentConfig, nodes: usize, trial: u64) -> Series 
     // hot-spot trajectory).
     {
         let mut rng = config.rng(78, trial);
-        let mut field =
-            geogrid_workload::HotSpotField::random(&mut rng, config.space(), config.hotspots);
-        let mut grid = WorkloadGrid::from_field(config.space(), config.cell_size, &field);
+        let (mut field, mut grid) = config.field_and_grid(&mut rng);
         let mut topo = build_network(config, Mode::DualPeer, nodes, trial);
         let baseline = topo.clone();
         for _ in 0..ROUNDS {

@@ -14,7 +14,6 @@ use geogrid_core::balance::{AdaptationEngine, BalanceConfig};
 use geogrid_core::builder::Mode;
 use geogrid_core::load::LoadMap;
 use geogrid_metrics::{table::Table, RunningStats};
-use geogrid_workload::WorkloadGrid;
 use rand::Rng;
 
 use crate::common::{build_network, ExperimentConfig};
@@ -70,9 +69,7 @@ pub fn run_trial(config: &ExperimentConfig, nodes: usize, trial: u64) -> Series 
     // are recorded one at a time.
     {
         let mut rng = config.rng(910, trial);
-        let mut field =
-            geogrid_workload::HotSpotField::random(&mut rng, config.space(), config.hotspots);
-        let mut grid = WorkloadGrid::from_field(config.space(), config.cell_size, &field);
+        let (mut field, mut grid) = config.field_and_grid(&mut rng);
         let mut topo = build_network(config, Mode::DualPeer, nodes, trial);
         let mut points = Vec::new();
         let mut idle_rounds = 0;

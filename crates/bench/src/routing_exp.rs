@@ -49,9 +49,9 @@ pub fn run_population(config: &ExperimentConfig, nodes: usize) -> HopRow {
     // One router for both engines: the sampled routes share its stamp
     // and hop buffers. Neither engine draws from the RNG.
     let mut router = Router::new();
-    let (hops, _) = route_pairs(&topo, &mut router, &pairs, &RouteOptions::greedy());
+    let (hops, _) = route_pairs(&topo, &mut router, &pairs, &RouteOptions::Greedy);
     let (express, express_prefix_mean) =
-        route_pairs(&topo, &mut router, &pairs, &RouteOptions::express());
+        route_pairs(&topo, &mut router, &pairs, &RouteOptions::Express);
     HopRow {
         nodes,
         hops,
@@ -153,21 +153,16 @@ pub fn spread_experiment(config: &ExperimentConfig) {
     let pairs = sample_routing_pairs(&topo, &mut rng, 2_000);
     let mut table = Table::new(["strategy", "transit_gini", "mean_hops"]);
     let mut router = Router::new();
-    for (label, slack) in [("greedy", None), ("randomized_25pct", Some(0.25))] {
+    for (label, options) in [
+        ("greedy", RouteOptions::Greedy),
+        ("randomized_25pct", RouteOptions::Randomized(0.25)),
+    ] {
         let mut transits: HashMap<RegionId, f64> = HashMap::new();
         let mut hops = 0usize;
         for (from, target) in &pairs {
-            match slack {
-                None => router.route(&topo, *from, *target, &RouteOptions::greedy()),
-                Some(s) => router.route_with_rng(
-                    &topo,
-                    *from,
-                    *target,
-                    &RouteOptions::randomized(s),
-                    &mut rng,
-                ),
-            }
-            .expect("routable");
+            router
+                .route_with_rng(&topo, *from, *target, &options, &mut rng)
+                .expect("routable");
             hops += router.hop_count();
             let trace = router.hops();
             for rid in &trace[..trace.len().saturating_sub(1)] {

@@ -5,7 +5,7 @@
 //! local user requests) and emits [`Effect`]s (messages to send, events for
 //! the local user). It owns no sockets and no clock, so the identical code
 //! runs under the deterministic simulator
-//! ([`crate::engine::sim`]) and under the tokio transport
+//! ([`crate::engine::sim`]) and under the TCP runtime
 //! (`geogrid-transport`).
 //!
 //! The engine implements the distributed version of what

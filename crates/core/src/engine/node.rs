@@ -39,7 +39,7 @@ pub enum EngineMode {
 }
 
 /// Engine tuning. Times are in the driver's tick domain (milliseconds
-/// under both the simulator and the tokio transport).
+/// under both the simulator and the TCP runtime).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
     /// Join protocol.
@@ -643,28 +643,14 @@ impl Owner {
         self.store.query(query, now).into_iter().cloned().collect()
     }
 
-    /// Query fan-out: a copy to every neighbor whose region overlaps the
-    /// query rectangle.
-    fn fan_out_query(
-        &self,
-        query: &LocationQuery,
-        query_id: u64,
-        reply_to: NodeId,
-        hops: u32,
-        effects: &mut Vec<Effect>,
-    ) {
-        let area = query.area();
+    /// Flood step of query and subscription fan-out: `copy()` to the
+    /// primary of every neighbor whose region overlaps `area`.
+    fn fan_out(&self, area: &Region, effects: &mut Vec<Effect>, copy: impl Fn() -> Message) {
         for n in &self.neighbors {
-            if n.info.region.intersects(&area) {
+            if n.info.region.intersects(area) {
                 effects.push(Effect::Send {
                     to: n.info.primary.id(),
-                    message: Message::Query {
-                        query: query.clone(),
-                        query_id,
-                        reply_to,
-                        hops: hops + 1,
-                        fanout: true,
-                    },
+                    message: copy(),
                 });
             }
         }
@@ -1658,7 +1644,13 @@ impl NodeEngine {
                 message: Message::QueryReply { query_id, records },
             }];
             if hops < MAX_HOPS {
-                owner.fan_out_query(&query, query_id, reply_to, hops, &mut effects);
+                owner.fan_out(&query.area(), &mut effects, || Message::Query {
+                    query: query.clone(),
+                    query_id,
+                    reply_to,
+                    hops: hops + 1,
+                    fanout: true,
+                });
             }
             return effects;
         }
@@ -1678,7 +1670,13 @@ impl NodeEngine {
         owner.first_sight((reply_to, query_id));
         let records = owner.answer(&query, now);
         let mut effects = Vec::new();
-        owner.fan_out_query(&query, query_id, reply_to, hops, &mut effects);
+        owner.fan_out(&query.area(), &mut effects, || Message::Query {
+            query: query.clone(),
+            query_id,
+            reply_to,
+            hops: hops + 1,
+            fanout: true,
+        });
         if reply_to == self.info.id() {
             effects.push(Effect::Client(ClientEvent::QueryResults {
                 query_id,
@@ -1774,19 +1772,11 @@ impl NodeEngine {
         owner.store.subscribe(sub.clone(), now);
         let mut effects = Vec::new();
         if hops < MAX_HOPS {
-            let area = sub.area();
-            for n in &owner.neighbors {
-                if n.info.region.intersects(&area) {
-                    effects.push(Effect::Send {
-                        to: n.info.primary.id(),
-                        message: Message::Subscribe {
-                            sub: sub.clone(),
-                            hops: hops + 1,
-                            fanout: true,
-                        },
-                    });
-                }
-            }
+            owner.fan_out(&sub.area(), &mut effects, || Message::Subscribe {
+                sub: sub.clone(),
+                hops: hops + 1,
+                fanout: true,
+            });
         }
         effects
     }

@@ -1,6 +1,6 @@
 //! Running [`NodeEngine`]s on the deterministic simulator.
 //!
-//! [`SimNode`] adapts the sans-io engine to `geogrid-simnet`'s
+//! A private `SimNode` adapts the sans-io engine to `geogrid-simnet`'s
 //! [`Process`] interface; [`SimHarness`] builds whole simulated GeoGrid
 //! deployments — the message-level counterpart of the model's
 //! `NetworkBuilder`, used to check that the distributed protocol reaches the same structural
@@ -18,66 +18,34 @@ const TICK_TIMER: u64 = 1;
 /// A simulated GeoGrid node: one engine plus its collected client events.
 ///
 /// The simulator address and the GeoGrid [`NodeId`] are kept numerically
-/// equal, so effects translate 1:1 into simulator sends.
+/// equal (see [`addr`]), so effects translate 1:1 into simulator sends.
 #[derive(Debug)]
-pub struct SimNode {
+struct SimNode {
     engine: NodeEngine,
     /// Client events observed so far (tests inspect these).
-    pub events: Vec<ClientEvent>,
+    events: Vec<ClientEvent>,
     /// Pending local inputs injected before the process started.
     startup: Vec<Input>,
 }
 
 impl SimNode {
-    /// Creates a simulated node around `engine`, queueing `startup`
-    /// inputs (e.g. [`Input::BootstrapAsFirst`] or [`Input::Join`]) to run
-    /// at process start.
-    pub fn new(engine: NodeEngine, startup: Vec<Input>) -> Self {
-        Self {
-            engine,
-            events: Vec::new(),
-            startup,
-        }
-    }
-
-    /// The wrapped engine.
-    pub fn engine(&self) -> &NodeEngine {
-        &self.engine
-    }
-
     /// Sends the engine's outgoing messages through the simulator and
     /// records its client events.
     fn apply_effects(&mut self, ctx: &mut Context<'_, Message>, effects: Vec<Effect>) {
         for effect in effects {
             match effect {
-                Effect::Send { to, message } => {
-                    ctx.send(Addr::from_node(to), message);
-                }
+                Effect::Send { to, message } => ctx.send(addr(to), message),
                 Effect::Client(event) => self.events.push(event),
             }
         }
     }
 }
 
-/// Extension trait gluing [`Addr`] and [`NodeId`] together (they are kept
-/// numerically identical in simulated deployments).
-pub trait AddrExt {
-    /// The simulator address for a GeoGrid node id.
-    fn from_node(id: NodeId) -> Addr;
-    /// The GeoGrid node id for a simulator address.
-    fn to_node(self) -> NodeId;
-}
-
-impl AddrExt for Addr {
-    fn from_node(id: NodeId) -> Addr {
-        // Simulation::add_process allocates sequentially from 0; the
-        // harness registers nodes in the same order it allocates ids.
-        Addr::from_raw(id.as_u64())
-    }
-
-    fn to_node(self) -> NodeId {
-        NodeId::new(self.as_u64())
-    }
+/// The simulator address of node `id`: `Simulation::add_process`
+/// allocates sequentially from 0, and the harness registers nodes in the
+/// same order it allocates ids.
+fn addr(id: NodeId) -> Addr {
+    Addr::from_raw(id.as_u64())
 }
 
 impl Process for SimNode {
@@ -101,7 +69,7 @@ impl Process for SimNode {
         let effects = self.engine.handle(
             now,
             Input::Message {
-                from: from.to_node(),
+                from: NodeId::new(from.as_u64()),
                 message: msg,
             },
         );
@@ -183,9 +151,13 @@ impl SimHarness {
         let id = NodeId::new(self.nodes);
         let info = NodeInfo::new(id, coord, capacity);
         let engine = NodeEngine::new(info, self.space, self.config);
-        let addr = self.sim.add_process(SimNode::new(engine, startup));
+        let node = SimNode {
+            engine,
+            events: Vec::new(),
+            startup,
+        };
         assert_eq!(
-            addr.as_u64(),
+            self.sim.add_process(node).as_u64(),
             id.as_u64(),
             "process address must equal node id"
         );
@@ -193,12 +165,11 @@ impl SimHarness {
         id
     }
 
-    /// Runs the simulation until quiescent (bounded), letting joins,
-    /// updates, and heartbeats settle. Heartbeat timers re-arm forever, so
-    /// this advances a fixed horizon instead: one simulated second.
+    /// Lets joins, updates and heartbeats settle: [`Self::run_for`] one
+    /// simulated second (heartbeat timers re-arm forever, so the
+    /// simulation is never quiescent).
     pub fn settle(&mut self) {
-        let deadline = self.sim.now() + SimTime::from_secs(1);
-        self.sim.run_until(deadline, 5_000_000);
+        self.run_for(1_000);
     }
 
     /// Runs the simulation for `ms` simulated milliseconds.
@@ -212,9 +183,9 @@ impl SimHarness {
     pub fn inject(&mut self, id: NodeId, input: Input) {
         // Deliver through a self-addressed message-free path: run the
         // engine directly and replay effects through the simulator.
-        let addr = Addr::from_node(id);
+        let from = addr(id);
         let now = self.sim.now().as_micros() / 1_000;
-        let Some(node) = self.sim.process_mut(addr) else {
+        let Some(node) = self.sim.process_mut(from) else {
             return;
         };
         let effects = node.engine.handle(now, input);
@@ -226,13 +197,13 @@ impl SimHarness {
             }
         }
         for (to, message) in outgoing {
-            self.sim.post(addr, Addr::from_node(to), message);
+            self.sim.post(from, addr(to), message);
         }
     }
 
     /// Crashes a node without warning.
     pub fn crash(&mut self, id: NodeId) {
-        self.sim.crash(Addr::from_node(id));
+        self.sim.crash(addr(id));
     }
 
     /// Number of live nodes currently owning (or co-owning) a region.
@@ -253,7 +224,7 @@ impl SimHarness {
 
     /// The engine of live node `id`.
     pub fn engine(&self, id: NodeId) -> Option<&NodeEngine> {
-        self.node(id).map(SimNode::engine)
+        self.node(id).map(|n| &n.engine)
     }
 
     /// Client events observed by node `id` so far.
@@ -262,7 +233,7 @@ impl SimHarness {
     }
 
     fn node(&self, id: NodeId) -> Option<&SimNode> {
-        self.sim.process(Addr::from_node(id))
+        self.sim.process(addr(id))
     }
 
     /// Message statistics from the underlying simulator.

@@ -27,7 +27,8 @@ use crate::{CoreError, NodeId, RegionId, Topology};
 
 /// Breadth-first rings of regions around `from` (excluding it),
 /// deterministic order; used to find a join target when the local
-/// neighborhood is saturated at the extent floor.
+/// neighborhood is saturated at the extent floor, and the nearest
+/// secondary an orphan repair can steal.
 fn bfs_rings(topo: &Topology, from: RegionId) -> Vec<RegionId> {
     let mut seen = std::collections::HashSet::new();
     seen.insert(from);
@@ -278,32 +279,12 @@ pub fn depart(topo: &mut Topology, node: NodeId) -> Result<(), CoreError> {
 /// regions one of the three strategies always applies, so this only
 /// occurs on a single-region network whose sole owner vanished.
 pub fn repair_orphan(topo: &mut Topology, orphan: RegionId) -> Result<(), CoreError> {
-    // 1. BFS for the nearest region with a secondary to steal.
-    let mut frontier = vec![orphan];
-    let mut seen = std::collections::HashSet::new();
-    seen.insert(orphan);
-    while !frontier.is_empty() {
-        let mut next = Vec::new();
-        for &rid in &frontier {
-            let Some(entry) = topo.region(rid) else {
-                continue;
-            };
-            for &n in entry.neighbors() {
-                if seen.insert(n) {
-                    next.push(n);
-                }
-            }
-        }
-        // Deterministic order.
-        next.sort();
-        for &candidate in &next {
-            if topo.region(candidate).is_some_and(|e| e.is_full()) {
-                let stolen = topo.take_secondary(candidate)?;
-                topo.adopt_region(orphan, stolen)?;
-                return Ok(());
-            }
-        }
-        frontier = next;
+    // 1. The nearest region with a secondary to steal, ring by ring.
+    let full = |c: &RegionId| topo.region(*c).is_some_and(|e| e.is_full());
+    if let Some(candidate) = bfs_rings(topo, orphan).into_iter().find(full) {
+        let stolen = topo.take_secondary(candidate)?;
+        topo.adopt_region(orphan, stolen)?;
+        return Ok(());
     }
     // 2. Merge with a mergeable neighbor.
     let orphan_region = topo

@@ -24,8 +24,8 @@
 //!   behind an RCU-style [`SnapshotCell`](snapshot::SnapshotCell): N reader
 //!   threads route lock-free against the latest snapshot while split/merge
 //!   writers serialize on the mutable [`Topology`].
-//! * [`routing`] — greedy geographic forwarding and query-region fan-out,
-//!   as pure decisions over topology views (the [`Router`](routing::Router)
+//! * [`routing`] — geographic forwarding as one walk (greedy, express or
+//!   randomized next hops) over topology views (the [`Router`](routing::Router)
 //!   facade works on both `&Topology` and `&TopologySnapshot`).
 //! * [`join`] / [`builder`] — the paper's bootstrap protocols: basic
 //!   (route-and-split) and dual-peer (probe the neighborhood, join the
@@ -61,7 +61,7 @@
 //! use geogrid_core::routing::{RouteOptions, Router};
 //! let from = topo.region_ids().next().unwrap();
 //! let mut router = Router::new();
-//! let executor = router.route(topo, from, Point::new(12.0, 51.0), &RouteOptions::greedy()).unwrap();
+//! let executor = router.route(topo, from, Point::new(12.0, 51.0), &RouteOptions::Greedy).unwrap();
 //! assert!(topo.region(executor).unwrap().covers(Point::new(12.0, 51.0), topo.space()));
 //! ```
 

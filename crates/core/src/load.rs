@@ -21,7 +21,7 @@ use geogrid_metrics::Summary;
 use geogrid_workload::{HotSpotField, QueryGenerator, WorkloadGrid};
 use rand::Rng;
 
-use crate::{routing, NodeId, RegionId, Topology};
+use crate::{NodeId, RegionId, RouteOptions, Router, Topology};
 
 /// Per-region workload components.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -103,16 +103,19 @@ impl LoadMap {
         let ids: Vec<RegionId> = topo.region_ids().collect();
         let mut generator = QueryGenerator::new(topo.space()).hotspot_bias(bias);
         let per_query = 1.0 / samples as f64;
-        // One scratch for the whole sample batch: no per-query buffers
+        // One router for the whole sample batch: no per-query buffers
         // are allocated.
-        let mut scratch = routing::RouteScratch::new();
+        let mut router = Router::new();
         for _ in 0..samples {
             let q = generator.generate(rng, field);
             let from = ids[rng.random_range(0..ids.len())];
-            if routing::greedy_into(topo, from, q.target, &mut scratch).is_ok() {
+            if router
+                .route(topo, from, q.target, &RouteOptions::Greedy)
+                .is_ok()
+            {
                 // Transit regions do forwarding work; the executor's query
                 // work is already in the grid component.
-                let hops = scratch.hops();
+                let hops = router.hops();
                 for &rid in &hops[..hops.len().saturating_sub(1)] {
                     map.loads.entry(rid).or_default().routing += per_query;
                 }

@@ -1,4 +1,4 @@
-//! Greedy geographic routing.
+//! Geographic routing over the region mesh.
 //!
 //! §2.2 of the paper: "routing in a GeoGrid network works by following the
 //! straight line path through the two dimensional coordinate space from
@@ -6,22 +6,26 @@
 //! neighbor closest to the destination until the covering region is
 //! reached. Over `N` regions this costs `O(2√N)` hops.
 //!
-//! After the *executor* region (the one covering the query center) is
-//! reached, a query whose rectangle spans several regions fans out to every
-//! region overlapping the rectangle ([`fanout`]).
+//! # One walk, three next-hop rules
 //!
-//! # The routing engine
+//! [`Router`] is the one way in. Every route runs one private walk, and
+//! [`RouteOptions`] picks the next hop, once per route, as a generic
+//! closure (so the greedy and express walks compile without the
+//! randomized branch in their inner loop):
 //!
-//! Routing is a pure function of `(view, region, target)`: every hop is
-//! decided from the current region's neighbor list (and, in the express
-//! phase, its finger block) and nothing remembered from earlier queries.
-//! Experiments issue millions of routed queries, so the hot path must not
-//! allocate per query; [`RouteScratch`] packages the reusable state:
+//! * [`RouteOptions::Greedy`] — the paper's walk: the unvisited neighbor
+//!   closest to the target, hop-for-hop identical to [`route_uncached`];
+//! * [`RouteOptions::Express`] — an express descent over the region's
+//!   fingers, then the greedy walk for the last mile (below);
+//! * [`RouteOptions::Randomized`] — the paper's *randomization of routing
+//!   entries*: a uniform draw among the unvisited neighbors within a
+//!   relative tie window of the best, spreading transit load.
 //!
-//! * a **generation-stamped visited array** indexed by region slot
-//!   ([`RegionId::index`]) replaces the per-query `HashSet` — marking a
-//!   region visited is one store, clearing all marks is one counter bump;
-//! * the hop and candidate `Vec`s are recycled across queries.
+//! Nothing is remembered from earlier queries, and the walk allocates
+//! nothing per query: a router keeps a **generation-stamped visited
+//! array** indexed by region slot ([`RegionId::index`]) instead of a
+//! per-query `HashSet` — marking a region visited is one store, clearing
+//! all marks is one counter bump — and recycles its hop buffers.
 //!
 //! There is deliberately no next-hop cache: a per-destination cache has
 //! to be flushed on every split/merge, and under the churn the paper
@@ -32,28 +36,20 @@
 //! (`tests/route_parity.rs`) drives both through random topology
 //! mutations to prove they agree hop for hop.
 //!
-//! # The Router facade
-//!
-//! [`Router`] is the one entry point: it owns a [`RouteScratch`] (and an
-//! RNG for randomized queries) and dispatches on [`RouteOptions`] —
-//! greedy, express, or randomized. Every engine is generic over
-//! [`TopologyView`], so the same monomorphized code routes on a live
-//! `&Topology` (single-threaded) or on an immutable
-//! [`TopologySnapshot`](crate::snapshot::TopologySnapshot) published
-//! through a [`SnapshotCell`](crate::snapshot::SnapshotCell) — N reader
-//! threads each hold their own `Router` and route lock-free while
-//! writers mutate the live topology. [`route_uncached`] is the one free
-//! routing function, kept as the verification reference.
+//! Every route is generic over [`TopologyView`]: the same code runs on a
+//! live `&Topology` or on an immutable
+//! [`TopologySnapshot`](crate::snapshot::TopologySnapshot), where N
+//! reader threads each hold their own `Router` and route lock-free while
+//! writers mutate the live topology.
 //!
 //! # Express links
 //!
 //! Greedy forwarding costs `O(√N)` hops no matter how cheap each hop is,
-//! so beyond ~16k regions route *length* dominates. The express engine
-//! ([`RouteOptions::express`])
+//! so beyond ~16k regions route *length* dominates. An express route
 //! layers the topology's express fingers (see
 //! [`Topology::slot_fingers`](crate::Topology::slot_fingers): per region, one link per doubling of
 //! distance per compass direction, Kleinberg/Chord-style) on top of the
-//! same engine as a two-phase route:
+//! greedy walk:
 //!
 //! 1. **Express descent** — while the remaining distance exceeds both the
 //!    finger floor ([`rules::finger_base`]) and [`EXPRESS_ENGAGE`](rules::EXPRESS_ENGAGE)
@@ -65,9 +61,9 @@
 //!    giving `O(log N)` express hops; no visited marks are needed (or
 //!    written) because the decay makes loops impossible. The decision is
 //!    [`rules::express`], which the engine's forwarding step also calls.
-//! 2. **Last mile** — hand off to the unmodified greedy walk, which is
-//!    hop-for-hop identical to [`route_uncached`] from the handoff region
-//!    ([`RouteScratch::express_prefix`] marks the boundary in the trace).
+//! 2. **Last mile** — the greedy walk from the handoff region, hop-for-hop
+//!    what [`route_uncached`] walks from there
+//!    ([`Router::express_prefix`] marks the boundary in the trace).
 
 use std::collections::HashSet;
 
@@ -97,14 +93,11 @@ impl RoutePath {
 }
 
 /// Reusable routing state: visited stamps and hop/candidate buffers,
-/// nothing that outlives a query's answer. [`Router`] owns one. See the
-/// [module docs](self) for the design.
-///
-/// A scratch may be reused freely across different [`Topology`](crate::Topology) instances
-/// and [`TopologyView`]s: the stamp table only ever grows to the largest
-/// slot count seen.
-#[derive(Debug, Clone)]
-pub struct RouteScratch {
+/// nothing that outlives a query's answer. A scratch may be reused
+/// freely across topology instances and views: the stamp table only ever
+/// grows to the largest slot count seen.
+#[derive(Debug, Clone, Default)]
+struct RouteScratch {
     /// `stamps[slot] == generation` ⇔ slot visited in the current query.
     /// One byte per slot: the whole stamp table for a 16k-region network
     /// is 16 KiB, so it stays cache-resident; the cheap price is a full
@@ -113,53 +106,14 @@ pub struct RouteScratch {
     generation: u8,
     /// Hop trace of the most recent successful routed query.
     hops: Vec<RegionId>,
-    /// Length of the express prefix of the most recent trace (0 for plain
-    /// greedy routes); see [`Self::express_prefix`].
+    /// Length of the express prefix of the most recent trace (0 for
+    /// greedy and randomized routes); see [`Router::express_prefix`].
     express_len: usize,
     /// Recycled candidate buffer for randomized routing.
     cand: Vec<RegionId>,
 }
 
-impl Default for RouteScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl RouteScratch {
-    /// Creates an empty scratch.
-    pub fn new() -> Self {
-        Self {
-            stamps: Vec::new(),
-            generation: 0,
-            hops: Vec::new(),
-            express_len: 0,
-            cand: Vec::new(),
-        }
-    }
-
-    /// The hop trace of the most recent successful routed query: starts at
-    /// the source, ends at the executor (same contract as
-    /// [`RoutePath::hops`]).
-    pub fn hops(&self) -> &[RegionId] {
-        &self.hops
-    }
-
-    /// Hop count of the most recent successful routed query.
-    pub fn hop_count(&self) -> usize {
-        self.hops.len().saturating_sub(1)
-    }
-
-    /// Index into [`Self::hops`] of the express→greedy handoff region of
-    /// the most recent express route: `hops()[prefix..]` is
-    /// the last-mile greedy segment (hop-for-hop what [`route_uncached`]
-    /// walks from the handoff region), `hops()[..prefix]` the express
-    /// descent. 0 when no express hop was taken or after a plain greedy
-    /// route.
-    pub fn express_prefix(&self) -> usize {
-        self.express_len
-    }
-
     /// Validates one query against `view` and prepares the scratch for it:
     /// grows the stamp table to the view's slot count, starts a fresh
     /// visited generation, and opens the hop trace with `from`. A rejected
@@ -212,6 +166,106 @@ impl RouteScratch {
     #[inline]
     fn visited(&self, slot: usize) -> bool {
         self.stamps[slot] == self.generation
+    }
+
+    /// The one routing walk (see the [module docs](self)): with `express`,
+    /// the finger descent first; then the greedy walk, whose every hop is
+    /// `next(self, slot)` from the current region's slot. The hop trace
+    /// lands in `self.hops`, the handoff index in `self.express_len`.
+    ///
+    /// The descent records its hops but marks none visited, so the walk
+    /// that follows sees exactly the state [`route_uncached`] would build
+    /// starting at the handoff. A walk that outruns its hop budget or
+    /// finds no next hop (degenerate topology; should not happen on a
+    /// valid partition) ends at the spatial index's answer, so callers
+    /// still make progress.
+    fn walk<V, F>(
+        &mut self,
+        view: &V,
+        from: RegionId,
+        target: Point,
+        express: bool,
+        mut next: F,
+    ) -> Result<RegionId, CoreError>
+    where
+        V: TopologyView + ?Sized,
+        F: FnMut(&mut Self, usize) -> Option<RegionId>,
+    {
+        self.begin(view, from, target)?;
+        let mut current = from;
+        if express {
+            let floor = view.finger_base();
+            while self.express_len < EXPRESS_MAX_HOPS {
+                let Some(hop) = express_choice(view, current, target, floor) else {
+                    break;
+                };
+                self.hops.push(hop);
+                current = hop;
+                self.express_len += 1;
+            }
+        }
+        self.visit(current.index());
+        let budget = 8 * (view.region_count() as f64).sqrt() as usize + 64;
+        loop {
+            let slot = current.index();
+            if !view.is_live(slot) {
+                return Err(CoreError::UnknownRegion(current));
+            }
+            if view.covers(slot, target) {
+                return Ok(current);
+            }
+            let hop = if self.hops.len() - self.express_len > budget {
+                None
+            } else {
+                next(self, slot)
+            };
+            let Some(hop) = hop else {
+                let executor = view.locate(target)?;
+                self.hops.push(executor);
+                return Ok(executor);
+            };
+            self.visit(hop.index());
+            self.hops.push(hop);
+            current = hop;
+        }
+    }
+
+    /// The randomized next hop from `slot`: a uniform draw among the
+    /// unvisited neighbors within the `slack`-relative tie window of the
+    /// best closest-point distance (ascending by id), or the greedy
+    /// minimum when the window is empty.
+    fn draw<V: TopologyView + ?Sized, R: rand::Rng + ?Sized>(
+        &mut self,
+        view: &V,
+        slot: usize,
+        target: Point,
+        slack: f64,
+        rng: &mut R,
+    ) -> Option<RegionId> {
+        self.cand.clear();
+        // Pass 1: best closest-point distance among unvisited neighbors.
+        let mut best = f64::INFINITY;
+        for &n in view.neighbors(slot) {
+            if !self.visited(n.index()) {
+                best = best.min(view.slot_rect(n.index()).distance_to_point(target));
+            }
+        }
+        // Pass 2: keep everything within the tie window.
+        if best < f64::INFINITY {
+            let cutoff = best + slack * best.max(1e-9);
+            for &n in view.neighbors(slot) {
+                if !self.visited(n.index())
+                    && view.slot_rect(n.index()).distance_to_point(target) <= cutoff
+                {
+                    self.cand.push(n);
+                }
+            }
+            self.cand.sort_unstable();
+        }
+        if self.cand.is_empty() {
+            return scan_next_hop(view, slot, target, self);
+        }
+        Some(self.cand[rng.random_range(0..self.cand.len())])
     }
 }
 
@@ -281,108 +335,6 @@ fn scan_next_hop<V: TopologyView + ?Sized>(
     best.map(|k| k.2)
 }
 
-/// Shared fill of the randomized-routing candidate set: all unvisited
-/// neighbors within the `slack`-relative tie window of the best
-/// closest-point distance, ascending by id, written into `out` without
-/// allocating.
-fn candidates_into_filtered<V: TopologyView + ?Sized>(
-    view: &V,
-    from_slot: usize,
-    target: Point,
-    visited: impl Fn(RegionId) -> bool,
-    slack: f64,
-    out: &mut Vec<RegionId>,
-) {
-    out.clear();
-    // Pass 1: best closest-point distance among unvisited neighbors.
-    let mut best = f64::INFINITY;
-    for &n in view.neighbors(from_slot) {
-        if visited(n) {
-            continue;
-        }
-        let d = view.slot_rect(n.index()).distance_to_point(target);
-        if d < best {
-            best = d;
-        }
-    }
-    if best == f64::INFINITY {
-        return;
-    }
-    // Pass 2: keep everything within the tie window.
-    let cutoff = best + slack * best.max(1e-9);
-    for &n in view.neighbors(from_slot) {
-        if visited(n) {
-            continue;
-        }
-        if view.slot_rect(n.index()).distance_to_point(target) <= cutoff {
-            out.push(n);
-        }
-    }
-    out.sort_unstable();
-}
-
-/// The greedy engine behind [`Router::route`] with
-/// [`RouteOptions::greedy`] (see the [module docs](self)): the paper's
-/// mesh walk with no per-query allocation. Returns the executor; the hop
-/// trace is in [`RouteScratch::hops`].
-///
-/// Produces exactly the hops of [`route_uncached`] for every input.
-pub(crate) fn greedy_into<V: TopologyView + ?Sized>(
-    view: &V,
-    from: RegionId,
-    target: Point,
-    scratch: &mut RouteScratch,
-) -> Result<RegionId, CoreError> {
-    scratch.begin(view, from, target)?;
-    scratch.visit(from.index());
-    greedy_loop(view, from, target, scratch, 0)
-}
-
-/// The greedy mesh walk shared by [`greedy_into`] (whole route, `base` 0)
-/// and [`express_into`] (last mile, `base` = express prefix length):
-/// termination test, hop budget relative to `base`, and one unvisited
-/// neighbor scan per hop. The caller has already recorded and visited
-/// `current`; the express prefix before `base` carries no visited marks,
-/// so from the handoff on this walk sees exactly the state
-/// [`route_uncached`] would build starting there.
-fn greedy_loop<V: TopologyView + ?Sized>(
-    view: &V,
-    mut current: RegionId,
-    target: Point,
-    scratch: &mut RouteScratch,
-    base: usize,
-) -> Result<RegionId, CoreError> {
-    let budget = 8 * (view.region_count() as f64).sqrt() as usize + 64;
-    loop {
-        let slot = current.index();
-        if !view.is_live(slot) {
-            return Err(CoreError::UnknownRegion(current));
-        }
-        if view.covers(slot, target) {
-            return Ok(current);
-        }
-        if scratch.hops.len() - base > budget {
-            // Degenerate topology (should not happen on a valid partition):
-            // answer via the spatial index so callers still make progress.
-            let executor = view.locate(target)?;
-            scratch.hops.push(executor);
-            return Ok(executor);
-        }
-        match scan_next_hop(view, slot, target, scratch) {
-            Some(next) => {
-                scratch.visit(next.index());
-                scratch.hops.push(next);
-                current = next;
-            }
-            None => {
-                let executor = view.locate(target)?;
-                scratch.hops.push(executor);
-                return Ok(executor);
-            }
-        }
-    }
-}
-
 /// The express decision at `current` toward `target`: the finger to
 /// follow, or `None` to hand off to the greedy walk — [`rules::express`]
 /// over the region's finger block and its neighbors, keyed by region id.
@@ -412,163 +364,40 @@ fn express_choice<V: TopologyView + ?Sized>(
     )
 }
 
-/// Two-phase express route (see the [module docs](self)): descend the
-/// express fingers while the remaining distance exceeds the finger floor,
-/// then hand off to the paper-faithful greedy walk for the last mile. The
-/// hop trace lands in [`RouteScratch::hops`] with the handoff index in
-/// [`RouteScratch::express_prefix`]; the last-mile segment is hop-for-hop
-/// what [`route_uncached`] walks from the handoff region.
+/// Which walk a [`Router`] query takes (see the [module docs](self)).
 ///
-/// On networks too coarse for any finger to qualify the express phase
-/// takes zero hops and this is exactly [`greedy_into`].
-pub(crate) fn express_into<V: TopologyView + ?Sized>(
-    view: &V,
-    from: RegionId,
-    target: Point,
-    scratch: &mut RouteScratch,
-) -> Result<RegionId, CoreError> {
-    scratch.begin(view, from, target)?;
-    let floor = view.finger_base();
-    let mut current = from;
-    // Phase 1: express descent. Hops are recorded but NOT marked visited —
-    // the greedy tail must start from exactly the visited state
-    // route_uncached would have at the handoff (just the handoff itself),
-    // and the decay guarantee already rules out express loops.
-    let mut express_hops = 0usize;
-    while express_hops < EXPRESS_MAX_HOPS {
-        let Some(next) = express_choice(view, current, target, floor) else {
-            break;
-        };
-        scratch.hops.push(next);
-        current = next;
-        express_hops += 1;
-    }
-    scratch.express_len = express_hops;
-    // Phase 2: the unmodified greedy engine finishes the last mile.
-    scratch.visit(current.index());
-    greedy_loop(view, current, target, scratch, express_hops)
-}
-
-/// Like [`greedy_into`], but at each step picks uniformly at random among
-/// the near-optimal next hops (`slack`-relative tie window), on the same
-/// recycled scratch buffers.
-///
-/// Produces exactly the same hops for the same RNG state regardless of
-/// which wrapper drives it.
-pub(crate) fn randomized_into<V: TopologyView + ?Sized, R: rand::Rng + ?Sized>(
-    view: &V,
-    from: RegionId,
-    target: Point,
-    slack: f64,
-    rng: &mut R,
-    scratch: &mut RouteScratch,
-) -> Result<RegionId, CoreError> {
-    scratch.begin(view, from, target)?;
-    let budget = 8 * (view.region_count() as f64).sqrt() as usize + 64;
-    let mut current = from;
-    scratch.visit(from.index());
-    loop {
-        let slot = current.index();
-        if !view.is_live(slot) {
-            return Err(CoreError::UnknownRegion(current));
-        }
-        if view.covers(slot, target) {
-            return Ok(current);
-        }
-        if scratch.hops.len() > budget {
-            let executor = view.locate(target)?;
-            scratch.hops.push(executor);
-            return Ok(executor);
-        }
-        let mut cand = std::mem::take(&mut scratch.cand);
-        candidates_into_filtered(
-            view,
-            slot,
-            target,
-            |n| scratch.visited(n.index()),
-            slack,
-            &mut cand,
-        );
-        let next = if cand.is_empty() {
-            scan_next_hop(view, slot, target, scratch)
-        } else {
-            Some(cand[rng.random_range(0..cand.len())])
-        };
-        scratch.cand = cand;
-        match next {
-            Some(next) => {
-                scratch.visit(next.index());
-                scratch.hops.push(next);
-                current = next;
-            }
-            None => {
-                let executor = view.locate(target)?;
-                scratch.hops.push(executor);
-                return Ok(executor);
-            }
-        }
-    }
-}
-
-/// Which forwarding engine a [`Router`] query uses.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum RouteEngine {
+/// `RouteOptions::default()` is the plain greedy walk.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub enum RouteOptions {
     /// The paper's greedy mesh walk (§2.2): `O(√N)` hops, hop-for-hop
     /// identical to [`route_uncached`].
     #[default]
     Greedy,
-    /// Two-phase express route: finger descent (`O(log N)` hops), then
-    /// the greedy walk for the last mile.
+    /// Express descent over the topology's fingers (`O(log N)` hops),
+    /// then the greedy walk for the last mile.
     Express,
-}
-
-/// Per-query options for [`Router::route`]: which engine forwards, and
-/// whether next hops are randomized over the near-optimal tie window.
-///
-/// `RouteOptions::default()` is the plain greedy walk.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RouteOptions {
-    /// The forwarding engine ([`RouteEngine::Greedy`] by default).
-    pub engine: RouteEngine,
-    /// `Some(slack)` picks uniformly at random among the next hops within
-    /// the `slack`-relative tie window of the best (the paper's
-    /// *randomization of routing entries*, spreading transit load over
-    /// parallel corridors). Randomization always runs the greedy walk —
-    /// `engine` is ignored when this is set.
-    pub randomize: Option<f64>,
+    /// The greedy walk with each next hop drawn uniformly from the
+    /// unvisited neighbors within this `slack`-relative tie window of the
+    /// best.
+    Randomized(f64),
 }
 
 impl RouteOptions {
-    /// Plain greedy forwarding (the default).
-    pub fn greedy() -> Self {
-        Self::default()
-    }
-
-    /// Two-phase express forwarding over the topology's finger links.
+    // Shim for the frozen benchmark/src/{probes,model}.rs only; the next benchmark PR deletes it.
+    #[doc(hidden)]
     pub fn express() -> Self {
-        Self {
-            engine: RouteEngine::Express,
-            randomize: None,
-        }
-    }
-
-    /// Greedy forwarding randomized over the `slack`-relative tie window.
-    pub fn randomized(slack: f64) -> Self {
-        Self {
-            engine: RouteEngine::Greedy,
-            randomize: Some(slack),
-        }
+        Self::Express
     }
 }
 
-/// The routing facade: one reusable object bundling the zero-allocation
-/// [`RouteScratch`] (visited stamps, hop buffer) with an RNG for
-/// randomized queries, dispatching on [`RouteOptions`].
+/// The routing facade and the only way into the walk: visited stamps and
+/// recycled hop buffers (no per-query allocation) plus an RNG for
+/// randomized queries.
 ///
 /// A `Router` works on any [`TopologyView`]: pass `&Topology` on the
 /// single-threaded path or `&TopologySnapshot` when routing concurrently
 /// against a published snapshot (one `Router` per reader thread — the
-/// scratch is the per-thread state, the snapshot the shared immutable
+/// router is the per-thread state, the snapshot the shared immutable
 /// one). Nothing in a router depends on the view it last routed on, so
 /// one may be reused freely across views, epochs, and instances.
 ///
@@ -584,7 +413,7 @@ impl RouteOptions {
 /// let mut router = Router::new();
 /// let from = t.first_region().unwrap();
 /// let executor = router
-///     .route(&t, from, Point::new(12.0, 51.0), &RouteOptions::greedy())
+///     .route(&t, from, Point::new(12.0, 51.0), &RouteOptions::Greedy)
 ///     .unwrap();
 /// assert_eq!(router.hops().last(), Some(&executor));
 /// ```
@@ -612,14 +441,14 @@ impl Router {
     /// deterministically seeded RNG.
     pub fn with_seed(seed: u64) -> Self {
         Self {
-            scratch: RouteScratch::new(),
+            scratch: RouteScratch::default(),
             rng: rand::rngs::SmallRng::seed_from_u64(seed),
         }
     }
 
-    /// Routes from `from` to the region covering `target` on `view`,
-    /// dispatching on `options`. Returns the executor region; the hop
-    /// trace is in [`Self::hops`] (or [`Self::path`] for an owned copy).
+    /// Routes from `from` to the region covering `target` on `view` by
+    /// the walk `options` names. Returns the executor region; the hop
+    /// trace is in [`Self::hops`].
     ///
     /// # Errors
     ///
@@ -633,13 +462,14 @@ impl Router {
         target: Point,
         options: &RouteOptions,
     ) -> Result<RegionId, CoreError> {
-        if let Some(slack) = options.randomize {
-            return randomized_into(view, from, target, slack, &mut self.rng, &mut self.scratch);
-        }
-        match options.engine {
-            RouteEngine::Greedy => greedy_into(view, from, target, &mut self.scratch),
-            RouteEngine::Express => express_into(view, from, target, &mut self.scratch),
-        }
+        dispatch(
+            &mut self.scratch,
+            view,
+            from,
+            target,
+            options,
+            &mut self.rng,
+        )
     }
 
     /// Like [`Self::route`], but randomized queries draw from the
@@ -657,39 +487,27 @@ impl Router {
         options: &RouteOptions,
         rng: &mut R,
     ) -> Result<RegionId, CoreError> {
-        if let Some(slack) = options.randomize {
-            return randomized_into(view, from, target, slack, rng, &mut self.scratch);
-        }
-        match options.engine {
-            RouteEngine::Greedy => greedy_into(view, from, target, &mut self.scratch),
-            RouteEngine::Express => express_into(view, from, target, &mut self.scratch),
-        }
+        dispatch(&mut self.scratch, view, from, target, options, rng)
     }
 
     /// The hop trace of the most recent successful route: starts at the
-    /// source, ends at the executor.
+    /// source, ends at the executor (same contract as [`RoutePath::hops`]).
     pub fn hops(&self) -> &[RegionId] {
-        self.scratch.hops()
+        &self.scratch.hops
     }
 
     /// Hop count of the most recent successful route.
     pub fn hop_count(&self) -> usize {
-        self.scratch.hop_count()
+        self.scratch.hops.len().saturating_sub(1)
     }
 
-    /// An owned [`RoutePath`] of the most recent successful route, or
-    /// `None` if no route has completed yet.
-    pub fn path(&self) -> Option<RoutePath> {
-        self.scratch.hops().last().map(|&executor| RoutePath {
-            executor,
-            hops: self.scratch.hops().to_vec(),
-        })
-    }
-
-    /// Index of the express→greedy handoff in [`Self::hops`] (see
-    /// [`RouteScratch::express_prefix`]).
+    /// Index into [`Self::hops`] of the express→greedy handoff region of
+    /// the most recent route: `hops()[prefix..]` is the last-mile greedy
+    /// segment (hop-for-hop what [`route_uncached`] walks from the handoff
+    /// region), `hops()[..prefix]` the express descent. 0 when no express
+    /// hop was taken or after a greedy or randomized route.
     pub fn express_prefix(&self) -> usize {
-        self.scratch.express_prefix()
+        self.scratch.express_len
     }
 
     // Shims for the frozen benchmark/src/{probes,model}.rs only; the next benchmark PR deletes them.
@@ -707,8 +525,28 @@ impl Router {
     pub fn reset_stats(&mut self) {}
 }
 
+/// Picks the next-hop rule once for the route and runs the one walk with
+/// it: the greedy and express walks share the unvisited-minimum closure.
+fn dispatch<V: TopologyView + ?Sized, R: rand::Rng + ?Sized>(
+    scratch: &mut RouteScratch,
+    view: &V,
+    from: RegionId,
+    target: Point,
+    options: &RouteOptions,
+    rng: &mut R,
+) -> Result<RegionId, CoreError> {
+    let greedy = |s: &mut RouteScratch, slot| scan_next_hop(view, slot, target, s);
+    match *options {
+        RouteOptions::Greedy => scratch.walk(view, from, target, false, greedy),
+        RouteOptions::Express => scratch.walk(view, from, target, true, greedy),
+        RouteOptions::Randomized(slack) => scratch.walk(view, from, target, false, |s, slot| {
+            s.draw(view, slot, target, slack, rng)
+        }),
+    }
+}
+
 /// The original allocating implementation — per-query `HashSet` and
-/// `Vec`s, no scratch. Kept as the reference the zero-allocation engine
+/// `Vec`s, no scratch. Kept as the reference the zero-allocation walk
 /// is verified against (the `route_parity` property test asserts the
 /// [`Router`] facade matches this hop for hop) and as the baseline row in
 /// benchmarks. Works on any [`TopologyView`], so the concurrency stress
@@ -767,41 +605,6 @@ pub fn route_uncached<V: TopologyView + ?Sized>(
     }
 }
 
-/// All regions a query rectangle must be delivered to: breadth-first flood
-/// from the executor over neighbors overlapping `query`.
-///
-/// The paper forwards from the executor to the neighbors whose regions
-/// intersect the query rectangle; the flood generalizes that to rectangles
-/// wider than one neighborhood while visiting only overlapping regions.
-/// The executor itself is always included (first).
-pub fn fanout<V: TopologyView + ?Sized>(
-    view: &V,
-    executor: RegionId,
-    query: &Region,
-) -> Vec<RegionId> {
-    let mut out = Vec::new();
-    let mut seen = HashSet::new();
-    let mut frontier = vec![executor];
-    seen.insert(executor);
-    while let Some(rid) = frontier.pop() {
-        if !view.is_live(rid.index()) {
-            continue;
-        }
-        out.push(rid);
-        for &n in view.neighbors(rid.index()) {
-            if seen.contains(&n) {
-                continue;
-            }
-            let overlaps = view.is_live(n.index()) && view.slot_rect(n.index()).intersects(query);
-            if overlaps {
-                seen.insert(n);
-                frontier.push(n);
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -843,15 +646,12 @@ mod tests {
             Point::new(5.0, 60.0),
         ] {
             let executor = router
-                .route(&t, from, target, &RouteOptions::greedy())
+                .route(&t, from, target, &RouteOptions::Greedy)
                 .expect("route");
             assert!(t.region(executor).unwrap().covers(target, t.space()));
             assert_eq!(executor, t.locate_scan(target).unwrap());
             assert_eq!(*router.hops().first().unwrap(), from);
             assert_eq!(*router.hops().last().unwrap(), executor);
-            let path = router.path().expect("a route just completed");
-            assert_eq!(path.executor, executor);
-            assert_eq!(&path.hops[..], router.hops());
         }
     }
 
@@ -862,7 +662,7 @@ mod tests {
         let inside = t.region(from).unwrap().region().center();
         let mut router = Router::new();
         let executor = router
-            .route(&t, from, inside, &RouteOptions::greedy())
+            .route(&t, from, inside, &RouteOptions::Greedy)
             .unwrap();
         assert_eq!(router.hop_count(), 0);
         assert_eq!(executor, from);
@@ -874,7 +674,7 @@ mod tests {
         let from = t.first_region().unwrap();
         let mut router = Router::new();
         assert!(matches!(
-            router.route(&t, from, Point::new(100.0, 0.0), &RouteOptions::greedy()),
+            router.route(&t, from, Point::new(100.0, 0.0), &RouteOptions::Greedy),
             Err(CoreError::OutOfSpace { .. })
         ));
     }
@@ -897,7 +697,7 @@ mod tests {
                     .region()
                     .center();
                 router
-                    .route(t, from, target, &RouteOptions::greedy())
+                    .route(t, from, target, &RouteOptions::Greedy)
                     .unwrap();
                 total += router.hop_count();
                 count += 1;
@@ -920,29 +720,12 @@ mod tests {
     }
 
     #[test]
-    fn fanout_covers_exactly_overlapping_regions() {
-        let t = grid_topology(6);
-        let query = Region::new(20.0, 20.0, 24.0, 24.0);
-        let executor = t.locate_scan(query.center()).unwrap();
-        let fan = fanout(&t, executor, &query);
-        assert_eq!(fan[0], executor);
-        let expected: HashSet<RegionId> = t
-            .regions()
-            .filter(|(_, e)| e.region().intersects(&query))
-            .map(|(rid, _)| rid)
-            .collect();
-        let got: HashSet<RegionId> = fan.iter().copied().collect();
-        assert_eq!(got, expected);
-        assert_eq!(fan.len(), got.len(), "no duplicates");
-    }
-
-    #[test]
     fn randomized_routing_reaches_cover_and_spreads_paths() {
         let t = grid_topology(6);
         let from = t.first_region().unwrap();
         let target = Point::new(60.0, 60.0);
         let mut router = Router::with_seed(3);
-        let opts = RouteOptions::randomized(0.25);
+        let opts = RouteOptions::Randomized(0.25);
         let mut distinct_paths = std::collections::HashSet::new();
         for _ in 0..20 {
             let executor = router.route(&t, from, target, &opts).unwrap();
@@ -956,21 +739,12 @@ mod tests {
         );
         // And stay within the hop budget's ballpark of the greedy route.
         router
-            .route(&t, from, target, &RouteOptions::greedy())
+            .route(&t, from, target, &RouteOptions::Greedy)
             .unwrap();
         let greedy = router.hop_count();
         for p in &distinct_paths {
             assert!(p.len() - 1 <= greedy * 3 + 8);
         }
-    }
-
-    #[test]
-    fn fanout_of_tiny_query_is_executor_only() {
-        let t = grid_topology(6);
-        let executor = t.locate_scan(Point::new(10.0, 10.0)).unwrap();
-        let inner = t.region(executor).unwrap().region();
-        let tiny = Region::new(inner.center().x - 1e-6, inner.center().y - 1e-6, 2e-6, 2e-6);
-        assert_eq!(fanout(&t, executor, &tiny), vec![executor]);
     }
 
     #[test]
@@ -987,7 +761,7 @@ mod tests {
                     let target = t.region(to).unwrap().region().center();
                     let reference = route_uncached(&t, from, target).unwrap();
                     let executor = router
-                        .route(&t, from, target, &RouteOptions::greedy())
+                        .route(&t, from, target, &RouteOptions::Greedy)
                         .unwrap();
                     assert_eq!(executor, reference.executor);
                     assert_eq!(router.hops(), &reference.hops[..]);
@@ -1001,7 +775,7 @@ mod tests {
         let t = grid_topology(8); // 256 regions
         let ids: Vec<RegionId> = t.region_ids().collect();
         let mut router = Router::new();
-        let opts = RouteOptions::express();
+        let opts = RouteOptions::Express;
         // Twice: a long-lived router must answer the same on reuse.
         for _round in 0..2 {
             for (i, &from) in ids.iter().enumerate().step_by(5) {
@@ -1036,7 +810,7 @@ mod tests {
         let reference = route_uncached(&t, from, target).unwrap();
         let mut router = Router::new();
         let executor = router
-            .route(&t, from, target, &RouteOptions::express())
+            .route(&t, from, target, &RouteOptions::Express)
             .unwrap();
         assert_eq!(executor, reference.executor);
         assert!(
@@ -1058,7 +832,7 @@ mod tests {
         let inside = t.region(from).unwrap().region().center();
         let mut router = Router::new();
         let executor = router
-            .route(&t, from, inside, &RouteOptions::express())
+            .route(&t, from, inside, &RouteOptions::Express)
             .unwrap();
         assert_eq!(router.hop_count(), 0);
         assert_eq!(executor, from);
@@ -1077,7 +851,7 @@ mod tests {
                 .unwrap()
                 .region()
                 .center();
-            for opts in [RouteOptions::greedy(), RouteOptions::express()] {
+            for opts in [RouteOptions::Greedy, RouteOptions::Express] {
                 let a = on_topo.route(&t, from, target, &opts).unwrap();
                 let b = on_snap.route(&*snap, from, target, &opts).unwrap();
                 assert_eq!(a, b, "{from} -> {target:?}");

@@ -14,15 +14,15 @@
 //!   minted by the store's clock; replica hand-off during split, merge,
 //!   and fail-over resolves duplicate ids deterministically (larger
 //!   stamp wins, incoming wins exact ties).
-//! * **Expiry wheel.** Deadlines are filed into a timing wheel (near
-//!   buckets + far heap) and drained as the clock advances, replacing
-//!   the old per-publish full sweep; total expiry work is O(entries),
-//!   not O(publishes × entries). [`RegionStore::expiry_work`] counts
-//!   entries examined so tests can assert the amortization. A record
-//!   slot keeps one pending deadline: a re-publish files a new entry only
-//!   when its deadline comes sooner, and a drained entry whose record was
-//!   renewed re-files at the record's current deadline — so wheel memory
-//!   scales with slots, not with publishes per TTL.
+//! * **Expiry heap.** Deadlines are filed into one min-heap and drained
+//!   as the clock advances, replacing the old per-publish full sweep;
+//!   total expiry work is O(entries), not O(publishes × entries).
+//!   [`RegionStore::expiry_work`] counts entries examined so tests can
+//!   assert the amortization. A record slot keeps one pending deadline:
+//!   a re-publish files a new entry only when its deadline comes sooner,
+//!   and a drained entry whose record was renewed re-files at the
+//!   record's current deadline — so heap memory scales with slots, not
+//!   with publishes per TTL.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -44,12 +44,7 @@ const STORE_GRID_DIM: usize = 64;
 /// grid is built the moment a store crosses this size.
 const INDEX_THRESHOLD: usize = 256;
 
-/// Slots per revolution of the expiry wheel. Deadlines within this many
-/// ticks of the cursor sit in per-tick buckets; farther ones wait in a
-/// min-heap and migrate into buckets as the cursor approaches.
-const WHEEL_SLOTS: u64 = 64;
-
-/// `record_due` value of a slot with no pending wheel entry.
+/// `record_due` value of a slot with no pending heap entry.
 const NO_DUE: u64 = u64::MAX;
 
 /// Record slots filed by position and subscription slots by area.
@@ -76,102 +71,38 @@ enum EntryKind {
 /// occupant when drained, so renewals and slot reuse need no cancellation.
 /// A record entry acts only while it is its slot's `record_due`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct WheelEntry {
+struct Deadline {
     at: u64,
     kind: EntryKind,
     slot: u32,
 }
 
-/// The lazy expiry wheel: per-tick near buckets plus a far heap.
+/// The lazy expiry queue: one min-heap of deadlines.
 #[derive(Debug, Clone, Default)]
-struct ExpiryWheel {
-    /// Empty until the first deadline is filed, then `WHEEL_SLOTS` long.
-    buckets: Vec<Vec<WheelEntry>>,
-    far: BinaryHeap<Reverse<WheelEntry>>,
+struct ExpiryHeap {
+    heap: BinaryHeap<Reverse<Deadline>>,
     /// High-water mark of every `now` a mutating operation has seen.
     cursor: u64,
     /// Entries examined so far (the amortization contract for tests).
     work: u64,
 }
 
-impl ExpiryWheel {
-    /// Materialises the near buckets on the first filed deadline. Lazy so
-    /// the thousands of per-region stores that never hold a deadline stay
-    /// at `size_of::<ExpiryWheel>()`.
-    // Allocates, but only once: on the first deadline a wheel ever files.
-    fn ensure_buckets(&mut self) {
-        if self.buckets.is_empty() {
-            self.buckets.resize_with(WHEEL_SLOTS as usize, Vec::new);
-        }
-    }
-
+impl ExpiryHeap {
+    /// Files a deadline. One already at or behind the cursor drains on the
+    /// next advance.
     fn schedule(&mut self, at: u64, kind: EntryKind, slot: u32) {
-        self.ensure_buckets();
-        let entry = WheelEntry { at, kind, slot };
-        // Deadlines already at or behind the cursor file one tick ahead so
-        // the next advance drains them.
-        let due = at.max(self.cursor.saturating_add(1));
-        if due - self.cursor <= WHEEL_SLOTS {
-            self.buckets[(due % WHEEL_SLOTS) as usize].push(entry);
-        } else {
-            self.far.push(Reverse(entry));
-        }
+        self.heap.push(Reverse(Deadline { at, kind, slot }));
     }
 
-    /// Moves the cursor to `now`, appending every due entry to `out`.
-    fn advance(&mut self, now: u64, out: &mut Vec<WheelEntry>) {
-        if now <= self.cursor {
-            return;
+    /// Pops the earliest deadline if it is due at `now`.
+    fn pop_due(&mut self, now: u64) -> Option<Deadline> {
+        let Reverse(head) = *self.heap.peek()?;
+        if head.at > now {
+            return None;
         }
-        let from = self.cursor;
-        self.cursor = now;
-        if !self.buckets.is_empty() {
-            if now - from >= WHEEL_SLOTS {
-                // Full revolution: every bucket's turn has come.
-                for bucket in &mut self.buckets {
-                    self.work += bucket.len() as u64;
-                    bucket.retain(|e| {
-                        if e.at <= now {
-                            out.push(*e);
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                }
-            } else {
-                for t in from + 1..=now {
-                    let bucket = &mut self.buckets[(t % WHEEL_SLOTS) as usize];
-                    self.work += bucket.len() as u64;
-                    bucket.retain(|e| {
-                        if e.at <= now {
-                            out.push(*e);
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                }
-            }
-        }
-        // Pull far deadlines that are now within (or behind) the horizon.
-        while let Some(Reverse(head)) = self.far.peek() {
-            if head.at > now.saturating_add(WHEEL_SLOTS) {
-                break;
-            }
-            let Some(Reverse(e)) = self.far.pop() else {
-                break;
-            };
-            self.work += 1;
-            if e.at <= now {
-                out.push(e);
-            } else {
-                if self.buckets.is_empty() {
-                    self.buckets.resize_with(WHEEL_SLOTS as usize, Vec::new);
-                }
-                self.buckets[(e.at % WHEEL_SLOTS) as usize].push(e);
-            }
-        }
+        self.heap.pop();
+        self.work += 1;
+        Some(head)
     }
 }
 
@@ -197,7 +128,7 @@ impl ExpiryWheel {
 #[derive(Debug, Clone, Default)]
 pub struct RegionStore {
     slots: Vec<Option<RecordSlot>>,
-    /// Per record slot: the deadline of its one pending wheel entry, or
+    /// Per record slot: the deadline of its one pending heap entry, or
     /// [`NO_DUE`]. Kept across eviction, so a reused slot inherits it.
     record_due: Vec<u64>,
     free_records: Vec<u32>,
@@ -207,10 +138,7 @@ pub struct RegionStore {
     sub_by_key: HashMap<(NodeId, u64), u32>,
     grid: Option<StoreIndex>,
     clock: HlcClock,
-    wheel: ExpiryWheel,
-    /// Recycled scratch for drained wheel entries (zero steady-state
-    /// allocation on the publish path).
-    due_scratch: Vec<WheelEntry>,
+    expiry: ExpiryHeap,
 }
 
 impl RegionStore {
@@ -240,11 +168,11 @@ impl RegionStore {
         self.by_id.is_empty() && self.sub_by_key.is_empty()
     }
 
-    /// Total expiry-wheel entries examined over this store's lifetime.
+    /// Total expiry-heap entries examined over this store's lifetime.
     /// The amortization contract: bounded by deadlines filed, independent
     /// of how many publishes observe them.
     pub fn expiry_work(&self) -> u64 {
-        self.wheel.work
+        self.expiry.work
     }
 
     /// The live record with `id`, if any.
@@ -387,7 +315,7 @@ impl RegionStore {
     pub fn split_for(&mut self, own_half: &Region, other_half: &Region) -> RegionStore {
         let mut other = RegionStore::new();
         other.clock = self.clock.clone();
-        other.wheel.cursor = self.wheel.cursor;
+        other.expiry.cursor = self.expiry.cursor;
         for slot in 0..self.slots.len() as u32 {
             let belongs = match &self.slots[slot as usize] {
                 // Half-open containment: each position lands in exactly one half.
@@ -428,7 +356,7 @@ impl RegionStore {
     pub fn absorb(&mut self, other: RegionStore) {
         // Catch up to the absorbed store's clock before merging, so both
         // sides agree on which deadlines have already passed.
-        self.advance(other.wheel.cursor);
+        self.advance(other.expiry.cursor);
         for s in other.slots.into_iter().flatten() {
             self.insert_replica(s.record, s.stamp);
         }
@@ -516,13 +444,13 @@ impl RegionStore {
     /// at it; leftover record entries and renewed or reused subscription
     /// slots validate stale and are skipped.
     fn advance(&mut self, now: u64) {
-        if now <= self.wheel.cursor {
+        if now <= self.expiry.cursor {
             return;
         }
-        let mut due = std::mem::take(&mut self.due_scratch);
-        due.clear();
-        self.wheel.advance(now, &mut due);
-        for e in due.drain(..) {
+        self.expiry.cursor = now;
+        // A record re-filed here lies after `now`, so this drain never
+        // pops it again.
+        while let Some(e) = self.expiry.pop_due(now) {
             match e.kind {
                 EntryKind::Record => {
                     let i = e.slot as usize;
@@ -536,7 +464,7 @@ impl RegionStore {
                         }
                         Some(at) => {
                             self.record_due[i] = at;
-                            self.wheel.schedule(at, EntryKind::Record, e.slot);
+                            self.expiry.schedule(at, EntryKind::Record, e.slot);
                         }
                         None => {}
                     }
@@ -552,7 +480,6 @@ impl RegionStore {
                 }
             }
         }
-        self.due_scratch = due;
     }
 
     /// Empties a record slot, returning what it held.
@@ -623,7 +550,7 @@ impl RegionStore {
             let pending = &mut self.record_due[slot as usize];
             if at < *pending {
                 *pending = at;
-                self.wheel.schedule(at, EntryKind::Record, slot);
+                self.expiry.schedule(at, EntryKind::Record, slot);
             }
         }
     }
@@ -666,7 +593,7 @@ impl RegionStore {
             grid.subs.insert_span(&area, slot);
         }
         if needs_schedule {
-            self.wheel.schedule(expires, EntryKind::Sub, slot);
+            self.expiry.schedule(expires, EntryKind::Sub, slot);
         }
     }
 
@@ -972,7 +899,7 @@ mod tests {
     }
 
     #[test]
-    fn far_future_expiries_migrate_through_the_wheel() {
+    fn far_future_expiries_wait_in_the_heap() {
         let mut store = RegionStore::new();
         store.publish(record(1, 1.0, 1.0, "t").with_expiry(10_000), 0);
         store.subscribe(
@@ -1001,18 +928,16 @@ mod tests {
     }
 
     #[test]
-    fn renewals_keep_one_wheel_entry_per_slot() {
+    fn renewals_keep_one_heap_entry_per_slot() {
         const TTL: u64 = 3_600_000;
-        let pending = |s: &RegionStore| {
-            s.wheel.buckets.iter().map(Vec::len).sum::<usize>() + s.wheel.far.len()
-        };
+        let pending = |s: &RegionStore| s.expiry.heap.len();
         let mut store = RegionStore::new();
         for now in 0..100u64 {
             for id in 0..100u64 {
                 store.publish(record(id, 1.0, 1.0, "t").with_expiry(now + TTL), now);
             }
             let n = pending(&store);
-            assert!(n <= 100, "{n} wheel entries pending");
+            assert!(n <= 100, "{n} heap entries pending");
         }
         // Renewed deadlines still fire, each once the record's latest one
         // has passed.

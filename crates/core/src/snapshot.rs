@@ -25,7 +25,7 @@
 //! **one atomic load**: the cell's version counter is checked, and only
 //! when it changed does the reader touch the lock to fetch the new `Arc`.
 //! Readers route against their snapshot with a per-thread
-//! [`RouteScratch`](crate::routing::RouteScratch) — no locks, no shared
+//! [`Router`](crate::routing::Router) — no locks, no shared
 //! mutable state — while writers serialize on the `&mut Topology` path.
 //!
 //! Reclamation is `Arc` reference counting: a superseded snapshot lives
@@ -149,31 +149,6 @@ pub struct TopologySnapshot {
 }
 
 impl TopologySnapshot {
-    /// The geometry epoch this snapshot captured.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The instance id of the topology this snapshot was taken from.
-    pub fn instance_id(&self) -> u64 {
-        self.instance_id
-    }
-
-    /// Number of live regions in the snapshot.
-    pub fn region_count(&self) -> usize {
-        self.region_count
-    }
-
-    /// Exclusive upper bound on live slot indexes.
-    pub fn slot_count(&self) -> usize {
-        self.live.len()
-    }
-
-    /// The space the snapshotted topology partitions.
-    pub fn space(&self) -> Space {
-        self.space
-    }
-
     /// Iterator over live region ids, ascending.
     pub fn region_ids(&self) -> impl Iterator<Item = RegionId> + '_ {
         self.live
@@ -181,15 +156,6 @@ impl TopologySnapshot {
             .enumerate()
             .filter(|(_, &l)| l)
             .map(|(i, _)| RegionId::new(i as u32))
-    }
-
-    /// Any live region id (the lowest).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::EmptyNetwork`] when the snapshot holds no regions.
-    pub fn first_region(&self) -> Result<RegionId, CoreError> {
-        self.region_ids().next().ok_or(CoreError::EmptyNetwork)
     }
 }
 

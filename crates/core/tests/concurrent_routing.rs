@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
 use geogrid_core::routing::{self, RouteOptions, Router};
-use geogrid_core::snapshot::TopologySnapshot;
+use geogrid_core::snapshot::{TopologySnapshot, TopologyView};
 use geogrid_core::{RegionId, Topology};
 use geogrid_geometry::{Point, Space};
 
@@ -88,7 +88,7 @@ fn check_parity(
 ) -> (usize, usize) {
     let reference = routing::route_uncached(snap, from, target).expect("reference");
     let executor = router
-        .route(snap, from, target, &RouteOptions::greedy())
+        .route(snap, from, target, &RouteOptions::Greedy)
         .expect("greedy on snapshot");
     assert_eq!(executor, reference.executor, "greedy executor diverged");
     assert_eq!(
@@ -98,7 +98,7 @@ fn check_parity(
     );
 
     let executor = router
-        .route(snap, from, target, &RouteOptions::express())
+        .route(snap, from, target, &RouteOptions::Express)
         .expect("express on snapshot");
     assert_eq!(executor, reference.executor, "express executor diverged");
     let handoff = router.hops()[router.express_prefix()];
@@ -235,7 +235,7 @@ fn pinned_snapshot_survives_later_epochs() {
         .map(|q| {
             let from = ids[(q as usize * 7) % ids.len()];
             let executor = router
-                .route(&*pinned, from, coord(3, q), &RouteOptions::greedy())
+                .route(&*pinned, from, coord(3, q), &RouteOptions::Greedy)
                 .expect("routable");
             (executor, router.hops().to_vec())
         })
@@ -251,7 +251,7 @@ fn pinned_snapshot_survives_later_epochs() {
     for (q, (executor, hops)) in before.iter().enumerate() {
         let from = ids[(q * 7) % ids.len()];
         let again = router
-            .route(&*pinned, from, coord(3, q as u64), &RouteOptions::greedy())
+            .route(&*pinned, from, coord(3, q as u64), &RouteOptions::Greedy)
             .expect("routable");
         assert_eq!(again, *executor, "query {q}");
         assert_eq!(router.hops(), &hops[..], "query {q}");

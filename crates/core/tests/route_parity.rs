@@ -13,8 +13,9 @@
 //! any state leaking from one query or one geometry into the next
 //! shows up as a diverging path.
 //!
-//! Every query additionally runs through the two-phase express engine
-//! ([`RouteOptions::express`]) with the same router, so the express-link
+//! Every query also takes the randomized walk, which must reach the same
+//! executor from neighbor to neighbor, and the express walk
+//! ([`RouteOptions::Express`]) with the same router, so the express-link
 //! maintenance at each mutation site is interleaved with the structural
 //! churn: express routes must terminate at the same region as the
 //! uncached reference, never exceed its hop count, and finish with a
@@ -117,11 +118,12 @@ fn apply_op(t: &mut Topology, op: u8, x: f64, y: f64) {
 }
 
 /// Routes `from → target` through both engines and describes any
-/// divergence (None = identical executor and hop trace).
+/// divergence (None = identical executor and hop trace, and a randomized
+/// walk to the same executor that steps from neighbor to neighbor).
 fn divergence(t: &Topology, router: &mut Router, from: RegionId, target: Point) -> Option<String> {
     let reference = routing::route_uncached(t, from, target).expect("reference route");
     let executor = router
-        .route(t, from, target, &RouteOptions::greedy())
+        .route(t, from, target, &RouteOptions::Greedy)
         .expect("router route");
     if executor != reference.executor {
         return Some(format!(
@@ -135,6 +137,16 @@ fn divergence(t: &Topology, router: &mut Router, from: RegionId, target: Point) 
             router.hops(),
             reference.hops
         ));
+    }
+    let walk = RouteOptions::Randomized(0.25);
+    let executor = router.route(t, from, target, &walk).expect("walk");
+    let adjacent = |w: &[_]| {
+        t.region(w[0])
+            .is_some_and(|e| e.neighbors().contains(&w[1]))
+    };
+    if executor != reference.executor || !router.hops().windows(2).all(adjacent) {
+        let hops = router.hops();
+        return Some(format!("randomized walk {hops:?} ({from} -> {target:?})"));
     }
     None
 }
@@ -152,7 +164,7 @@ fn express_divergence(
 ) -> Option<String> {
     let reference = routing::route_uncached(t, from, target).expect("reference route");
     let executor = router
-        .route(t, from, target, &RouteOptions::express())
+        .route(t, from, target, &RouteOptions::Express)
         .expect("express route");
     if executor != reference.executor {
         return Some(format!(

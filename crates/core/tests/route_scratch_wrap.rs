@@ -1,12 +1,12 @@
-//! Regression test for the `u8` visited-stamp generation wrap in
-//! [`RouteScratch`]: the generation counter lives in one byte, so query
-//! #256 through the same scratch wraps it back past 255. Without the
+//! Regression test for the `u8` visited-stamp generation wrap in a
+//! [`Router`]: the generation counter lives in one byte, so query
+//! #256 through the same router wraps it back past 255. Without the
 //! wrap-handling in `next_generation` (clear the stamp array, restart at
 //! 1), every region visited 256 queries ago would alias the new
 //! generation as "already visited" and silently deform the route.
 //!
 //! The test drives well over 256 queries — greedy and express — through
-//! one long-lived [`Router`] (which owns the scratch), comparing every
+//! one long-lived [`Router`] (which owns the stamps), comparing every
 //! route hop-for-hop against the allocating
 //! [`routing::route_uncached`] reference, and interleaves topology
 //! growth so the stamp array is also resized mid-stream.
@@ -51,13 +51,13 @@ fn visited_stamps_survive_generation_wraparound() {
 
         if q % 2 == 0 {
             let executor = router
-                .route(&t, from, target, &RouteOptions::greedy())
+                .route(&t, from, target, &RouteOptions::Greedy)
                 .expect("greedy");
             assert_eq!(executor, reference.executor, "query {q}");
             assert_eq!(router.hops(), &reference.hops[..], "query {q}");
         } else {
             let executor = router
-                .route(&t, from, target, &RouteOptions::express())
+                .route(&t, from, target, &RouteOptions::Express)
                 .expect("express");
             assert_eq!(executor, reference.executor, "query {q}");
             assert!(

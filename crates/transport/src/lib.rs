@@ -7,8 +7,8 @@
 //! * [`wire`] — a hand-rolled, versioned binary codec for every protocol
 //!   message (no serialization framework: the format is part of the
 //!   protocol and kept explicit; one table row per message kind),
-//! * [`frame`] — length-prefixed framing over any tokio
-//!   `AsyncRead`/`AsyncWrite`,
+//! * [`frame`] — length-prefixed framing over tokio `AsyncRead`/`AsyncWrite`
+//!   and, for the runtime's reader threads, blocking `std::io::Read`,
 //! * [`runtime`] — [`runtime::NodeRuntime`]: owns one
 //!   [`NodeEngine`](geogrid_core::engine::NodeEngine), a TCP listener,
 //!   and the `NodeId → SocketAddr` address book learned from message

@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Point::new(60.0, 60.0),
         Point::new(32.0, 8.0),
     ] {
-        let executor = router.route(topo, entry, target, &RouteOptions::greedy())?;
+        let executor = router.route(topo, entry, target, &RouteOptions::Greedy)?;
         println!(
             "query at {target}: {} hops to executor region {executor}",
             router.hop_count(),

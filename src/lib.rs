@@ -34,7 +34,7 @@
 //! // Route a location query toward its target coordinate.
 //! let entry = topo.first_region()?;
 //! let mut router = Router::new();
-//! router.route(topo, entry, Point::new(12.0, 51.0), &RouteOptions::greedy())?;
+//! router.route(topo, entry, Point::new(12.0, 51.0), &RouteOptions::Greedy)?;
 //! println!("{} hops to the executor region", router.hop_count());
 //! # Ok::<(), geogrid::core::CoreError>(())
 //! ```

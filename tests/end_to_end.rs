@@ -135,7 +135,7 @@ fn routing_works_after_heavy_adaptation() {
             ((i as f64 * 0.5698).fract()) * 63.9 + 0.05,
         );
         let executor = router
-            .route(topo, entry, target, &RouteOptions::greedy())
+            .route(topo, entry, target, &RouteOptions::Greedy)
             .expect("routable");
         assert!(topo.region(executor).unwrap().covers(target, space));
     }

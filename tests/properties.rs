@@ -107,7 +107,7 @@ proptest! {
         let from = topo.first_region().expect("nonempty");
         let mut router = Router::new();
         let executor = router
-            .route(topo, from, target, &RouteOptions::greedy())
+            .route(topo, from, target, &RouteOptions::Greedy)
             .expect("route");
         prop_assert!(topo.region(executor).expect("live").covers(target, space));
         prop_assert_eq!(executor, topo.locate_scan(target).expect("scan"));
@@ -187,7 +187,7 @@ proptest! {
         let entry = topo.first_region().expect("nonempty");
         let mut router = Router::new();
         let executor = router
-            .route(topo, entry, Point::new(33.0, 31.0), &RouteOptions::greedy())
+            .route(topo, entry, Point::new(33.0, 31.0), &RouteOptions::Greedy)
             .expect("routable");
         prop_assert!(topo
             .region(executor)
