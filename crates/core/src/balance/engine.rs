@@ -98,13 +98,8 @@ impl AdaptationEngine {
                 let other = topo
                     .region(neighbor)
                     .ok_or(CoreError::UnknownRegion(neighbor))?;
-                let (p_own, p_other) = (own.primary(), other.primary());
-                let cap = |n| topo.node(n).map(|i| i.capacity()).unwrap_or(0.0);
-                let (primary, secondary) = if cap(p_own) >= cap(p_other) {
-                    (p_own, p_other)
-                } else {
-                    (p_other, p_own)
-                };
+                let (primary, secondary) =
+                    rules::seat(own.primary(), other.primary(), |&n| topo.capacity(n));
                 let displaced =
                     topo.merge_regions(plan.region, neighbor, primary, Some(secondary))?;
                 debug_assert!(displaced.is_empty(), "plan guaranteed <= 2 owners");

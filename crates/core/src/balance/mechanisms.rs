@@ -10,17 +10,13 @@
 use crate::balance::{AdaptationPlan, BalanceConfig, Mechanism};
 use crate::load::LoadMap;
 use crate::rules::{self, Donor, DonorChoice};
-use crate::{NodeId, RegionId, Topology};
+use crate::{RegionId, Topology};
 
 use super::search::ttl_search;
 
-fn capacity(topo: &Topology, node: NodeId) -> f64 {
-    topo.node(node).map(|n| n.capacity()).unwrap_or(0.0)
-}
-
 fn primary_capacity(topo: &Topology, rid: RegionId) -> f64 {
     topo.region(rid)
-        .map(|e| capacity(topo, e.primary()))
+        .map(|e| topo.capacity(e.primary()))
         .unwrap_or(0.0)
 }
 
@@ -70,11 +66,11 @@ fn plan_donor(
     let donors = candidates.iter().filter_map(|&c| {
         Some(Donor {
             key: c,
-            secondary: capacity(topo, topo.region(c)?.secondary()?),
+            secondary: topo.capacity(topo.region(c)?.secondary()?),
             index: loads.index_of(topo, c),
         })
     });
-    rules::donor(donors, capacity(topo, entry.primary()), choice).map(|donor| AdaptationPlan {
+    rules::donor(donors, topo.capacity(entry.primary()), choice).map(|donor| AdaptationPlan {
         mechanism,
         region: rid,
         partner: Some(donor),
@@ -91,7 +87,7 @@ fn plan_switch_primaries(
     mechanism: Mechanism,
 ) -> Option<AdaptationPlan> {
     let entry = topo.region(rid)?;
-    let own_cap = capacity(topo, entry.primary());
+    let own_cap = topo.capacity(entry.primary());
     let own_load = loads.combined(rid);
     let own_index = loads.index_of(topo, rid);
     candidates
@@ -129,7 +125,9 @@ fn plan_merge(topo: &Topology, loads: &LoadMap, rid: RegionId) -> Option<Adaptat
             if ne.is_full() || entry.region().merge(&ne.region()).is_none() {
                 return None;
             }
-            let strongest = capacity(topo, entry.primary()).max(primary_capacity(topo, n));
+            let strongest = topo
+                .capacity(entry.primary())
+                .max(primary_capacity(topo, n));
             let merged_index = (loads.combined(rid) + loads.combined(n)) / strongest;
             let avg = (own_index + loads.index_of(topo, n)) / 2.0;
             (merged_index < avg).then_some((merged_index, n))
@@ -150,8 +148,8 @@ fn plan_split(topo: &Topology, rid: RegionId) -> Option<AdaptationPlan> {
     const MIN_SPLIT_EXTENT: f64 = 0.5;
     let entry = topo.region(rid)?;
     let secondary = entry.secondary()?;
-    let p_cap = capacity(topo, entry.primary());
-    let s_cap = capacity(topo, secondary);
+    let p_cap = topo.capacity(entry.primary());
+    let s_cap = topo.capacity(secondary);
     if s_cap < p_cap {
         return None;
     }

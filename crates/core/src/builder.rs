@@ -14,15 +14,9 @@ use rand::{Rng, SeedableRng};
 use crate::join::{self, JoinOutcome};
 use crate::{NodeId, RegionId, Topology};
 
-/// Which join protocol the network uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Mode {
-    /// Basic GeoGrid: every join splits the covering region (§2.1).
-    #[default]
-    Basic,
-    /// Dual-peer GeoGrid: joins fill half-full regions first (§2.3).
-    DualPeer,
-}
+/// Which join protocol the network uses: the engine's own enum, so a
+/// model build and an engine run select a protocol with one value.
+pub use crate::engine::EngineMode as Mode;
 
 /// Builds randomly generated GeoGrid networks.
 ///
@@ -155,11 +149,6 @@ impl BuiltNetwork {
             self.live_regions.push(created);
         }
         (node, outcome)
-    }
-
-    /// The join protocol in use.
-    pub fn mode(&self) -> Mode {
-        self.mode
     }
 
     /// Consumes the builder state and returns the topology without

@@ -28,13 +28,14 @@ const FINGER_TTL: u64 = 10_000;
 /// the finger it re-confirms.
 const LOOKUP_TIMEOUT: u64 = 1_000;
 
-/// Which join protocol the engine speaks.
+/// Which join protocol a network speaks: the engine's and the model's
+/// (re-exported as `builder::Mode`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
-    /// Basic GeoGrid: every join splits the covering region.
+    /// Basic GeoGrid: every join splits the covering region (§2.1).
     #[default]
     Basic,
-    /// Dual-peer GeoGrid: joins fill half-full regions first.
+    /// Dual-peer GeoGrid: joins fill half-full regions first (§2.3).
     DualPeer,
 }
 
@@ -310,6 +311,17 @@ fn forward(
     sends
         .map(|(to, message)| Effect::Send { to, message })
         .collect()
+}
+
+/// `records` for query `query_id`: a client event at its issuer `me`, a
+/// [`Message::QueryReply`] elsewhere (the engine never addresses itself).
+fn reply(me: NodeId, to: NodeId, query_id: u64, records: Vec<LocationRecord>) -> Effect {
+    if to == me {
+        Effect::Client(ClientEvent::QueryResults { query_id, records })
+    } else {
+        let message = Message::QueryReply { query_id, records };
+        Effect::Send { to, message }
+    }
 }
 
 /// Whether the owner of `mine` absorbs the silent region `gone`: only as
@@ -1372,8 +1384,11 @@ impl NodeEngine {
             return Vec::new(); // not an owner: drop (bootstrap servers
                                // hand out owner nodes as entries)
         };
-        // Either dual peer places a joiner: both hold the neighbor table
-        // the placement probe reads.
+        // A secondary does not hand a join to its primary: it places the
+        // joiner itself, offering its own capacity as its region's
+        // candidate, and if it splits, it keeps the half around its own
+        // coordinate and takes the primary seat. The model always decides
+        // as the primary (ROADMAP item 33(b)).
         if let Route::Forward(next, lookup) =
             owner.route(&self.space, now, from, joiner.coord(), hops, false)
         {
@@ -1408,11 +1423,11 @@ impl NodeEngine {
         }
     }
 
-    /// Splits the region to place `joiner` (§2.3), keeping the half that
-    /// contains our coordinate. A sole owner hands the other half to the
-    /// joiner; a full region splits between its dual peers — leaving both
-    /// halves half-full — and the joiner is then paired with the weaker
-    /// half-owner.
+    /// Splits the region to place `joiner` (§2.3), keeping the half
+    /// [`rules::split`] keeps for our coordinate. A sole owner hands the
+    /// other half to the joiner; a full region splits between its dual
+    /// peers — leaving both halves half-full — and the joiner is then
+    /// paired with the weaker half-owner.
     fn split_and_place(&mut self, now: u64, joiner: NodeInfo) -> Vec<Effect> {
         let State::Owner(owner) = &mut self.state else {
             return Vec::new();
@@ -1422,10 +1437,7 @@ impl NodeEngine {
             // not retry (the model's joins walk outward instead).
             return Vec::new();
         }
-        let (low, high) = owner.region.split_preferred();
-        let keep_low =
-            low.contains(self.info.coord()) || self.space.region_covers(&low, self.info.coord());
-        let (kept, given) = if keep_low { (low, high) } else { (high, low) };
+        let (kept, given) = rules::split(&owner.region, &self.space, self.info.coord());
         let given_store = owner.store.split_for(&kept, &given);
         let heir = owner.peer.take().unwrap_or(joiner);
         owner.reshape(kept);
@@ -1467,8 +1479,10 @@ impl NodeEngine {
             },
         });
         if heir.id() != joiner.id() {
-            // Pair the joiner with the weaker half-owner.
-            if self.info.capacity() <= heir.capacity() {
+            // Pair the joiner with the weaker half-owner, on a tie with
+            // us: the seat rule with our half challenging.
+            let (_, weaker) = rules::seat(heir, self.info, NodeInfo::capacity);
+            if weaker.id() == self.info.id() {
                 effects.extend(self.accept_join_as_peer(now, joiner));
             } else {
                 effects.push(Effect::Send {
@@ -1517,7 +1531,7 @@ impl NodeEngine {
     }
 
     /// Accepts `joiner` as this region's dual peer. If the joiner is
-    /// stronger, it takes the primary role (§2.3 "Node Join").
+    /// stronger, it takes the primary role ([`rules::seat`]).
     fn accept_join_as_peer(&mut self, now: u64, joiner: NodeInfo) -> Vec<Effect> {
         let State::Owner(owner) = &mut self.state else {
             return Vec::new();
@@ -1525,7 +1539,8 @@ impl NodeEngine {
         owner.peer = Some(joiner);
         owner.last_peer_seen = now;
         owner.peer_confirmed = false;
-        if joiner.capacity() > self.info.capacity() {
+        let (primary, _) = rules::seat(self.info, joiner, NodeInfo::capacity);
+        if primary.id() == joiner.id() {
             owner.role = Role::Secondary;
         }
         let seats = owner.self_entry(self.info);
@@ -1639,10 +1654,7 @@ impl NodeEngine {
                 return Vec::new();
             }
             let records = owner.answer(&query, now);
-            let mut effects = vec![Effect::Send {
-                to: reply_to,
-                message: Message::QueryReply { query_id, records },
-            }];
+            let mut effects = vec![reply(self.info.id(), reply_to, query_id, records)];
             if hops < MAX_HOPS {
                 owner.fan_out(&query.area(), &mut effects, || Message::Query {
                     query: query.clone(),
@@ -1677,17 +1689,7 @@ impl NodeEngine {
             hops: hops + 1,
             fanout: true,
         });
-        if reply_to == self.info.id() {
-            effects.push(Effect::Client(ClientEvent::QueryResults {
-                query_id,
-                records,
-            }));
-        } else {
-            effects.push(Effect::Send {
-                to: reply_to,
-                message: Message::QueryReply { query_id, records },
-            });
-        }
+        effects.push(reply(me, reply_to, query_id, records));
         effects
     }
 
@@ -2155,6 +2157,35 @@ mod tests {
             _ => None,
         });
         assert_eq!(results, Some(1));
+    }
+
+    #[test]
+    fn a_fanned_out_query_back_at_its_issuer_is_a_client_event() {
+        // Node 1 issued query 5, and its executor fanned it back out to
+        // node 1, whose region the query overlaps.
+        let mut e = engine(node(1, 10.0, 10.0, 10.0), EngineMode::Basic);
+        e.handle(0, Input::BootstrapAsFirst);
+        let reply_to = NodeId::new(1);
+        let query = LocationQuery::new(Region::new(0.0, 0.0, 10.0, 10.0), reply_to);
+        let (query_id, hops, fanout) = (5, 2, true);
+        let message = Message::Query {
+            query,
+            query_id,
+            reply_to,
+            hops,
+            fanout,
+        };
+        let fx = e.handle(1, msg(NodeId::new(2), message));
+        assert!(
+            matches!(
+                fx.as_slice(),
+                [Effect::Client(ClientEvent::QueryResults {
+                    query_id: 5,
+                    ..
+                })]
+            ),
+            "{fx:?}"
+        );
     }
 
     #[test]

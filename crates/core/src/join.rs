@@ -187,12 +187,11 @@ pub fn join_dual(
         .secondary()
         .expect("invariant: the split victim is full — no half-full candidate existed");
     let new_half = topo.split_region(target, primary, secondary)?;
-    // The joiner pairs with the weaker of the two half-owners.
-    let weak_half = if capacity_of(topo, primary) <= capacity_of(topo, secondary) {
-        target
-    } else {
-        new_half
-    };
+    // The joiner pairs with the weaker of the two half-owners, on a tie
+    // with the primary's half: the seat rule with that half challenging.
+    let (_, (weak_half, _)) = rules::seat((new_half, secondary), (target, primary), |&(_, n)| {
+        topo.capacity(n)
+    });
     let (joiner, as_primary) = seat(topo, weak_half, coord, capacity)?;
     Ok((
         joiner,
@@ -204,17 +203,13 @@ pub fn join_dual(
     ))
 }
 
-fn capacity_of(topo: &Topology, node: NodeId) -> f64 {
-    topo.node(node).map(|n| n.capacity()).unwrap_or(0.0)
-}
-
 /// `region` as a dual-peer placement candidate.
 fn candidate(topo: &Topology, region: RegionId) -> Candidate {
     let entry = topo
         .region(region)
         .expect("invariant: candidates are live regions");
     Candidate {
-        capacity: capacity_of(topo, entry.primary()),
+        capacity: topo.capacity(entry.primary()),
         fillable: !entry.is_full(),
         splittable: entry.region().is_splittable(),
     }
@@ -235,7 +230,8 @@ fn seat(
         .region(region)
         .ok_or(CoreError::UnknownRegion(region))?
         .primary();
-    let as_primary = capacity > capacity_of(topo, incumbent);
+    let (primary, _) = rules::seat(incumbent, joiner, |&n| topo.capacity(n));
+    let as_primary = primary == joiner;
     if as_primary {
         topo.swap_roles(region)?;
     }
@@ -328,13 +324,8 @@ pub fn repair_orphan(topo: &mut Topology, orphan: RegionId) -> Result<(), CoreEr
             if ea.region().merge(&eb.region()).is_none() {
                 continue;
             }
-            let (pa, pb) = (ea.primary(), eb.primary());
-            let cap = |n: NodeId| topo.node(n).map(|i| i.capacity()).unwrap_or(0.0);
-            let (primary, secondary) = if cap(pa) >= cap(pb) {
-                (pa, pb)
-            } else {
-                (pb, pa)
-            };
+            let (primary, secondary) =
+                rules::seat(ea.primary(), eb.primary(), |&n| topo.capacity(n));
             topo.merge_regions(a, b, primary, Some(secondary))?;
             let freed = topo.take_secondary(a)?;
             topo.adopt_region(orphan, freed)?;

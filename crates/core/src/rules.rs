@@ -1,5 +1,5 @@
-//! The §2.3 placement rule, the §2.4 trigger and donor rules and the
-//! express-routing rule as pure functions over candidate lists. The model
+//! The §2.3 split, seat and placement rules, the §2.4 trigger and donor
+//! rules and the express-routing rule as pure functions. The model
 //! ([`join`](crate::join), [`balance`](crate::balance),
 //! [`routing`](crate::routing)) builds its candidates from the
 //! [`Topology`](crate::Topology), the engine from its own region, its
@@ -7,6 +7,32 @@
 //! Nothing here imports the model.
 
 use geogrid_geometry::{Point, Region, Space};
+
+/// The split rule (§2.3): halve `region` along its longer side into
+/// `(kept, given)`, where `kept` covers `keeper` (with the space-edge
+/// closure: a keeper on the space's west or south edge keeps the low half).
+pub fn split(region: &Region, space: &Space, keeper: Point) -> (Region, Region) {
+    let (low, high) = region.split_preferred();
+    if space.region_covers(&low, keeper) {
+        (low, high)
+    } else {
+        (high, low)
+    }
+}
+
+/// The seat rule (§2.3, "Node Join"): the stronger of two nodes takes the
+/// primary seat, and on a tie the `incumbent` keeps it. Returns
+/// `(primary, secondary)`. Read the other way, `.1` is the weaker node,
+/// ties going to the `challenger`: "a dual-peer joiner pairs with the
+/// weaker half-owner, on a tie with the primary's half" is this rule with
+/// the primary's half as the challenger.
+pub fn seat<T>(incumbent: T, challenger: T, capacity: impl Fn(&T) -> f64) -> (T, T) {
+    if capacity(&challenger) > capacity(&incumbent) {
+        (challenger, incumbent)
+    } else {
+        (incumbent, challenger)
+    }
+}
 
 /// One region a dual-peer joiner could be placed in.
 #[derive(Debug, Clone, Copy)]
@@ -264,6 +290,18 @@ mod tests {
         for (i, (candidates, expected)) in cases.into_iter().enumerate() {
             assert_eq!(place(&candidates), expected, "case {i}");
         }
+    }
+
+    #[test]
+    fn split_keeps_the_keepers_half_and_a_tied_seat_stays() {
+        let (space, p) = (Space::paper_evaluation(), Point::new);
+        let (all, (low, high)) = (space.bounds(), space.bounds().split_preferred());
+        assert_eq!(split(&all, &space, p(50.0, 50.0)), (high, low));
+        // The space-edge closure: the corner belongs to the low half.
+        assert_eq!(split(&all, &space, p(0.0, 0.0)), (low, high));
+        let cap = |&(_, c): &(char, f64)| c;
+        assert_eq!(seat(('a', 1.0), ('b', 2.0), cap), (('b', 2.0), ('a', 1.0)));
+        assert_eq!(seat(('a', 1.0), ('b', 1.0), cap), (('a', 1.0), ('b', 1.0)));
     }
 
     #[test]

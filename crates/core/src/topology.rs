@@ -393,6 +393,11 @@ impl Topology {
         self.nodes.get(usize::try_from(id.as_u64()).ok()?)?.as_ref()
     }
 
+    /// A node's capacity; 0 for an unregistered node.
+    pub fn capacity(&self, id: NodeId) -> f64 {
+        self.node(id).map_or(0.0, NodeInfo::capacity)
+    }
+
     /// The region and role a node currently owns, if any.
     pub fn assignment(&self, id: NodeId) -> Option<(RegionId, Role)> {
         self.assignments.get(&id).copied()
@@ -476,11 +481,12 @@ impl Topology {
     /// Splits `rid` in half along its preferred axis.
     ///
     /// `keep` must be the current primary of `rid`; it retains the half
-    /// containing its own coordinate (or the low half if its coordinate is
-    /// not inside the region — ownership/geography association can already
-    /// be broken by earlier adaptations). `give` becomes the primary of the
-    /// other half; it must be either the current secondary of `rid` (a
-    /// dual-peer split) or an unassigned registered node (a join split).
+    /// [`rules::split`] keeps for its coordinate (the high half if its
+    /// coordinate is not inside the region — ownership/geography
+    /// association can already be broken by earlier adaptations). `give`
+    /// becomes the primary of the other half; it must be either the
+    /// current secondary of `rid` (a dual-peer split) or an unassigned
+    /// registered node (a join split).
     ///
     /// Returns the id of the new region (the half given away).
     ///
@@ -516,16 +522,7 @@ impl Topology {
         let keep_coord = self.node(keep).ok_or(CoreError::UnknownNode(keep))?.coord();
 
         let old_region = self.entry(rid)?.region;
-        let (low, high) = old_region.split_preferred();
-        // `keep` retains the half covering its coordinate; `contains` on
-        // the low half decides (space-edge subtleties only matter for
-        // points on the global boundary, where the low half wins anyway).
-        let (kept_half, given_half) =
-            if low.contains(keep_coord) || self.space().region_covers(&low, keep_coord) {
-                (low, high)
-            } else {
-                (high, low)
-            };
+        let (kept_half, given_half) = rules::split(&old_region, &self.space(), keep_coord);
 
         let old_neighbors = self.entry(rid)?.neighbors.clone();
         // Geometry changes from here on.

@@ -38,7 +38,7 @@
 //! listener. A reader ends when its peer closes the link or sends its
 //! next frame.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -454,18 +454,12 @@ impl Actor {
 
     fn apply(&mut self, effects: Vec<Effect>) {
         let me = self.engine.info().id();
-        let mut queue = VecDeque::from(effects);
-        while let Some(effect) = queue.pop_front() {
+        for effect in effects {
             match effect {
-                // A message to ourselves (e.g. our own partial of a fanned
-                // out query) never touches the network: `learn` keeps our
-                // id out of the address book, so it would park forever.
-                Effect::Send { to, message } if to == me => {
-                    let now = self.now();
-                    let input = Input::Message { from: me, message };
-                    queue.extend(self.engine.handle(now, input));
-                }
                 Effect::Send { to, message } => {
+                    // The engine never addresses itself (`learn` keeps our
+                    // id out of the address book, so it would park forever).
+                    debug_assert_ne!(to, me, "engine sent itself {message:?}");
                     if self.book.contains_key(&to) {
                         self.transmit(to, message);
                     } else {

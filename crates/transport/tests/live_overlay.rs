@@ -109,8 +109,8 @@ async fn four_node_overlay_forms_and_serves_queries() {
 }
 
 /// A client whose own region overlaps the query range without covering
-/// its centre is one of the fan-out targets: its partial result is a
-/// message to itself, which must be delivered like any other.
+/// its centre is one of the fan-out targets: its own partial result must
+/// reach it like any other.
 #[tokio::test]
 async fn client_receives_its_own_fanout_partial() {
     let space = Space::paper_evaluation();
